@@ -397,7 +397,7 @@ def refute_extension(presentation, theory, extension: str) -> Step:
     """The Theorem-style refutation of a proper extension: assuming a fresh
     element d distinct from every named element, derive absurdity."""
     vocab = presentation.vocab
-    if presentation.kind != "term-generated" or not presentation.all_named:
+    if presentation.kind != "term-generated":
         raise SchemaError("presentation must name every element "
                           "(term-generated, all elements named)")
     if extension in vocab.symbols or extension in vocab.families:

@@ -244,8 +244,7 @@ class Prover:
     def _prove(self, cl, goal, depth):
         key = (cl, goal, depth)
         if key in self.memo:
-            return self.memo[key] is True  # in-progress counts as failure
-        self.memo[key] = "running"
+            return self.memo[key]
         result = self._prove_inner(cl, goal, depth)
         self.memo[key] = result
         return result
@@ -503,25 +502,18 @@ def admissible_valuations(rules, u: SentenceUniverse, derivability_depth=6,
 # Named valuations
 
 
-def is_tautology(f: Formula) -> bool:
-    atoms = sorted({a.rel for a in _subformulas(f) if isinstance(a, Atom)})
+def _atom_valuations(atoms):
+    """Every two-valued assignment to the atoms, with ⋏ false, as a dict
+    that `value_of` extends compositionally."""
     for bits in itertools.product((False, True), repeat=len(atoms)):
-        env = dict(zip(atoms, bits))
+        v = dict(zip(atoms, bits))
+        v[BOT] = False
+        yield v
 
-        def ev(g):
-            if isinstance(g, Absurd):
-                return False
-            if isinstance(g, Atom):
-                return env[g.rel]
-            if isinstance(g, Not):
-                return not ev(g.body)
-            if isinstance(g, And):
-                return ev(g.left) and ev(g.right)
-            return ev(g.left) or ev(g.right)
 
-        if not ev(f):
-            return False
-    return True
+def is_tautology(f: Formula) -> bool:
+    atoms = {g for g in _subformulas(f) if isinstance(g, Atom)}
+    return all(value_of(v, f) for v in _atom_valuations(tuple(atoms)))
 
 
 def v_top(f: Formula) -> bool:
@@ -536,23 +528,8 @@ def v_tautology(f: Formula) -> bool:
 
 def classical_valuations(u: SentenceUniverse):
     """The truth-table valuations over the atom assignments, ⋏ false."""
-    out = []
-    for bits in itertools.product((False, True), repeat=len(u.atoms)):
-        env = dict(zip(u.atoms, bits))
-
-        def ev(g, env=env):
-            if isinstance(g, Absurd):
-                return False
-            if isinstance(g, Atom):
-                return env[g.rel]
-            if isinstance(g, Not):
-                return not ev(g.body)
-            if isinstance(g, And):
-                return ev(g.left) and ev(g.right)
-            return ev(g.left) or ev(g.right)
-
-        out.append({s: ev(s) for s in u.sentences})
-    return out
+    return [{s: value_of(v, s) for s in u.sentences}
+            for v in _atom_valuations(tuple(Atom(a) for a in u.atoms))]
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,8 @@ class FiniteStructure:
     sets, total function tables, constant assignments.
 
     Domain element names may be used directly as constant terms in formulas
-    (the quantifier-free diagram convention)."""
+    (the quantifier-free diagram convention).  Function tables are keyed by
+    argument tuples; a unary table may also be given with bare keys."""
 
     kind = "finite"
 
@@ -63,7 +64,9 @@ class FiniteStructure:
         self.relations = {d.name: set() for d in vocab.relations()}
         for r, tuples in (relations or {}).items():
             self.relations[r] = {tuple(t) for t in tuples}
-        self.functions = {f: dict(table) for f, table in (functions or {}).items()}
+        self.functions = {
+            f: {k if isinstance(k, tuple) else (k,): v for k, v in table.items()}
+            for f, table in (functions or {}).items()}
         self.constants = dict(constants or {})
         self._check_total()
         self._element_sort = {}
@@ -77,8 +80,7 @@ class FiniteStructure:
             if table is None:
                 raise EvalError(f"missing function table for {d.name!r}")
             for args in itertools.product(*(self.domains[s] for s in d.arg_sorts)):
-                key = args if len(args) > 1 else args[0]
-                if key not in table and args not in table:
+                if args not in table:
                     raise EvalError(f"function table for {d.name!r} not total at {args}")
         for d in self.vocab.constants():
             if d.name not in self.constants:
@@ -90,12 +92,15 @@ class FiniteStructure:
     def elements(self, sort):
         return self.domains[sort]
 
+    def sort_of(self, e):
+        """The sort of the domain element `e`, or None for a non-element."""
+        return self._element_sort.get(e)
+
+    def holds(self, rel, args):
+        return tuple(args) in self.relations[rel]
+
     def apply_fun(self, name, args):
-        table = self.functions[name]
-        key = tuple(args) if len(args) > 1 else args[0]
-        if key in table:
-            return table[key]
-        return table[tuple(args)]
+        return self.functions[name][tuple(args)]
 
     def element_of(self, t: Term, extra=None):
         """Evaluate a ground term to a domain element. `extra` maps
@@ -133,12 +138,6 @@ class TermGeneratedStructure:
         self.rewrites = tuple(rewrites)  # (lhs Term with Vars, rhs Term)
         self.rel_deciders = dict(rel_deciders or {})
 
-    @property
-    def all_named(self):
-        """Every element is the class of a ground term over the generators;
-        for tau-generated presentations these are base constant terms."""
-        return True
-
     def normalize(self, t: Term) -> Term:
         changed = True
         while changed:
@@ -164,6 +163,15 @@ class TermGeneratedStructure:
 
     def equal(self, t1: Term, t2: Term) -> bool:
         return self.normalize(t1) == self.normalize(t2)
+
+    def sort_of(self, e):
+        """The sort of the element `e` (a normal-form ground term), or None
+        for a non-element."""
+        return e.sort if isinstance(e, Term) else None
+
+    def apply_fun(self, name, args):
+        decl = self.vocab.symbols[name]
+        return self.normalize(App(name, tuple(args), decl.result_sort))
 
     def holds(self, rel, args):
         decider = self.rel_deciders.get(rel)
@@ -319,11 +327,7 @@ def _resolve(s, t, env, extra):
     if isinstance(t, Var):
         return env[t.name]
     if isinstance(t, App):
-        args = [_resolve(s, a, env, extra) for a in t.args]
-        if s.kind == "finite":
-            return s.apply_fun(t.func, args)
-        decl = s.vocab.symbols[t.func]
-        return s.normalize(App(t.func, tuple(args), decl.result_sort))
+        return s.apply_fun(t.func, [_resolve(s, a, env, extra) for a in t.args])
     return s.element_of(t, extra)
 
 
@@ -331,10 +335,7 @@ def _eval(s, f, env, fuel, extra, fragment=False):
     if isinstance(f, Absurd):
         return False
     if isinstance(f, Atom):
-        args = [_resolve(s, a, env, extra) for a in f.args]
-        if s.kind == "finite":
-            return tuple(args) in s.relations[f.rel]
-        return s.holds(f.rel, args)
+        return s.holds(f.rel, [_resolve(s, a, env, extra) for a in f.args])
     if isinstance(f, Eq):
         a = _resolve(s, f.left, env, extra)
         b = _resolve(s, f.right, env, extra)
@@ -417,9 +418,6 @@ class Valuation:
             return v
         return None
 
-    def defined_on(self, sentence):
-        return self.value(sentence) is not None
-
 
 def valuation_of_structure(s, naming: str) -> Valuation:
     """Structure-backed valuation over the expanded vocabulary tau_M, using
@@ -428,7 +426,7 @@ def valuation_of_structure(s, naming: str) -> Valuation:
     if s.kind == "finite":
         fam = s.vocab.family(naming)
         elements = [e for sort in s.vocab.sorts for e in s.domains[sort]
-                    if s._element_sort[e] == fam.sort]
+                    if s.sort_of(e) == fam.sort]
         names = (fam.enumerate_terms(len(elements)) if fam.countable
                  else [Const(m, fam.sort) for m in fam.members])
         if len(names) < len(elements):
@@ -643,91 +641,58 @@ def embed_search(a, b, bound: int = 20):
 
 
 def _forced_embedding(a, b, bound):
-    sources = a.enumerate_elements(bound)
-    mapping = {}
-    for t in sources:
-        img = b.element_of(t) if b.kind == "finite" else b.normalize(t)
-        mapping[t] = img
+    mapping = {t: b.element_of(t) for t in a.enumerate_elements(bound)}
     if len(set(map(str, mapping.values()))) != len(mapping):
         return None
-    if not _preserves_atomic(a, b, mapping):
+    if _map_defect(a, b, mapping) is not None:
         return None
     return mapping
 
 
-def _preserves_atomic(a, b, mapping):
-    items = list(mapping.items())
+def _map_defect(a, b, mapping):
+    """The first atomic fact that the partial map `mapping` from `a` into
+    `b` breaks, or None.
+
+    A defect is ('const', name) for a constant whose element is mapped
+    elsewhere than the constant of `b`, or ('rel', name, src) / ('fun',
+    name, src) for a sort-respecting tuple `src` of mapped elements at
+    which the relation's truth or the function's value (when it is mapped
+    too) is not carried over.  Relations are checked both ways; one that
+    `a` or `b` cannot decide raises EvalError."""
+    for d in a.vocab.constants():
+        c = Const(d.name, d.result_sort)
+        src = a.element_of(c)
+        if src in mapping and mapping[src] != b.element_of(c):
+            return ("const", d.name)
+    pools = {sort: [] for sort in a.vocab.sorts}
+    for e in mapping:
+        pools[a.sort_of(e)].append(e)
     for d in a.vocab.relations():
-        for combo in itertools.product(items, repeat=d.arity):
-            src = tuple(x for x, _ in combo)
-            dst = tuple(y for _, y in combo)
-            if a.kind == "finite":
-                sa = src in a.relations[d.name]
-            else:
-                try:
-                    sa = a.holds(d.name, src)
-                except EvalError:
-                    continue
-            if b.kind == "finite":
-                sb = dst in b.relations[d.name]
-            else:
-                sb = b.holds(d.name, dst)
-            if sa != sb:
-                return False
+        for src in itertools.product(*(pools[sort] for sort in d.arg_sorts)):
+            if a.holds(d.name, src) != b.holds(
+                    d.name, [mapping[x] for x in src]):
+                return ("rel", d.name, src)
     for d in a.vocab.functions():
-        for combo in itertools.product(items, repeat=d.arity):
-            src = tuple(x for x, _ in combo)
-            dst = tuple(y for _, y in combo)
-            if a.kind == "finite":
-                fa = a.apply_fun(d.name, list(src))
-            else:
-                fa = a.normalize(App(d.name, src, d.result_sort))
-            if fa not in mapping:
-                continue  # image outside the bounded fragment
-            if b.kind == "finite":
-                fb = b.apply_fun(d.name, list(dst))
-            else:
-                fb = b.normalize(App(d.name, dst, d.result_sort))
-            if mapping[fa] != fb:
-                return False
-    return True
+        for src in itertools.product(*(pools[sort] for sort in d.arg_sorts)):
+            fa = a.apply_fun(d.name, src)
+            if fa in mapping and mapping[fa] != b.apply_fun(
+                    d.name, [mapping[x] for x in src]):
+                return ("fun", d.name, src)
+    return None
 
 
 def _backtrack_embedding(a, b):
     elems = [e for s in a.vocab.sorts for e in a.domains[s]]
-    sorts = {e: s for s in a.vocab.sorts for e in a.domains[s]}
-
-    def consistent(mapping):
-        pairs = {c.name: (a.constants[c.name], b.constants[c.name])
-                 for c in a.vocab.constants()}
-        for _, (ae, be) in pairs.items():
-            if ae in mapping and mapping[ae] != be:
-                return False
-        for d in a.vocab.relations():
-            for src in itertools.product(*([list(mapping)] * d.arity)):
-                if all(sorts[x] == s for x, s in zip(src, d.arg_sorts)):
-                    dst = tuple(mapping[x] for x in src)
-                    if (src in a.relations[d.name]) != (dst in b.relations[d.name]):
-                        return False
-        for d in a.vocab.functions():
-            for src in itertools.product(*([list(mapping)] * d.arity)):
-                if all(sorts[x] == s for x, s in zip(src, d.arg_sorts)):
-                    fa = a.apply_fun(d.name, list(src))
-                    if fa in mapping:
-                        fb = b.apply_fun(d.name, [mapping[x] for x in src])
-                        if mapping[fa] != fb:
-                            return False
-        return True
 
     def extend(i, mapping, used):
         if i == len(elems):
             return dict(mapping)
         e = elems[i]
-        for cand in b.domains[sorts[e]]:
+        for cand in b.domains[a.sort_of(e)]:
             if cand in used:
                 continue
             mapping[e] = cand
-            if consistent(mapping):
+            if _map_defect(a, b, mapping) is None:
                 res = extend(i + 1, mapping, used | {cand})
                 if res is not None:
                     return res
@@ -756,73 +721,88 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None,
     rewrites = []
     rel_deciders = {}
 
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    for line in lines:
+    elements = set()  # every element of the domains declared so far
+
+    def check_named(names):
+        for e in names:
+            if e not in elements:
+                raise SyntaxError_(f"{e!r} is not in a declared domain",
+                                   lineno, 1)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         head = parts[0]
-        if head == "structure":
-            name = parts[1]
-            if len(parts) >= 4 and parts[2] == "over" and vocab is None:
-                ref = parts[3]
-                if vocab_loader is not None:
-                    vocab = vocab_loader(ref)
-                else:
-                    path = os.path.join(base_dir or ".", ref)
-                    with open(path) as fh:
-                        vocab = parse_vocabulary(fh.read())
-        elif head == "domain":
-            sort = parts[1]
-            inner = line.split("{", 1)[1].rsplit("}", 1)[0].split()
-            domains[sort] = inner
-        elif head == "rel" and "=" in parts:
-            rel = parts[1]
-            body = line.split("=", 1)[1].strip().strip("{}").strip()
-            tuples = []
-            for chunk in body.replace("(", " ( ").replace(")", " ) ").split(")"):
-                items = chunk.replace("(", " ").replace(",", " ").split()
-                if items:
-                    tuples.append(tuple(items))
-            relations[rel] = tuples
-        elif head == "fun" and "=" in parts:
-            fn = parts[1]
-            body = line.split("=", 1)[1].strip().strip("{}").strip()
-            table = {}
-            for pair in body.split():
-                src, dst = pair.split("->")
-                key = tuple(src.split(",")) if "," in src else src
-                table[key] = dst
-            functions[fn] = table
-        elif head == "const" and "=" in parts:
-            constants[parts[1]] = parts[3]
-        elif head == "generated":
-            generated_by = parts[2]  # 'generated by tau' / 'generated by D'
-        elif head == "rewrite":
-            if vocab is None:
-                raise SyntaxError_("rewrite before vocabulary known")
-            lhs_txt, rhs_txt = line[len("rewrite"):].split("->", 1)
-            var_names = sorted(set(
-                t for t in lhs_txt.replace("(", " ").replace(")", " ")
-                .replace(",", " ").split()
-                if t not in vocab.symbols and t not in vocab.families))
-            bound = [(vn, vocab.sorts[0]) for vn in var_names]
-            from .syntax import _FormulaParser, tokenize
-            p1 = _FormulaParser(tokenize(lhs_txt.strip()), vocab, bound)
-            lhs = p1.term()
-            p2 = _FormulaParser(tokenize(rhs_txt.strip()), vocab, bound)
-            rhs = p2.term()
-            rewrites.append((lhs, rhs))
-        elif head == "rel-decide":
-            rel = parts[1]
-            if parts[2] != "by":
-                raise SyntaxError_("expected 'by' in rel-decide")
-            decider_name = parts[3]
-            if decider_name not in BUILTIN_DECIDERS:
-                raise SyntaxError_(f"unknown decider {decider_name!r}")
-            rel_deciders[rel] = BUILTIN_DECIDERS[decider_name]
-        else:
-            raise SyntaxError_(f"unknown structure declaration: {line!r}")
+        try:
+            if head == "structure":
+                name = parts[1]
+                if len(parts) >= 4 and parts[2] == "over" and vocab is None:
+                    ref = parts[3]
+                    if vocab_loader is not None:
+                        vocab = vocab_loader(ref)
+                    else:
+                        path = os.path.join(base_dir or ".", ref)
+                        with open(path) as fh:
+                            vocab = parse_vocabulary(fh.read())
+            elif head == "domain":
+                sort = parts[1]
+                inner = line.split("{", 1)[1].rsplit("}", 1)[0].split()
+                domains[sort] = inner
+                elements.update(inner)
+            elif head == "rel" and "=" in parts:
+                rel = parts[1]
+                body = line.split("=", 1)[1].strip().strip("{}").strip()
+                tuples = []
+                for chunk in body.replace("(", " ( ").replace(")", " ) ").split(")"):
+                    items = chunk.replace("(", " ").replace(",", " ").split()
+                    if items:
+                        check_named(items)
+                        tuples.append(tuple(items))
+                relations[rel] = tuples
+            elif head == "fun" and "=" in parts:
+                fn = parts[1]
+                body = line.split("=", 1)[1].strip().strip("{}").strip()
+                table = {}
+                for pair in body.split():
+                    src, dst = pair.split("->")
+                    key = tuple(src.split(","))
+                    check_named(key + (dst,))
+                    table[key] = dst
+                functions[fn] = table
+            elif head == "const" and "=" in parts:
+                check_named([parts[3]])
+                constants[parts[1]] = parts[3]
+            elif head == "generated":
+                generated_by = parts[2]  # 'generated by tau' / 'generated by D'
+            elif head == "rewrite":
+                if vocab is None:
+                    raise SyntaxError_("rewrite before vocabulary known",
+                                       lineno, 1)
+                lhs_txt, rhs_txt = line[len("rewrite"):].split("->", 1)
+                var_names = sorted(set(
+                    t for t in lhs_txt.replace("(", " ").replace(")", " ")
+                    .replace(",", " ").split()
+                    if t not in vocab.symbols and t not in vocab.families))
+                bound = [(vn, vocab.sorts[0]) for vn in var_names]
+                rewrites.append((parse_term(lhs_txt, vocab, bound),
+                                 parse_term(rhs_txt, vocab, bound)))
+            elif head == "rel-decide":
+                rel = parts[1]
+                if parts[2] != "by":
+                    raise SyntaxError_("expected 'by' in rel-decide", lineno, 1)
+                decider_name = parts[3]
+                if decider_name not in BUILTIN_DECIDERS:
+                    raise SyntaxError_(f"unknown decider {decider_name!r}",
+                                       lineno, 1)
+                rel_deciders[rel] = BUILTIN_DECIDERS[decider_name]
+            else:
+                raise SyntaxError_(f"unknown structure declaration: {line!r}",
+                                   lineno, 1)
+        except (IndexError, ValueError):
+            raise SyntaxError_(f"malformed structure line: {line!r}",
+                               lineno, 1) from None
 
     if vocab is None:
         raise SyntaxError_("structure file names no vocabulary")
@@ -862,7 +842,7 @@ def all_finite_structures(vocab: Vocabulary, size: int, sort=None):
     funs = vocab.functions()
     for d in funs:
         keys = list(itertools.product(domain, repeat=d.arity))
-        fun_spaces.append([dict(zip([k if len(k) > 1 else k[0] for k in keys], vals))
+        fun_spaces.append([dict(zip(keys, vals))
                            for vals in itertools.product(domain, repeat=len(keys))])
     const_spaces = [list(domain) for _ in vocab.constants()]
     consts = vocab.constants()
@@ -889,23 +869,6 @@ def is_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
         mapping = {}
         for m in combo:
             mapping.update(m)
-        if _is_iso_map(a, b, mapping):
+        if _map_defect(a, b, mapping) is None:
             return True
     return False
-
-
-def _is_iso_map(a, b, mapping):
-    for d in a.vocab.constants():
-        if mapping[a.constants[d.name]] != b.constants[d.name]:
-            return False
-    for d in a.vocab.relations():
-        for t in itertools.product(*(a.domains[s] for s in d.arg_sorts)):
-            if (t in a.relations[d.name]) != (
-                    tuple(mapping[x] for x in t) in b.relations[d.name]):
-                return False
-    for d in a.vocab.functions():
-        for t in itertools.product(*(a.domains[s] for s in d.arg_sorts)):
-            if mapping[a.apply_fun(d.name, list(t))] != b.apply_fun(
-                    d.name, [mapping[x] for x in t]):
-                return False
-    return True

@@ -48,7 +48,7 @@ class ConstantFamily:
     names ``<name>_<i>`` (index arity 1) / ``<name>_<i>_<j>`` (arity 2).
     ``scheme`` picks the enumeration order for countable families:
     'naturals' (0,1,2,...), 'integers' (0,1,-1,2,-2,...) or 'rationals'
-    (reduced pairs (n,m), m > 0, by |n|+m then n).
+    (reduced pairs (n,m), m > 0, by |n|+m, then m, then n).
     """
 
     name: str
@@ -174,12 +174,6 @@ class Vocabulary:
         return None
 
 
-def expand_vocabulary(vocab: Vocabulary, family: ConstantFamily) -> Vocabulary:
-    if not family.countable and not family.members:
-        return vocab
-    return vocab.expand(family)
-
-
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -213,12 +207,6 @@ class App(Term):
     func: str
     args: tuple
     sort: str
-
-
-def term_sort(t: Term):
-    if isinstance(t, Var):
-        return t.sort
-    return t.sort
 
 
 def term_is_ground(t: Term) -> bool:
@@ -385,9 +373,9 @@ def substitute(f: Formula, var: str, t: Term) -> Formula:
     def sub_term(u):
         if isinstance(u, Var):
             if u.name == var:
-                if u.sort is not None and term_sort(t) is not None and u.sort != term_sort(t):
+                if u.sort is not None and t.sort is not None and u.sort != t.sort:
                     raise ValueError(
-                        f"sort mismatch substituting {var}: {u.sort} vs {term_sort(t)}")
+                        f"sort mismatch substituting {var}: {u.sort} vs {t.sort}")
                 return t
             return u
         if isinstance(u, App):
@@ -809,9 +797,9 @@ class _FormulaParser:
         if nxt is not None and nxt.text in ("=", "!="):
             self.next()
             right = self.term()
-            if term_sort(left) != term_sort(right):
+            if left.sort != right.sort:
                 raise SyntaxError_(
-                    f"equality between sorts {term_sort(left)} and {term_sort(right)}",
+                    f"equality between sorts {left.sort} and {right.sort}",
                     nxt.line, nxt.col)
             eq = Eq(left, right)
             return eq if nxt.text == "=" else Not(eq)
@@ -835,9 +823,9 @@ class _FormulaParser:
             raise SyntaxError_(f"{decl.name!r} expects {decl.arity} arguments",
                                tok.line, tok.col)
         for a, s in zip(args, decl.arg_sorts):
-            if term_sort(a) != s:
+            if a.sort != s:
                 raise SyntaxError_(
-                    f"argument of sort {term_sort(a)} where {s} required for {decl.name!r}",
+                    f"argument of sort {a.sort} where {s} required for {decl.name!r}",
                     tok.line, tok.col)
 
     # -- terms -------------------------------------------------------------
@@ -861,9 +849,9 @@ class _FormulaParser:
                 raise SyntaxError_(f"{name!r} expects {decl.arity} arguments",
                                    tok.line, tok.col)
             for a, s in zip(args, decl.arg_sorts):
-                if term_sort(a) != s:
+                if a.sort != s:
                     raise SyntaxError_(
-                        f"argument of sort {term_sort(a)} where {s} required",
+                        f"argument of sort {a.sort} where {s} required",
                         tok.line, tok.col)
             return App(name, tuple(args), decl.result_sort)
         if decl is not None and decl.kind == "const":
@@ -900,8 +888,8 @@ def parse_formula(text: str, vocab: Vocabulary, require_sentence=False,
     return f
 
 
-def parse_term(text: str, vocab: Vocabulary) -> Term:
-    parser = _FormulaParser(tokenize(text), vocab)
+def parse_term(text: str, vocab: Vocabulary, bound=()) -> Term:
+    parser = _FormulaParser(tokenize(text), vocab, bound)
     t = parser.term()
     if parser.peek() is not None:
         raise SyntaxError_("junk after term")

@@ -16,10 +16,10 @@ from typing import Optional
 
 from .syntax import (
     And, App, Atom, Const, Eq, Exists, FamilyMember, Forall, Formula, Not,
-    Or, SyntaxError_, Term, Var, parse_formula, parse_term, print_formula,
-    print_term, quantifier_rank,
+    Or, SyntaxError_, Term, Var, free_variables, parse_formula, parse_term,
+    print_formula, print_term, quantifier_rank,
 )
-from .structures import EvalError, _eval, _instantiate, eval_sentence
+from .structures import EvalError, _eval, _instantiate, _map_defect
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def canonical_formulas(vocab, arity, rank):
             y = f"x{k}"
             sort = vocab.sorts[0]
             for f in pool(varnames + [y], k - 1):
-                if y in _free_vars_of(f):
+                if y in free_variables(f):
                     out.append(Exists(Var(y, sort), f))
                     out.append(Forall(Var(y, sort), f))
         return out
@@ -90,12 +90,6 @@ def canonical_formulas(vocab, arity, rank):
             result.append(f)
     result.sort(key=lambda f: (len(print_formula(f)), print_formula(f)))
     return result
-
-
-def _free_vars_of(f):
-    from .syntax import free_variables
-
-    return free_variables(f)
 
 
 def holds_on_tuple(s, f, tup, fuel=8):
@@ -111,10 +105,9 @@ def holds_on_tuple(s, f, tup, fuel=8):
 def complete_type(s, tup, rank, fuel=8) -> TypeDescriptor:
     """The rank-bounded complete type of the tuple over the empty set."""
     tup = tuple(tup)
-    if s.kind == "finite":
-        for e in tup:
-            if e not in s._element_sort:
-                raise EvalError(f"{e!r} is not a domain element")
+    for e in tup:
+        if s.sort_of(e) is None:
+            raise EvalError(f"{e!r} is not a domain element")
     sat = [f for f in canonical_formulas(s.vocab, len(tup), rank)
            if holds_on_tuple(s, f, tup, fuel)]
     return TypeDescriptor(len(tup), rank, tuple(sat), realizing=tup)
@@ -420,11 +413,8 @@ def parse_witness_map(text: str, vocab) -> WitnessMap:
             if m:
                 action = ("affine", int(m.group(1)), int(m.group(2)))
             else:
-                from .syntax import _FormulaParser, tokenize
-
-                p = _FormulaParser(tokenize(rhs), vocab,
-                                   [("x", vocab.sorts[0])])
-                action = ("term", p.term())
+                action = ("term", parse_term(rhs, vocab,
+                                             bound=[("x", vocab.sorts[0])]))
             pieces.append((guard, action))
         elif line.startswith("misses"):
             misses = parse_term(line[len("misses"):].strip(), vocab)
@@ -475,17 +465,13 @@ def verify_witness(s, w: WitnessMap, bound=12, fuel=4):
         images[e] = _witness_image(s, w, e, fuel)
     if len({print_term(t) for t in images.values()}) != len(images):
         return False, "witness map is not injective on the sample"
-    for d in s.vocab.constants():
-        c = s.normalize(Const(d.name, d.result_sort))
-        if c in images and images[c] != c:
-            return False, f"witness map moves the constant {d.name}"
-    for d in s.vocab.relations():
-        for combo in itertools.product(list(images.items()), repeat=d.arity):
-            src = tuple(x for x, _ in combo)
-            dst = tuple(y for _, y in combo)
-            if s.holds(d.name, src) != s.holds(d.name, dst):
-                return False, (f"witness map breaks {d.name} at "
-                               f"({', '.join(print_term(t) for t in src)})")
+    defect = _map_defect(s, s, images)
+    if defect is not None:
+        if defect[0] == "const":
+            return False, f"witness map moves the constant {defect[1]}"
+        _, name, src = defect
+        return False, (f"witness map breaks {name} at "
+                       f"({', '.join(print_term(t) for t in src)})")
     missed = s.normalize(w.misses)
     if any(s.equal(img, missed) for img in images.values()):
         return False, (f"properness certificate {print_term(missed)} "

@@ -161,3 +161,13 @@ def test_parse_error(capsys, tmp_path):
     bad = tmp_path / "bad.chg"
     bad.write_text("flagrantly wrong\n")
     assert run(capsys, "morley-code", str(bad))[0] == 2
+
+
+def test_malformed_structure_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.struct"
+    over = os.path.abspath(A("chain.voc"))
+    bad.write_text(f"structure bad over {over}\ndomain S a b\n")
+    code, _, err = run(capsys, "scott", str(bad))
+    assert code == 2
+    assert err.startswith("omega: malformed structure line") and \
+        "(line 2, col 1)" in err

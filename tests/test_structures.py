@@ -1,13 +1,15 @@
 import pytest
 
 from omegalogic.syntax import (
-    Const, ConstantFamily, Eq, Not, parse_formula, parse_vocabulary,
+    App, Atom, Const, ConstantFamily, Eq, Not, SyntaxError_, parse_formula,
+    parse_vocabulary,
 )
 from omegalogic.structures import (
     EvalError, FiniteStructure, Valuation, all_finite_structures, embed_search,
     eval_sentence, is_isomorphic, parse_structure, permissible,
     valuation_of_structure,
 )
+from omegalogic.types_atomicity import scott_sentence_finite
 
 
 ORD = parse_vocabulary("sort S\nrel < : S S\nfamily Names : S = { a b c }")
@@ -236,3 +238,79 @@ def test_rational_lt_decider():
     # rather than false)
     g = parse_formula("exists x:Q. (R[0,1] < x) & (x < R[1,1])", voc)
     assert eval_sentence(s, g, fuel=20).value == "true"
+
+
+def test_embed_presentation_into_itself_is_identity():
+    s = omega_succ()
+    m = embed_search(s, s, bound=6)
+    assert m is not None and len(m) == 6
+    assert all(k == v for k, v in m.items())
+
+
+def test_embed_presentation_into_finite_cycle_fails():
+    cycle = parse_structure("""
+structure cycle3
+domain N { a b c }
+fun S = { a->b b->c c->a }
+const 0 = a
+""", omega_succ().vocab)
+    assert embed_search(omega_succ(), cycle, bound=6) is None
+
+
+DIFF_VOCAB = parse_vocabulary(
+    "sort S\nrel P : S\nfun f : S -> S\nconst c : S")
+
+
+def _embeds_by_eval(a, b, m):
+    """`m` is an injective map preserving P, f and c both ways, judged by
+    evaluating ground atoms over the diagram names in each structure."""
+    def name(e):
+        return Const(e, "S")
+
+    def same(fa, fb):
+        return eval_sentence(a, fa).value == eval_sentence(b, fb).value
+
+    c = Const("c", "S")
+    if len(set(m.values())) != len(m):
+        return False
+    for x in m:
+        if not same(Atom("P", (name(x),)), Atom("P", (name(m[x]),))) or \
+                not same(Eq(c, name(x)), Eq(c, name(m[x]))):
+            return False
+        for y in m:
+            if not same(Eq(App("f", (name(x),), "S"), name(y)),
+                        Eq(App("f", (name(m[x]),), "S"), name(m[y]))):
+                return False
+    return True
+
+
+def test_map_checks_agree_with_evaluation():
+    structures = [s for n in (1, 2)
+                  for s in all_finite_structures(DIFF_VOCAB, n)]
+    for s in structures:
+        scott = scott_sentence_finite(s)
+        for t in structures:
+            iso = eval_sentence(t, scott).value == "true"
+            assert is_isomorphic(s, t) == iso
+            m = embed_search(s, t)
+            if m is not None:
+                assert _embeds_by_eval(s, t, m)
+            if s.size() == t.size():
+                assert (m is not None) == iso
+
+
+@pytest.mark.parametrize("line", [
+    "domain S a b",             # no braces
+    "fun S = { a }",            # entry without an arrow
+    "const 0",                  # no value
+    "rel < = { (a zz) }",       # tuple outside the domain
+    "fun S = { a->zz }",        # image outside the domain
+    "fun S = { zz->a }",        # argument outside the domain
+    "const 0 = qq",             # constant outside the domain
+])
+def test_structure_file_errors_name_the_line(line):
+    voc = parse_vocabulary("sort S\nrel < : S S\nfun S : S -> S\nconst 0 : S")
+    text = f"\nstructure bad\ndomain S {{ a b }}\n{line}\n"
+    with pytest.raises(SyntaxError_) as err:
+        parse_structure(text, voc)
+    assert err.value.line == 4

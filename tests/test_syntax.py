@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from omegalogic.syntax import (
     And, App, Atom, Const, ConstantFamily, Eq, Exists, FamilyMember, Forall,
-    Not, Or, SchemaConj, SyntaxError_, Var, expand_vocabulary, free_variables,
+    Not, Or, SchemaConj, SyntaxError_, Var, free_variables,
     is_sentence, parse_formula, parse_term, parse_vocabulary, print_formula,
     print_vocabulary, quantifier_rank, substitute,
 )
@@ -63,7 +63,7 @@ def test_parse_universal_sentence():
 
 def test_parse_schema_conjunction():
     voc = NAT.expand(ConstantFamily("ConstN", "N", members=None))
-    voc2 = expand_vocabulary(voc, ConstantFamily("E", "N", members=("d",)))
+    voc2 = voc.expand(ConstantFamily("E", "N", members=("d",)))
     f = parse_formula("/\\{ x != d : x in ConstN }", voc2)
     assert isinstance(f, SchemaConj)
     assert f.family == "ConstN"
@@ -105,10 +105,6 @@ def test_expand_vocabulary_monotone():
     f = parse_formula("forall x:N. ~(S(x)=0)", NAT)
     bigger = NAT.expand(ConstantFamily("E", "N"))
     assert parse_formula(print_formula(f), bigger) == f
-
-
-def test_expand_empty_family_identity():
-    assert expand_vocabulary(NAT, ConstantFamily("Z", "N", members=())) is NAT
 
 
 def test_substitute_examples():

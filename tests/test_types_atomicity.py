@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import pytest
 
@@ -7,7 +8,7 @@ from omegalogic.syntax import (
 )
 from omegalogic.structures import (
     EvalError, FiniteStructure, all_finite_structures, eval_sentence,
-    is_isomorphic, parse_structure,
+    is_isomorphic, load_structure, parse_structure,
 )
 from omegalogic.types_atomicity import (
     GenerativityVerdict, TypeDescriptor, complete_type, ef_equivalent,
@@ -288,3 +289,24 @@ def test_verdict_dichotomy():
             assert v.witness is None
         if v.verdict == "generative":
             assert v.reason is None
+
+
+def _integers_asset():
+    return load_structure(os.path.join(os.path.dirname(__file__), "..",
+                                       "assets", "integers.struct"))
+
+
+def test_witness_breaking_the_order_is_named():
+    s = _integers_asset()
+    w = parse_witness_map("piece x = x : x -> affine(-1, 0)\nmisses D_1",
+                          s.vocab)
+    assert verify_witness(s, w, bound=14) == (
+        False, "witness map breaks < at (D_0, D_1)")
+
+
+def test_witness_moving_a_constant_is_named():
+    s = _integers_asset()
+    w = parse_witness_map("piece x = x : x -> affine(1, 1)\nmisses D_0",
+                          s.vocab)
+    assert verify_witness(s, w, bound=14) == (
+        False, "witness map moves the constant 0")
