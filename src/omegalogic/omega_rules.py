@@ -17,7 +17,7 @@ from .syntax import (
     Var, Vocabulary, constants_in, implies, parse_formula, parse_term,
     print_formula, print_term, substitute, term_is_ground,
 )
-from .structures import EvalError, TruthAtFuel, eval_sentence
+from .structures import EvalError, TruthAtFuel, _family_terms, eval_sentence
 
 
 SCHEMA_NAMES = (
@@ -163,10 +163,7 @@ def _target_eval(target, f, fuel):
         return eval_sentence(target, f, fuel, fragment=True)
     # a valuation: look sentences up; spot-check schema families memberwise
     if isinstance(f, SchemaConj):
-        fam = target.vocab.family(f.family) if f.family != "tau" else None
-        members = (fam.enumerate_terms(fuel) if fam is not None
-                   else [Const(d.name, d.result_sort)
-                         for d in target.vocab.constants()])
+        members, _ = _family_terms(target.vocab, f.family, fuel)
         vals = [target.value(substitute(f.body, f.hole.name, m))
                 for m in members]
         if any(v is False for v in vals):

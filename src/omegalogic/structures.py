@@ -15,8 +15,8 @@ from typing import Optional
 from .syntax import (
     Absurd, And, App, Atom, Const, ConstantFamily, Eq, Exists, FamilyMember,
     Forall, Formula, Not, Or, SchemaConj, SchemaDisj, SyntaxError_, Term, Var,
-    Vocabulary, parse_formula, parse_term, parse_vocabulary, print_term,
-    term_is_ground,
+    Vocabulary, applications, arg_tuples, parse_formula, parse_term,
+    parse_vocabulary, print_term, subterms, term_is_ground,
 )
 
 
@@ -180,59 +180,54 @@ class TermGeneratedStructure:
         return decider(tuple(self.normalize(a) for a in args))
 
     def enumerate_elements(self, limit, sort=None):
-        """First `limit` distinct elements (normal-form ground terms) in
-        shortlex order over the generator ordering."""
-        if self.generated_by != "tau":
-            fam = self.vocab.family(self.generated_by)
-            terms = fam.enumerate_terms(limit * 2)
-            out, seen = [], set()
-            for t in terms:
-                if sort is not None and t.sort != sort:
-                    continue
+        """The first `limit` elements of `sort` (of every sort when None),
+        each a distinct normal-form ground term.
+
+        The order is that of the generators: a family's members in index
+        order, or for 'tau' the constant terms layer by layer -- the
+        constants, then the functions applied to the elements found so far
+        -- each layer in shortlex order of the printed term."""
+        if self.generated_by != "tau" and sort not in (
+                None, self.vocab.family(self.generated_by).sort):
+            return []  # a family generates elements of its own sort only
+        terms = (t for t in self._ground_terms(self.generated_by)
+                 if sort in (None, t.sort))
+        return list(itertools.islice(terms, max(limit, 0)))
+
+    def _ground_terms(self, source):
+        """Each element named by `source` ('tau' or a family name) once,
+        as its normal form, in the order `enumerate_elements` states."""
+        seen = {}  # normal forms in order of discovery
+        if source == "tau":
+            layer = sorted((Const(d.name, d.result_sort)
+                            for d in self.vocab.constants()), key=_shortlex)
+        else:
+            layer = self.vocab.family(source).terms()
+        while layer:
+            start = len(seen)
+            for t in layer:
                 n = self.normalize(t)
                 if n not in seen:
-                    seen.add(n)
-                    out.append(n)
-                if len(out) >= limit:
-                    break
-            return out
-        return self._tau_ground_terms(limit, sort)
-
-    def _tau_ground_terms(self, limit, sort=None):
-        funs = self.vocab.functions()
-        seen = []
-        seen_set = set()
-        out = []
-        frontier = sorted((Const(d.name, d.result_sort)
-                           for d in self.vocab.constants()),
-                          key=lambda t: (len(print_term(t)), print_term(t)))
-        while frontier:
-            grew = False
-            for t in frontier:
-                n = self.normalize(t)
-                if n in seen_set:
-                    continue
-                seen_set.add(n)
-                seen.append(n)
-                grew = True
-                if sort is None or n.sort == sort:
-                    out.append(n)
-                    if len(out) >= limit:
-                        return out
-            if not grew:
-                break
-            frontier = []
-            for d in funs:
-                pools = [[t for t in seen if t.sort == s] for s in d.arg_sorts]
-                for args in itertools.product(*pools):
-                    frontier.append(App(d.name, tuple(args), d.result_sort))
-            frontier.sort(key=lambda t: (len(print_term(t)), print_term(t)))
-        return out
+                    seen[n] = None
+                    yield n
+            if source != "tau":
+                return
+            # an application whose arguments were all found before the
+            # last layer was in that layer already
+            fresh = set(itertools.islice(seen, start, None))
+            apps = applications(self.vocab.functions(), list(seen))
+            layer = sorted((a for a in apps if not fresh.isdisjoint(a.args)),
+                           key=_shortlex)
 
     def element_of(self, t: Term, extra=None):
         if extra and t in extra:
             return extra[t]
         return self.normalize(t)
+
+
+def _shortlex(t: Term):
+    p = print_term(t)
+    return len(p), p
 
 
 def _match(pattern: Term, t: Term, env) -> bool:
@@ -304,22 +299,31 @@ def _has_quantifier(f):
     return False
 
 
-def _range_of(s, sort, fuel):
-    if s.kind == "finite":
-        return list(s.elements(sort)), True  # exhaustive
-    return s.enumerate_elements(fuel, sort), False
+def _binding(s, f, fuel, extra):
+    """What the quantifier or schema node `f` binds: the variable's name,
+    the values it takes, and whether those values are its whole range."""
+    if isinstance(f, (Forall, Exists)):
+        if s.kind == "finite":
+            return f.var.name, s.elements(f.var.sort), True
+        return f.var.name, s.enumerate_elements(fuel, f.var.sort), False
+    if f.family == "tau" and s.kind == "term-generated":
+        names = itertools.islice(s._ground_terms("tau"), max(fuel, 0))
+        exhaustive = False
+    else:
+        names, exhaustive = _family_terms(s.vocab, f.family, fuel)
+    return f.hole.name, (s.element_of(c, extra) for c in names), exhaustive
 
 
-def _family_range(s, family_name, fuel):
-    if family_name == "tau":
-        if s.kind == "term-generated":
-            return s._tau_ground_terms(fuel), False
-        consts = s.vocab.constants()
-        return [Const(d.name, d.result_sort) for d in consts], True
-    fam = s.vocab.family(family_name)
-    if fam.members is not None:
-        return [Const(m, fam.sort) for m in fam.members], True
-    return fam.enumerate_terms(fuel), False
+def _family_terms(vocab, family, fuel):
+    """The names a schema over `family` ranges over, and whether they are
+    all of them: the constants for 'tau', every member of a finite family,
+    and the first `fuel` members of a countable one."""
+    if family == "tau":
+        return [Const(d.name, d.result_sort) for d in vocab.constants()], True
+    fam = vocab.family(family)
+    if fam.countable:
+        return fam.enumerate_terms(fuel), False
+    return list(fam.terms()), True
 
 
 def _resolve(s, t, env, extra):
@@ -361,29 +365,12 @@ def _eval(s, f, env, fuel, extra, fragment=False):
         if b is True:
             return True
         return False if (a is False and b is False) else None
-    if isinstance(f, (Forall, Exists)):
-        domain, exhaustive = _range_of(s, f.var.sort, fuel)
-        want = isinstance(f, Exists)
+    if isinstance(f, (Forall, Exists, SchemaConj, SchemaDisj)):
+        name, values, exhaustive = _binding(s, f, fuel, extra)
+        want = isinstance(f, (Exists, SchemaDisj))
         saw_unknown = False
-        for e in domain:
-            env2 = dict(env)
-            env2[f.var.name] = e
-            v = _eval(s, f.body, env2, fuel, extra, fragment)
-            if v is None:
-                saw_unknown = True
-            elif v == want:
-                return want
-        if saw_unknown or (not exhaustive and not fragment):
-            return None
-        return not want
-    if isinstance(f, (SchemaConj, SchemaDisj)):
-        members, exhaustive = _family_range(s, f.family, fuel)
-        want = isinstance(f, SchemaDisj)
-        saw_unknown = False
-        for c in members:
-            env2 = dict(env)
-            env2[f.hole.name] = s.element_of(c, extra)
-            v = _eval(s, f.body, env2, fuel, extra, fragment)
+        for e in values:
+            v = _eval(s, f.body, {**env, name: e}, fuel, extra, fragment)
             if v is None:
                 saw_unknown = True
             elif v == want:
@@ -427,8 +414,7 @@ def valuation_of_structure(s, naming: str) -> Valuation:
         fam = s.vocab.family(naming)
         elements = [e for sort in s.vocab.sorts for e in s.domains[sort]
                     if s.sort_of(e) == fam.sort]
-        names = (fam.enumerate_terms(len(elements)) if fam.countable
-                 else [Const(m, fam.sort) for m in fam.members])
+        names = fam.enumerate_terms(len(elements))
         if len(names) < len(elements):
             raise EvalError(
                 f"naming family {naming!r} has {len(names)} members for "
@@ -456,26 +442,13 @@ class PermissibilityVerdict:
         return self.permissible
 
 
-def default_probe_set(vocab: Vocabulary, names, max_term_depth=2):
-    """Quantifier-free probe sentences: atoms and equalities over ground
-    terms of bounded depth built from the given named constants."""
+def default_probe_set(vocab: Vocabulary, names):
+    """Quantifier-free probe sentences: atoms and equalities over the given
+    named constants and the functions applied once to them."""
     terms = list(names)
-    frontier = list(names)
-    for _ in range(max_term_depth - 1):
-        new = []
-        for d in vocab.functions():
-            pools = [[t for t in terms if t.sort == s] for s in d.arg_sorts]
-            for args in itertools.product(*pools):
-                new.append(App(d.name, tuple(args), d.result_sort))
-        terms.extend(new)
-        frontier = new
-        if len(terms) > 200:
-            break
-    probes = []
-    for d in vocab.relations():
-        pools = [[t for t in terms if t.sort == s] for s in d.arg_sorts]
-        for args in itertools.product(*pools):
-            probes.append(Atom(d.name, tuple(args)))
+    terms += applications(vocab.functions(), terms)
+    probes = [Atom(d.name, args)
+              for d in vocab.relations() for args in arg_tuples(d, terms)]
     for t1 in terms:
         for t2 in terms:
             if t1.sort == t2.sort:
@@ -510,7 +483,7 @@ def permissible(v: Valuation, probes=None) -> PermissibilityVerdict:
     true_eqs = [p for p in probes if isinstance(p, Eq) and v.value(p) is True]
     terms = set()
     for p in probes:
-        terms.update(_formula_ground_terms(p, all_subterms=True))
+        terms.update(_formula_ground_terms(p))
     uf = _UnionFind(terms)
     for p in true_eqs:
         uf.union(p.left, p.right)
@@ -556,16 +529,13 @@ def _truth_table_value(f, v):
     return None  # quantified: out of scope for qf probes
 
 
-def _formula_ground_terms(f, all_subterms=False):
+def _formula_ground_terms(f):
+    """The ground terms of the quantifier-free `f`, with their subterms."""
     out = set()
 
     def add(t):
-        if not term_is_ground(t):
-            return
-        out.add(t)
-        if all_subterms and isinstance(t, App):
-            for a in t.args:
-                add(a)
+        if term_is_ground(t):
+            out.update(subterms(t))
 
     def walk(g):
         if isinstance(g, Atom):
@@ -729,6 +699,12 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None,
                 raise SyntaxError_(f"{e!r} is not in a declared domain",
                                    lineno, 1)
 
+    def check_declared(name, kind):
+        decl = vocab and vocab.symbols.get(name)
+        member = kind == "const" and vocab and vocab.lookup_member(name)
+        if not member and (not decl or decl.kind != kind):
+            raise SyntaxError_(f"{name!r} is not a declared {kind}", lineno, 1)
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -753,6 +729,7 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None,
                 elements.update(inner)
             elif head == "rel" and "=" in parts:
                 rel = parts[1]
+                check_declared(rel, "rel")
                 body = line.split("=", 1)[1].strip().strip("{}").strip()
                 tuples = []
                 for chunk in body.replace("(", " ( ").replace(")", " ) ").split(")"):
@@ -763,6 +740,7 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None,
                 relations[rel] = tuples
             elif head == "fun" and "=" in parts:
                 fn = parts[1]
+                check_declared(fn, "fun")
                 body = line.split("=", 1)[1].strip().strip("{}").strip()
                 table = {}
                 for pair in body.split():
@@ -772,6 +750,7 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None,
                     table[key] = dst
                 functions[fn] = table
             elif head == "const" and "=" in parts:
+                check_declared(parts[1], "const")
                 check_named([parts[3]])
                 constants[parts[1]] = parts[3]
             elif head == "generated":
@@ -784,10 +763,19 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None,
                 var_names = sorted(set(
                     t for t in lhs_txt.replace("(", " ").replace(")", " ")
                     .replace(",", " ").split()
-                    if t not in vocab.symbols and t not in vocab.families))
+                    if t not in vocab.symbols and t not in vocab.families
+                    and vocab.lookup_member(t) is None))
                 bound = [(vn, vocab.sorts[0]) for vn in var_names]
-                rewrites.append((parse_term(lhs_txt, vocab, bound),
-                                 parse_term(rhs_txt, vocab, bound)))
+                try:
+                    lhs = parse_term(lhs_txt, vocab, bound)
+                    rhs = parse_term(rhs_txt, vocab, bound)
+                except SyntaxError_ as e:
+                    raise SyntaxError_(e.message, lineno, 1) from None
+                if isinstance(lhs, Var):
+                    # it would match every term, so normalizing never ends
+                    raise SyntaxError_("rewrite left-hand side is a bare "
+                                       "variable", lineno, 1)
+                rewrites.append((lhs, rhs))
             elif head == "rel-decide":
                 rel = parts[1]
                 if parts[2] != "by":
@@ -802,6 +790,9 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None,
                                    lineno, 1)
         except (IndexError, ValueError):
             raise SyntaxError_(f"malformed structure line: {line!r}",
+                               lineno, 1) from None
+        except OSError as e:  # the vocabulary file of an `over` clause
+            raise SyntaxError_(f"cannot read {e.filename}: {e.strerror}",
                                lineno, 1) from None
 
     if vocab is None:

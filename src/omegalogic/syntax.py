@@ -8,6 +8,7 @@ into an infinite list).
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -17,6 +18,7 @@ class SyntaxError_(Exception):
     """Parse or well-formedness error, with optional line/column info."""
 
     def __init__(self, message, line=None, col=None):
+        self.message = message  # without the location
         if line is not None:
             message = f"{message} (line {line}, col {col})"
         super().__init__(message)
@@ -95,16 +97,16 @@ class ConstantFamily:
         else:
             raise ValueError(f"unknown enumeration scheme {self.scheme}")
 
+    def terms(self) -> Iterator[Term]:
+        """The member terms in enumeration order, endless when countable."""
+        if self.members is not None:
+            return (Const(m, self.sort) for m in self.members)
+        return (FamilyMember(self.name, idx, self.sort)
+                for idx in self.enumerate_indices())
+
     def enumerate_terms(self, limit) -> list:
         """First `limit` member terms in enumeration order."""
-        if self.members is not None:
-            return [Const(m, self.sort) for m in self.members[:limit]]
-        out = []
-        for idx in self.enumerate_indices():
-            if len(out) >= limit:
-                break
-            out.append(FamilyMember(self.name, idx, self.sort))
-        return out
+        return list(itertools.islice(self.terms(), max(limit, 0)))
 
 
 class Vocabulary:
@@ -217,17 +219,23 @@ def term_is_ground(t: Term) -> bool:
     return True
 
 
-def term_depth(t: Term) -> int:
-    if isinstance(t, App):
-        return 1 + max((term_depth(a) for a in t.args), default=0)
-    return 0
-
-
 def subterms(t: Term):
     yield t
     if isinstance(t, App):
         for a in t.args:
             yield from subterms(a)
+
+
+def arg_tuples(decl: SymbolDecl, terms):
+    """The argument tuples for `decl` from the list `terms`, sort by sort."""
+    return itertools.product(*([t for t in terms if t.sort == s]
+                               for s in decl.arg_sorts))
+
+
+def applications(decls, terms) -> list:
+    """The functions `decls` applied to every argument tuple from `terms`."""
+    return [App(d.name, args, d.result_sort)
+            for d in decls for args in arg_tuples(d, terms)]
 
 
 # ---------------------------------------------------------------------------

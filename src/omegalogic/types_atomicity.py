@@ -16,8 +16,8 @@ from typing import Optional
 
 from .syntax import (
     And, App, Atom, Const, Eq, Exists, FamilyMember, Forall, Formula, Not,
-    Or, SyntaxError_, Term, Var, free_variables, parse_formula, parse_term,
-    print_formula, print_term, quantifier_rank,
+    Or, SyntaxError_, Term, Var, applications, arg_tuples, free_variables,
+    parse_formula, parse_term, print_formula, print_term, quantifier_rank,
 )
 from .structures import EvalError, _eval, _instantiate, _map_defect
 
@@ -45,21 +45,14 @@ def _type_terms(vocab, varnames):
     sort = vocab.sorts[0]
     base = [Var(v, sort) for v in varnames]
     base += [Const(d.name, d.result_sort) for d in vocab.constants()]
-    out = list(base)
-    for d in vocab.functions():
-        if d.arity != 1:
-            continue
-        out += [App(d.name, (t,), d.result_sort) for t in base
-                if t.sort == d.arg_sorts[0]]
-    return out
+    unary = [d for d in vocab.functions() if d.arity == 1]
+    return base + applications(unary, base)
 
 
 def _type_atoms(vocab, varnames):
     terms = _type_terms(vocab, varnames)
-    atoms = []
-    for d in vocab.relations():
-        pools = [[t for t in terms if t.sort == s] for s in d.arg_sorts]
-        atoms += [Atom(d.name, args) for args in itertools.product(*pools)]
+    atoms = [Atom(d.name, args)
+             for d in vocab.relations() for args in arg_tuples(d, terms)]
     for i, t1 in enumerate(terms):
         for t2 in terms[i + 1:]:
             if t1.sort == t2.sort:

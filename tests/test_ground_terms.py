@@ -1,0 +1,189 @@
+"""The ground-term stream of term-generated presentations, pinned against
+the two enumerators it replaced: the layer-by-layer tau enumerator and the
+family branch that read `2 * limit` members."""
+
+import itertools
+import os
+
+import pytest
+
+from omegalogic.cli import main
+from omegalogic.syntax import (
+    App, Atom, Const, Var, parse_vocabulary, print_term,
+)
+from omegalogic.structures import (
+    FiniteStructure, Valuation, parse_structure,
+)
+from omegalogic.omega_rules import check_instance_sound, instantiate_schema
+
+
+ASSETS = os.path.join(os.path.dirname(__file__), "..", "assets")
+
+
+def _voc(name):
+    with open(os.path.join(ASSETS, name)) as fh:
+        return parse_vocabulary(fh.read())
+
+
+# -- the reference enumerators
+
+
+def _shortlex(t):
+    return (len(print_term(t)), print_term(t))
+
+
+def reference_tau(s, limit, sort=None):
+    """Constants first, then every function applied to every tuple of the
+    elements seen so far, one layer at a time, each layer in shortlex
+    order; stops at the `limit`-th element of `sort`."""
+    seen, seen_set, out = [], set(), []
+    frontier = sorted((Const(d.name, d.result_sort)
+                       for d in s.vocab.constants()), key=_shortlex)
+    while frontier:
+        grew = False
+        for t in frontier:
+            n = s.normalize(t)
+            if n in seen_set:
+                continue
+            seen_set.add(n)
+            seen.append(n)
+            grew = True
+            if sort is None or n.sort == sort:
+                out.append(n)
+                if len(out) >= limit:
+                    return out
+        if not grew:
+            break
+        frontier = []
+        for d in s.vocab.functions():
+            pools = [[t for t in seen if t.sort == so] for so in d.arg_sorts]
+            for args in itertools.product(*pools):
+                frontier.append(App(d.name, tuple(args), d.result_sort))
+        frontier.sort(key=_shortlex)
+    return out
+
+
+def reference_family(s, limit, sort=None):
+    """The first `2 * limit` members, normalised and deduplicated."""
+    out, seen = [], set()
+    for t in s.vocab.family(s.generated_by).enumerate_terms(limit * 2):
+        if sort is not None and t.sort != sort:
+            continue
+        n = s.normalize(t)
+        if n not in seen:
+            seen.add(n)
+            out.append(n)
+        if len(out) >= limit:
+            break
+    return out
+
+
+def reference(s, limit, sort=None):
+    if s.generated_by == "tau":
+        return reference_tau(s, limit, sort)
+    return reference_family(s, limit, sort)
+
+
+# -- the presentations
+
+
+TWO_SORTED = parse_vocabulary(
+    "sort A\nsort B\nconst a : A\nconst b : B\n"
+    "fun p : A B -> A\nfun q : B B -> B\nfun r : A -> B")
+MERGING = parse_vocabulary("sort N\nconst 0 : N\nconst 1 : N\n"
+                           "fun p : N N -> N")
+
+
+def presentations():
+    nat = _voc("nat.voc")
+    return {
+        "omega-succ": parse_structure("structure s\ngenerated by tau", nat),
+        "integers": parse_structure(
+            "structure z\ngenerated by D\nrewrite 0 -> D_0\n"
+            "rel-decide < by integer-lt", _voc("integers.voc")),
+        "rationals": parse_structure(
+            "structure q\ngenerated by D\nrel-decide < by rational-lt",
+            _voc("rationals.voc")),
+        "two-sorted": parse_structure("structure t\ngenerated by tau",
+                                      TWO_SORTED),
+        "merging": parse_structure(
+            "structure m\ngenerated by tau\nrewrite p(1, 1) -> 0", MERGING),
+        "collapse": parse_structure(
+            "structure c\ngenerated by tau\nrewrite S(x) -> x", nat),
+        "family-two-sorted": parse_structure(
+            "structure f\ngenerated by D", parse_vocabulary(
+                "sort A\nsort B\nconst b : B\nfamily D : A countable")),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(presentations()))
+def test_stream_matches_reference(name):
+    s = presentations()[name]
+    for sort in (None,) + s.vocab.sorts:
+        for limit in range(1, 41):
+            assert s.enumerate_elements(limit, sort) == \
+                reference(s, limit, sort), (sort, limit)
+
+
+def test_merged_members_do_not_truncate_the_family():
+    voc = _voc("named-constants.voc")
+    rewrites = "".join(f"rewrite C_{i} -> C_0\n" for i in range(1, 5))
+    s = parse_structure(f"structure c\ngenerated by C\n{rewrites}", voc)
+    got = [print_term(t) for t in s.enumerate_elements(3)]
+    assert got == ["C_0", "C_5", "C_6"]
+    assert len(reference(s, 3)) == 2  # what the `2 * limit` guess gave
+
+
+def test_limit_zero_is_empty():
+    s = presentations()["omega-succ"]
+    assert s.enumerate_elements(0) == []
+    assert presentations()["integers"].enumerate_elements(0) == []
+
+
+# -- the family listing of valuation targets
+
+
+def test_finite_family_listed_whole_for_valuations():
+    names = [f"a{i}" for i in range(1, 10)]
+    voc = parse_vocabulary(
+        f"sort S\nrel P : S\nfamily F : S = {{ {' '.join(names)} }}")
+    x = Var("x", "S")
+    inst = instantiate_schema(voc, "I_OMEGA", Atom("P", (x,)), x,
+                              family="F")
+    facts = {n: n != "a9" for n in names}
+    v = Valuation(voc, assignment={
+        **{Atom("P", (Const(n, "S"),)): b for n, b in facts.items()},
+        inst.conclusions[0]: False})
+    m = FiniteStructure(voc, {"S": names},
+                        {"P": {(n,) for n, b in facts.items() if b}})
+    assert check_instance_sound(v, inst, fuel=8).status == "sound"
+    assert check_instance_sound(m, inst, fuel=8).status == "sound"
+
+
+# -- rewrite lines
+
+
+def test_rewrite_of_a_member_is_not_a_pattern_variable():
+    s = parse_structure("structure z\ngenerated by D\nrewrite D_1 -> D_0",
+                        _voc("integers.voc"))
+    assert [print_term(t) for t in s.enumerate_elements(3)] == \
+        ["D_0", "D[-1]", "D_2"]
+
+
+@pytest.mark.parametrize("lines,bad_line", [
+    (["structure f over nope.voc"], 1),
+    (["structure f over nat.voc", "generated by tau",
+      "rewrite S(x) -> S("], 3),
+    (["structure f over nat.voc", "generated by tau", "rewrite x -> 0"], 3),
+    (["structure f over nat.voc", "domain N { a }", "rel Q = { (a) }"], 3),
+    (["structure f over nat.voc", "domain N { a }", "fun T = { a->a }"], 3),
+    (["structure f over nat.voc", "domain N { a }", "const 1 = a"], 3),
+])
+def test_cli_structure_file_errors_name_the_line(capsys, tmp_path, lines,
+                                                 bad_line):
+    (tmp_path / "nat.voc").write_text("sort N\nconst 0 : N\nfun S : N -> N\n")
+    f = tmp_path / "f.struct"
+    f.write_text("\n".join(lines) + "\n")
+    assert main(["scott", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert f"(line {bad_line}, col 1)" in err
