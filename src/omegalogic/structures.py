@@ -181,7 +181,8 @@ class TermGeneratedStructure:
 
     def enumerate_elements(self, limit, sort=None):
         """The first `limit` elements of `sort` (of every sort when None),
-        each a distinct normal-form ground term.
+        each a distinct normal-form ground term; fewer when the sort has
+        fewer.
 
         The order is that of the generators: a family's members in index
         order, or for 'tau' the constant terms layer by layer -- the
@@ -190,17 +191,25 @@ class TermGeneratedStructure:
         if self.generated_by != "tau" and sort not in (
                 None, self.vocab.family(self.generated_by).sort):
             return []  # a family generates elements of its own sort only
-        terms = (t for t in self._ground_terms(self.generated_by)
+        terms = (t for t in self._ground_terms(self.generated_by, sort)
                  if sort in (None, t.sort))
         return list(itertools.islice(terms, max(limit, 0)))
 
-    def _ground_terms(self, source):
+    def _ground_terms(self, source, sort=None):
         """Each element named by `source` ('tau' or a family name) once,
-        as its normal form, in the order `enumerate_elements` states."""
+        as its normal form, in the order `enumerate_elements` states.
+
+        Given a `sort`, 'tau' builds only the terms of the sorts that feed
+        it, in the same order; the stream then ends once a sort with
+        finitely many ground terms has none left."""
         seen = {}  # normal forms in order of discovery
         if source == "tau":
+            sorts = _feeding_sorts(self.vocab, sort)
+            funs = [d for d in self.vocab.functions()
+                    if d.result_sort in sorts]
             layer = sorted((Const(d.name, d.result_sort)
-                            for d in self.vocab.constants()), key=_shortlex)
+                            for d in self.vocab.constants()
+                            if d.result_sort in sorts), key=_shortlex)
         else:
             layer = self.vocab.family(source).terms()
         while layer:
@@ -215,7 +224,7 @@ class TermGeneratedStructure:
             # an application whose arguments were all found before the
             # last layer was in that layer already
             fresh = set(itertools.islice(seen, start, None))
-            apps = applications(self.vocab.functions(), list(seen))
+            apps = applications(funs, list(seen))
             layer = sorted((a for a in apps if not fresh.isdisjoint(a.args)),
                            key=_shortlex)
 
@@ -223,6 +232,31 @@ class TermGeneratedStructure:
         if extra and t in extra:
             return extra[t]
         return self.normalize(t)
+
+
+def _feeding_sorts(vocab, sort):
+    """The sorts whose ground terms can occur in a ground term of `sort`,
+    `sort` included (every sort when it is None): the argument sorts,
+    taken transitively, of the functions into them whose argument sorts all
+    have ground terms."""
+    if sort is None:
+        return set(vocab.sorts)
+    inhabited = {d.result_sort for d in vocab.constants()}
+    while True:
+        live = [d for d in vocab.functions()
+                if inhabited.issuperset(d.arg_sorts)]
+        grown = inhabited.union(d.result_sort for d in live)
+        if grown == inhabited:
+            break
+        inhabited = grown
+    sorts, todo = {sort}, [sort]
+    while todo:
+        target = todo.pop()
+        for d in live:
+            if d.result_sort == target:
+                todo += [a for a in d.arg_sorts if a not in sorts]
+                sorts.update(d.arg_sorts)
+    return sorts
 
 
 def _shortlex(t: Term):
@@ -276,7 +310,8 @@ def eval_sentence(s, f: Formula, fuel: int = 8, extra_names=None,
 
     Finite structures always decide. On term-generated presentations each
     quantifier ranges over the first `fuel` elements; exhausting the bound
-    without a verdict yields 'unknown'. With `fragment=True` the tested
+    without a verdict yields 'unknown', unless the sort has fewer than
+    `fuel` elements, all of which were tried. With `fragment=True` the tested
     range is treated as the whole domain (bounded-fragment semantics), so
     quantifiers always decide.
     """
@@ -305,7 +340,9 @@ def _binding(s, f, fuel, extra):
     if isinstance(f, (Forall, Exists)):
         if s.kind == "finite":
             return f.var.name, s.elements(f.var.sort), True
-        return f.var.name, s.enumerate_elements(fuel, f.var.sort), False
+        values = s.enumerate_elements(fuel, f.var.sort)
+        # a stream that ends within the fuel has listed the whole sort
+        return f.var.name, values, len(values) < fuel
     if f.family == "tau" and s.kind == "term-generated":
         names = itertools.islice(s._ground_terms("tau"), max(fuel, 0))
         exhaustive = False
@@ -778,6 +815,7 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None,
                 rewrites.append((lhs, rhs))
             elif head == "rel-decide":
                 rel = parts[1]
+                check_declared(rel, "rel")
                 if parts[2] != "by":
                     raise SyntaxError_("expected 'by' in rel-decide", lineno, 1)
                 decider_name = parts[3]

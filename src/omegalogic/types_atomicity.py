@@ -197,17 +197,52 @@ def _ef_points(s, tup):
 
 
 def _atomic_type(s, tup):
+    """The atomic facts of the constants followed by `tup`, as point
+    indices: ('=', i, j) for i < j naming one element, and (R, idx) for a
+    relation tuple.  Only index tuples fitting R's argument sorts are
+    tried.  `_atomic_separator` picks the first fact in the iteration order
+    of a set difference, which depends on how these sets are filled."""
     pts = _ef_points(s, tup)
+    of_sort = {}
+    for i, p in enumerate(pts):
+        of_sort.setdefault(s.sort_of(p), []).append(i)
     facts = set()
     for i, a in enumerate(pts):
         for j, b in enumerate(pts):
             if i < j and a == b:
                 facts.add(("=", i, j))
     for d in s.vocab.relations():
-        for idx in itertools.product(range(len(pts)), repeat=d.arity):
+        for idx in itertools.product(*(of_sort.get(srt, ())
+                                       for srt in d.arg_sorts)):
             if tuple(pts[i] for i in idx) in s.relations[d.name]:
                 facts.add((d.name, idx))
     return frozenset(facts)
+
+
+def _new_facts(pts, sorts, rels):
+    """The atomic facts of the points `pts` (of sorts `sorts`) that involve
+    the last one, in a fixed order.  `rels` holds (name, argument sorts,
+    extent) per relation."""
+    last = len(pts) - 1
+    sort = sorts[last]
+    of_sort = {}
+    for i, srt in enumerate(sorts):
+        of_sort.setdefault(srt, []).append(i)
+    older = of_sort[sort][:-1]
+    facts = [("=", i, last) for i in older if pts[i] == pts[last]]
+    for name, arg_sorts, ext in rels:
+        # k is the first argument position holding the last point
+        for k, srt in enumerate(arg_sorts):
+            if srt != sort:
+                continue
+            ranges = [older if a == sort else of_sort.get(a, ())
+                      for a in arg_sorts[:k]]
+            ranges.append((last,))
+            ranges += [of_sort.get(a, ()) for a in arg_sorts[k + 1:]]
+            for idx in itertools.product(*ranges):
+                if tuple(map(pts.__getitem__, idx)) in ext:
+                    facts.append((name, idx))
+    return tuple(facts)
 
 
 def _check_relational(s):
@@ -217,38 +252,63 @@ def _check_relational(s):
         raise EvalError("ef_equivalent supports relational vocabularies only")
 
 
+def _signatures(s, table):
+    """The signature function of `s`: sig(tup, k) is the rank-k
+    back-and-forth signature of `tup`, the pair (the atomic facts that
+    involve its last point, one frozenset per sort of the rank-(k-1)
+    signatures one move further).  Two tuples whose prefixes have the same
+    atomic type are k-round equivalent iff their signatures are equal.
+
+    Moves to an element already among the points are left out: Duplicator
+    answers one with the matching point, which leaves the position as it
+    was with a round less, so it tells apart no tuples that the other moves
+    do not.  Signatures are computed on demand, memoised, and interned in
+    `table`, so equal signatures are one object."""
+    _check_relational(s)
+    rels = [(d.name, d.arg_sorts, s.relations[d.name])
+            for d in s.vocab.relations()]
+    domains = [s.domains[sort] for sort in s.vocab.sorts]
+    consts = _ef_points(s, ())
+    const_sorts = tuple(s.sort_of(c) for c in consts)
+    facts, sigs = {(): _atomic_type(s, ())}, {}
+
+    def sig(tup, k):
+        key = (tup, k)
+        if key not in sigs:
+            pts = consts + tup
+            if tup not in facts:
+                f = _new_facts(pts, const_sorts + tuple(map(s.sort_of, tup)),
+                               rels)
+                facts[tup] = table.setdefault(f, f)
+            moves = () if k == 0 else tuple(
+                frozenset(sig(tup + (x,), k - 1) for x in dom if x not in pts)
+                for dom in domains)
+            t = (facts[tup], moves)
+            sigs[key] = table.setdefault(t, t)
+        return sigs[key]
+
+    return sig
+
+
 def ef_signature(s, rounds):
     """The rank-`rounds` back-and-forth signature of the empty tuple; two
     finite structures are EF-equivalent at that many rounds iff their
-    signatures are equal."""
-    _check_relational(s)
-    elems = [e for sort in s.vocab.sorts for e in s.domains[sort]]
-    cache = {}
-
-    def sig(tup, r):
-        key = (tup, r)
-        if key not in cache:
-            if r == 0:
-                cache[key] = _atomic_type(s, tup)
-            else:
-                cache[key] = (_atomic_type(s, tup),
-                              frozenset(sig(tup + (x,), r - 1)
-                                        for x in elems))
-        return cache[key]
-
-    return sig((), rounds)
+    signatures are equal.  Players move within a sort, so a signature keeps
+    one set of successor signatures per sort.  Its parts are interned in a
+    table local to the call, so equal parts are one object (see
+    `_signatures`)."""
+    return _signatures(s, {})((), rounds)
 
 
 def _atomic_separator(a, ta, b, tb):
     """A literal true of ta in a and false of tb in b, or None."""
     nconst = len(a.vocab.constants())
     consts = [Const(d.name, d.result_sort) for d in a.vocab.constants()]
-    sort = a.vocab.sorts[0] if a.vocab.sorts else None
 
     def term(i):
         if i < nconst:
             return consts[i]
-        return Var(f"v{i - nconst}", sort)
+        return Var(f"v{i - nconst}", a.sort_of(ta[i - nconst]))
 
     fa, fb = _atomic_type(a, ta), _atomic_type(b, tb)
     for fact in fa ^ fb:
@@ -260,52 +320,64 @@ def _atomic_separator(a, ta, b, tb):
     return None
 
 
-def _distinguish(a, ta, b, tb, r, memo):
-    """A formula (free vars v0..) true of ta in a, false of tb in b; None
-    if the tuples are r-round equivalent."""
-    key = (id(a), ta, tb, r)
-    if key in memo:
-        return memo[key]
-    res = _atomic_separator(a, ta, b, tb)
-    if res is None and r > 0:
-        sort = a.vocab.sorts[0]
-        x = Var(f"v{len(ta)}", sort)
-        a_elems = [e for s_ in a.vocab.sorts for e in a.domains[s_]]
-        b_elems = [e for s_ in b.vocab.sorts for e in b.domains[s_]]
-        for xa in a_elems:
-            parts = [_distinguish(a, ta + (xa,), b, tb + (yb,), r - 1, memo)
-                     for yb in b_elems]
-            if all(p is not None for p in parts):
-                body = parts[0] if parts else Eq(x, x)
-                for p in parts[1:]:
-                    body = And(body, p)
-                res = Exists(x, body)
-                break
+def _winning_move(a, ta, b, tb, r, sigs, memo):
+    """Exists v_n. (a separator of ta+(x,) from each tb+(y,)) for Spoiler's
+    first move x in a that no y of its sort in b answers, or None.  A move
+    to an element already among the points wins iff ta and tb differ at
+    one round less."""
+    sig_a, sig_b = sigs[id(a)], sigs[id(b)]
+    pts = _ef_points(a, ta)
+    replies = sig_b(tb, r)[1]
+    for k, sort in enumerate(a.vocab.sorts):
+        for xa in a.domains[sort]:
+            if xa in pts:
+                if sig_a(ta, r - 1) is sig_b(tb, r - 1):
+                    continue
+            elif sig_a(ta + (xa,), r - 1) in replies[k]:
+                continue
+            x = Var(f"v{len(ta)}", sort)
+            parts = [_distinguish(a, ta + (xa,), b, tb + (yb,), r - 1, sigs,
+                                  memo)
+                     for yb in b.domains[sort]]
+            body = parts[0] if parts else Eq(x, x)
+            for p in parts[1:]:
+                body = And(body, p)
+            return Exists(x, body)
+    return None
+
+
+def _distinguish(a, ta, b, tb, r, sigs, memo):
+    """A formula (free vars v0..) true of ta in a, false of tb in b, for
+    tuples whose rank-r signatures in `sigs` (by structure id) differ."""
+    key = (id(a), ta, tb)
+    if key not in memo:
+        res = _atomic_separator(a, ta, b, tb)
         if res is None:
-            for yb in b_elems:
-                parts = [_distinguish(b, tb + (yb,), a, ta + (xa,), r - 1,
-                                      memo)
-                         for xa in a_elems]
-                if all(p is not None for p in parts):
-                    body = parts[0] if parts else Eq(x, x)
-                    for p in parts[1:]:
-                        body = And(body, p)
-                    res = Not(Exists(x, body))
-                    break
-    memo[key] = res
-    return res
+            res = _winning_move(a, ta, b, tb, r, sigs, memo)
+        if res is None:
+            res = Not(_winning_move(b, tb, a, ta, r, sigs, memo))
+        memo[key] = res
+    return memo[key]
 
 
 def ef_equivalent(a, b, rounds, want_formula=True):
-    """('equivalent', None) or ('distinguished', separating sentence)."""
-    _check_relational(a)
-    _check_relational(b)
-    if ef_signature(a, rounds) == ef_signature(b, rounds):
+    """('equivalent', None) or ('distinguished', separating sentence).
+
+    The signatures of both structures are interned in one table, so
+    comparing two is an identity test.  The separating sentence follows
+    Spoiler's winning strategy: at each position it takes the first move,
+    in a and then in b, whose signature no reply of the same sort matches,
+    and recurses only into that move against each reply.  A move to an
+    element already among the points wins exactly when the two tuples
+    differ with a round less."""
+    table = {}
+    sigs = {id(a): _signatures(a, table), id(b): _signatures(b, table)}
+    if sigs[id(a)]((), rounds) is sigs[id(b)]((), rounds):
         return ("equivalent", None)
     if not want_formula:
         return ("distinguished", None)
-    f = _distinguish(a, (), b, (), rounds, {})
-    assert f is not None and quantifier_rank(f) <= rounds
+    f = _distinguish(a, (), b, (), rounds, sigs, {})
+    assert quantifier_rank(f) <= rounds
     return ("distinguished", f)
 
 

@@ -9,10 +9,11 @@ import pytest
 
 from omegalogic.cli import main
 from omegalogic.syntax import (
-    App, Atom, Const, Var, parse_vocabulary, print_term,
+    App, Atom, Const, SyntaxError_, Var, parse_formula, parse_vocabulary,
+    print_term,
 )
 from omegalogic.structures import (
-    FiniteStructure, Valuation, parse_structure,
+    FiniteStructure, Valuation, eval_sentence, parse_structure,
 )
 from omegalogic.omega_rules import check_instance_sound, instantiate_schema
 
@@ -90,6 +91,8 @@ def reference(s, limit, sort=None):
 TWO_SORTED = parse_vocabulary(
     "sort A\nsort B\nconst a : A\nconst b : B\n"
     "fun p : A B -> A\nfun q : B B -> B\nfun r : A -> B")
+TWO_CHAINS = parse_vocabulary("sort N\nsort B\nconst 0 : N\nconst b : B\n"
+                              "fun S : N -> N\nfun T : B -> B")
 MERGING = parse_vocabulary("sort N\nconst 0 : N\nconst 1 : N\n"
                            "fun p : N N -> N")
 
@@ -106,6 +109,8 @@ def presentations():
             _voc("rationals.voc")),
         "two-sorted": parse_structure("structure t\ngenerated by tau",
                                       TWO_SORTED),
+        "two-chains": parse_structure("structure t\ngenerated by tau",
+                                      TWO_CHAINS),
         "merging": parse_structure(
             "structure m\ngenerated by tau\nrewrite p(1, 1) -> 0", MERGING),
         "collapse": parse_structure(
@@ -132,6 +137,36 @@ def test_merged_members_do_not_truncate_the_family():
     got = [print_term(t) for t in s.enumerate_elements(3)]
     assert got == ["C_0", "C_5", "C_6"]
     assert len(reference(s, 3)) == 2  # what the `2 * limit` guess gave
+
+
+def test_sort_without_ground_terms_is_an_empty_range():
+    """No ground term has sort B while N is infinite: the stream for B ends
+    at once, and a quantifier over B is vacuous."""
+    voc = parse_vocabulary("sort N\nsort B\nconst 0 : N\nfun S : N -> N\n"
+                           "rel P : B")
+    s = parse_structure("structure f\ngenerated by tau", voc)
+    assert s.enumerate_elements(4, "B") == []
+    f = parse_formula("forall y:B. P(y)", voc)
+    assert eval_sentence(s, f, fuel=4).value == "true"
+    assert eval_sentence(s, parse_formula("exists y:B. P(y)", voc),
+                         fuel=4).value == "false"
+
+
+def test_finite_sorts_end_their_streams():
+    """C has the one ground term h(b), B only b; a function whose argument
+    sort E has no ground term adds nothing to B."""
+    voc = parse_vocabulary(
+        "sort N\nsort B\nsort C\nsort E\nconst 0 : N\nconst b : B\n"
+        "fun S : N -> N\nfun h : B -> C\nfun g : N E -> B")
+    s = parse_structure("structure f\ngenerated by tau", voc)
+    assert [print_term(t) for t in s.enumerate_elements(5, "C")] == ["h(b)"]
+    assert [print_term(t) for t in s.enumerate_elements(5, "B")] == ["b"]
+    assert s.enumerate_elements(5, "E") == []
+    assert len(s.enumerate_elements(5, "N")) == 5
+    one = parse_formula("forall y:C. y = h(b)", voc)
+    assert eval_sentence(s, one, fuel=3).value == "true"
+    # a sort listed whole only at the fuel itself stays undecided
+    assert eval_sentence(s, one, fuel=1).value == "unknown"
 
 
 def test_limit_zero_is_empty():
@@ -178,6 +213,8 @@ def test_rewrite_of_a_member_is_not_a_pattern_variable():
     (["structure f over nat.voc", "domain N { a }", "rel Q = { (a) }"], 3),
     (["structure f over nat.voc", "domain N { a }", "fun T = { a->a }"], 3),
     (["structure f over nat.voc", "domain N { a }", "const 1 = a"], 3),
+    (["structure f over nat.voc", "generated by tau",
+      "rel-decide Q by integer-lt"], 3),
 ])
 def test_cli_structure_file_errors_name_the_line(capsys, tmp_path, lines,
                                                  bad_line):
@@ -187,3 +224,10 @@ def test_cli_structure_file_errors_name_the_line(capsys, tmp_path, lines,
     assert main(["scott", str(f)]) == 2
     err = capsys.readouterr().err
     assert f"(line {bad_line}, col 1)" in err
+
+
+def test_rel_decide_names_a_declared_relation():
+    with pytest.raises(SyntaxError_) as e:
+        parse_structure("structure z\ngenerated by D\n"
+                        "rel-decide Q by integer-lt", _voc("integers.voc"))
+    assert e.value.line == 3
