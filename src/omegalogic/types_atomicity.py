@@ -199,46 +199,32 @@ def _ef_points(s, tup):
 def _atomic_type(s, tup):
     """The atomic facts of the constants followed by `tup`, as point
     indices: ('=', i, j) for i < j naming one element, and (R, idx) for a
-    relation tuple.  Only index tuples fitting R's argument sorts are
-    tried.  `_atomic_separator` picks the first fact in the iteration order
-    of a set difference, which depends on how these sets are filled."""
+    relation tuple.  `_atomic_separator` picks the first fact in the
+    iteration order of a set difference, which depends on how these sets
+    are filled."""
     pts = _ef_points(s, tup)
-    of_sort = {}
-    for i, p in enumerate(pts):
-        of_sort.setdefault(s.sort_of(p), []).append(i)
     facts = set()
     for i, a in enumerate(pts):
         for j, b in enumerate(pts):
             if i < j and a == b:
                 facts.add(("=", i, j))
     for d in s.vocab.relations():
-        for idx in itertools.product(*(of_sort.get(srt, ())
-                                       for srt in d.arg_sorts)):
+        for idx in itertools.product(range(len(pts)), repeat=d.arity):
             if tuple(pts[i] for i in idx) in s.relations[d.name]:
                 facts.add((d.name, idx))
     return frozenset(facts)
 
 
-def _new_facts(pts, sorts, rels):
-    """The atomic facts of the points `pts` (of sorts `sorts`) that involve
-    the last one, in a fixed order.  `rels` holds (name, argument sorts,
-    extent) per relation."""
+def _new_facts(pts, rels):
+    """The atomic facts of the points `pts` that involve the last one, in a
+    fixed order.  `rels` holds (name, arity, extent) per relation."""
     last = len(pts) - 1
-    sort = sorts[last]
-    of_sort = {}
-    for i, srt in enumerate(sorts):
-        of_sort.setdefault(srt, []).append(i)
-    older = of_sort[sort][:-1]
+    older, every = range(last), range(last + 1)
     facts = [("=", i, last) for i in older if pts[i] == pts[last]]
-    for name, arg_sorts, ext in rels:
+    for name, arity, ext in rels:
         # k is the first argument position holding the last point
-        for k, srt in enumerate(arg_sorts):
-            if srt != sort:
-                continue
-            ranges = [older if a == sort else of_sort.get(a, ())
-                      for a in arg_sorts[:k]]
-            ranges.append((last,))
-            ranges += [of_sort.get(a, ()) for a in arg_sorts[k + 1:]]
+        for k in range(arity):
+            ranges = [older] * k + [(last,)] + [every] * (arity - k - 1)
             for idx in itertools.product(*ranges):
                 if tuple(map(pts.__getitem__, idx)) in ext:
                     facts.append((name, idx))
@@ -252,12 +238,16 @@ def _check_relational(s):
         raise EvalError("ef_equivalent supports relational vocabularies only")
 
 
+def _ef_elements(s):
+    return [e for sort in s.vocab.sorts for e in s.domains[sort]]
+
+
 def _signatures(s, table):
     """The signature function of `s`: sig(tup, k) is the rank-k
     back-and-forth signature of `tup`, the pair (the atomic facts that
-    involve its last point, one frozenset per sort of the rank-(k-1)
-    signatures one move further).  Two tuples whose prefixes have the same
-    atomic type are k-round equivalent iff their signatures are equal.
+    involve its last point, the set of rank-(k-1) signatures one move
+    further).  Two tuples whose prefixes have the same atomic type are
+    k-round equivalent iff their signatures are equal.
 
     Moves to an element already among the points are left out: Duplicator
     answers one with the matching point, which leaves the position as it
@@ -265,11 +255,10 @@ def _signatures(s, table):
     do not.  Signatures are computed on demand, memoised, and interned in
     `table`, so equal signatures are one object."""
     _check_relational(s)
-    rels = [(d.name, d.arg_sorts, s.relations[d.name])
+    rels = [(d.name, d.arity, s.relations[d.name])
             for d in s.vocab.relations()]
-    domains = [s.domains[sort] for sort in s.vocab.sorts]
+    elems = _ef_elements(s)
     consts = _ef_points(s, ())
-    const_sorts = tuple(s.sort_of(c) for c in consts)
     facts, sigs = {(): _atomic_type(s, ())}, {}
 
     def sig(tup, k):
@@ -277,12 +266,10 @@ def _signatures(s, table):
         if key not in sigs:
             pts = consts + tup
             if tup not in facts:
-                f = _new_facts(pts, const_sorts + tuple(map(s.sort_of, tup)),
-                               rels)
+                f = _new_facts(pts, rels)
                 facts[tup] = table.setdefault(f, f)
-            moves = () if k == 0 else tuple(
-                frozenset(sig(tup + (x,), k - 1) for x in dom if x not in pts)
-                for dom in domains)
+            moves = None if k == 0 else frozenset(
+                sig(tup + (x,), k - 1) for x in elems if x not in pts)
             t = (facts[tup], moves)
             sigs[key] = table.setdefault(t, t)
         return sigs[key]
@@ -293,10 +280,9 @@ def _signatures(s, table):
 def ef_signature(s, rounds):
     """The rank-`rounds` back-and-forth signature of the empty tuple; two
     finite structures are EF-equivalent at that many rounds iff their
-    signatures are equal.  Players move within a sort, so a signature keeps
-    one set of successor signatures per sort.  Its parts are interned in a
-    table local to the call, so equal parts are one object (see
-    `_signatures`)."""
+    signatures are equal.  Its parts are interned in a table local to the
+    call, so equal parts are one object (see `_signatures`).  Moves range
+    over the elements of every sort (see ROADMAP item 3)."""
     return _signatures(s, {})((), rounds)
 
 
@@ -304,11 +290,12 @@ def _atomic_separator(a, ta, b, tb):
     """A literal true of ta in a and false of tb in b, or None."""
     nconst = len(a.vocab.constants())
     consts = [Const(d.name, d.result_sort) for d in a.vocab.constants()]
+    sort = a.vocab.sorts[0] if a.vocab.sorts else None
 
     def term(i):
         if i < nconst:
             return consts[i]
-        return Var(f"v{i - nconst}", a.sort_of(ta[i - nconst]))
+        return Var(f"v{i - nconst}", sort)
 
     fa, fb = _atomic_type(a, ta), _atomic_type(b, tb)
     for fact in fa ^ fb:
@@ -322,27 +309,26 @@ def _atomic_separator(a, ta, b, tb):
 
 def _winning_move(a, ta, b, tb, r, sigs, memo):
     """Exists v_n. (a separator of ta+(x,) from each tb+(y,)) for Spoiler's
-    first move x in a that no y of its sort in b answers, or None.  A move
-    to an element already among the points wins iff ta and tb differ at
-    one round less."""
+    first move x in a that no y in b answers, or None.  A move to an
+    element already among the points wins iff ta and tb differ at one round
+    less."""
     sig_a, sig_b = sigs[id(a)], sigs[id(b)]
     pts = _ef_points(a, ta)
     replies = sig_b(tb, r)[1]
-    for k, sort in enumerate(a.vocab.sorts):
-        for xa in a.domains[sort]:
-            if xa in pts:
-                if sig_a(ta, r - 1) is sig_b(tb, r - 1):
-                    continue
-            elif sig_a(ta + (xa,), r - 1) in replies[k]:
+    x = Var(f"v{len(ta)}", a.vocab.sorts[0])
+    for xa in _ef_elements(a):
+        if xa in pts:
+            if sig_a(ta, r - 1) is sig_b(tb, r - 1):
                 continue
-            x = Var(f"v{len(ta)}", sort)
-            parts = [_distinguish(a, ta + (xa,), b, tb + (yb,), r - 1, sigs,
-                                  memo)
-                     for yb in b.domains[sort]]
-            body = parts[0] if parts else Eq(x, x)
-            for p in parts[1:]:
-                body = And(body, p)
-            return Exists(x, body)
+        elif sig_a(ta + (xa,), r - 1) in replies:
+            continue
+        parts = [_distinguish(a, ta + (xa,), b, tb + (yb,), r - 1, sigs,
+                              memo)
+                 for yb in _ef_elements(b)]
+        body = parts[0] if parts else Eq(x, x)
+        for p in parts[1:]:
+            body = And(body, p)
+        return Exists(x, body)
     return None
 
 
@@ -366,10 +352,11 @@ def ef_equivalent(a, b, rounds, want_formula=True):
     The signatures of both structures are interned in one table, so
     comparing two is an identity test.  The separating sentence follows
     Spoiler's winning strategy: at each position it takes the first move,
-    in a and then in b, whose signature no reply of the same sort matches,
-    and recurses only into that move against each reply.  A move to an
-    element already among the points wins exactly when the two tuples
-    differ with a round less."""
+    in a and then in b, whose signature no reply matches, and recurses
+    only into that move against each reply.  A move to an element already
+    among the points wins exactly when the two tuples differ with a round
+    less.  The game ignores sorts: a move ranges over the elements of every
+    sort, and variables are typed at the first sort (ROADMAP item 3)."""
     table = {}
     sigs = {id(a): _signatures(a, table), id(b): _signatures(b, table)}
     if sigs[id(a)]((), rounds) is sigs[id(b)]((), rounds):
