@@ -1,0 +1,487 @@
+"""Fuel-bounded truth evaluation: each formula compiles once into a plan
+that runs on finite structures and term-generated presentations alike.
+
+Truth over a term-generated presentation is approximated by enumerating the
+first `fuel` ground terms in shortlex order; `unknown` is a first-class
+outcome and never silently coerces to a boolean.  `structures` keeps these
+names too.
+"""
+
+import itertools
+import weakref
+from dataclasses import dataclass
+from typing import Optional
+
+from .syntax import (
+    Absurd, And, App, Atom, Const, Eq, Exists, Forall, Formula, Not, Or,
+    SchemaConj, SchemaDisj, Var, juncts,
+)
+
+
+class EvalError(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class TruthAtFuel:
+    value: str  # 'true' | 'false' | 'unknown'
+    fuel_used: int = 0
+    witness: Optional[object] = None
+
+    def __bool__(self):
+        raise TypeError("TruthAtFuel does not coerce; inspect .value")
+
+
+def _tv(b, fuel=0, witness=None):
+    if b is None:
+        return TruthAtFuel("unknown", fuel, witness)
+    return TruthAtFuel("true" if b else "false", fuel, witness)
+
+
+def eval_sentence(s, f: Formula, fuel: int = 8, extra_names=None,
+                  fragment=False) -> TruthAtFuel:
+    """Three-valued truth of the sentence `f` in structure `s`.
+
+    Finite structures always decide. On term-generated presentations each
+    quantifier ranges over the first `fuel` elements; exhausting the bound
+    without a verdict yields 'unknown', unless the sort has fewer than
+    `fuel` elements, all of which were tried. With `fragment=True` the tested
+    range is treated as the whole domain (bounded-fragment semantics), so
+    quantifiers always decide.
+
+    Order of evaluation. `f` compiles once into a plan that every
+    structure runs (`_compiled`). Conjunctions and disjunctions are read
+    left to right and stop at the first false conjunct or true disjunct;
+    an unknown part stops neither. A quantifier or schema tries its values
+    in range order and stops at the first one that settles it. Under a
+    block of existential quantifiers over a conjunction, a conjunct is
+    checked as soon as the last block variable it mentions is bound, not
+    once all of them are, when: every range of the block is exhaustive (a
+    finite sort, `fragment=True`, or a presentation range shorter than
+    `fuel`); the conjunct has no quantifier, schema or function
+    application, and on a presentation no relation atom; and it and every
+    conjunct before it name only relations and constants that `s`
+    interprets. A false early conjunct then rejects every extension of
+    the bound values at once. Verdicts and raised errors are those of
+    checking the whole conjunction once every variable is bound.
+    """
+    code = _compiled(f, s.kind)
+    if s.kind == "term-generated" and fuel <= 0 and code.quantified:
+        raise EvalError("fuel must be positive for quantified sentences "
+                        "over a term-generated presentation")
+    return _tv(code.run(s, {}, fuel, extra_names or {}, fragment), fuel)
+
+
+def _eval(s, f, env, fuel, extra, fragment=False):
+    """Truth of `f` in `s` (True, False or None for unknown) with its free
+    variables read from `env`, a map from names to elements, which must
+    bind every one of them; the rest as in `eval_sentence`."""
+    return _compiled(f, s.kind).run(s, env, fuel, extra, fragment)
+
+
+def _family_terms(vocab, family, fuel, sort=None):
+    """The names a schema over `family` ranges over, and whether they are
+    all of them: the constants of `sort` (of every sort when None) for
+    'tau', every member of a finite family, and the first `fuel` members
+    of a countable one."""
+    if family == "tau":
+        return [Const(d.name, d.result_sort)
+                for d in vocab.constants(sort)], True
+    fam = vocab.family(family)
+    if fam.countable:
+        return fam.enumerate_terms(fuel), False
+    return list(fam.terms()), True
+
+
+# Plans are kept per formula object, never per structure, and go when
+# their formula is garbage-collected; a plan holds no reference to it.
+_PLANS = {}  # id(formula) -> (weak reference to it, {kind: _Code})
+
+
+def _compiled(f, kind):
+    """The plan of `f` for structures of `kind`, compiled on first use."""
+    entry = _PLANS.get(id(f))
+    if entry is None or entry[0]() is not f:
+        code = _Compiler(kind).compile(f)
+        _PLANS[id(f)] = (weakref.ref(f, _forget(id(f))), {kind: code})
+        return code
+    code = entry[1].get(kind)
+    if code is None:
+        code = entry[1][kind] = _Compiler(kind).compile(f)
+    return code
+
+
+def _forget(key):
+    def drop(ref):
+        if _PLANS.get(key, (None,))[0] is ref:
+            del _PLANS[key]
+    return drop
+
+
+class _Code:
+    """A compiled formula: `fn(call, slots)` gives its truth value, with
+    each variable in a slot of the list `slots`; `free` names the slots
+    that the caller's environment fills."""
+
+    __slots__ = ("fn", "free", "width", "quantified")
+
+    def __init__(self, fn, free, width, quantified):
+        self.fn, self.free = fn, free
+        self.width, self.quantified = width, quantified
+
+    def run(self, s, env, fuel, extra, fragment):
+        slots = [None] * self.width
+        for name, i in self.free:
+            slots[i] = env[name]
+        return self.fn(_Call(s, fuel, extra, fragment), slots)
+
+
+class _Call:
+    """What one evaluation call shares: the structure, its bounds, and the
+    ranges and block schedules worked out so far.  Nothing here outlives
+    the call, so no value depends on an earlier one."""
+
+    __slots__ = ("s", "fuel", "extra", "fragment", "rels", "ranges",
+                 "blocks")
+
+    def __init__(self, s, fuel, extra, fragment):
+        self.s, self.fuel, self.extra, self.fragment = s, fuel, extra, fragment
+        self.rels = s.relations if s.kind == "finite" else None  # extents
+        self.ranges = {}
+        self.blocks = {}
+
+    def sort_range(self, sort):
+        """The values a quantifier over `sort` takes, and whether they are
+        the whole sort; a stream that ends within the fuel has listed it."""
+        r = self.ranges.get(sort)
+        if r is None:
+            s = self.s
+            if s.kind == "finite":
+                r = (s.elements(sort), True)
+            else:
+                values = s.enumerate_elements(self.fuel, sort)
+                r = (values, len(values) < self.fuel)
+            self.ranges[sort] = r
+        return r
+
+    def schema_range(self, family, sort):
+        """The elements a schema hole of `sort` over `family` takes, whether
+        they are all of them, and the error that naming the next one raised
+        (raised only where the loop reaches it)."""
+        key = (family, sort)
+        r = self.ranges.get(key)
+        if r is None:
+            s = self.s
+            if family == "tau" and s.kind == "term-generated":
+                names = itertools.islice(
+                    (t for t in s._ground_terms("tau", sort)
+                     if sort in (None, t.sort)), max(self.fuel, 0))
+                exhaustive = False
+            else:
+                names, exhaustive = _family_terms(s.vocab, family,
+                                                  self.fuel, sort)
+            values, error = [], None
+            try:
+                for t in names:
+                    values.append(s.element_of(t, self.extra))
+            except EvalError as e:
+                error = e
+            r = self.ranges[key] = (values, exhaustive, error)
+        return r
+
+    def interprets(self, name):
+        """Whether the finite structure interprets a relation name or a
+        ground name, so that a conjunct using it cannot raise."""
+        s = self.s
+        if isinstance(name, str):
+            return name in s.relations
+        if self.extra and name in self.extra:
+            return True
+        return isinstance(name, Const) and (
+            name.name in s.constants or s.sort_of(name.name) is not None)
+
+
+class _Compiler:
+    """Compiles a formula into nested closures `fn(call, slots)` for
+    structures of one kind (`_Code`).  Quantifier blocks and chains of
+    `And`/`Or` are flattened by loops, so a long chain costs no recursion.
+    Finite structures read relation extents and compare elements directly;
+    presentations go through `holds` and `equal`."""
+
+    def __init__(self, kind):
+        self.finite = kind == "finite"
+        self.free = {}  # free variable name -> slot
+        self.width = 0
+        self.quantified = False
+
+    def compile(self, f):
+        fn = self.formula(f, {})
+        return _Code(fn, tuple(self.free.items()), self.width,
+                     self.quantified)
+
+    def new_slot(self):
+        self.width += 1
+        return self.width - 1
+
+    def slot(self, name, scope):
+        i = scope.get(name)
+        if i is None:
+            i = self.free.get(name)
+            if i is None:
+                i = self.free[name] = self.new_slot()
+        return i
+
+    def term(self, t, scope):
+        if isinstance(t, Var):
+            i = self.slot(t.name, scope)
+            return lambda c, e: e[i]
+        if isinstance(t, App):
+            func, args = t.func, [self.term(a, scope) for a in t.args]
+            return lambda c, e: c.s.apply_fun(func, [a(c, e) for a in args])
+        return lambda c, e: c.s.element_of(t, c.extra)
+
+    def formula(self, f, scope):
+        if isinstance(f, Absurd):
+            return lambda c, e: False
+        if isinstance(f, Atom):
+            return self.atom(f, scope)
+        if isinstance(f, Eq):
+            if self.finite and type(f.left) is Var and type(f.right) is Var:
+                i, j = self.slot(f.left.name, scope), self.slot(f.right.name,
+                                                                 scope)
+                return lambda c, e: e[i] == e[j]
+            a, b = self.term(f.left, scope), self.term(f.right, scope)
+            if self.finite:
+                return lambda c, e: a(c, e) == b(c, e)
+            return lambda c, e: c.s.equal(a(c, e), b(c, e))
+        if isinstance(f, Not):
+            body = self.formula(f.body, scope)
+            if self.finite and isinstance(f.body, (Atom, Eq)):
+                return lambda c, e: not body(c, e)  # never unknown
+            return lambda c, e: None if (v := body(c, e)) is None else not v
+        if isinstance(f, And):
+            return _conjunction([self.formula(g, scope)
+                                 for g in juncts(f, And)])
+        if isinstance(f, Or):
+            return _disjunction([self.formula(g, scope)
+                                 for g in juncts(f, Or)])
+        if isinstance(f, (Forall, Exists)):
+            return self.block(f, scope)
+        if isinstance(f, (SchemaConj, SchemaDisj)):
+            return self.schema(f, scope)
+        raise TypeError(f"not a formula: {f!r}")
+
+    def atom(self, f, scope):
+        rel = f.rel
+        if not self.finite:
+            args = [self.term(a, scope) for a in f.args]
+            return lambda c, e: c.s.holds(rel, [a(c, e) for a in args])
+        if any(type(a) is not Var for a in f.args):
+            args = [self.term(a, scope) for a in f.args]
+            return lambda c, e: tuple([a(c, e) for a in args]) in c.rels[rel]
+        idx = [self.slot(a.name, scope) for a in f.args]
+        if len(idx) == 1:
+            (i,) = idx
+            return lambda c, e: (e[i],) in c.rels[rel]
+        if len(idx) == 2:
+            i, j = idx
+            return lambda c, e: (e[i], e[j]) in c.rels[rel]
+        return lambda c, e: tuple([e[i] for i in idx]) in c.rels[rel]
+
+    def schema(self, f, scope):
+        self.quantified = True
+        slot = self.new_slot()
+        body = self.formula(f.body, {**scope, f.hole.name: slot})
+        family, sort = f.family, f.hole.sort
+        want = isinstance(f, SchemaDisj)
+
+        def schema(c, e):
+            values, exhaustive, error = c.schema_range(family, sort)
+            unknown = False
+            for v in values:
+                e[slot] = v
+                r = body(c, e)
+                if r is None:
+                    unknown = True
+                elif r == want:
+                    return want
+            if error is not None:
+                raise error
+            if unknown or not (exhaustive or c.fragment):
+                return None
+            return not want
+        return schema
+
+    def block(self, f, scope):
+        """A run of quantifiers of one kind, `Q x1 ... Q xn. body`."""
+        self.quantified = True
+        kind, sorts, slots = type(f), [], []
+        while type(f) is kind:
+            sorts.append(f.var.sort)
+            slots.append(self.new_slot())
+            scope = {**scope, f.var.name: slots[-1]}
+            f = f.body
+        want, last = kind is Exists, len(slots) - 1
+        conjuncts = juncts(f, And)
+        parts = [self.formula(g, scope) for g in conjuncts]
+        body = parts[0] if len(parts) == 1 else _conjunction(parts)
+
+        def nested(c, e, i):
+            values, exhaustive = c.sort_range(sorts[i])
+            slot, unknown = slots[i], False
+            for v in values:
+                e[slot] = v
+                r = body(c, e) if i == last else nested(c, e, i + 1)
+                if r is None:
+                    unknown = True
+                elif r == want:
+                    return want
+            if unknown or not (exhaustive or c.fragment):
+                return None
+            return not want
+
+        schedule = (want and last > 0 and len(parts) > 1 and _Schedule(
+            self.finite, conjuncts, parts, scope, slots, sorts))
+        if not schedule or not any(level < last
+                                   for level in schedule.levels):
+            return lambda c, e: nested(c, e, 0)
+
+        def search(c, e, i, unknown, ranges, checks):
+            # True if some extension of slots[:i] makes the body true,
+            # else None if some left it unknown, else False
+            slot, here, deeper = slots[i], checks[i], i < last
+            found_unknown = False
+            for v in ranges[i]:
+                e[slot] = v
+                u = unknown
+                for check in here:
+                    r = check(c, e)
+                    if r is False:
+                        break
+                    if not r:
+                        u = True
+                else:
+                    if deeper:
+                        r = search(c, e, i + 1, u, ranges, checks)
+                        if r:
+                            return True
+                        if r is None:
+                            found_unknown = True
+                    elif u:
+                        found_unknown = True
+                    else:
+                        return True
+            return None if found_unknown else False
+
+        def block(c, e):
+            plan = c.blocks.get(schedule)
+            if plan is None:
+                plan = c.blocks[schedule] = schedule.plan(c)
+            if plan is False:
+                return nested(c, e, 0)
+            return search(c, e, 0, False, *plan)
+        return block
+
+
+class _Schedule:
+    """Where the conjuncts of an existential block are checked: each at
+    the level that binds the last block variable it mentions.  Only a
+    leading run of conjuncts that cannot raise moves (see `eval_sentence`);
+    the others are checked in order once every variable is bound."""
+
+    def __init__(self, finite, conjuncts, parts, scope, slots, sorts):
+        self.parts, self.sorts, self.last = parts, sorts, len(slots) - 1
+        level_of = {slot: i for i, slot in enumerate(slots)}
+        self.levels, self.names = [], []
+        for g in conjuncts:
+            found = _early_check(g, scope, level_of, finite)
+            if found is None:
+                break
+            self.levels.append(found[0])
+            self.names.append(found[1])
+        self.all_names = frozenset().union(*self.names)
+        self.by_count = {}  # number of conjuncts that move -> checks
+
+    def plan(self, c):
+        """The ranges and the checks at each level for one call, or False
+        to evaluate the block in plain order."""
+        moving = len(self.levels)
+        if c.rels is not None and not all(map(c.interprets, self.all_names)):
+            moving = next(j for j, names in enumerate(self.names)
+                          if not all(map(c.interprets, names)))
+        checks = self.by_count.get(moving)
+        if checks is None:
+            checks = [[] for _ in self.sorts]
+            for j, part in enumerate(self.parts):
+                checks[self.levels[j] if j < moving else self.last].append(
+                    part)
+            if len(checks[self.last]) == len(self.parts):
+                checks = False  # nothing moves
+            self.by_count[moving] = checks
+        if checks is False:
+            return False
+        if c.rels is not None:  # a finite structure: every range is whole
+            try:
+                return [c.s.domains[sort] for sort in self.sorts], checks
+            except KeyError:  # an unknown sort raises where plain order does
+                return False
+        ranges = [c.sort_range(sort) for sort in self.sorts]
+        if not c.fragment and not all(exhaustive for _, exhaustive in ranges):
+            return False
+        return [values for values, _ in ranges], checks
+
+
+def _early_check(g, scope, level_of, finite):
+    """For a conjunct that may be checked early, the deepest block level
+    among its variables and the relation and ground names it uses; None
+    for a conjunct with a quantifier, a schema or a function application,
+    or with a relation atom when the structure is a presentation (its
+    decider may raise)."""
+    level, names, todo = 0, set(), [g]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, Not):
+            todo.append(g.body)
+        elif isinstance(g, (And, Or)):
+            todo += (g.left, g.right)
+        elif isinstance(g, (Atom, Eq)):
+            if isinstance(g, Atom):
+                if not finite:
+                    return None
+                names.add(g.rel)
+            for t in g.args if isinstance(g, Atom) else (g.left, g.right):
+                if isinstance(t, Var):
+                    level = max(level, level_of.get(scope.get(t.name), 0))
+                elif isinstance(t, App):
+                    return None
+                elif finite:
+                    names.add(t)
+        elif not isinstance(g, Absurd):
+            return None
+    return level, frozenset(names)
+
+
+def _conjunction(parts):
+    def conjunction(c, e):
+        unknown = False
+        for p in parts:
+            v = p(c, e)
+            if v is False:
+                return False
+            if not v:
+                unknown = True
+        return None if unknown else True
+    return conjunction
+
+
+def _disjunction(parts):
+    def disjunction(c, e):
+        unknown = False
+        for p in parts:
+            v = p(c, e)
+            if v is True:
+                return True
+            if v is not False:
+                unknown = True
+        return None if unknown else False
+    return disjunction

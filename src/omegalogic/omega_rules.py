@@ -163,7 +163,8 @@ def _target_eval(target, f, fuel):
         return eval_sentence(target, f, fuel, fragment=True)
     # a valuation: look sentences up; spot-check schema families memberwise
     if isinstance(f, SchemaConj):
-        members, _ = _family_terms(target.vocab, f.family, fuel)
+        members, _ = _family_terms(target.vocab, f.family, fuel,
+                                   f.hole.sort)
         vals = [target.value(substitute(f.body, f.hole.name, m))
                 for m in members]
         if any(v is False for v in vals):

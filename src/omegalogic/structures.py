@@ -1,9 +1,8 @@
-"""Finite structures, term-generated presentations, valuations, and
-fuel-bounded truth evaluation.
+"""Finite structures, term-generated presentations, valuations,
+permissibility, embeddings and the structure file format.
 
-Truth over a term-generated presentation is approximated by enumerating the
-first `fuel` ground terms in shortlex order; `unknown` is a first-class
-outcome and never silently coerces to a boolean.
+Fuel-bounded truth evaluation lives in `evaluation`; its public names are
+importable from here as well.
 """
 
 from __future__ import annotations
@@ -12,32 +11,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from .evaluation import (  # the evaluator's names, which callers import
+    EvalError, TruthAtFuel, _eval, _family_terms, eval_sentence,
+)
 from .syntax import (
-    Absurd, And, App, Atom, Const, ConstantFamily, Eq, Exists, FamilyMember,
-    Forall, Formula, Not, Or, SchemaConj, SchemaDisj, SyntaxError_, Term, Var,
+    Absurd, And, App, Atom, Const, ConstantFamily, Eq, FamilyMember,
+    Formula, Not, Or, SyntaxError_, Term, Var,
     Vocabulary, applications, arg_tuples, parse_formula, parse_term,
     parse_vocabulary, print_term, subterms, term_is_ground,
 )
-
-
-class EvalError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class TruthAtFuel:
-    value: str  # 'true' | 'false' | 'unknown'
-    fuel_used: int = 0
-    witness: Optional[object] = None
-
-    def __bool__(self):
-        raise TypeError("TruthAtFuel does not coerce; inspect .value")
-
-
-def _tv(b, fuel=0, witness=None):
-    if b is None:
-        return TruthAtFuel("unknown", fuel, witness)
-    return TruthAtFuel("true" if b else "false", fuel, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -298,124 +280,6 @@ BUILTIN_DECIDERS = {
         _indices(args[0])[0] * _indices(args[1])[1]
         < _indices(args[1])[0] * _indices(args[0])[1]),
 }
-
-
-# ---------------------------------------------------------------------------
-# Fuel-bounded evaluation
-
-
-def eval_sentence(s, f: Formula, fuel: int = 8, extra_names=None,
-                  fragment=False) -> TruthAtFuel:
-    """Three-valued truth of the sentence `f` in structure `s`.
-
-    Finite structures always decide. On term-generated presentations each
-    quantifier ranges over the first `fuel` elements; exhausting the bound
-    without a verdict yields 'unknown', unless the sort has fewer than
-    `fuel` elements, all of which were tried. With `fragment=True` the tested
-    range is treated as the whole domain (bounded-fragment semantics), so
-    quantifiers always decide.
-    """
-    if s.kind == "term-generated" and fuel <= 0 and _has_quantifier(f):
-        raise EvalError("fuel must be positive for quantified sentences "
-                        "over a term-generated presentation")
-    v = _eval(s, f, {}, fuel, extra_names or {}, fragment)
-    return _tv(v, fuel)
-
-
-def _has_quantifier(f):
-    if isinstance(f, (Forall, Exists)):
-        return True
-    if isinstance(f, Not):
-        return _has_quantifier(f.body)
-    if isinstance(f, (And, Or)):
-        return _has_quantifier(f.left) or _has_quantifier(f.right)
-    if isinstance(f, (SchemaConj, SchemaDisj)):
-        return True
-    return False
-
-
-def _binding(s, f, fuel, extra):
-    """What the quantifier or schema node `f` binds: the variable's name,
-    the values it takes, and whether those values are its whole range."""
-    if isinstance(f, (Forall, Exists)):
-        if s.kind == "finite":
-            return f.var.name, s.elements(f.var.sort), True
-        values = s.enumerate_elements(fuel, f.var.sort)
-        # a stream that ends within the fuel has listed the whole sort
-        return f.var.name, values, len(values) < fuel
-    if f.family == "tau" and s.kind == "term-generated":
-        names = itertools.islice(s._ground_terms("tau"), max(fuel, 0))
-        exhaustive = False
-    else:
-        names, exhaustive = _family_terms(s.vocab, f.family, fuel)
-    return f.hole.name, (s.element_of(c, extra) for c in names), exhaustive
-
-
-def _family_terms(vocab, family, fuel):
-    """The names a schema over `family` ranges over, and whether they are
-    all of them: the constants for 'tau', every member of a finite family,
-    and the first `fuel` members of a countable one."""
-    if family == "tau":
-        return [Const(d.name, d.result_sort) for d in vocab.constants()], True
-    fam = vocab.family(family)
-    if fam.countable:
-        return fam.enumerate_terms(fuel), False
-    return list(fam.terms()), True
-
-
-def _resolve(s, t, env, extra):
-    """Ground term -> element, after substituting env for variables."""
-    if isinstance(t, Var):
-        return env[t.name]
-    if isinstance(t, App):
-        return s.apply_fun(t.func, [_resolve(s, a, env, extra) for a in t.args])
-    return s.element_of(t, extra)
-
-
-def _eval(s, f, env, fuel, extra, fragment=False):
-    if isinstance(f, Absurd):
-        return False
-    if isinstance(f, Atom):
-        return s.holds(f.rel, [_resolve(s, a, env, extra) for a in f.args])
-    if isinstance(f, Eq):
-        a = _resolve(s, f.left, env, extra)
-        b = _resolve(s, f.right, env, extra)
-        if s.kind == "finite":
-            return a == b
-        return s.equal(a, b)
-    if isinstance(f, Not):
-        v = _eval(s, f.body, env, fuel, extra, fragment)
-        return None if v is None else (not v)
-    if isinstance(f, And):
-        a = _eval(s, f.left, env, fuel, extra, fragment)
-        if a is False:
-            return False
-        b = _eval(s, f.right, env, fuel, extra, fragment)
-        if b is False:
-            return False
-        return True if (a and b) else None
-    if isinstance(f, Or):
-        a = _eval(s, f.left, env, fuel, extra, fragment)
-        if a is True:
-            return True
-        b = _eval(s, f.right, env, fuel, extra, fragment)
-        if b is True:
-            return True
-        return False if (a is False and b is False) else None
-    if isinstance(f, (Forall, Exists, SchemaConj, SchemaDisj)):
-        name, values, exhaustive = _binding(s, f, fuel, extra)
-        want = isinstance(f, (Exists, SchemaDisj))
-        saw_unknown = False
-        for e in values:
-            v = _eval(s, f.body, {**env, name: e}, fuel, extra, fragment)
-            if v is None:
-                saw_unknown = True
-            elif v == want:
-                return want
-        if saw_unknown or (not exhaustive and not fragment):
-            return None
-        return not want
-    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------

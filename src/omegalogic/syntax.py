@@ -346,12 +346,26 @@ def free_variables(f: Formula) -> frozenset:
     if isinstance(f, Not):
         return free_variables(f.body)
     if isinstance(f, (And, Or)):
-        return free_variables(f.left) | free_variables(f.right)
+        return frozenset().union(*map(free_variables, juncts(f, (And, Or))))
     if isinstance(f, (Forall, Exists)):
         return free_variables(f.body) - {f.var.name}
     if isinstance(f, (SchemaConj, SchemaDisj)):
         return free_variables(f.body) - {f.hole.name}
     raise TypeError(f"not a formula: {f!r}")
+
+
+def juncts(f: Formula, kinds) -> list:
+    """The maximal subformulas of `f` that are not of `kinds` (And, Or or
+    both), left to right, found without recursion: a Scott sentence is a
+    conjunction thousands of nodes deep."""
+    out, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, kinds):
+            todo += (g.right, g.left)
+        else:
+            out.append(g)
+    return out
 
 
 def is_sentence(f: Formula) -> bool:
@@ -365,7 +379,7 @@ def quantifier_rank(f: Formula) -> int:
     if isinstance(f, Not):
         return quantifier_rank(f.body)
     if isinstance(f, (And, Or)):
-        return max(quantifier_rank(f.left), quantifier_rank(f.right))
+        return max(map(quantifier_rank, juncts(f, (And, Or))))
     if isinstance(f, (Forall, Exists)):
         return 1 + quantifier_rank(f.body)
     if isinstance(f, (SchemaConj, SchemaDisj)):
@@ -484,9 +498,15 @@ def print_formula(f: Formula) -> str:
             return f"({print_term(f.body.left)} != {print_term(f.body.right)})"
         return f"~{_wrap(f.body)}"
     if isinstance(f, And):
-        return f"({print_formula(f.left)} & {print_formula(f.right)})"
+        try:
+            return f"({print_formula(f.left)} & {print_formula(f.right)})"
+        except RecursionError:
+            return _print_spine(f)
     if isinstance(f, Or):
-        return f"({print_formula(f.left)} | {print_formula(f.right)})"
+        try:
+            return f"({print_formula(f.left)} | {print_formula(f.right)})"
+        except RecursionError:
+            return _print_spine(f)
     if isinstance(f, Forall):
         return f"forall {f.var.name}:{f.var.sort}. {print_formula(f.body)}"
     if isinstance(f, Exists):
@@ -496,6 +516,24 @@ def print_formula(f: Formula) -> str:
     if isinstance(f, SchemaDisj):
         return "\\/{ " + print_formula(f.body) + f" : {f.hole.name} in {f.family}" + " }"
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _print_spine(f: Formula) -> str:
+    """`f`, a chain of & and | nodes too deep to print by recursion (a Scott
+    sentence is a conjunction thousands of nodes deep), with its left spine
+    printed by a loop; the text is the recursive printer's.  Depth that
+    does not come from a left spine stays an error."""
+    if not isinstance(f.left, (And, Or)):
+        raise RecursionError("formula nested too deeply to print")
+    spine = []
+    while isinstance(f, (And, Or)):
+        spine.append(f)
+        f = f.left
+    out = ["(" * len(spine), print_formula(f)]
+    for g in reversed(spine):
+        out += (" & " if isinstance(g, And) else " | ",
+                print_formula(g.right), ")")
+    return "".join(out)
 
 
 def _wrap(f: Formula) -> str:

@@ -446,32 +446,38 @@ _AFFINE_RE = re.compile(r"affine\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 
 def parse_witness_map(text: str, vocab) -> WitnessMap:
     """Lines `piece <guard> : x -> <term or affine(a,b)>` and
-    `misses <ground term>`."""
+    `misses <ground term>`; a malformed line raises SyntaxError_ with its
+    line number."""
     pieces = []
     misses = None
-    for raw in text.splitlines():
+    x = [("x", vocab.sorts[0])]
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("piece"):
-            head, arrow = line[len("piece"):].rsplit(":", 1)
-            guard = parse_formula(head.strip(), vocab,
-                                  bound=[("x", vocab.sorts[0])])
-            lhs, rhs = arrow.split("->", 1)
-            if lhs.strip() != "x":
-                raise SyntaxError_("witness pieces map the variable x")
-            rhs = rhs.strip()
-            m = _AFFINE_RE.fullmatch(rhs)
-            if m:
-                action = ("affine", int(m.group(1)), int(m.group(2)))
+        try:
+            if line.startswith("piece"):
+                head, colon, arrow = line[len("piece"):].rpartition(":")
+                lhs, to, rhs = arrow.partition("->")
+                if not colon or not to:
+                    raise SyntaxError_("a piece reads "
+                                       "'piece <guard> : x -> <image>'")
+                guard = parse_formula(head.strip(), vocab, bound=x)
+                if lhs.strip() != "x":
+                    raise SyntaxError_("witness pieces map the variable x")
+                rhs = rhs.strip()
+                m = _AFFINE_RE.fullmatch(rhs)
+                if m:
+                    action = ("affine", int(m.group(1)), int(m.group(2)))
+                else:
+                    action = ("term", parse_term(rhs, vocab, bound=x))
+                pieces.append((guard, action))
+            elif line.startswith("misses"):
+                misses = parse_term(line[len("misses"):].strip(), vocab)
             else:
-                action = ("term", parse_term(rhs, vocab,
-                                             bound=[("x", vocab.sorts[0])]))
-            pieces.append((guard, action))
-        elif line.startswith("misses"):
-            misses = parse_term(line[len("misses"):].strip(), vocab)
-        else:
-            raise SyntaxError_(f"unknown witness-map line: {line!r}")
+                raise SyntaxError_(f"unknown witness-map line: {line!r}")
+        except SyntaxError_ as e:
+            raise SyntaxError_(e.message, lineno, 1) from None
     if not pieces or misses is None:
         raise SyntaxError_("witness map needs pieces and a misses line")
     return WitnessMap(tuple(pieces), misses)

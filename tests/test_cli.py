@@ -171,3 +171,12 @@ def test_malformed_structure_exits_2(capsys, tmp_path):
     assert code == 2
     assert err.startswith("omega: malformed structure line") and \
         "(line 2, col 1)" in err
+
+
+def test_malformed_witness_map_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.map"
+    bad.write_text("# shift\npiece\nmisses D_1\n")
+    code, _, err = run(capsys, "generative", A("integers.struct"),
+                       "--witness", str(bad))
+    assert code == 2
+    assert err.startswith("omega: a piece reads") and "(line 2, col 1)" in err

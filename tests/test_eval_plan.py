@@ -1,0 +1,435 @@
+"""The compiled evaluator, pinned against the recursive evaluator it
+replaced, which this file keeps as the reference: same value, or the same
+exception class, on generated sentences over finite structures (one with an
+empty sort) and over the omega-succ, integers and rationals presentations,
+under both semantics and at fuels 1, 3 and 8.  Also: plan reuse and release,
+the sort of a `tau` schema's hole, large Scott sentences, and the iterative
+walks in `syntax`."""
+
+import gc
+import itertools
+import os
+import random
+import time
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from omegalogic import evaluation, structures
+from omegalogic.omega_rules import _target_eval
+from omegalogic.syntax import (
+    Absurd, And, App, Atom, Const, Eq, Exists, FamilyMember, Forall, Not, Or,
+    SchemaConj, SchemaDisj, Var, free_variables, parse_formula,
+    parse_vocabulary, print_formula, print_term, quantifier_rank,
+)
+from omegalogic.structures import (
+    EvalError, FiniteStructure, TermGeneratedStructure, Valuation,
+    eval_sentence, load_structure,
+)
+from omegalogic.types_atomicity import scott_sentence_finite
+
+
+ASSETS = os.path.join(os.path.dirname(__file__), "..", "assets")
+
+
+# -- the reference: the recursive evaluator, with one environment copy per
+#    quantifier step and the conjunction checked once every variable is bound
+
+
+def _reference_binding(s, f, fuel, extra):
+    if isinstance(f, (Forall, Exists)):
+        if s.kind == "finite":
+            return f.var.name, s.elements(f.var.sort), True
+        values = s.enumerate_elements(fuel, f.var.sort)
+        return f.var.name, values, len(values) < fuel
+    if f.family == "tau" and s.kind == "term-generated":
+        names = itertools.islice(s._ground_terms("tau"), max(fuel, 0))
+        exhaustive = False
+    else:
+        names, exhaustive = _reference_family_terms(s.vocab, f.family, fuel)
+    return f.hole.name, (s.element_of(c, extra) for c in names), exhaustive
+
+
+def _reference_family_terms(vocab, family, fuel):
+    if family == "tau":
+        return [Const(d.name, d.result_sort) for d in vocab.constants()], True
+    fam = vocab.family(family)
+    if fam.countable:
+        return fam.enumerate_terms(fuel), False
+    return list(fam.terms()), True
+
+
+def _reference_resolve(s, t, env, extra):
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, App):
+        return s.apply_fun(t.func, [_reference_resolve(s, a, env, extra)
+                                    for a in t.args])
+    return s.element_of(t, extra)
+
+
+def reference_eval(s, f, env, fuel, extra, fragment=False):
+    if isinstance(f, Absurd):
+        return False
+    if isinstance(f, Atom):
+        return s.holds(f.rel, [_reference_resolve(s, a, env, extra)
+                               for a in f.args])
+    if isinstance(f, Eq):
+        a = _reference_resolve(s, f.left, env, extra)
+        b = _reference_resolve(s, f.right, env, extra)
+        if s.kind == "finite":
+            return a == b
+        return s.equal(a, b)
+    if isinstance(f, Not):
+        v = reference_eval(s, f.body, env, fuel, extra, fragment)
+        return None if v is None else (not v)
+    if isinstance(f, And):
+        a = reference_eval(s, f.left, env, fuel, extra, fragment)
+        if a is False:
+            return False
+        b = reference_eval(s, f.right, env, fuel, extra, fragment)
+        if b is False:
+            return False
+        return True if (a and b) else None
+    if isinstance(f, Or):
+        a = reference_eval(s, f.left, env, fuel, extra, fragment)
+        if a is True:
+            return True
+        b = reference_eval(s, f.right, env, fuel, extra, fragment)
+        if b is True:
+            return True
+        return False if (a is False and b is False) else None
+    if isinstance(f, (Forall, Exists, SchemaConj, SchemaDisj)):
+        name, values, exhaustive = _reference_binding(s, f, fuel, extra)
+        want = isinstance(f, (Exists, SchemaDisj))
+        saw_unknown = False
+        for e in values:
+            v = reference_eval(s, f.body, {**env, name: e}, fuel, extra,
+                               fragment)
+            if v is None:
+                saw_unknown = True
+            elif v == want:
+                return want
+        if saw_unknown or (not exhaustive and not fragment):
+            return None
+        return not want
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as e:  # the class is what must agree
+        return type(e)
+
+
+# -- generated sentences
+
+
+# S carries every constant, so a `tau` hole (typed at the first sort by
+# the parser) has no constant of another sort to differ on; T may be empty.
+FINITE = parse_vocabulary("""
+sort S
+sort T
+rel P : S
+rel R : S S
+rel Q : T
+rel E : S T
+const c : S
+fun f : S -> S
+family Names : S = { e0 e1 e5 }
+family D : S countable
+""")
+# diagram names, one of which no structure below has
+NAMES = [Const(f"e{i}", "S") for i in range(4)]
+D = [FamilyMember("D", (i,), "S") for i in range(3)]
+
+
+def _finite_structure(rng):
+    s_dom = [f"e{i}" for i in range(rng.randint(1, 3))]
+    t_dom = [f"t{i}" for i in range(rng.randint(0, 2))]
+    rels = {
+        "P": {(a,) for a in s_dom if rng.random() < 0.5},
+        "R": {(a, b) for a in s_dom for b in s_dom if rng.random() < 0.4},
+        "Q": {(a,) for a in t_dom if rng.random() < 0.5},
+        "E": {(a, b) for a in s_dom for b in t_dom if rng.random() < 0.4},
+    }
+    return FiniteStructure(
+        FINITE, {"S": s_dom, "T": t_dom}, rels,
+        {"f": {(a,): rng.choice(s_dom) for a in s_dom}},
+        {"c": rng.choice(s_dom)})
+
+
+def _presentation(name):
+    return load_structure(os.path.join(ASSETS, name))
+
+
+PRESENTATIONS = {name: _presentation(f"{name}.struct")
+                 for name in ("omega-succ", "integers", "rationals")}
+
+
+class Language:
+    """What a generated sentence may use: relations, constants, functions
+    and schema families, by sort."""
+
+    def __init__(self, vocab, ground, families):
+        self.vocab = vocab
+        self.ground = ground  # sort -> ground leaf terms
+        self.families = families  # schema families, 'tau' included
+        self.sorts = list(vocab.sorts)
+
+
+LANGUAGES = {
+    "finite": Language(FINITE, {"S": [Const("c", "S")] + NAMES + D[:1],
+                                "T": []},
+                       ["tau", "Names", "D"]),
+    "omega-succ": Language(PRESENTATIONS["omega-succ"].vocab,
+                           {"N": [Const("0", "N")]}, ["tau"]),
+    "integers": Language(PRESENTATIONS["integers"].vocab,
+                         {"Z": [Const("0", "Z")] + [
+                             FamilyMember("D", (i,), "Z") for i in (0, 1, -1)]},
+                         ["tau", "D"]),
+    "rationals": Language(PRESENTATIONS["rationals"].vocab,
+                          {"Q": [FamilyMember("D", (1, 2), "Q"),
+                                 FamilyMember("D", (0, 1), "Q")]},
+                          ["tau", "D"]),
+}
+
+
+@st.composite
+def terms(draw, lang, scope, sort, depth=1):
+    choices = [Var(n, s) for n, s in scope if s == sort]
+    choices += lang.ground.get(sort, [])
+    funs = [d for d in lang.vocab.functions() if d.result_sort == sort]
+    if depth and funs and (not choices or draw(st.booleans())):
+        d = draw(st.sampled_from(funs))
+        return App(d.name, tuple(draw(terms(lang, scope, a, depth - 1))
+                                 for a in d.arg_sorts), d.result_sort)
+    if not choices:
+        return None
+    return draw(st.sampled_from(choices))
+
+
+@st.composite
+def atoms(draw, lang, scope):
+    for _ in range(4):
+        rels = lang.vocab.relations()
+        if rels and draw(st.booleans()):
+            d = draw(st.sampled_from(rels))
+            args = tuple(draw(terms(lang, scope, s)) for s in d.arg_sorts)
+            if None not in args:
+                return Atom(d.name, args)
+        sort = draw(st.sampled_from(lang.sorts))
+        a, b = draw(terms(lang, scope, sort)), draw(terms(lang, scope, sort))
+        if a is not None and b is not None:
+            return Eq(a, b)
+    return Absurd()
+
+
+def _chain(cls, parts):
+    out = parts[0]
+    for p in parts[1:]:
+        out = cls(out, p)
+    return out
+
+
+@st.composite
+def formulas(draw, lang, scope=(), depth=3, quantifiers=3):
+    """Sentences of `lang` with at most `quantifiers` nested binders."""
+    kinds = ["atom", "not", "and", "or"]
+    if quantifiers:
+        kinds += ["block", "block", "schema"]
+    kind = draw(st.sampled_from(kinds)) if depth else "atom"
+    if kind == "atom":
+        return draw(atoms(lang, scope))
+    if kind == "not":
+        return Not(draw(formulas(lang, scope, depth - 1, quantifiers)))
+    if kind in ("and", "or"):
+        parts = [draw(formulas(lang, scope, depth - 1, quantifiers))
+                 for _ in range(draw(st.integers(2, 4)))]
+        return _chain(And if kind == "and" else Or, parts)
+    if kind == "block":
+        # a run of one quantifier over a conjunction, the shape of a Scott
+        # sentence, whose conjuncts may be checked early
+        cls = draw(st.sampled_from([Exists, Exists, Forall]))
+        n = draw(st.integers(1, quantifiers))
+        bound = list(scope) + [(f"x{len(scope) + i}",
+                                draw(st.sampled_from(lang.sorts)))
+                               for i in range(n)]
+        parts = [draw(atoms(lang, bound))
+                 for _ in range(draw(st.integers(1, 4)))]
+        if draw(st.booleans()):
+            parts.insert(draw(st.integers(0, len(parts))), draw(
+                formulas(lang, bound, depth - 1, quantifiers - n)))
+        body = _chain(And, parts)
+        for name, sort in reversed(bound[len(scope):]):
+            body = cls(Var(name, sort), body)
+        return body
+    family = draw(st.sampled_from(lang.families))
+    sort = (lang.sorts[0] if family == "tau"
+            else lang.vocab.family(family).sort)
+    hole = Var(f"h{len(scope)}", sort)
+    body = draw(formulas(lang, list(scope) + [(hole.name, sort)], depth - 1,
+                         quantifiers - 1))
+    return draw(st.sampled_from([SchemaConj, SchemaDisj]))(hole, body, family)
+
+
+def _compare(s, f, fuel, fragment, extra):
+    want = _outcome(lambda: reference_eval(s, f, {}, fuel, extra, fragment))
+    got = _outcome(lambda: structures._eval(s, f, {}, fuel, extra, fragment))
+    assert got == want, (print_formula(f), fuel, fragment)
+    if not isinstance(want, type):
+        value = eval_sentence(s, f, fuel, extra, fragment).value
+        assert value == {True: "true", False: "false", None: "unknown"}[want]
+
+
+SETTINGS = settings(max_examples=300, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@SETTINGS
+@given(seed=st.integers(0, 10 ** 6),
+       f=formulas(LANGUAGES["finite"], quantifiers=4),
+       fuel=st.sampled_from([1, 3, 8]), fragment=st.booleans(),
+       named=st.booleans())
+def test_matches_reference_on_finite_structures(seed, f, fuel, fragment,
+                                                named):
+    s = _finite_structure(random.Random(seed))
+    extra = {m: s.domains["S"][0] for m in D[:2]} if named else {}
+    _compare(s, f, fuel, fragment, extra)
+
+
+@SETTINGS
+@given(data=st.data(), name=st.sampled_from(sorted(PRESENTATIONS)),
+       fuel=st.sampled_from([1, 3, 8]), fragment=st.booleans())
+def test_matches_reference_on_presentations(data, name, fuel, fragment):
+    f = data.draw(formulas(LANGUAGES[name], depth=2))
+    _compare(PRESENTATIONS[name], f, fuel, fragment, {})
+
+
+def test_early_checks_keep_unknown_and_errors():
+    # over a range that is not exhaustive a false conjunct does not make
+    # the block false, and a conjunct that raises keeps its place
+    nat = PRESENTATIONS["omega-succ"]
+    f = parse_formula("exists x:N. exists y:N. (x != x & y = S(0))",
+                      nat.vocab)
+    assert eval_sentence(nat, f, 4).value == "unknown"
+    assert eval_sentence(nat, f, 4, fragment=True).value == "false"
+    s = _finite_structure(random.Random(1))
+    s.relations["R"] = set()
+    x, y = Var("x", "S"), Var("y", "S")
+    missing = Atom("P", (Const("e9", "S"),))  # no such element
+    r_xy = Atom("R", (x, y))
+    # R(x, y) is false throughout, so P(e9) after it is never reached, and
+    # the conjunct x != x, checked early, may not skip P(e9) before it
+    assert eval_sentence(s, Exists(x, Exists(y, And(r_xy, missing)))
+                         ).value == "false"
+    for body in (And(missing, Not(Eq(x, x))), And(missing, r_xy)):
+        f = Exists(x, Exists(y, body))
+        assert _outcome(lambda: reference_eval(s, f, {}, 8, {})) is EvalError
+        assert _outcome(lambda: eval_sentence(s, f)) is EvalError
+
+
+# -- plans
+
+
+def test_plan_is_reused_and_released():
+    s = _finite_structure(random.Random(2))
+    f = parse_formula("exists x:S. exists y:S. (R(x, y) & P(y))", FINITE)
+    key = id(f)
+    eval_sentence(s, f)
+    code = evaluation._PLANS[key][1]["finite"]
+    eval_sentence(_finite_structure(random.Random(3)), f)
+    assert evaluation._PLANS[key][1]["finite"] is code
+    del f, code
+    gc.collect()
+    assert key not in evaluation._PLANS
+
+
+# -- the sort of a schema hole over tau
+
+
+TWO_SORTED = parse_vocabulary("sort N\nsort B\nconst 0 : N\nconst b : B\n"
+                              "rel P : N")
+TAU_P = "/\\{ P(x) : x in tau }"
+
+
+def test_tau_schema_ranges_over_its_hole_sort():
+    f = parse_formula(TAU_P, TWO_SORTED)
+    finite = FiniteStructure(TWO_SORTED, {"N": ["n0", "n1"], "B": ["b0"]},
+                             {"P": {("n0",)}}, constants={"0": "n0", "b": "b0"})
+    assert eval_sentence(finite, f).value == "true"
+    finite.relations["P"] = set()
+    assert eval_sentence(finite, f).value == "false"
+    # a presentation: the tau stream of the hole's sort
+    holds = {("0",): True}
+    pres = TermGeneratedStructure(
+        TWO_SORTED, rel_deciders={"P": lambda args: holds[
+            tuple(print_term(a) for a in args)]})
+    assert eval_sentence(pres, f, fuel=4, fragment=True).value == "true"
+
+
+def test_tau_schema_on_a_valuation():
+    f = parse_formula(TAU_P, TWO_SORTED)
+    p0 = Atom("P", (Const("0", "N"),))
+    for truth, value in ((True, "true"), (False, "false")):
+        v = Valuation(TWO_SORTED, assignment={p0: truth})
+        assert _target_eval(v, f, 8).value == value
+
+
+# -- large sentences
+
+
+def _chain_structure(n, order=None):
+    vocab = parse_vocabulary("sort S\nrel < : S S")
+    dom = [f"a{i}" for i in range(n)]
+    less = {(a, b) for i, a in enumerate(dom) for b in dom[i + 1:]}
+    return FiniteStructure(vocab, {"S": order or dom}, {"<": less})
+
+
+def test_scott_sentence_of_an_80_chain():
+    chain = _chain_structure(80)
+    f = scott_sentence_finite(chain)
+    text = print_formula(f)
+    assert text.count("exists x") == 80
+    assert free_variables(f) == frozenset()
+    assert quantifier_rank(f) == 81
+    t0 = time.perf_counter()
+    assert eval_sentence(chain, f).value == "true"
+    # the bound holds in the chain's own domain order; on a shuffled copy
+    # the search backtracks far more
+    assert time.perf_counter() - t0 < 1.0
+    small = scott_sentence_finite(_chain_structure(6))
+    assert [eval_sentence(_chain_structure(n), small).value
+            for n in (5, 6, 7)] == ["false", "true", "false"]
+
+
+def _reference_print(f):
+    # the recursive printer the iterative one replaced, for And and Or
+    if isinstance(f, And):
+        return f"({_reference_print(f.left)} & {_reference_print(f.right)})"
+    if isinstance(f, Or):
+        return f"({_reference_print(f.left)} | {_reference_print(f.right)})"
+    if isinstance(f, Not) and not isinstance(f.body, Eq):
+        inner = _reference_print(f.body)
+        if isinstance(f.body, (Atom, Absurd, Not)) or inner.startswith("("):
+            return "~" + inner
+        return f"~({inner})"
+    if isinstance(f, (Forall, Exists)):
+        q = "forall" if isinstance(f, Forall) else "exists"
+        return f"{q} {f.var.name}:{f.var.sort}. {_reference_print(f.body)}"
+    if isinstance(f, (SchemaConj, SchemaDisj)):
+        op = "/\\{ " if isinstance(f, SchemaConj) else "\\/{ "
+        return (op + _reference_print(f.body)
+                + f" : {f.hole.name} in {f.family} }}")
+    return print_formula(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=formulas(LANGUAGES["finite"]))
+def test_printing_is_unchanged(f):
+    assert print_formula(f) == _reference_print(f)
+
+
+def test_printing_a_20_chain_is_unchanged():
+    f = scott_sentence_finite(_chain_structure(20))
+    assert print_formula(f) == _reference_print(f)

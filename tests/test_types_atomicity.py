@@ -4,7 +4,8 @@ import os
 import pytest
 
 from omegalogic.syntax import (
-    Const, Eq, Not, Var, parse_formula, parse_vocabulary, print_formula,
+    Const, Eq, Not, SyntaxError_, Var, parse_formula, parse_vocabulary,
+    print_formula,
 )
 from omegalogic.structures import (
     EvalError, FiniteStructure, all_finite_structures, eval_sentence,
@@ -262,6 +263,22 @@ def test_integers_doubling_witness():
     w = parse_witness_map(Z_WITNESS, s.vocab)
     v = generativity(s, bound=14, witness=w)
     assert v.verdict == "generative", v.reason
+
+
+@pytest.mark.parametrize("text, line", [
+    ("piece\nmisses D_1", 1),                       # no ':' and no '->'
+    ("piece x = x : x\nmisses D_1", 1),             # no '->'
+    ("piece x = x x -> x\nmisses D_1", 1),          # no ':'
+    ("piece x = x : x -> D_1(\nmisses D_1", 1),     # a bad image term
+    ("piece x = x : x -> x\n\nmisses D_1 D_2", 3),  # a bad misses term
+    ("piece x === x : x -> x\nmisses D_1", 1),      # a bad guard
+    ("piece x = x : y -> x\nmisses D_1", 1),
+    ("piece x = x : x -> x\nmap x", 2),
+])
+def test_malformed_witness_map_lines(text, line):
+    with pytest.raises(SyntaxError_) as err:
+        parse_witness_map(text, integers().vocab)
+    assert err.value.line == line
 
 
 def test_bad_witness_rejected():
