@@ -12,7 +12,7 @@ import sys
 from .syntax import (
     SyntaxError_, parse_formula, parse_term, parse_vocabulary, print_formula,
 )
-from .structures import EvalError, load_structure, parse_structure
+from .structures import EvalError, parse_structure
 from . import propositional as prop
 from . import omega_rules as omr
 from .types_atomicity import (

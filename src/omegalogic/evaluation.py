@@ -54,16 +54,16 @@ def eval_sentence(s, f: Formula, fuel: int = 8, extra_names=None,
     left to right and stop at the first false conjunct or true disjunct;
     an unknown part stops neither. A quantifier or schema tries its values
     in range order and stops at the first one that settles it. Under a
-    block of existential quantifiers over a conjunction, a conjunct is
-    checked as soon as the last block variable it mentions is bound, not
-    once all of them are, when: every range of the block is exhaustive (a
-    finite sort, `fragment=True`, or a presentation range shorter than
-    `fuel`); the conjunct has no quantifier, schema or function
-    application, and on a presentation no relation atom; and it and every
-    conjunct before it name only relations and constants that `s`
-    interprets. A false early conjunct then rejects every extension of
-    the bound values at once. Verdicts and raised errors are those of
-    checking the whole conjunction once every variable is bound.
+    block of existential quantifiers over a conjunction, the leading run
+    of conjuncts with no quantifier, schema or function application (and
+    on a presentation no relation atom) is checked early, each as soon as
+    the last block variable it mentions is bound, if every range of the
+    block is exhaustive (a finite sort, `fragment=True`, or a presentation
+    range shorter than `fuel`) and, on a finite structure, `s` interprets
+    every relation and constant the run names; otherwise every conjunct is
+    checked once every block variable is bound (plain order). A false
+    early conjunct rejects every extension of the bound values at once.
+    Verdicts and raised errors are those of plain order.
     """
     code = _compiled(f, s.kind)
     if s.kind == "term-generated" and fuel <= 0 and code.quantified:
@@ -138,7 +138,7 @@ class _Code:
 
 class _Call:
     """What one evaluation call shares: the structure, its bounds, and the
-    ranges and block schedules worked out so far.  Nothing here outlives
+    ranges and block placements worked out so far.  Nothing here outlives
     the call, so no value depends on an earlier one."""
 
     __slots__ = ("s", "fuel", "extra", "fragment", "rels", "ranges",
@@ -151,27 +151,27 @@ class _Call:
         self.blocks = {}
 
     def sort_range(self, sort):
-        """The values a quantifier over `sort` takes, and whether they are
-        the whole sort; a stream that ends within the fuel has listed it."""
+        """The values a quantifier over `sort` takes, whether they are the
+        whole sort (a stream that ends within the fuel has listed it), and
+        no error."""
         r = self.ranges.get(sort)
         if r is None:
             s = self.s
             if s.kind == "finite":
-                r = (s.elements(sort), True)
+                r = (s.elements(sort), True, None)
             else:
                 values = s.enumerate_elements(self.fuel, sort)
-                r = (values, len(values) < self.fuel)
+                r = (values, len(values) < self.fuel, None)
             self.ranges[sort] = r
         return r
 
-    def schema_range(self, family, sort):
-        """The elements a schema hole of `sort` over `family` takes, whether
-        they are all of them, and the error that naming the next one raised
-        (raised only where the loop reaches it)."""
-        key = (family, sort)
+    def schema_range(self, key):
+        """The elements a schema hole of `sort` over `family`, the pair
+        `key`, takes, whether they are all of them, and the error that
+        naming the next one raised (raised only where the loop reaches it)."""
         r = self.ranges.get(key)
         if r is None:
-            s = self.s
+            s, (family, sort) = self.s, key
             if family == "tau" and s.kind == "term-generated":
                 names = itertools.islice(
                     (t for t in s._ground_terms("tau", sort)
@@ -188,6 +188,16 @@ class _Call:
                 error = e
             r = self.ranges[key] = (values, exhaustive, error)
         return r
+
+    def exhaustive(self, sorts, names):
+        """Whether a block over `sorts` may check conjuncts that use
+        `names` early: every range is the whole sort and, on a finite
+        structure, every sort exists and every name is interpreted."""
+        if self.rels is not None:
+            return (all(sort in self.s.domains for sort in sorts)
+                    and all(map(self.interprets, names)))
+        return self.fragment or all(self.sort_range(sort)[1]
+                                    for sort in sorts)
 
     def interprets(self, name):
         """Whether the finite structure interprets a relation name or a
@@ -289,31 +299,18 @@ class _Compiler:
         return lambda c, e: tuple([e[i] for i in idx]) in c.rels[rel]
 
     def schema(self, f, scope):
+        """A schema, run as a one-level block over its family."""
         self.quantified = True
         slot = self.new_slot()
-        body = self.formula(f.body, {**scope, f.hole.name: slot})
-        family, sort = f.family, f.hole.sort
-        want = isinstance(f, SchemaDisj)
-
-        def schema(c, e):
-            values, exhaustive, error = c.schema_range(family, sort)
-            unknown = False
-            for v in values:
-                e[slot] = v
-                r = body(c, e)
-                if r is None:
-                    unknown = True
-                elif r == want:
-                    return want
-            if error is not None:
-                raise error
-            if unknown or not (exhaustive or c.fragment):
-                return None
-            return not want
-        return schema
+        checks = [(self.formula(f.body, {**scope, f.hole.name: slot}),)]
+        level = self.loop(_Call.schema_range, [(f.family, f.hole.sort)],
+                          [slot], isinstance(f, SchemaDisj))
+        return lambda c, e: level(c, e, 0, False, checks)
 
     def block(self, f, scope):
-        """A run of quantifiers of one kind, `Q x1 ... Q xn. body`."""
+        """A run of quantifiers of one kind, `Q x1 ... Q xn. body`, whose
+        body's conjuncts the loop checks all at the last level in plain
+        order, or else at the levels of `placement`."""
         self.quantified = True
         kind, sorts, slots = type(f), [], []
         while type(f) is kind:
@@ -321,37 +318,40 @@ class _Compiler:
             slots.append(self.new_slot())
             scope = {**scope, f.var.name: slots[-1]}
             f = f.body
-        want, last = kind is Exists, len(slots) - 1
+        want = kind is Exists
         conjuncts = juncts(f, And)
         parts = [self.formula(g, scope) for g in conjuncts]
-        body = parts[0] if len(parts) == 1 else _conjunction(parts)
+        plain = [()] * (len(slots) - 1) + [tuple(parts)]
+        level = self.loop(_Call.sort_range, sorts, slots, want)
+        early, names = (None, None)
+        if want and len(slots) > 1 and len(parts) > 1:  # else not worth it
+            early, names = self.placement(conjuncts, parts, scope, slots)
+        if early is None:
+            return lambda c, e: level(c, e, 0, False, plain)
 
-        def nested(c, e, i):
-            values, exhaustive = c.sort_range(sorts[i])
-            slot, unknown = slots[i], False
-            for v in values:
-                e[slot] = v
-                r = body(c, e) if i == last else nested(c, e, i + 1)
-                if r is None:
-                    unknown = True
-                elif r == want:
-                    return want
-            if unknown or not (exhaustive or c.fragment):
-                return None
-            return not want
+        def block(c, e):
+            checks = c.blocks.get(block)
+            if checks is None:
+                checks = c.blocks[block] = (
+                    early if c.exhaustive(sorts, names) else plain)
+            return level(c, e, 0, False, checks)
+        return block
 
-        schedule = (want and last > 0 and len(parts) > 1 and _Schedule(
-            self.finite, conjuncts, parts, scope, slots, sorts))
-        if not schedule or not any(level < last
-                                   for level in schedule.levels):
-            return lambda c, e: nested(c, e, 0)
+    def loop(self, range_of, keys, slots, want):
+        """The one quantifier loop: `level(c, e, 0, False, checks)` binds
+        each slot in turn to the values `range_of(c, key)` lists for its
+        key, and checks the callables `checks[i]` once slot i is bound.
+        With `want` true (`exists`) it is true once every check holds on a
+        binding; with `want` false (`forall`), false once one fails."""
+        last = len(slots) - 1
 
-        def search(c, e, i, unknown, ranges, checks):
-            # True if some extension of slots[:i] makes the body true,
-            # else None if some left it unknown, else False
+        def level(c, e, i, unknown, checks):
+            # the value over the extensions of slots[:i], where the checks
+            # above level i passed, or left it unknown if `unknown`
+            values, exhaustive, error = range_of(c, keys[i])
             slot, here, deeper = slots[i], checks[i], i < last
             found_unknown = False
-            for v in ranges[i]:
+            for v in values:
                 e[slot] = v
                 u = unknown
                 for check in here:
@@ -362,73 +362,44 @@ class _Compiler:
                         u = True
                 else:
                     if deeper:
-                        r = search(c, e, i + 1, u, ranges, checks)
-                        if r:
-                            return True
+                        r = level(c, e, i + 1, u, checks)
                         if r is None:
                             found_unknown = True
+                        elif r == want:
+                            return want
                     elif u:
                         found_unknown = True
-                    else:
+                    elif want:
                         return True
-            return None if found_unknown else False
+                    continue
+                if not want:  # a false conjunct refutes `forall`
+                    return False
+            if error is not None:
+                raise error
+            if found_unknown or not (exhaustive or c.fragment):
+                return None
+            return not want
+        return level
 
-        def block(c, e):
-            plan = c.blocks.get(schedule)
-            if plan is None:
-                plan = c.blocks[schedule] = schedule.plan(c)
-            if plan is False:
-                return nested(c, e, 0)
-            return search(c, e, 0, False, *plan)
-        return block
-
-
-class _Schedule:
-    """Where the conjuncts of an existential block are checked: each at
-    the level that binds the last block variable it mentions.  Only a
-    leading run of conjuncts that cannot raise moves (see `eval_sentence`);
-    the others are checked in order once every variable is bound."""
-
-    def __init__(self, finite, conjuncts, parts, scope, slots, sorts):
-        self.parts, self.sorts, self.last = parts, sorts, len(slots) - 1
+    def placement(self, conjuncts, parts, scope, slots):
+        """The checks at each level of an existential block when its
+        leading run of conjuncts that cannot raise (`_early_check`) moves,
+        each to the level binding the last block variable it mentions, and
+        the relation and ground names that run uses; (None, None) when no
+        conjunct moves above the last level."""
         level_of = {slot: i for i, slot in enumerate(slots)}
-        self.levels, self.names = [], []
-        for g in conjuncts:
-            found = _early_check(g, scope, level_of, finite)
+        checks, names, moved = [[] for _ in slots], set(), 0
+        for g, part in zip(conjuncts, parts):
+            found = _early_check(g, scope, level_of, self.finite)
             if found is None:
                 break
-            self.levels.append(found[0])
-            self.names.append(found[1])
-        self.all_names = frozenset().union(*self.names)
-        self.by_count = {}  # number of conjuncts that move -> checks
-
-    def plan(self, c):
-        """The ranges and the checks at each level for one call, or False
-        to evaluate the block in plain order."""
-        moving = len(self.levels)
-        if c.rels is not None and not all(map(c.interprets, self.all_names)):
-            moving = next(j for j, names in enumerate(self.names)
-                          if not all(map(c.interprets, names)))
-        checks = self.by_count.get(moving)
-        if checks is None:
-            checks = [[] for _ in self.sorts]
-            for j, part in enumerate(self.parts):
-                checks[self.levels[j] if j < moving else self.last].append(
-                    part)
-            if len(checks[self.last]) == len(self.parts):
-                checks = False  # nothing moves
-            self.by_count[moving] = checks
-        if checks is False:
-            return False
-        if c.rels is not None:  # a finite structure: every range is whole
-            try:
-                return [c.s.domains[sort] for sort in self.sorts], checks
-            except KeyError:  # an unknown sort raises where plain order does
-                return False
-        ranges = [c.sort_range(sort) for sort in self.sorts]
-        if not c.fragment and not all(exhaustive for _, exhaustive in ranges):
-            return False
-        return [values for values, _ in ranges], checks
+            checks[found[0]].append(part)
+            names |= found[1]
+            moved += 1
+        checks[-1] += parts[moved:]
+        if len(checks[-1]) == len(parts):
+            return None, None
+        return [tuple(here) for here in checks], names
 
 
 def _early_check(g, scope, level_of, finite):

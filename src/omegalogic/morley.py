@@ -9,11 +9,10 @@ bundles produce identical bytes.
 
 import re
 from dataclasses import dataclass
-from typing import Optional
 
 from .syntax import (
-    And, App, Atom, Const, ConstantFamily, Eq, Exists, Forall, Formula, Not,
-    Or, SyntaxError_, Var, Vocabulary, free_variables, parse_formula,
+    And, App, Atom, Const, Eq, Exists, Forall, Formula, Not, Or,
+    SyntaxError_, Var, Vocabulary, free_variables, parse_formula,
     parse_vocabulary, print_formula,
 )
 from .structures import EvalError, eval_sentence

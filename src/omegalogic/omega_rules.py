@@ -8,16 +8,16 @@ them with tags, and soundness mode spot-checks them at bounded fuel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
-    Absurd, And, App, Atom, BOT, Const, ConstantFamily, Eq, Exists,
+    Absurd, App, Atom, BOT, Const, ConstantFamily, Eq, Exists,
     FamilyMember, Forall, Formula, Not, Or, SchemaConj, SyntaxError_, Term,
     Var, Vocabulary, constants_in, implies, parse_formula, parse_term,
     print_formula, print_term, substitute, term_is_ground,
 )
-from .structures import EvalError, TruthAtFuel, _family_terms, eval_sentence
+from .structures import TruthAtFuel, _family_terms, eval_sentence
 
 
 SCHEMA_NAMES = (

@@ -12,7 +12,7 @@ enumerated with a small DPLL solver.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import Absurd, And, Atom, BOT, Formula, Not, Or, print_formula
@@ -22,7 +22,7 @@ RULE_CATALOGUE = ("&I", "&E1", "&E2", "vI1", "vI2", "vE", "vE_MC",
                   "negI", "negE", "DN", "Refutation")
 
 UNIVERSE_GUARD_DEPTH = 4
-UNIVERSE_GUARD_BRUTE = 22
+MAX_VALUATIONS = 200000
 
 
 class GuardError(Exception):
@@ -405,7 +405,6 @@ def dpll(clauses, nvars, assumptions=(), limit=None):
             changed = False
             new_cls = []
             for cl in cls:
-                vals = []
                 unassigned = []
                 sat = False
                 for lit in cl:
@@ -469,32 +468,18 @@ def is_admissible(v, rules, u: SentenceUniverse, depth: int = 6) -> bool:
     return clauses_satisfied(v, u, admissibility_clauses(rules, u, depth))
 
 
-def admissible_valuations(rules, u: SentenceUniverse, derivability_depth=6,
-                          method="auto", max_valuations=200000):
+def admissible_valuations(rules, u: SentenceUniverse, derivability_depth=6):
     """The admissible total valuations on the universe, as dicts, in
     lexicographic order of their truth vectors.
 
-    'brute' enumerates all 2^|u| assignments (guard |u| <= 22); 'sat'
-    enumerates models of the admissibility clauses directly.
+    Always enumerates the models of the admissibility clauses with `dpll`;
+    more than `MAX_VALUATIONS` of them raises `GuardError`.
     """
     clauses = admissibility_clauses(rules, u, derivability_depth)
-    n = len(u)
-    if method == "auto":
-        method = "brute" if n <= 14 else "sat"
-    if method == "brute":
-        if n > UNIVERSE_GUARD_BRUTE:
-            raise GuardError(f"universe of {n} sentences exceeds brute-force "
-                             f"guard {UNIVERSE_GUARD_BRUTE}")
-        out = []
-        for bits in itertools.product((False, True), repeat=n):
-            assign = dict(zip(u.sentences, bits))
-            if clauses_satisfied(assign, u, clauses):
-                out.append(assign)
-        return out
-    models = dpll(clauses, n, limit=max_valuations + 1)
-    if len(models) > max_valuations:
+    models = dpll(clauses, len(u), limit=MAX_VALUATIONS + 1)
+    if len(models) > MAX_VALUATIONS:
         raise GuardError("admissible set exceeds enumeration cap "
-                         f"{max_valuations}; use forcing queries instead")
+                         f"{MAX_VALUATIONS}; use forcing queries instead")
     return [dict(zip(u.sentences, m)) for m in models]
 
 

@@ -15,10 +15,9 @@ from .evaluation import (  # the evaluator's names, which callers import
     EvalError, TruthAtFuel, _eval, _family_terms, eval_sentence,
 )
 from .syntax import (
-    Absurd, And, App, Atom, Const, ConstantFamily, Eq, FamilyMember,
-    Formula, Not, Or, SyntaxError_, Term, Var,
-    Vocabulary, applications, arg_tuples, parse_formula, parse_term,
-    parse_vocabulary, print_term, subterms, term_is_ground,
+    Absurd, And, App, Atom, Const, Eq, FamilyMember, Formula, Not, Or,
+    SyntaxError_, Term, Var, Vocabulary, applications, arg_tuples,
+    parse_term, parse_vocabulary, print_term, subterms, term_is_ground,
 )
 
 
@@ -290,13 +289,11 @@ class Valuation:
     """A map from sentences to truth values, either backed by a structure
     (the quantifier-free diagram) or by an explicit finite assignment."""
 
-    def __init__(self, vocab, structure=None, name_map=None, assignment=None,
-                 tag="classical"):
+    def __init__(self, vocab, structure=None, name_map=None, assignment=None):
         self.vocab = vocab
         self.structure = structure
         self.name_map = dict(name_map or {})
         self.assignment = dict(assignment or {})
-        self.tag = tag
 
     def value(self, sentence: Formula):
         if sentence in self.assignment:
@@ -326,7 +323,7 @@ def valuation_of_structure(s, naming: str) -> Valuation:
         if naming != "tau" and naming != s.generated_by:
             raise EvalError("naming must be the generator family of a "
                             "term-generated presentation")
-    return Valuation(s.vocab, structure=s, name_map=name_map, tag="diagram")
+    return Valuation(s.vocab, structure=s, name_map=name_map)
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +574,9 @@ def _backtrack_embedding(a, b):
 # Structure files
 
 
-def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None,
-                    vocab_loader=None):
+def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None):
     """Parse the structure file format; `over <file>` resolves the
-    vocabulary via `vocab_loader` (or relative to `base_dir`)."""
+    vocabulary relative to `base_dir`."""
     import os
 
     name = "anonymous"
@@ -616,13 +612,9 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None,
             if head == "structure":
                 name = parts[1]
                 if len(parts) >= 4 and parts[2] == "over" and vocab is None:
-                    ref = parts[3]
-                    if vocab_loader is not None:
-                        vocab = vocab_loader(ref)
-                    else:
-                        path = os.path.join(base_dir or ".", ref)
-                        with open(path) as fh:
-                            vocab = parse_vocabulary(fh.read())
+                    path = os.path.join(base_dir or ".", parts[3])
+                    with open(path) as fh:
+                        vocab = parse_vocabulary(fh.read())
             elif head == "domain":
                 sort = parts[1]
                 inner = line.split("{", 1)[1].rsplit("}", 1)[0].split()
@@ -655,7 +647,8 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None,
                 check_named([parts[3]])
                 constants[parts[1]] = parts[3]
             elif head == "generated":
-                generated_by = parts[2]  # 'generated by tau' / 'generated by D'
+                # 'generated by tau' / 'generated by D'
+                generated_by, generated_line = parts[2], lineno
             elif head == "rewrite":
                 if vocab is None:
                     raise SyntaxError_("rewrite before vocabulary known",
@@ -700,8 +693,11 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None,
     if vocab is None:
         raise SyntaxError_("structure file names no vocabulary")
     if generated_by is not None:
-        return TermGeneratedStructure(vocab, generated_by, rewrites,
-                                      rel_deciders, name=name)
+        try:
+            return TermGeneratedStructure(vocab, generated_by, rewrites,
+                                          rel_deciders, name=name)
+        except SyntaxError_ as e:  # an unknown generating family
+            raise SyntaxError_(e.message, generated_line, 1) from None
     return FiniteStructure(vocab, domains, relations, functions, constants,
                            name=name)
 

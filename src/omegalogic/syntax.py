@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 
@@ -118,28 +118,31 @@ class Vocabulary:
     def __init__(self, sorts, symbols, families=()):
         self.sorts = tuple(sorts)
         self.symbols = {}
-        for decl in symbols:
-            if decl.name in self.symbols:
-                raise SyntaxError_(f"duplicate symbol {decl.name!r}")
-            for s in decl.arg_sorts:
-                if s not in self.sorts:
-                    raise SyntaxError_(f"unknown sort {s!r} in {decl.name!r}")
-            if decl.result_sort is not None and decl.result_sort not in self.sorts:
-                raise SyntaxError_(f"unknown sort {decl.result_sort!r} in {decl.name!r}")
-            self.symbols[decl.name] = decl
         self.families = {}
+        for decl in symbols:
+            self._add_symbol(decl)
         for fam in families:
-            if fam.name in self.symbols or fam.name in self.families:
-                raise SyntaxError_(f"family name {fam.name!r} clashes with existing symbol")
-            if fam.sort not in self.sorts:
-                raise SyntaxError_(f"unknown sort {fam.sort!r} in family {fam.name!r}")
-            if fam.members is not None:
-                for m in fam.members:
-                    if m in self.symbols:
-                        raise SyntaxError_(f"family member {m!r} clashes with symbol")
-                self.families[fam.name] = fam
-            else:
-                self.families[fam.name] = fam
+            self._add_family(fam)
+
+    def _add_symbol(self, decl):
+        if decl.name in self.symbols:
+            raise SyntaxError_(f"duplicate symbol {decl.name!r}")
+        for s in decl.arg_sorts:
+            if s not in self.sorts:
+                raise SyntaxError_(f"unknown sort {s!r} in {decl.name!r}")
+        if decl.result_sort is not None and decl.result_sort not in self.sorts:
+            raise SyntaxError_(f"unknown sort {decl.result_sort!r} in {decl.name!r}")
+        self.symbols[decl.name] = decl
+
+    def _add_family(self, fam):
+        if fam.name in self.symbols or fam.name in self.families:
+            raise SyntaxError_(f"family name {fam.name!r} clashes with existing symbol")
+        if fam.sort not in self.sorts:
+            raise SyntaxError_(f"unknown sort {fam.sort!r} in family {fam.name!r}")
+        for m in fam.members or ():
+            if m in self.symbols:
+                raise SyntaxError_(f"family member {m!r} clashes with symbol")
+        self.families[fam.name] = fam
 
     def constants(self, sort=None):
         return [d for d in self.symbols.values()
@@ -611,8 +614,7 @@ def parse_vocabulary(text: str) -> Vocabulary:
         family Names : S = { a b c }
     """
     sorts = []
-    symbols = []
-    families = []
+    symbols, families = [], []  # (line, declaration) pairs
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -629,7 +631,7 @@ def parse_vocabulary(text: str) -> Vocabulary:
                 name = parts[1]
                 if parts[2] != ":":
                     raise SyntaxError_("expected ':'", lineno, 1)
-                symbols.append(SymbolDecl(name, "rel", tuple(parts[3:]), None))
+                symbols.append((lineno, SymbolDecl(name, "rel", tuple(parts[3:]), None)))
             elif head == "fun":
                 name = parts[1]
                 if parts[2] != ":":
@@ -639,13 +641,13 @@ def parse_vocabulary(text: str) -> Vocabulary:
                     raise SyntaxError_("expected '->' in fun declaration", lineno, 1)
                 arrow = rest.index("->")
                 args, (result,) = rest[:arrow], rest[arrow + 1:]
-                symbols.append(SymbolDecl(name, "fun", tuple(args), result))
+                symbols.append((lineno, SymbolDecl(name, "fun", tuple(args), result)))
             elif head == "const":
                 name = parts[1]
                 if parts[2] != ":":
                     raise SyntaxError_("expected ':'", lineno, 1)
                 (sort,) = parts[3:]
-                symbols.append(SymbolDecl(name, "const", (), sort))
+                symbols.append((lineno, SymbolDecl(name, "const", (), sort)))
             elif head == "family":
                 name = parts[1]
                 if parts[2] != ":":
@@ -658,18 +660,28 @@ def parse_vocabulary(text: str) -> Vocabulary:
                     if len(rest) >= 3 and rest[1] == "scheme":
                         scheme = rest[2]
                         arity = 2 if scheme == "rationals" else 1
-                    families.append(ConstantFamily(name, sort, None, arity, scheme))
+                    families.append((lineno, ConstantFamily(name, sort, None, arity, scheme)))
                 elif rest and rest[0] == "=":
                     if rest[1] != "{" or rest[-1] != "}":
                         raise SyntaxError_("expected '{ members }'", lineno, 1)
-                    families.append(ConstantFamily(name, sort, tuple(rest[2:-1])))
+                    families.append((lineno, ConstantFamily(name, sort, tuple(rest[2:-1]))))
                 else:
                     raise SyntaxError_("expected 'countable' or '= { ... }'", lineno, 1)
             else:
                 raise SyntaxError_(f"unknown declaration {head!r}", lineno, 1)
         except (IndexError, ValueError):
             raise SyntaxError_(f"malformed declaration: {line!r}", lineno, 1)
-    return Vocabulary(sorts, symbols, families)
+    # sorts may be declared below their first use, so the declarations are
+    # checked once all are read: every symbol first, as the constructor does
+    vocab = Vocabulary(sorts, ())
+    for add, decls in ((vocab._add_symbol, symbols),
+                       (vocab._add_family, families)):
+        for lineno, decl in decls:
+            try:
+                add(decl)
+            except SyntaxError_ as e:
+                raise SyntaxError_(e.message, lineno, 1) from None
+    return vocab
 
 
 def print_vocabulary(vocab: Vocabulary) -> str:

@@ -114,7 +114,7 @@ def _probe_tuples(probe, arity, bound=12):
     return itertools.product(elems, repeat=arity)
 
 
-def is_principal(t: TypeDescriptor, probes, rank=None, fuel=8,
+def is_principal(t: TypeDescriptor, probes, fuel=8,
                  bound=12) -> TypeDescriptor:
     """Classify the type against the probe structures.
 
@@ -176,8 +176,7 @@ def is_atomic(s, rank, fuel=8, max_arity=1) -> AtomicityVerdict:
                    "non-principal evidence accumulates at the rank bound")
     for arity in range(1, max_arity + 1):
         for tup in _probe_tuples(s, arity):
-            td = is_principal(complete_type(s, tup, rank, fuel), [s],
-                              rank, fuel)
+            td = is_principal(complete_type(s, tup, rank, fuel), [s], fuel)
             if td.classification == "nonprincipal":
                 return AtomicityVerdict("not-atomic-at-rank", rank,
                                         evidence=td.evidence)
@@ -282,7 +281,7 @@ def ef_signature(s, rounds):
     finite structures are EF-equivalent at that many rounds iff their
     signatures are equal.  Its parts are interned in a table local to the
     call, so equal parts are one object (see `_signatures`).  Moves range
-    over the elements of every sort (see ROADMAP item 3)."""
+    over the elements of every sort (see ROADMAP item 1)."""
     return _signatures(s, {})((), rounds)
 
 
@@ -356,7 +355,7 @@ def ef_equivalent(a, b, rounds, want_formula=True):
     only into that move against each reply.  A move to an element already
     among the points wins exactly when the two tuples differ with a round
     less.  The game ignores sorts: a move ranges over the elements of every
-    sort, and variables are typed at the first sort (ROADMAP item 3)."""
+    sort, and variables are typed at the first sort (ROADMAP item 1)."""
     table = {}
     sigs = {id(a): _signatures(a, table), id(b): _signatures(b, table)}
     if sigs[id(a)]((), rounds) is sigs[id(b)]((), rounds):

@@ -100,7 +100,7 @@ def test_criterion_04_restored_categoricity():
     t0 = time.monotonic()
     u = prop.sentence_universe(("p", "q"), 1)
     vals = prop.admissible_valuations(prop.RULE_CATALOGUE, u,
-                                      derivability_depth=6, method="sat")
+                                      derivability_depth=6)
     got = {tuple(v[s] for s in u.sentences) for v in vals}
     want = {tuple(v[s] for s in u.sentences)
             for v in prop.classical_valuations(u)}

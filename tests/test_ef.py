@@ -1,7 +1,7 @@
 """Ehrenfeucht-Fraisse equivalence and separating sentences, pinned against
 the search it replaced: signatures built without sharing, and a
 separating-sentence search that tries every Spoiler move and every reply.
-Like that reference, the game ignores sorts (ROADMAP item 3), so sentences
+Like that reference, the game ignores sorts (ROADMAP item 1), so sentences
 are checked by evaluation on single-sorted vocabularies only; on two-sorted
 ones the results are compared with the reference."""
 

@@ -306,6 +306,16 @@ def test_matches_reference_on_presentations(data, name, fuel, fragment):
     _compare(PRESENTATIONS[name], f, fuel, fragment, {})
 
 
+def test_an_unknown_part_leaves_a_block_unknown():
+    nat = PRESENTATIONS["omega-succ"]
+    for text in ("exists x:N. forall y:N. y = y",
+                 "exists x:N. (x = x & forall y:N. y = y)",
+                 "forall x:N. exists y:N. y != y"):
+        f = parse_formula(text, nat.vocab)
+        assert reference_eval(nat, f, {}, 3, {}) is None
+        assert eval_sentence(nat, f, 3).value == "unknown", text
+
+
 def test_early_checks_keep_unknown_and_errors():
     # over a range that is not exhaustive a false conjunct does not make
     # the block false, and a conjunct that raises keeps its place
@@ -314,6 +324,12 @@ def test_early_checks_keep_unknown_and_errors():
                       nat.vocab)
     assert eval_sentence(nat, f, 4).value == "unknown"
     assert eval_sentence(nat, f, 4, fragment=True).value == "false"
+    # nor where only the outer range is whole and a deeper one is cut off
+    mixed = TermGeneratedStructure(parse_vocabulary(
+        "sort B\nsort N\nconst b : B\nconst 0 : N\nfun S : N -> N"))
+    f = parse_formula("exists x:B. exists y:N. (x != x & y = S(0))",
+                      mixed.vocab)
+    assert eval_sentence(mixed, f, 4).value == "unknown"
     s = _finite_structure(random.Random(1))
     s.relations["R"] = set()
     x, y = Var("x", "S"), Var("y", "S")
@@ -327,6 +343,11 @@ def test_early_checks_keep_unknown_and_errors():
         f = Exists(x, Exists(y, body))
         assert _outcome(lambda: reference_eval(s, f, {}, 8, {})) is EvalError
         assert _outcome(lambda: eval_sentence(s, f)) is EvalError
+    # x != x, checked early, may not skip the range of a sort s lacks
+    z = Var("z", "U")
+    f = Exists(x, Exists(z, And(Not(Eq(x, x)), Eq(z, z))))
+    assert _outcome(lambda: reference_eval(s, f, {}, 8, {})) is KeyError
+    assert _outcome(lambda: eval_sentence(s, f)) is KeyError
 
 
 # -- plans

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from omegalogic.syntax import And, Atom, BOT, Not, Or
@@ -84,7 +86,7 @@ def test_rule_sound_examples():
 
 def test_conjunction_rules_force_meet():
     u = sentence_universe(["p", "q"], 1)
-    vals = admissible_valuations(["&I", "&E1", "&E2"], u, method="sat")
+    vals = admissible_valuations(["&I", "&E1", "&E2"], u)
     for v in vals:
         for f in u.sentences:
             if isinstance(f, And):
@@ -144,7 +146,7 @@ def test_truth_table_disjunction_restored():
 
 def test_full_rules_leave_only_classical():
     u = sentence_universe(["p", "q"], 1)
-    vals = admissible_valuations(FULL, u, method="sat")
+    vals = admissible_valuations(FULL, u)
     expected = classical_valuations(u)
     assert len(vals) == len(expected) == 4
     canon = {tuple(v[s] for s in u.sentences) for v in expected}
@@ -153,17 +155,35 @@ def test_full_rules_leave_only_classical():
 
 def test_adding_rules_shrinks_admissible_set():
     u = sentence_universe(["p"], 1)
-    small = admissible_valuations(["&I"], u, method="brute")
-    bigger_rules = admissible_valuations(["&I", "&E1", "&E2"], u, method="brute")
+    small = admissible_valuations(["&I"], u)
+    bigger_rules = admissible_valuations(["&I", "&E1", "&E2"], u)
     small_keys = {tuple(v[s] for s in u.sentences) for v in small}
     assert {tuple(v[s] for s in u.sentences)
             for v in bigger_rules} <= small_keys
 
 
+def brute_admissible(rules, u, depth=6):
+    """Reference: every one of the 2^|u| assignments, in lexicographic
+    order (False < True), kept when it satisfies the admissibility
+    clauses."""
+    clauses = admissibility_clauses(rules, u, depth)
+    out = []
+    for bits in itertools.product((False, True), repeat=len(u)):
+        assign = dict(zip(u.sentences, bits))
+        if clauses_satisfied(assign, u, clauses):
+            out.append(assign)
+    return out
+
+
+# the rule sets of the prop-forcing benchmark workload, no rules, and a mix
+ORACLE_RULE_SETS = (("&I", "&E1", "&E2"), ("vI1", "vI2", "vE"),
+                    ("negI", "negE", "DN"), FULL, (),
+                    ("&I", "&E1", "&E2", "negI", "negE", "DN"))
+
+
 def test_brute_and_sat_agree():
-    u = sentence_universe(["p"], 1)
-    rules = ["&I", "&E1", "&E2", "negI", "negE", "DN"]
-    brute = admissible_valuations(rules, u, method="brute")
-    sat = admissible_valuations(rules, u, method="sat")
-    key = lambda v: tuple(v[s] for s in u.sentences)
-    assert sorted(map(key, brute)) == sorted(map(key, sat))
+    for depth in (0, 1):
+        u = sentence_universe(["p"], depth)
+        for rules in ORACLE_RULE_SETS:
+            assert admissible_valuations(rules, u) == \
+                brute_admissible(rules, u), (depth, rules)

@@ -10,6 +10,7 @@ from omegalogic.structures import (
     valuation_of_structure,
 )
 from omegalogic.types_atomicity import scott_sentence_finite
+from omegalogic.cli import main
 
 
 ORD = parse_vocabulary("sort S\nrel < : S S\nfamily Names : S = { a b c }")
@@ -314,3 +315,17 @@ def test_structure_file_errors_name_the_line(line):
     with pytest.raises(SyntaxError_) as err:
         parse_structure(text, voc)
     assert err.value.line == 4
+
+
+def test_unknown_generating_family_names_its_line(tmp_path, capsys):
+    (tmp_path / "nat.voc").write_text("sort N\nconst 0 : N\n")
+    text = "structure s over nat.voc\ngenerated by E\n"
+    with pytest.raises(SyntaxError_) as info:
+        parse_structure(text, base_dir=str(tmp_path))
+    assert (info.value.line, info.value.message) == (
+        2, "unknown constant family 'E'")
+    bad = tmp_path / "bad.struct"
+    bad.write_text(text)
+    assert main(["scott", str(bad)]) == 2
+    assert capsys.readouterr().err == \
+        "omega: unknown constant family 'E' (line 2, col 1)\n"

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from omegalogic.cli import main
+
 from omegalogic.syntax import (
     And, App, Atom, Const, ConstantFamily, Eq, Exists, FamilyMember, Forall,
     Not, Or, SchemaConj, SyntaxError_, Var, free_variables,
@@ -47,6 +49,33 @@ def test_duplicate_symbol_error():
 def test_unknown_sort_error():
     with pytest.raises(SyntaxError_):
         parse_vocabulary("sort N\nconst 0 : M")
+
+
+def test_sort_may_be_declared_below_its_first_use():
+    vocab = parse_vocabulary("rel P : M\nsort M\n")
+    assert vocab.symbols["P"].arg_sorts == ("M",)
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("sort N\nconst 0 : N\nrel P : M\n", 3, "unknown sort 'M' in 'P'"),
+    ("sort N\nconst 0 : N\nrel P : N\nconst 0 : N\n", 4,
+     "duplicate symbol '0'"),
+    ("sort N\nfamily a : N countable\nconst a : N\n", 2,
+     "family name 'a' clashes with existing symbol"),
+    ("sort N\nconst a : N\n\nfamily F : N = { b a }\n", 4,
+     "family member 'a' clashes with symbol"),
+], ids=["unknown-sort", "duplicate-symbol", "family-name-clash",
+        "family-member-clash"])
+def test_vocabulary_errors_name_their_line(text, line, message, tmp_path,
+                                           capsys):
+    with pytest.raises(SyntaxError_) as info:
+        parse_vocabulary(text)
+    assert (info.value.line, info.value.message) == (line, message)
+    bad = tmp_path / "bad.voc"
+    bad.write_text(text)
+    assert main(["applicability", "--vocab", str(bad)]) == 2
+    assert capsys.readouterr().err == \
+        f"omega: {message} (line {line}, col 1)\n"
 
 
 def test_vocabulary_print_roundtrip():
