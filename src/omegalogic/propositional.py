@@ -5,8 +5,11 @@ truth-table determination.
 Admissibility of a valuation is soundness of the derivability relation the
 rules generate: every rule instance over the universe, every bounded-depth
 theorem, and every single-assumption consequence must be respected. These
-constraints are compiled to CNF clauses over the universe and checked or
-enumerated with a small DPLL solver.
+constraints are compiled to CNF clauses over the universe once per set of
+rules and proof depth; the universe keeps that immutable clause set, and the
+clause set keeps a two-watched-literal solver loaded with it, so every
+enumeration and forcing query over the universe reuses one compile and one
+loaded solver under new assumptions.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ class SentenceUniverse:
         self.sentences = tuple(sorted(
             flat, key=lambda f: (len(print_formula(f)), print_formula(f))))
         self.index = {f: i for i, f in enumerate(self.sentences)}
+        self._clauses = {}  # (frozenset of rules, depth) -> ClauseSet
 
     def __len__(self):
         return len(self.sentences)
@@ -332,10 +336,32 @@ def derivable(rules, premises, conclusions, depth_bound: int) -> Derivability:
 # Admissibility as CNF over the universe
 
 
+class ClauseSet(tuple):
+    """An immutable, sorted tuple of clauses (tuples of signed 1-based
+    variables) that keeps the solver `dpll` loads with it."""
+
+    def solver(self, nvars):
+        solver = self.__dict__.get("_solver")
+        if solver is None or solver.nvars != nvars:
+            solver = self._solver = _Solver(self, nvars)
+        return solver
+
+
 def admissibility_clauses(rules, u: SentenceUniverse, depth: int):
     """CNF clauses (signed 1-based universe indices) whose models are exactly
-    the admissible total valuations on the universe."""
+    the admissible total valuations on the universe, as a `ClauseSet`.
+
+    Compiled once per set of rules and depth; the universe keeps the result,
+    so rule order and repetition do not matter."""
     rules = _check_rules(rules)
+    key = (frozenset(rules), depth)
+    clauses = u._clauses.get(key)
+    if clauses is None:
+        clauses = u._clauses[key] = _compile_clauses(rules, u, depth)
+    return clauses
+
+
+def _compile_clauses(rules, u: SentenceUniverse, depth: int):
     idx = {f: i + 1 for f, i in u.index.items()}
     clauses = set()
 
@@ -386,69 +412,168 @@ def admissibility_clauses(rules, u: SentenceUniverse, depth: int):
         add([-idx[s] for s in u.sentences])
         add([-idx[BOT]])
 
-    return sorted(clauses)
+    return ClauseSet(sorted(clauses))
 
 
 # ---------------------------------------------------------------------------
-# DPLL
+# SAT: two watched literals, chronological backtracking
+
+
+class _Solver:
+    """One clause set over variables 1..nvars, loaded once and searched under
+    any number of assumption sets.
+
+    Each clause of two or more literals watches its first two (Moskewicz et
+    al. 2001, "Chaff"), so propagation visits only the clauses watching a
+    literal that just became false, and backtracking leaves the watches as
+    they are. Unit clauses and what they imply stay assigned at the root
+    between calls (Eén and Sörensson 2003, "An Extensible SAT-solver")."""
+
+    def __init__(self, clauses, nvars):
+        self.nvars = nvars
+        # value[lit] is the truth of a signed literal, None while unassigned:
+        # slot v holds +v and, by negative indexing, slot -v holds -v
+        self.value = [None] * (2 * nvars + 1)
+        self.watches = [[] for _ in range(2 * nvars + 1)]
+        self.trail = []  # true literals, in assignment order
+        self.head = 0  # trail[:head] has been propagated
+        self.ok = True  # False once the root level is contradictory
+        units = []
+        for clause in clauses:
+            lits = list(dict.fromkeys(clause))
+            self._check_range(lits)
+            members = set(lits)
+            if any(-lit in members for lit in lits):
+                continue  # a tautology constrains nothing
+            if len(lits) == 1:
+                units.append(lits[0])
+            elif lits:
+                self.watches[lits[0]].append(lits)
+                self.watches[lits[1]].append(lits)
+            else:
+                self.ok = False
+        for lit in units:
+            if self.value[lit] is None:
+                self._assign(lit)
+            elif self.value[lit] is False:
+                self.ok = False
+        self.ok = self.ok and self._propagate()
+        self.root = len(self.trail)
+
+    def _check_range(self, lits):
+        for lit in lits:
+            if not 0 < abs(lit) <= self.nvars:
+                raise ValueError(f"literal {lit} outside variables "
+                                 f"1..{self.nvars}")
+
+    def _assign(self, lit):
+        self.value[lit] = True
+        self.value[-lit] = False
+        self.trail.append(lit)
+
+    def _undo(self, mark):
+        value = self.value
+        for lit in self.trail[mark:]:
+            value[lit] = value[-lit] = None
+        del self.trail[mark:]
+        self.head = mark
+
+    def _propagate(self):
+        """Unit propagation from the trail's head; False on a conflict."""
+        value, watches, trail = self.value, self.watches, self.trail
+        head = self.head
+        while head < len(trail):
+            false_lit = -trail[head]
+            head += 1
+            watching = watches[false_lit]
+            keep = []
+            for k, clause in enumerate(watching):
+                other = clause[0]
+                if other == false_lit:
+                    other = clause[1]
+                    clause[0], clause[1] = other, false_lit
+                if value[other]:
+                    keep.append(clause)
+                    continue
+                for m in range(2, len(clause)):
+                    lit = clause[m]
+                    if value[lit] is not False:
+                        clause[1], clause[m] = lit, false_lit
+                        watches[lit].append(clause)
+                        break
+                else:
+                    keep.append(clause)
+                    if value[other] is False:
+                        keep.extend(watching[k + 1:])
+                        watches[false_lit] = keep
+                        self.head = head
+                        return False
+                    value[other] = True
+                    value[-other] = False
+                    trail.append(other)
+            watches[false_lit] = keep
+        self.head = head
+        return True
+
+    def solve(self, assumptions, limit):
+        """The models under the assumptions, in lexicographic order, at most
+        `limit` of them; the solver is back at its root state afterwards."""
+        models = []
+        if not self.ok:
+            return models
+        self._check_range(assumptions)
+        value, trail, nvars = self.value, self.trail, self.nvars
+        decisions = []  # (trail length before, variable, on its True branch)
+        try:
+            for lit in assumptions:
+                if value[lit] is None:
+                    self._assign(lit)
+                elif value[lit] is False:
+                    return models  # contradictory assumptions
+            conflict = not self._propagate()
+            while True:
+                if conflict:
+                    while decisions and decisions[-1][2]:
+                        decisions.pop()
+                    if not decisions:
+                        return models
+                    mark, var, _ = decisions.pop()
+                    self._undo(mark)
+                    decisions.append((mark, var, True))
+                    self._assign(var)
+                    conflict = not self._propagate()
+                    continue
+                # every variable below the last decision is assigned
+                var = decisions[-1][1] + 1 if decisions else 1
+                while var <= nvars and value[var] is not None:
+                    var += 1
+                if var > nvars:
+                    models.append(tuple(value[1:nvars + 1]))
+                    if limit is not None and len(models) >= limit:
+                        return models
+                    conflict = True  # backtrack to the next model
+                    continue
+                decisions.append((len(trail), var, False))
+                self._assign(-var)
+                conflict = not self._propagate()
+        finally:
+            self._undo(self.root)
 
 
 def dpll(clauses, nvars, assumptions=(), limit=None):
-    """All models of the clause set, as tuples of booleans, in lexicographic
-    order (False < True). `limit` caps the number of models collected."""
-    models = []
+    """All models of the clause set under the assumptions, as tuples of
+    booleans, in lexicographic order (False < True). `limit` caps the number
+    of models collected.
 
-    def propagate(assign, cls):
-        cls = list(cls)
-        changed = True
-        while changed:
-            changed = False
-            new_cls = []
-            for cl in cls:
-                unassigned = []
-                sat = False
-                for lit in cl:
-                    val = assign.get(abs(lit))
-                    if val is None:
-                        unassigned.append(lit)
-                    elif (lit > 0) == val:
-                        sat = True
-                        break
-                if sat:
-                    continue
-                if not unassigned:
-                    return None, None
-                if len(unassigned) == 1:
-                    lit = unassigned[0]
-                    assign[abs(lit)] = lit > 0
-                    changed = True
-                else:
-                    new_cls.append(unassigned)
-            cls = new_cls
-        return assign, cls
-
-    def search(assign, cls):
-        assign, cls = propagate(assign, cls)
-        if assign is None:
-            return
-        var = next((i for i in range(1, nvars + 1) if i not in assign), None)
-        if var is None:
-            models.append(tuple(assign[i] for i in range(1, nvars + 1)))
-            return
-        for val in (False, True):
-            if limit is not None and len(models) >= limit:
-                return
-            a2 = dict(assign)
-            a2[var] = val
-            search(a2, cls)
-
-    init = {}
-    for l in assumptions:
-        if init.get(abs(l), l > 0) != (l > 0):
-            return []  # contradictory assumptions
-        init[abs(l)] = l > 0
-    search(init, clauses)
-    return models
+    The search is iterative: propagate with two watched literals, branch on
+    the lowest unassigned variable (False first), and backtrack
+    chronologically. A `ClauseSet` keeps its loaded solver, so repeated calls
+    on it skip the load; any other clause list is loaded afresh."""
+    if isinstance(clauses, ClauseSet):
+        solver = clauses.solver(nvars)
+    else:
+        solver = _Solver(clauses, nvars)
+    return solver.solve(tuple(assumptions), limit)
 
 
 def satisfiable(clauses, nvars, assumptions=()):
@@ -527,41 +652,45 @@ _ROWS2 = ((True, True), (True, False), (False, True), (False, False))
 def determined_truth_table(connective, rules, u: SentenceUniverse,
                            depth: int = 6):
     """Per row: 'forced-true' | 'forced-false' | 'unforced', aggregated over
-    every instantiating sentence pair of the universe."""
+    every instantiating sentence pair of the universe.
+
+    A row is forced when some instance realizes it with the compound on one
+    side and none with the compound on the other. Each side needs one model
+    of the clauses under the row's assumptions; a side already seen for the
+    row is not asked again, and a model found earlier that meets a query's
+    assumptions answers it without a solve."""
     rules = _check_rules(rules)
     clauses = admissibility_clauses(rules, u, depth)
     n = len(u)
     idx = {f: i + 1 for f, i in u.index.items()}
     kind = {"&": And, "|": Or, "~": Not}[connective]
+    instances = [(idx[f], [idx[p] for p in ((f.left, f.right)
+                                            if connective in "&|"
+                                            else (f.body,))])
+                 for f in u.sentences if isinstance(f, kind)]
+    models = []
+
+    def realizable(assume):
+        for m in models:
+            if all(m[abs(lit) - 1] == (lit > 0) for lit in assume):
+                return True
+        found = dpll(clauses, n, assume, limit=1)
+        models.extend(found)
+        return bool(found)
 
     rows = _ROWS2 if connective in "&|" else ((True,), (False,))
-    verdicts = []
+    table = {}
     for row in rows:
-        can_true = False
-        can_false = False
-        found_instance = False
-        for f in u.sentences:
-            if not isinstance(f, kind):
-                continue
-            parts = (f.left, f.right) if connective in "&|" else (f.body,)
-            found_instance = True
-            assume = [idx[p] if val else -idx[p] for p, val in zip(parts, row)]
-            if not satisfiable(clauses, n, assume):
-                continue  # row not realizable for this pair: no evidence
-            if satisfiable(clauses, n, assume + [idx[f]]):
-                can_true = True
-            if satisfiable(clauses, n, assume + [-idx[f]]):
-                can_false = True
-            if can_true and can_false:
+        seen = {True: False, False: False}  # compound's value -> realized
+        for lit, parts in instances:
+            assume = [p if val else -p for p, val in zip(parts, row)]
+            for side in (True, False):
+                if not seen[side]:
+                    seen[side] = realizable(assume + [lit if side else -lit])
+            if seen[True] and seen[False]:
                 break
-        if not found_instance:
-            verdicts.append("unforced")
-        elif can_true and can_false:
-            verdicts.append("unforced")
-        elif can_true:
-            verdicts.append("forced-true")
-        elif can_false:
-            verdicts.append("forced-false")
+        if seen[True] == seen[False]:
+            table[row] = "unforced"  # both sides, or the row never realized
         else:
-            verdicts.append("unforced")  # row never realizable
-    return {row: v for row, v in zip(rows, verdicts)}
+            table[row] = "forced-true" if seen[True] else "forced-false"
+    return table

@@ -47,6 +47,15 @@ def test_prop_table(capsys):
     assert doc["rows"]["T,F"] == "forced-false"
 
 
+def test_prop_table_large_universe_exits_cleanly(capsys):
+    # 1,179 sentences: more variables than Python's default recursion limit
+    code, out, _ = run(capsys, "prop-table", "--connective", "~",
+                       "--atoms", "p,q", "--depth", "2", "--rules", "vI1")
+    assert code == 0
+    assert out.splitlines()[1:] == ["  row (T): unforced",
+                                    "  row (F): unforced"]
+
+
 def test_refute(capsys):
     code, out, _ = run(capsys, "refute", "--structure",
                        A("omega-succ.struct"), "--theory", A("q.thy"),

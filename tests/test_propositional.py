@@ -1,13 +1,16 @@
 import itertools
+import random
 
 import pytest
 
+from omegalogic import propositional
 from omegalogic.syntax import And, Atom, BOT, Not, Or
 from omegalogic.propositional import (
-    GuardError, RuleInstanceP, admissible_valuations, admissibility_clauses,
-    classical_valuations, clauses_satisfied, conjunction_of, derivable,
-    determined_truth_table, is_admissible, rule_instances, rule_sound,
-    sentence_universe, v_tautology, v_top,
+    ClauseSet, GuardError, RuleInstanceP, admissible_valuations,
+    admissibility_clauses, classical_valuations, clauses_satisfied,
+    conjunction_of, derivable, determined_truth_table, dpll, is_admissible,
+    rule_instances, rule_sound, satisfiable, sentence_universe, v_tautology,
+    v_top,
 )
 
 P, Q = Atom("p"), Atom("q")
@@ -187,3 +190,179 @@ def test_brute_and_sat_agree():
         for rules in ORACLE_RULE_SETS:
             assert admissible_valuations(rules, u) == \
                 brute_admissible(rules, u), (depth, rules)
+
+# ---------------------------------------------------------------------------
+# SAT against a brute-force enumerator
+
+
+def brute_models(clauses, nvars, assumptions=(), limit=None):
+    """Reference: every assignment in lexicographic order (False < True)
+    that meets the assumptions and every clause, at most `limit`."""
+    def holds(bits, lit):
+        return bits[abs(lit) - 1] == (lit > 0)
+
+    out = []
+    for bits in itertools.product((False, True), repeat=nvars):
+        if all(holds(bits, lit) for lit in assumptions) and all(
+                any(holds(bits, lit) for lit in cl) for cl in clauses):
+            out.append(bits)
+            if limit is not None and len(out) >= limit:
+                break
+    return out
+
+
+def _random_literal(rng, nvars):
+    return rng.choice((-1, 1)) * rng.randint(1, nvars)
+
+
+def _random_cnf(rng, nvars):
+    """Clauses of 0 to 4 literals, with repeats and tautologies; an empty
+    clause now and then, and only empty clauses over no variables."""
+    clauses = []
+    for _ in range(rng.randint(0, 3 * nvars + 2)):
+        size = rng.choice((0, 1, 1, 2, 2, 3, 3, 3, 4)) if rng.random() < 0.05 \
+            else rng.choice((1, 2, 2, 3, 3, 3, 4))
+        if nvars == 0:
+            size = 0
+        clauses.append(tuple(_random_literal(rng, nvars)
+                             for _ in range(size)))
+    return clauses
+
+
+def _random_assumptions(rng, nvars):
+    if nvars == 0:
+        return []
+    out = [_random_literal(rng, nvars) for _ in range(rng.randint(0, 3))]
+    if out and rng.random() < 0.3:
+        out.append(rng.choice(out))  # repeated
+    if out and rng.random() < 0.2:
+        out.append(-rng.choice(out))  # contradictory
+    return out
+
+
+def test_dpll_matches_brute_force_on_random_cnfs():
+    rng = random.Random(811)
+    for case in range(600):
+        nvars = case % 11
+        clauses = _random_cnf(rng, nvars)
+        loaded = ClauseSet(sorted(set(clauses)))
+        for limit in (None, 1, 2, 5):
+            assume = _random_assumptions(rng, nvars)
+            want = brute_models(clauses, nvars, assume, limit)
+            # a fresh load, and the solver a clause set keeps across calls
+            assert dpll(clauses, nvars, assume, limit) == want, \
+                (clauses, nvars, assume, limit)
+            assert dpll(loaded, nvars, assume, limit) == want, \
+                (clauses, nvars, assume, limit)
+        assert dpll(loaded, nvars) == brute_models(clauses, nvars)
+
+
+def test_dpll_edge_cases():
+    assert dpll([], 0) == [()]
+    assert dpll([()], 3) == []
+    assert dpll([(1,), (-1,)], 2) == []
+    assert dpll([(1, -1)], 1) == [(False,), (True,)]
+    assert dpll([(2,)], 2, assumptions=(1, 1)) == [(True, True)]
+    assert dpll([], 2, assumptions=(1, -1)) == []
+    assert dpll([(1, 2)], 2, limit=2) == [(False, True), (True, False)]
+
+
+def test_dpll_many_variables_without_recursion():
+    assert dpll([], 1200, limit=1) == [(False,) * 1200]
+    chain = [(-i, i + 1) for i in range(1, 1500)]
+    assert dpll(chain, 1500, assumptions=(1,)) == [(True,) * 1500]
+    assert not satisfiable(chain + [(-1500,)], 1500, (1,))
+
+
+# ---------------------------------------------------------------------------
+# Truth tables against the three-query reference
+
+
+def reference_table(connective, rules, u, depth=6):
+    """Reference: per instance and row, one satisfiability query for the
+    row, then one for each value of the compound."""
+    clauses = admissibility_clauses(rules, u, depth)
+    n = len(u)
+    idx = {f: i + 1 for f, i in u.index.items()}
+    kind = {"&": And, "|": Or, "~": Not}[connective]
+    rows = (list(itertools.product((True, False), repeat=2))
+            if connective in "&|" else [(True,), (False,)])
+    verdicts = {}
+    for row in rows:
+        can_true = can_false = False
+        for f in u.sentences:
+            if not isinstance(f, kind):
+                continue
+            parts = (f.left, f.right) if connective in "&|" else (f.body,)
+            assume = [idx[p] if val else -idx[p] for p, val in zip(parts, row)]
+            if not satisfiable(clauses, n, assume):
+                continue
+            if satisfiable(clauses, n, assume + [idx[f]]):
+                can_true = True
+            if satisfiable(clauses, n, assume + [-idx[f]]):
+                can_false = True
+            if can_true and can_false:
+                break
+        if can_true == can_false:
+            verdicts[row] = "unforced"
+        else:
+            verdicts[row] = "forced-true" if can_true else "forced-false"
+    return verdicts
+
+
+@pytest.mark.parametrize("atoms,depth", [(["p"], 0), (["p"], 1), (["p"], 2),
+                                         (["p", "q"], 1),
+                                         (["p", "q", "r"], 1)])
+def test_truth_tables_match_reference(atoms, depth):
+    for rules in ORACLE_RULE_SETS:
+        u = sentence_universe(atoms, depth)
+        for connective in "&|~":
+            assert determined_truth_table(connective, rules, u) == \
+                reference_table(connective, rules, u), (rules, connective)
+
+
+# ---------------------------------------------------------------------------
+# One clause compile per universe, rule set and depth
+
+
+def test_clauses_compile_once_per_universe():
+    u = sentence_universe(["p"], 1)
+    rules = ("&I", "&E1", "&E2")
+    first = admissibility_clauses(rules, u, 6)
+    assert admissibility_clauses(rules, u, 6) is first
+    assert admissibility_clauses(("&E2", "&I", "&E1", "&I"), u, 6) is first
+    assert first == admissibility_clauses(rules, sentence_universe(["p"], 1), 6)
+
+
+def test_clauses_keyed_by_depth():
+    u = sentence_universe(["p"], 1)
+    shallow = admissibility_clauses(FULL, u, 1)
+    deep = admissibility_clauses(FULL, u, 6)
+    assert len(shallow) < len(deep)  # deeper proofs give more theorems
+    fresh = sentence_universe(["p"], 1)
+    assert shallow == admissibility_clauses(FULL, fresh, 1)
+    assert deep == admissibility_clauses(FULL, fresh, 6)
+
+
+def test_clauses_are_immutable():
+    clauses = admissibility_clauses(FULL, sentence_universe(["p"], 1), 6)
+    assert isinstance(clauses, tuple)
+    assert all(isinstance(cl, tuple) for cl in clauses)
+    with pytest.raises(TypeError):
+        clauses[0] = (1,)
+    with pytest.raises(AttributeError):
+        clauses.append((1,))
+
+
+# ---------------------------------------------------------------------------
+# The enumeration cap
+
+
+def test_enumeration_cap_boundary(monkeypatch):
+    u = sentence_universe(["p"], 1)
+    rules = ("&I", "&E1", "&E2")
+    monkeypatch.setattr(propositional, "MAX_VALUATIONS", 256)
+    assert len(admissible_valuations(rules, u)) == 256
+    monkeypatch.setattr(propositional, "MAX_VALUATIONS", 255)
+    with pytest.raises(GuardError):
+        admissible_valuations(rules, u)
