@@ -664,11 +664,12 @@ def determined_truth_table(connective, rules, u: SentenceUniverse,
     n = len(u)
     idx = {f: i + 1 for f, i in u.index.items()}
     kind = {"&": And, "|": Or, "~": Not}[connective]
-    instances = [(idx[f], [idx[p] for p in ((f.left, f.right)
-                                            if connective in "&|"
-                                            else (f.body,))])
-                 for f in u.sentences if isinstance(f, kind)]
-    models = []
+    instances = []  # (the compound's variable, its parts' variables)
+    for f in u.sentences:
+        if isinstance(f, kind):
+            parts = (f.left, f.right) if connective in "&|" else (f.body,)
+            instances.append((idx[f], [idx[p] for p in parts]))
+    models = []  # every model found in this call
 
     def realizable(assume):
         for m in models:
