@@ -18,6 +18,7 @@ from .syntax import (
     Absurd, And, App, Atom, Const, Eq, FamilyMember, Formula, Not, Or,
     SyntaxError_, Term, Var, Vocabulary, applications, arg_tuples,
     parse_term, parse_vocabulary, print_term, subterms, term_is_ground,
+    tokenize,
 )
 
 
@@ -105,6 +106,11 @@ class TermGeneratedStructure:
     """A presentation: generators (either the base vocabulary's constant
     terms, or an auxiliary constant family), a ground-equality oracle given
     by a terminating rewrite system, and relation deciders for ground tuples.
+
+    Elements are normal forms under the rewrites (`normalize`): rewriting
+    is innermost first, the rules are tried in the order given (file order)
+    and the first that matches wins, and each term's normal form is
+    remembered for the life of the presentation.
     """
 
     kind = "term-generated"
@@ -118,29 +124,52 @@ class TermGeneratedStructure:
             vocab.family(generated_by)
         self.rewrites = tuple(rewrites)  # (lhs Term with Vars, rhs Term)
         self.rel_deciders = dict(rel_deciders or {})
+        self._normal = {}  # term -> its normal form, normal forms included
 
     def normalize(self, t: Term) -> Term:
-        changed = True
-        while changed:
-            t, changed = self._rewrite_once(t)
-        return t
+        """The normal form of `t`, rewriting innermost first: the arguments
+        are normalized, then the rules are tried at the root in the order
+        given and the first match rewrites it, and its result is normalized
+        in turn until no rule matches at the root.  Normal forms are
+        remembered for the life of the presentation; with no rewrites every
+        term is its own."""
+        if not self.rewrites:
+            return t
+        nf = self._normal.get(t)
+        return nf if nf is not None else self._normal_form(t)
 
-    def _rewrite_once(self, t: Term):
-        if isinstance(t, App):
-            new_args = []
-            changed = False
-            for a in t.args:
-                na, ch = self._rewrite_once(a)
-                new_args.append(na)
-                changed = changed or ch
-            if changed:
-                return App(t.func, tuple(new_args), t.sort), True
-            t = App(t.func, tuple(new_args), t.sort)
-        for lhs, rhs in self.rewrites:
-            env = {}
-            if _match(lhs, t, env):
-                return _instantiate(rhs, env), True
-        return t, False
+    def _normal_form(self, t: Term) -> Term:
+        """`normalize` for a term not remembered yet.  The chain of root
+        rewrites is a loop; only the descent into arguments recurses."""
+        normal, seen, nf = self._normal, [t], None
+        while nf is None:
+            if isinstance(t, App):
+                args, changed = [], False
+                for a in t.args:
+                    n = normal.get(a)
+                    if n is None:
+                        n = self._normal_form(a)
+                    args.append(n)
+                    changed = changed or (n is not a and n != a)
+                if changed:
+                    t = App(t.func, tuple(args), t.sort)
+                    nf = normal.get(t)
+                    if nf is not None:
+                        break
+                    seen.append(t)
+            for lhs, rhs in self.rewrites:
+                env = {}
+                if _match(lhs, t, env):
+                    t = _instantiate(rhs, env)
+                    nf = normal.get(t)
+                    if nf is None:
+                        seen.append(t)
+                    break
+            else:
+                nf = t
+        for u in seen:
+            normal[u] = nf
+        return nf
 
     def equal(self, t1: Term, t2: Term) -> bool:
         return self.normalize(t1) == self.normalize(t2)
@@ -256,6 +285,38 @@ def _match(pattern: Term, t: Term, env) -> bool:
             return False
         return all(_match(p, a, env) for p, a in zip(pattern.args, t.args))
     return pattern == t
+
+
+def _pattern_sorts(text, vocab):
+    """The pattern variables of the rewrite left-hand side `text`, in order
+    of first use, each with the sort of the argument position it fills
+    (None at the root, which no rule may be).  A variable filling positions
+    of two sorts raises SyntaxError_."""
+    sorts = {}
+    open_apps = []  # [function declaration or None, argument index]
+    prev = None
+    for tok in tokenize(text):
+        if tok.text == "(":
+            decl = vocab.symbols.get(prev)
+            open_apps.append([decl if decl and decl.kind == "fun" else None,
+                              0])
+        elif tok.text == "," and open_apps:
+            open_apps[-1][1] += 1
+        elif tok.text == ")" and open_apps:
+            open_apps.pop()
+        elif (tok.kind == "ident" and tok.text not in vocab.symbols
+              and tok.text not in vocab.families
+              and vocab.lookup_member(tok.text) is None):
+            decl, i = open_apps[-1] if open_apps else (None, 0)
+            sort = decl.arg_sorts[i] if decl and i < decl.arity else None
+            known = sorts.get(tok.text)
+            if known is not None and sort is not None and known != sort:
+                raise SyntaxError_(f"pattern variable {tok.text!r} used at "
+                                   f"sorts {known} and {sort}")
+            if known is None:
+                sorts[tok.text] = sort
+        prev = tok.text
+    return sorts
 
 
 def _instantiate(t: Term, env):
@@ -654,13 +715,8 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None):
                     raise SyntaxError_("rewrite before vocabulary known",
                                        lineno, 1)
                 lhs_txt, rhs_txt = line[len("rewrite"):].split("->", 1)
-                var_names = sorted(set(
-                    t for t in lhs_txt.replace("(", " ").replace(")", " ")
-                    .replace(",", " ").split()
-                    if t not in vocab.symbols and t not in vocab.families
-                    and vocab.lookup_member(t) is None))
-                bound = [(vn, vocab.sorts[0]) for vn in var_names]
                 try:
+                    bound = list(_pattern_sorts(lhs_txt, vocab).items())
                     lhs = parse_term(lhs_txt, vocab, bound)
                     rhs = parse_term(rhs_txt, vocab, bound)
                 except SyntaxError_ as e:

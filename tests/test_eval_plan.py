@@ -1,10 +1,11 @@
 """The compiled evaluator, pinned against the recursive evaluator it
 replaced, which this file keeps as the reference: same value, or the same
 exception class, on generated sentences over finite structures (one with an
-empty sort) and over the omega-succ, integers and rationals presentations,
-under both semantics and at fuels 1, 3 and 8.  Also: plan reuse and release,
-the sort of a `tau` schema's hole, large Scott sentences, and the iterative
-walks in `syntax`."""
+empty sort, and blocks over a sort they lack) and over the omega-succ,
+integers and rationals presentations and a two-sorted one whose blocks mix
+a whole range with a cut-off one, under both semantics and at fuels 1, 3
+and 8.  Also: plan reuse and release, the sort of a `tau` schema's hole,
+large Scott sentences, and the iterative walks in `syntax`."""
 
 import gc
 import itertools
@@ -167,21 +168,29 @@ PRESENTATIONS = {name: _presentation(f"{name}.struct")
                  for name in ("omega-succ", "integers", "rationals")}
 
 
+# B has one ground term and N infinitely many, so a block over both mixes
+# a whole range with one the fuel cuts off
+MIXED = TermGeneratedStructure(parse_vocabulary(
+    "sort N\nsort B\nconst 0 : N\nconst b : B\nfun S : N -> N"))
+
+
 class Language:
     """What a generated sentence may use: relations, constants, functions
-    and schema families, by sort."""
+    and schema families, by sort, and the sorts a block variable after the
+    first may take, which may include one the structures lack."""
 
-    def __init__(self, vocab, ground, families):
+    def __init__(self, vocab, ground, families, phantom=()):
         self.vocab = vocab
         self.ground = ground  # sort -> ground leaf terms
         self.families = families  # schema families, 'tau' included
         self.sorts = list(vocab.sorts)
+        self.inner_sorts = self.sorts + list(phantom)
 
 
 LANGUAGES = {
     "finite": Language(FINITE, {"S": [Const("c", "S")] + NAMES + D[:1],
                                 "T": []},
-                       ["tau", "Names", "D"]),
+                       ["tau", "Names", "D"], phantom=["U"]),
     "omega-succ": Language(PRESENTATIONS["omega-succ"].vocab,
                            {"N": [Const("0", "N")]}, ["tau"]),
     "integers": Language(PRESENTATIONS["integers"].vocab,
@@ -192,6 +201,9 @@ LANGUAGES = {
                           {"Q": [FamilyMember("D", (1, 2), "Q"),
                                  FamilyMember("D", (0, 1), "Q")]},
                           ["tau", "D"]),
+    # no schemas: the reference's tau stream is not filtered by sort
+    "mixed": Language(MIXED.vocab, {"N": [Const("0", "N")],
+                                    "B": [Const("b", "B")]}, []),
 }
 
 
@@ -225,6 +237,19 @@ def atoms(draw, lang, scope):
     return Absurd()
 
 
+@st.composite
+def literals(draw, lang, scope):
+    """An atom, its negation, or `t != t` for a leaf `t`: false on every
+    binding, so an early check rejects them all at once."""
+    kind = draw(st.sampled_from(["atom", "not", "never"]))
+    if kind == "never":
+        t = draw(terms(lang, scope, draw(st.sampled_from(lang.sorts)), 0))
+        if t is not None:
+            return Not(Eq(t, t))
+    a = draw(atoms(lang, scope))
+    return Not(a) if kind == "not" else a
+
+
 def _chain(cls, parts):
     out = parts[0]
     for p in parts[1:]:
@@ -233,11 +258,13 @@ def _chain(cls, parts):
 
 
 @st.composite
-def formulas(draw, lang, scope=(), depth=3, quantifiers=3):
-    """Sentences of `lang` with at most `quantifiers` nested binders."""
-    kinds = ["atom", "not", "and", "or"]
+def formulas(draw, lang, scope=(), depth=3, quantifiers=3, quantified=False):
+    """Sentences of `lang` with at most `quantifiers` nested binders; with
+    `quantified`, a quantifier block or schema."""
+    binders = ["block"] * 3 + (["schema"] if lang.families else [])
+    kinds = [] if quantified else ["atom", "not", "and", "or"]
     if quantifiers:
-        kinds += ["block", "block", "schema"]
+        kinds += binders
     kind = draw(st.sampled_from(kinds)) if depth else "atom"
     if kind == "atom":
         return draw(atoms(lang, scope))
@@ -252,12 +279,17 @@ def formulas(draw, lang, scope=(), depth=3, quantifiers=3):
         # sentence, whose conjuncts may be checked early
         cls = draw(st.sampled_from([Exists, Exists, Forall]))
         n = draw(st.integers(1, quantifiers))
-        bound = list(scope) + [(f"x{len(scope) + i}",
-                                draw(st.sampled_from(lang.sorts)))
-                               for i in range(n)]
-        parts = [draw(atoms(lang, bound))
+        bound = list(scope) + [(f"x{len(scope) + i}", draw(st.sampled_from(
+            lang.inner_sorts if i else lang.sorts))) for i in range(n)]
+        parts = [draw(literals(lang, bound))
                  for _ in range(draw(st.integers(1, 4)))]
-        if draw(st.booleans()):
+        # often a quantified conjunct, which a range the fuel cuts off
+        # leaves unknown
+        if quantifiers > n and draw(st.integers(0, 3)):
+            parts.insert(draw(st.integers(0, len(parts))), draw(
+                formulas(lang, bound, max(depth - 1, 1), quantifiers - n,
+                         quantified=True)))
+        elif draw(st.booleans()):
             parts.insert(draw(st.integers(0, len(parts))), draw(
                 formulas(lang, bound, depth - 1, quantifiers - n)))
         body = _chain(And, parts)
@@ -304,6 +336,13 @@ def test_matches_reference_on_finite_structures(seed, f, fuel, fragment,
 def test_matches_reference_on_presentations(data, name, fuel, fragment):
     f = data.draw(formulas(LANGUAGES[name], depth=2))
     _compare(PRESENTATIONS[name], f, fuel, fragment, {})
+
+
+@SETTINGS
+@given(f=formulas(LANGUAGES["mixed"], depth=2, quantified=True),
+       fuel=st.sampled_from([1, 3, 8]), fragment=st.booleans())
+def test_matches_reference_on_mixed_ranges(f, fuel, fragment):
+    _compare(MIXED, f, fuel, fragment, {})
 
 
 def test_an_unknown_part_leaves_a_block_unknown():

@@ -1,19 +1,23 @@
 """The ground-term stream of term-generated presentations, pinned against
 the two enumerators it replaced: the layer-by-layer tau enumerator and the
-family branch that read `2 * limit` members."""
+family branch that read `2 * limit` members.  Also the normalizer, pinned
+against the rewrite loop it replaced, and the sorts of rewrite pattern
+variables."""
 
 import itertools
 import os
+import random
 
 import pytest
 
 from omegalogic.cli import main
 from omegalogic.syntax import (
-    App, Atom, Const, SyntaxError_, Var, parse_formula, parse_vocabulary,
-    print_term,
+    App, Atom, Const, SyntaxError_, Var, parse_formula, parse_term,
+    parse_vocabulary, print_term,
 )
 from omegalogic.structures import (
-    FiniteStructure, Valuation, eval_sentence, parse_structure,
+    FiniteStructure, Valuation, _instantiate, _match, eval_sentence,
+    parse_structure,
 )
 from omegalogic.omega_rules import check_instance_sound, instantiate_schema
 
@@ -231,3 +235,151 @@ def test_rel_decide_names_a_declared_relation():
         parse_structure("structure z\ngenerated by D\n"
                         "rel-decide Q by integer-lt", _voc("integers.voc"))
     assert e.value.line == 3
+
+
+def test_rewrite_variables_take_the_sort_of_their_position():
+    voc = parse_vocabulary("sort N\nsort B\nconst 0 : N\nconst b : B\n"
+                           "fun S : N -> N\nfun g : B -> B\n"
+                           "fun h : N B -> N")
+    s = parse_structure("structure t\ngenerated by tau\nrewrite g(x) -> b\n"
+                        "rewrite h(S(y), x) -> y", voc)
+    (g_lhs, _), (h_lhs, _) = s.rewrites
+    assert g_lhs.args == (Var("x", "B"),)
+    assert h_lhs.args == (App("S", (Var("y", "N"),), "N"), Var("x", "B"))
+    assert s.normalize(parse_term("h(S(0), g(g(b)))", voc)) == \
+        Const("0", "N")
+    assert [print_term(t) for t in s.enumerate_elements(5, "B")] == ["b"]
+
+
+def test_a_rewrite_variable_at_two_sorts_names_the_line(capsys, tmp_path):
+    (tmp_path / "two.voc").write_text("sort N\nsort B\nconst 0 : N\n"
+                                      "const b : B\nfun f : N B -> N\n")
+    f = tmp_path / "f.struct"
+    f.write_text("structure f over two.voc\ngenerated by tau\n"
+                 "rewrite f(x, x) -> 0\n")
+    assert main(["scott", str(f)]) == 2
+    assert "(line 3, col 1)" in capsys.readouterr().err
+    with pytest.raises(SyntaxError_) as e:
+        parse_structure(f.read_text(), base_dir=str(tmp_path))
+    assert e.value.line == 3
+    assert "'x'" in e.value.message
+
+
+# -- the normalizer, against the rewrite loop it replaced
+
+
+def reference_normalize(rewrites, t):
+    """One pass rewrites every argument once, and the root only where no
+    argument changed (first matching rule in order); passes repeat until
+    one changes nothing."""
+    def rewrite_once(t):
+        if isinstance(t, App):
+            new_args, changed = [], False
+            for a in t.args:
+                na, ch = rewrite_once(a)
+                new_args.append(na)
+                changed = changed or ch
+            if changed:
+                return App(t.func, tuple(new_args), t.sort), True
+            t = App(t.func, tuple(new_args), t.sort)
+        for lhs, rhs in rewrites:
+            env = {}
+            if _match(lhs, t, env):
+                return _instantiate(rhs, env), True
+        return t, False
+
+    changed = True
+    while changed:
+        t, changed = rewrite_once(t)
+    return t
+
+
+NAT = "sort N\nconst 0 : N\nfun S : N -> N\n"
+REWRITE_SYSTEMS = {
+    "none": (NAT, "generated by tau"),
+    "zero-to-member": ("sort Z\nrel < : Z Z\nconst 0 : Z\n"
+                       "family D : Z countable scheme integers\n",
+                       "generated by D\nrewrite 0 -> D_0"),
+    "merged-members": ("sort S\nfamily C : S countable\nfun F : S -> S\n",
+                       "generated by C\n" + "".join(
+                           f"rewrite C_{i} -> C_0\n" for i in range(1, 5))),
+    "merging": ("sort N\nconst 0 : N\nconst 1 : N\nfun p : N N -> N\n",
+                "generated by tau\nrewrite p(1, 1) -> 0"),
+    "collapse": (NAT, "generated by tau\nrewrite S(x) -> x"),
+    "nonlinear": ("sort N\nconst 0 : N\nconst 1 : N\nfun S : N -> N\n"
+                  "fun f : N N -> N\n",
+                  "generated by tau\nrewrite f(x, x) -> x"),
+    "order-sensitive": (NAT + "const a : N\n", "generated by tau\n"
+                        "rewrite S(S(x)) -> a\nrewrite S(a) -> 0"),
+}
+
+
+def _system(name):
+    voc_text, lines = REWRITE_SYSTEMS[name]
+    voc = parse_vocabulary(voc_text)
+    return parse_structure(f"structure {name}\n{lines}\n", voc)
+
+
+def random_ground_term(rng, s, sort, depth):
+    voc = s.vocab
+    leaves = [Const(d.name, d.result_sort) for d in voc.constants(sort)]
+    if s.generated_by != "tau":
+        leaves += [t for t in voc.family(s.generated_by).enumerate_terms(6)
+                   if t.sort == sort]
+    funs = [d for d in voc.functions() if d.result_sort == sort]
+    if depth and funs and rng.random() < 0.7:
+        d = rng.choice(funs)
+        return App(d.name, tuple(random_ground_term(rng, s, a, depth - 1)
+                                 for a in d.arg_sorts), sort)
+    return rng.choice(leaves)
+
+
+@pytest.mark.parametrize("name", sorted(REWRITE_SYSTEMS))
+def test_normal_forms_match_the_rewrite_loop(name):
+    s = _system(name)
+    rng = random.Random(f"normalize {name}")
+    sort = s.vocab.sorts[0]
+    for _ in range(400):
+        t = random_ground_term(rng, s, sort, rng.randint(0, 6))
+        want = reference_normalize(s.rewrites, t)
+        # twice: the second answer is the remembered one
+        assert s.normalize(t) == want, print_term(t)
+        assert s.normalize(t) == want
+        assert s.normalize(want) == want
+        # a fresh presentation, whose memory holds nothing yet
+        assert _system(name).normalize(t) == want
+
+
+def test_first_matching_rule_wins():
+    s = _system("order-sensitive")
+    t = parse_term("S(S(S(0)))", s.vocab)
+    assert s.normalize(t) == Const("0", "N")
+    assert reference_normalize(s.rewrites, t) == Const("0", "N")
+
+
+def test_no_rewrites_returns_the_term_itself():
+    s = _system("none")
+    t = parse_term("S(S(0))", s.vocab)
+    assert s.normalize(t) is t
+    assert s.apply_fun("S", [t]) == App("S", (t,), "N")
+
+
+def test_unchanged_arguments_are_not_rebuilt():
+    s = _system("merging")
+    t = parse_term("p(p(0, 1), 0)", s.vocab)
+    assert s.normalize(t) is t
+    assert s.normalize(parse_term("p(p(0, 1), 0)", s.vocab)) is t
+
+
+def test_a_long_root_chain_does_not_recurse():
+    voc = parse_vocabulary(NAT + "fun f : N -> N\n")
+    s = parse_structure("structure c\ngenerated by tau\n"
+                        "rewrite f(S(x)) -> f(x)", voc)
+    t = Const("0", "N")
+    for _ in range(300):
+        t = App("S", (t,), "N")
+    want = App("f", (Const("0", "N"),), "N")
+    assert s.normalize(App("f", (t,), "N")) == want
+    # the inner chain runs while the outer f waits on its argument
+    assert s.element_of(App("f", (App("f", (t,), "N"),), "N")) == \
+        App("f", (want,), "N")
