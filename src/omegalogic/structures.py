@@ -18,7 +18,6 @@ from .syntax import (
     Absurd, And, App, Atom, Const, Eq, FamilyMember, Formula, Not, Or,
     SyntaxError_, Term, Var, Vocabulary, applications, arg_tuples,
     parse_term, parse_vocabulary, print_term, subterms, term_is_ground,
-    tokenize,
 )
 
 
@@ -285,38 +284,6 @@ def _match(pattern: Term, t: Term, env) -> bool:
             return False
         return all(_match(p, a, env) for p, a in zip(pattern.args, t.args))
     return pattern == t
-
-
-def _pattern_sorts(text, vocab):
-    """The pattern variables of the rewrite left-hand side `text`, in order
-    of first use, each with the sort of the argument position it fills
-    (None at the root, which no rule may be).  A variable filling positions
-    of two sorts raises SyntaxError_."""
-    sorts = {}
-    open_apps = []  # [function declaration or None, argument index]
-    prev = None
-    for tok in tokenize(text):
-        if tok.text == "(":
-            decl = vocab.symbols.get(prev)
-            open_apps.append([decl if decl and decl.kind == "fun" else None,
-                              0])
-        elif tok.text == "," and open_apps:
-            open_apps[-1][1] += 1
-        elif tok.text == ")" and open_apps:
-            open_apps.pop()
-        elif (tok.kind == "ident" and tok.text not in vocab.symbols
-              and tok.text not in vocab.families
-              and vocab.lookup_member(tok.text) is None):
-            decl, i = open_apps[-1] if open_apps else (None, 0)
-            sort = decl.arg_sorts[i] if decl and i < decl.arity else None
-            known = sorts.get(tok.text)
-            if known is not None and sort is not None and known != sort:
-                raise SyntaxError_(f"pattern variable {tok.text!r} used at "
-                                   f"sorts {known} and {sort}")
-            if known is None:
-                sorts[tok.text] = sort
-        prev = tok.text
-    return sorts
 
 
 def _instantiate(t: Term, env):
@@ -716,9 +683,9 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None):
                                        lineno, 1)
                 lhs_txt, rhs_txt = line[len("rewrite"):].split("->", 1)
                 try:
-                    bound = list(_pattern_sorts(lhs_txt, vocab).items())
-                    lhs = parse_term(lhs_txt, vocab, bound)
-                    rhs = parse_term(rhs_txt, vocab, bound)
+                    patterns = {}
+                    lhs = parse_term(lhs_txt, vocab, patterns=patterns)
+                    rhs = parse_term(rhs_txt, vocab, list(patterns.items()))
                 except SyntaxError_ as e:
                     raise SyntaxError_(e.message, lineno, 1) from None
                 if isinstance(lhs, Var):

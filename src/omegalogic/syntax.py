@@ -713,11 +713,12 @@ class _FormulaParser:
     schema bodies extend as far right as possible.
     """
 
-    def __init__(self, tokens, vocab: Vocabulary, bound=()):
+    def __init__(self, tokens, vocab: Vocabulary, bound=(), patterns=None):
         self.toks = tokens
         self.pos = 0
         self.vocab = vocab
         self.bound = list(bound)  # stack of (name, sort)
+        self.patterns = patterns  # pattern variable -> sort, or None
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -888,21 +889,25 @@ class _FormulaParser:
 
     # -- terms -------------------------------------------------------------
 
-    def term_list(self):
+    def term_list(self, sorts=()):
+        """A parenthesised argument list; `sorts` are the sorts its
+        positions expect, for typing pattern variables."""
+        expected = iter(sorts)
         self.expect("(")
-        args = [self.term()]
+        args = [self.term(next(expected, None))]
         while self.at(","):
             self.next()
-            args.append(self.term())
+            args.append(self.term(next(expected, None)))
         self.expect(")")
         return args
 
-    def term(self) -> Term:
+    def term(self, sort=None) -> Term:
+        """A term; `sort` is the sort its position expects, if known."""
         tok = self.next()
         name = tok.text
         decl = self.vocab.symbols.get(name)
         if decl is not None and decl.kind == "fun" and decl.arity > 0:
-            args = self.term_list()
+            args = self.term_list(decl.arg_sorts)
             if len(args) != decl.arity:
                 raise SyntaxError_(f"{name!r} expects {decl.arity} arguments",
                                    tok.line, tok.col)
@@ -928,6 +933,13 @@ class _FormulaParser:
         member = self.vocab.lookup_member(name)
         if member is not None:
             return member
+        if (self.patterns is not None and tok.kind == "ident"
+                and decl is None and name not in self.vocab.families):
+            known = self.patterns.setdefault(name, sort)
+            if known != sort:
+                raise SyntaxError_(f"pattern variable {name!r} used at sorts "
+                                   f"{known} and {sort}", tok.line, tok.col)
+            return Var(name, sort)
         raise SyntaxError_(f"unknown symbol or unbound variable {name!r}",
                            tok.line, tok.col)
 
@@ -946,8 +958,12 @@ def parse_formula(text: str, vocab: Vocabulary, require_sentence=False,
     return f
 
 
-def parse_term(text: str, vocab: Vocabulary, bound=()) -> Term:
-    parser = _FormulaParser(tokenize(text), vocab, bound)
+def parse_term(text: str, vocab: Vocabulary, bound=(), patterns=None) -> Term:
+    """Parse one term.  With a dict `patterns`, every identifier that is
+    no symbol, family, member or bound variable is a pattern variable of the
+    sort its argument position expects (None at the root); the dict records
+    each one's sort, and one used at two sorts raises SyntaxError_."""
+    parser = _FormulaParser(tokenize(text), vocab, bound, patterns)
     t = parser.term()
     if parser.peek() is not None:
         raise SyntaxError_("junk after term")

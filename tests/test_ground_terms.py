@@ -251,6 +251,33 @@ def test_rewrite_variables_take_the_sort_of_their_position():
     assert [print_term(t) for t in s.enumerate_elements(5, "B")] == ["b"]
 
 
+def test_a_bracketed_member_beside_a_rewrite_variable():
+    voc = parse_vocabulary("sort Q\nrel < : Q Q\nfun f : Q Q -> Q\n"
+                           "family D : Q countable scheme rationals\n")
+    s = parse_structure("structure q\ngenerated by D\n"
+                        "rewrite f(D[1,2], x) -> x", voc)
+    ((lhs, rhs),) = s.rewrites
+    assert lhs.args[1] == Var("x", "Q") and rhs == Var("x", "Q")
+    assert print_term(s.normalize(parse_term("f(D[1,2], D[3,1])", voc))) \
+        == "D_3_1"
+    assert print_term(s.normalize(parse_term("f(D[1,3], D[3,1])", voc))) \
+        == "f(D_1_3, D_3_1)"
+
+
+def test_parse_term_types_pattern_variables_by_position():
+    voc = parse_vocabulary("sort N\nsort B\nconst 0 : N\nconst b : B\n"
+                           "fun h : N B -> N\n")
+    patterns = {}
+    assert parse_term("h(y, x)", voc, patterns=patterns) == \
+        App("h", (Var("y", "N"), Var("x", "B")), "N")
+    assert patterns == {"y": "N", "x": "B"}
+    with pytest.raises(SyntaxError_) as e:
+        parse_term("h(z, z)", voc, patterns={})
+    assert "'z'" in e.value.message and e.value.col == 6
+    with pytest.raises(SyntaxError_):  # without patterns, still unbound
+        parse_term("h(y, x)", voc)
+
+
 def test_a_rewrite_variable_at_two_sorts_names_the_line(capsys, tmp_path):
     (tmp_path / "two.voc").write_text("sort N\nsort B\nconst 0 : N\n"
                                       "const b : B\nfun f : N B -> N\n")
