@@ -123,7 +123,7 @@ def cmd_prop_table(args):
 def cmd_refute(args):
     s = _load_struct(args.structure)
     theory = _parse_axioms(_read(args.theory), s.vocab) if args.theory else []
-    root = omr.refute_extension(s, theory, args.fresh)
+    root = omr.refute_extension(s, args.fresh)
     voc = omr.refutation_vocabulary(s, args.fresh)
     result = omr.check_derivation(root, theory, omr.REFUTATION_RULES, voc,
                                   assumed_families=(s.generated_by
@@ -145,8 +145,8 @@ def cmd_check_proof(args):
     vocab = parse_vocabulary(_read(args.vocab))
     theory = _parse_axioms(_read(args.theory), vocab) if args.theory else []
     root = omr.parse_derivation(_read(args.proof), vocab)
-    rules = _rules_arg(args.rules) if args.rules else omr.SCHEMA_NAMES + (
-        "negE", "negI")
+    rules = (_rules_arg(args.rules) if args.rules
+             else omr.SCHEMA_NAMES + omr.EXTRA_DERIVATION_RULES)
     assumed = tuple(a for a in (args.assume_family or "").split(",") if a)
     result = omr.check_derivation(root, theory, rules, vocab,
                                   assumed_families=assumed)

@@ -8,11 +8,11 @@ them with tags, and soundness mode spot-checks them at bounded fuel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 from .syntax import (
-    Absurd, App, Atom, BOT, Const, ConstantFamily, Eq, Exists,
+    App, Atom, BOT, Const, ConstantFamily, Eq, Exists,
     FamilyMember, Forall, Formula, Not, Or, SchemaConj, SyntaxError_, Term,
     Var, Vocabulary, constants_in, implies, parse_formula, parse_term,
     print_formula, print_term, substitute, term_is_ground,
@@ -28,7 +28,7 @@ SCHEMA_NAMES = (
 )
 
 # rules that may additionally appear in derivations
-EXTRA_DERIVATION_RULES = ("negE", "negI")
+EXTRA_DERIVATION_RULES = ("negE",)
 
 
 class SchemaError(Exception):
@@ -47,6 +47,12 @@ class RuleInstanceQ:
     extra_premises: tuple = ()       # e.g. the G-omega sort guard
     conclusions: tuple = ()
 
+    @property
+    def all_premises(self) -> tuple:
+        """The finite premises, the extra premises, then the family."""
+        family = () if self.premise_family is None else (self.premise_family,)
+        return self.premises + self.extra_premises + family
+
 
 def _is_base_constant_term(t: Term, vocab: Vocabulary) -> bool:
     """Ground term built from base constants and functions only."""
@@ -61,13 +67,32 @@ def _is_base_constant_term(t: Term, vocab: Vocabulary) -> bool:
 
 def instantiate_schema(vocab: Vocabulary, schema: str, body=None, hole=None,
                        params=(), family=None, guard=None) -> RuleInstanceQ:
-    """Build a rule instance from its schema, checking side conditions."""
+    """Build a rule instance from its schema, checking side conditions.
+
+    This is the one definition of each rule: `check_derivation` rebuilds
+    every schema step with it, and `check_instance_sound` spot-checks what
+    it builds.  `body` is the formula with `hole` free; the omega rules take
+    a premise `family` ('tau' or a family name) and G_OMEGA its sort
+    `guard`.  G_OMEGA concludes forall x. (N(x) -> body) and G_FORALL_E
+    eliminates that to body at its parameter.  The existsE schemas discharge
+    an assumption and have no standalone instance."""
     if schema not in SCHEMA_NAMES:
         raise SchemaError(f"unknown schema {schema!r}")
+    if schema in ("existsE", "S_EXISTS_E", "I_EXISTS_E"):
+        raise SchemaError(f"{schema} discharges an assumption, which no "
+                          "checked rule does; it has no standalone instance")
     params = tuple(params)
     for t in params:
         if not term_is_ground(t):
             raise SchemaError(f"parameter {print_term(t)} is not ground")
+    if schema != "eqI" and (body is None or hole is None):
+        raise SchemaError(f"{schema} needs a body and its hole")
+
+    def arity(n):
+        if len(params) != n:
+            raise SchemaError(f"{schema} takes {n} parameter(s), "
+                              f"not {len(params)}")
+        return params
 
     def sub(t):
         return substitute(body, hole.name, t)
@@ -104,7 +129,7 @@ def instantiate_schema(vocab: Vocabulary, schema: str, body=None, hole=None,
                              conclusions=(concl,))
 
     if schema in ("forallE", "S_FORALL_E", "I_FORALL_E", "G_FORALL_E"):
-        (t,) = params
+        (t,) = arity(1)
         if schema == "S_FORALL_E" and not _is_base_constant_term(t, vocab):
             raise SchemaError("S_FORALL_E instantiates at base constant terms")
         prem = Forall(hole, body)
@@ -114,7 +139,7 @@ def instantiate_schema(vocab: Vocabulary, schema: str, body=None, hole=None,
                              premises=(prem,), conclusions=(sub(t),))
 
     if schema in ("existsI", "S_EXISTS_I", "I_EXISTS_I"):
-        (t,) = params
+        (t,) = arity(1)
         if schema == "S_EXISTS_I" and not _is_base_constant_term(t, vocab):
             raise SchemaError("S_EXISTS_I instantiates at base constant terms")
         return RuleInstanceQ(schema, body, hole, params, family,
@@ -122,24 +147,20 @@ def instantiate_schema(vocab: Vocabulary, schema: str, body=None, hole=None,
                              conclusions=(Exists(hole, body),))
 
     if schema == "forallI":
-        (c,) = params
+        (c,) = arity(1)
         if any(c == k for k in constants_in(body)):
             raise SchemaError("eigenconstant occurs in the conclusion body")
         return RuleInstanceQ(schema, body, hole, params, family,
                              premises=(sub(c),),
                              conclusions=(Forall(hole, body),))
 
-    if schema in ("existsE", "S_EXISTS_E", "I_EXISTS_E"):
-        raise SchemaError(f"{schema} is checked structurally in derivations, "
-                          "not instantiated standalone")
-
     if schema == "eqI":
-        (t,) = params
+        (t,) = arity(1)
         return RuleInstanceQ(schema, params=params,
                              conclusions=(Eq(t, t),))
 
     if schema == "eqE":
-        t1, t2 = params
+        t1, t2 = arity(2)
         return RuleInstanceQ(schema, body, hole, params, family,
                              premises=(Eq(t1, t2), sub(t1)),
                              conclusions=(sub(t2),))
@@ -183,9 +204,7 @@ def check_instance_sound(target, inst: RuleInstanceQ,
     """Unsound iff every premise (including the symbolic family, spot-checked
     at fuel, with bounded-fragment quantifier semantics) is true and every
     conclusion false."""
-    premises = list(inst.premises) + list(inst.extra_premises)
-    if inst.premise_family is not None:
-        premises.append(inst.premise_family)
+    premises = inst.all_premises
     prem_vals = [_target_eval(target, p, fuel) for p in premises]
     concl_vals = [_target_eval(target, c, fuel) for c in inst.conclusions]
     for p, v in zip(premises, prem_vals):
@@ -234,8 +253,14 @@ class CheckResult:
 
 def check_derivation(root: Step, theory, rules, vocab: Vocabulary,
                      assumed_families=()) -> CheckResult:
-    """Purely syntactic derivation checking: every step re-derives from its
-    schema, side conditions hold, and all leaves are justified."""
+    """Purely syntactic derivation checking.  Each step is rebuilt from its
+    schema by `instantiate_schema`, with the body, hole and guard the step
+    shows (see `_shown_instance`): the step is valid when its children
+    conclude the instance's premises and it concludes the instance's
+    conclusion.  `negE` is not a schema and is checked on its own.  Axiom
+    leaves must be in the theory, family leaves must carry a justified tag,
+    and assumption leaves never check, since no rule discharges one.
+    Children are reported before their step."""
     theory = tuple(theory)
     rules = tuple(rules)
     assumed = tuple(assumed_families)
@@ -243,13 +268,14 @@ def check_derivation(root: Step, theory, rules, vocab: Vocabulary,
     def fail(step, reason):
         return CheckResult(False, step, reason)
 
-    def check(step: Step, open_assumptions):
+    def check(step: Step):
         if step.rule == "axiom":
             if step.conclusion not in theory:
                 return fail(step, "axiom not in theory")
             return CheckResult(True)
         if step.rule == "assumption":
-            return CheckResult(True)  # openness handled by the caller
+            return fail(step, "dangling assumption "
+                        f"{print_formula(step.conclusion)}")
         if step.rule == "family":
             if not isinstance(step.conclusion, SchemaConj):
                 return fail(step, "family step must conclude a schema-conjunction")
@@ -264,124 +290,86 @@ def check_derivation(root: Step, theory, rules, vocab: Vocabulary,
 
         if step.rule not in rules:
             return fail(step, f"rule {step.rule!r} not allowed")
-
-        sub_assumptions = list(open_assumptions)
         for child in step.children:
-            if child.rule == "assumption":
-                sub_assumptions.append(child.conclusion)
-        for child in step.children:
-            r = check(child, tuple(sub_assumptions))
+            r = check(child)
             if not r.valid:
                 return r
         kids = tuple(c.conclusion for c in step.children)
 
-        ok, reason = _step_shape_ok(step, kids, vocab, tuple(sub_assumptions))
-        if not ok:
-            return fail(step, reason)
+        if step.rule == "negE":
+            if step.conclusion != BOT or len(kids) != 2 or (
+                    Not(kids[0]) != kids[1] and Not(kids[1]) != kids[0]):
+                return fail(step, "negE concludes absurdity from a sentence "
+                            "and its negation")
+            return CheckResult(True)
+        try:
+            inst = _shown_instance(step, kids, vocab)
+        except SchemaError as e:
+            return fail(step, str(e))
+        if kids != inst.all_premises:
+            return fail(step, f"premises are not those of the {step.rule} "
+                        "instance: " + "; ".join(
+                            print_formula(p) for p in inst.all_premises))
+        if (step.conclusion,) != inst.conclusions:
+            return fail(step, f"conclusion is not that of the {step.rule} "
+                        f"instance: {print_formula(inst.conclusions[0])}")
         return CheckResult(True)
 
-    if root.rule == "assumption":
-        return CheckResult(False, root, "dangling assumption")
-    result = check(root, ())
-    if not result.valid:
-        return result
-    dangling = _open_assumptions(root)
-    if dangling:
-        return CheckResult(False, root,
-                           f"dangling assumption {print_formula(dangling[0])}")
-    return CheckResult(True)
+    return check(root)
 
 
-def _open_assumptions(step: Step):
-    # no discharging rules are used in the shipped templates; any assumption
-    # leaf therefore stays open
-    out = []
-    if step.rule == "assumption":
-        out.append(step.conclusion)
-    for c in step.children:
-        out.extend(_open_assumptions(c))
-    return out
-
-
-def _step_shape_ok(step: Step, kids, vocab, open_assumptions):
-    c = step.conclusion
-    if step.rule in ("I_OMEGA", "S_OMEGA"):
-        if not isinstance(c, Forall):
-            return False, "omega-rule conclusion must be universal"
-        want = SchemaConj(c.var, c.body, step.family)
-        if len(kids) != 1 or kids[0] != want:
-            return False, "premise family does not match the conclusion"
-        try:
-            instantiate_schema(vocab, step.rule, c.body, c.var,
-                               step.params, step.family)
-        except SchemaError as e:
-            return False, str(e)
-        return True, None
-    if step.rule == "G_OMEGA":
-        if len(kids) != 2:
-            return False, "G_OMEGA needs the premise family and the sort guard"
-        if not isinstance(c, Forall):
-            return False, "G_OMEGA conclusion must be universal"
-        # conclusion: forall x. (~N(x) | body)
-        if not (isinstance(c.body, Or) and isinstance(c.body.left, Not)
-                and c.body.left.body == Atom("N", (c.var,))):
-            return False, "G_OMEGA conclusion must be relativized to N"
-        body = c.body.right
-        fam_step = next((k for k in kids if isinstance(k, SchemaConj)), None)
-        if fam_step != SchemaConj(c.var, body, step.family):
-            return False, "premise family does not match the conclusion"
-        return True, None
-    if step.rule in ("forallE", "S_FORALL_E", "I_FORALL_E", "G_FORALL_E"):
-        if len(kids) != 1 or not isinstance(kids[0], Forall):
-            return False, "forall-elimination premise must be universal"
-        prem = kids[0]
-        (t,) = step.params
-        target = prem.body
-        if step.rule == "G_FORALL_E":
-            if not (isinstance(target, Or) and isinstance(target.left, Not)):
-                return False, "G_FORALL_E premise must be N-relativized"
-        if substitute(target, prem.var.name, t) != c:
-            return False, "conclusion is not the premise instantiated at the parameter"
-        if step.rule == "S_FORALL_E" and not _is_base_constant_term(t, vocab):
-            return False, "S_FORALL_E instantiates at base constant terms"
-        return True, None
-    if step.rule in ("existsI", "S_EXISTS_I", "I_EXISTS_I"):
-        if not isinstance(c, Exists):
-            return False, "exists-introduction conclusion must be existential"
-        (t,) = step.params
-        if len(kids) != 1 or substitute(c.body, c.var.name, t) != kids[0]:
-            return False, "premise is not the conclusion body at the witness"
-        return True, None
-    if step.rule == "forallI":
-        if not isinstance(c, Forall):
-            return False, "forallI conclusion must be universal"
-        (eig,) = step.params
-        if len(kids) != 1 or substitute(c.body, c.var.name, eig) != kids[0]:
-            return False, "premise is not the body at the eigenconstant"
-        if any(eig == k for k in constants_in(c.body)):
-            return False, "eigenvariable: eigenconstant occurs in the conclusion"
-        for a in open_assumptions:
-            if any(eig == k for k in constants_in(a)):
-                return False, "eigenvariable: eigenconstant occurs in an open assumption"
-        return True, None
-    if step.rule == "eqI":
-        if not (isinstance(c, Eq) and c.left == c.right and not kids):
-            return False, "eqI concludes t = t from nothing"
-        return True, None
+def _shown_instance(step: Step, kids, vocab) -> RuleInstanceQ:
+    """The instance of the step's schema at the body, hole and guard the step
+    shows: a forall-elimination shows them in its premise, eqE in its two
+    formulas, every other schema in its conclusion, and G_OMEGA shows its
+    guard as its first premise."""
     if step.rule == "eqE":
-        if len(kids) != 2 or not isinstance(kids[0], Eq):
-            return False, "eqE needs an equation and a premise formula"
-        return True, None
-    if step.rule == "negE":
-        if not isinstance(c, Absurd):
-            return False, "negE concludes absurdity"
-        if len(kids) != 2:
-            return False, "negE needs a sentence and its negation"
-        a, b = kids
-        if Not(a) != b and Not(b) != a:
-            return False, "negE premises must be a sentence and its negation"
-        return True, None
-    return False, f"no checker for rule {step.rule!r}"
+        if len(kids) != 2 or len(step.params) != 2:
+            raise SchemaError("eqE rewrites a premise by an equation t1 = t2 "
+                              "given as its parameters [t1, t2]")
+        t1, t2 = step.params
+        hole = Var(_EQE_HOLE, t1.sort)
+        body = _hole_between(kids[1], step.conclusion, t1, t2, hole)
+        if body is _NO_HOLE:
+            raise SchemaError("conclusion is not the premise with some "
+                              f"{print_term(t1)} rewritten to {print_term(t2)}")
+        return instantiate_schema(vocab, "eqE", body, hole, step.params)
+    elim = step.rule in ("forallE", "S_FORALL_E", "I_FORALL_E", "G_FORALL_E")
+    shown = (kids[0] if kids else None) if elim else step.conclusion
+    hole = body = None
+    if isinstance(shown, (Forall, Exists)):
+        hole, body = shown.var, shown.body
+        if (step.rule.startswith("G_") and isinstance(body, Or)
+                and body.left == Not(Atom("N", (hole,)))):
+            body = body.right
+    guard = kids[0] if step.rule == "G_OMEGA" and len(kids) == 2 else None
+    return instantiate_schema(vocab, step.rule, body, hole, step.params,
+                              step.family, guard)
+
+
+# '#' starts a comment in every input format, so no parsed variable has this
+# name and the hole read by eqE is never captured by a quantifier
+_EQE_HOLE = "#"
+_NO_HOLE = object()
+
+
+def _hole_between(p, c, t1, t2, hole):
+    """The formula (or term) that shows `hole` wherever `p` shows t1 and `c`
+    shows t2, and agrees with both everywhere else; _NO_HOLE if none does."""
+    if p == c:
+        return p
+    if p == t1 and c == t2:
+        return hole
+    if isinstance(p, tuple) and isinstance(c, tuple) and len(p) == len(c):
+        parts = tuple(_hole_between(a, b, t1, t2, hole) for a, b in zip(p, c))
+    elif type(p) is type(c) and is_dataclass(p):
+        parts = tuple(_hole_between(getattr(p, f.name), getattr(c, f.name),
+                                    t1, t2, hole) for f in fields(p))
+    else:
+        return _NO_HOLE
+    if any(part is _NO_HOLE for part in parts):
+        return _NO_HOLE
+    return parts if isinstance(p, tuple) else type(p)(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +379,7 @@ def _step_shape_ok(step: Step, kids, vocab, open_assumptions):
 REFUTATION_RULES = ("I_OMEGA", "I_FORALL_E", "eqI", "negE")
 
 
-def refute_extension(presentation, theory, extension: str) -> Step:
+def refute_extension(presentation, extension: str) -> Step:
     """The Theorem-style refutation of a proper extension: assuming a fresh
     element d distinct from every named element, derive absurdity."""
     vocab = presentation.vocab

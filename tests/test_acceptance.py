@@ -144,7 +144,7 @@ def test_criterion_06_q_omega_refutation():
         q_axioms = _parse_axioms(fh.read(), s.vocab)
     ok = True
     for theory in ([], q_axioms):
-        root = omr.refute_extension(s, theory, "d")
+        root = omr.refute_extension(s, "d")
         voc = omr.refutation_vocabulary(s, "d")
         res = omr.check_derivation(root, theory, omr.REFUTATION_RULES, voc,
                                    assumed_families=("tau",))

@@ -75,6 +75,17 @@ def test_check_proof(capsys):
     assert "valid" in out
 
 
+def test_check_proof_rejects_a_bad_rewrite(capsys, tmp_path):
+    # eqE at 0 = 0 cannot turn 0 = 0 into 0 = S(0)
+    prf = tmp_path / "bad-eqe.prf"
+    prf.write_text("eqE[0, 0]: (0 = S(0))\n  eqI[0]: (0 = 0)\n"
+                   "  eqI[0]: (0 = 0)\n")
+    code, out, _ = run(capsys, "check-proof", str(prf),
+                       "--vocab", A("nat.voc"))
+    assert code == 1
+    assert out.startswith(f"proof {prf}: invalid")
+
+
 def test_applicability_pure_equality(capsys):
     code, out, _ = run(capsys, "--machine", "applicability",
                        "--vocab", A("pure-equality.voc"),

@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and no function of it takes a parameter it never reads."""
 
 import ast
 import pathlib
@@ -10,6 +11,9 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "omegalogic"
 # the evaluator's names that `structures` imports for its callers
 REEXPORTED = {"structures": {"EvalError", "TruthAtFuel", "_eval",
                              "_family_terms", "eval_sentence"}}
+
+# v_top is a valuation: it takes the sentence it calls true
+UNREAD_ALLOWED = {"propositional": {("v_top", "f")}}
 
 
 def unused_imports(tree):
@@ -36,3 +40,37 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Optional, List\n"
                      "x: List[int] = []\n")
     assert unused_imports(tree) == {"os", "Optional"}
+
+
+def unread_parameters(tree):
+    """(function, parameter) for each parameter of a `def` that the
+    function's body never reads.  A method's `self` is not counted, nor are
+    lambdas, whose parameters follow the calling convention they serve."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            out |= {(node.name, p.arg) for p in params
+                    if p.arg != "self" and p.arg not in read}
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_no_unread_parameters(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert unread_parameters(tree) - UNREAD_ALLOWED.get(path.stem, set()) \
+        == set()
+
+
+def test_the_check_sees_an_unread_parameter():
+    tree = ast.parse("def f(a, b, *rest, c=1, **kw):\n"
+                     "    def g():\n        return c + len(kw)\n"
+                     "    return a + g()\n"
+                     "class K:\n    def m(self, x):\n        return 0\n"
+                     "h = lambda u, v: u\n")
+    assert unread_parameters(tree) == {("f", "b"), ("f", "rest"), ("m", "x")}

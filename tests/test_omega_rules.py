@@ -1,12 +1,12 @@
 import pytest
 
 from omegalogic.syntax import (
-    Atom, BOT, Const, ConstantFamily, Eq, FamilyMember, Forall, Not,
+    App, Atom, BOT, Const, ConstantFamily, Eq, FamilyMember, Forall, Not,
     SchemaConj, Var, parse_formula, parse_vocabulary, print_formula,
 )
 from omegalogic.structures import Valuation, parse_structure
 from omegalogic.omega_rules import (
-    SchemaError, Step, applicability_report, check_derivation,
+    SCHEMA_NAMES, SchemaError, Step, applicability_report, check_derivation,
     check_instance_sound, instantiate_schema, parse_derivation,
     print_derivation, refute_extension, refutation_vocabulary,
 )
@@ -95,7 +95,7 @@ def test_eq_rules():
 
 def test_refute_extension_checks():
     s = omega_succ()
-    root = refute_extension(s, [], "d")
+    root = refute_extension(s, "d")
     voc = refutation_vocabulary(s, "d")
     result = check_derivation(root, [], ("I_OMEGA", "I_FORALL_E", "eqI", "negE"),
                               voc, assumed_families=("tau",))
@@ -106,12 +106,12 @@ def test_refute_extension_checks():
 def test_refute_extension_not_fresh():
     s = omega_succ()
     with pytest.raises(SchemaError):
-        refute_extension(s, [], "S")
+        refute_extension(s, "S")
 
 
 def test_refutation_derivation_roundtrip():
     s = omega_succ()
-    root = refute_extension(s, [], "d")
+    root = refute_extension(s, "d")
     voc = refutation_vocabulary(s, "d")
     text = print_derivation(root)
     again = parse_derivation(text, voc)
@@ -120,7 +120,7 @@ def test_refutation_derivation_roundtrip():
 
 def test_check_derivation_rejects_wrong_instance():
     s = omega_succ()
-    root = refute_extension(s, [], "d")
+    root = refute_extension(s, "d")
     voc = refutation_vocabulary(s, "d")
     # corrupt the eqI step: conclude d = 0 instead of d = d
     bad_eq = Step("eqI", Eq(Const("d", "N"), Const("0", "N")),
@@ -185,3 +185,104 @@ def test_applicability_g_omega_needs_n_sort():
     voc = parse_vocabulary("sort S\nfamily C : S countable")
     report = applicability_report([], voc, "G_OMEGA")
     assert "no N-sort" in report["blockers"]
+
+
+# -- every instance instantiate_schema builds checks as a one-step derivation
+
+RT_VOCAB = parse_vocabulary(
+    "sort N\nconst 0 : N\nfun S : N -> N\nrel F : N\nrel N : N\n"
+    "family E : N = { d }\nfamily c : N countable")
+RT_BODIES = ("F(x)", "~F(x)", "exists y:N. (S(y) = x)", "F(x) | x = 0")
+RT_PARAMS = (Const("0", "N"), App("S", (Const("0", "N"),), "N"),
+             Const("d", "N"), FamilyMember("c", (1,), "N"))
+RT_GUARD = parse_formula("forall x:N. (x = x)", RT_VOCAB)
+OMEGA_SCHEMAS = ("S_OMEGA", "I_OMEGA", "G_OMEGA")
+INSTANTIABLE = tuple(n for n in SCHEMA_NAMES
+                     if n not in ("existsE", "S_EXISTS_E", "I_EXISTS_E"))
+
+
+def _instances(schema):
+    x = Var("x", "N")
+    bodies = [parse_formula(b, RT_VOCAB, bound=[("x", "N")])
+              for b in RT_BODIES]
+    if schema == "eqE":
+        params = [(p, q) for p in RT_PARAMS for q in RT_PARAMS]
+    else:
+        params = [(p,) for p in RT_PARAMS]
+    families = ("tau", "c") if schema in OMEGA_SCHEMAS else (None,)
+    for body in bodies:
+        for ps in params:
+            for fam in families:
+                try:
+                    yield instantiate_schema(RT_VOCAB, schema, body, x, ps,
+                                             fam, guard=RT_GUARD)
+                except SchemaError:
+                    pass  # a side condition rules this instance out
+
+
+def _one_step(inst):
+    leaves = tuple(Step("family", p, family=p.family, tag="schema-assumed")
+                   if isinstance(p, SchemaConj) else Step("axiom", p)
+                   for p in inst.all_premises)
+    return Step(inst.schema, inst.conclusions[0], leaves, inst.params,
+                inst.family)
+
+
+@pytest.mark.parametrize("schema", INSTANTIABLE)
+def test_every_instance_checks_as_a_derivation(schema):
+    insts = list(_instances(schema))
+    assert insts
+    for inst in insts:
+        theory = [p for p in inst.all_premises
+                  if not isinstance(p, SchemaConj)]
+        step = _one_step(inst)
+        result = check_derivation(step, theory, (schema,), RT_VOCAB,
+                                  assumed_families=("tau", "c"))
+        assert result.valid, (print_derivation(step), result.reason)
+
+
+# -- derivation steps the schemas do not build
+
+def _check(text, theory=(), vocab=RT_VOCAB, rules=SCHEMA_NAMES):
+    axioms = [parse_formula(a, vocab) for a in theory]
+    return check_derivation(parse_derivation(text, vocab), axioms, rules,
+                            vocab)
+
+
+def test_eqe_conclusion_must_be_the_rewritten_premise():
+    assert not _check("eqE[0, 0]: (0 = S(0))\n  axiom: (0 = 0)\n"
+                      "  axiom: F(0)\n", ["0 = 0", "F(0)"]).valid
+    assert not _check("eqE[0, S(0)]: F(S(S(0)))\n  axiom: (0 = S(0))\n"
+                      "  axiom: F(0)\n", ["0 = S(0)", "F(0)"]).valid
+    assert _check("eqE[0, S(0)]: F(S(0))\n  axiom: (0 = S(0))\n"
+                  "  axiom: F(0)\n", ["0 = S(0)", "F(0)"]).valid
+
+
+def test_eqe_may_rewrite_some_occurrences():
+    theory = ["0 = S(0)", "F(0) | ~F(0)"]
+    for concl in ("F(S(0)) | ~F(0)", "F(0) | ~F(S(0))",
+                  "F(S(0)) | ~F(S(0))", "F(0) | ~F(0)"):
+        text = (f"eqE[0, S(0)]: {concl}\n  axiom: (0 = S(0))\n"
+                "  axiom: F(0) | ~F(0)\n")
+        assert _check(text, theory).valid, concl
+
+
+def test_eqi_concludes_at_its_parameter():
+    assert not _check("eqI[d]: (0 = 0)\n").valid
+    assert _check("eqI[d]: (d = d)\n").valid
+
+
+def test_s_exists_i_witness_is_a_base_constant():
+    result = _check("S_EXISTS_I[d]: exists x:N. F(x)\n  axiom: F(d)\n",
+                    ["F(d)"])
+    assert not result.valid
+    assert "base constant" in result.reason
+    assert _check("S_EXISTS_I[S(0)]: exists x:N. F(x)\n  axiom: F(S(0))\n",
+                  ["F(S(0))"]).valid
+
+
+def test_g_forall_e_concludes_the_body():
+    theory = ["forall x:N. (~N(x) | F(x))"]
+    prem = "\n  axiom: forall x:N. (~N(x) | F(x))\n"
+    assert not _check("G_FORALL_E[0]: (~N(0) | F(0))" + prem, theory).valid
+    assert _check("G_FORALL_E[0]: F(0)" + prem, theory).valid
