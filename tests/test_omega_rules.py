@@ -6,9 +6,10 @@ from omegalogic.syntax import (
 )
 from omegalogic.structures import Valuation, parse_structure
 from omegalogic.omega_rules import (
-    SCHEMA_NAMES, SchemaError, Step, applicability_report, check_derivation,
-    check_instance_sound, instantiate_schema, parse_derivation,
-    print_derivation, refute_extension, refutation_vocabulary,
+    EXTRA_DERIVATION_RULES, SCHEMA_NAMES, SchemaError, Step,
+    applicability_report, check_derivation, check_instance_sound,
+    instantiate_schema, parse_derivation, print_derivation, refute_extension,
+    refutation_vocabulary,
 )
 
 
@@ -256,6 +257,9 @@ def test_eqe_conclusion_must_be_the_rewritten_premise():
                       "  axiom: F(0)\n", ["0 = S(0)", "F(0)"]).valid
     assert _check("eqE[0, S(0)]: F(S(0))\n  axiom: (0 = S(0))\n"
                   "  axiom: F(0)\n", ["0 = S(0)", "F(0)"]).valid
+    # the equation must be the one the parameters name
+    assert not _check("eqE[0, S(0)]: F(S(0))\n  axiom: (0 = 0)\n"
+                      "  axiom: F(0)\n", ["0 = 0", "F(0)"]).valid
 
 
 def test_eqe_may_rewrite_some_occurrences():
@@ -265,6 +269,11 @@ def test_eqe_may_rewrite_some_occurrences():
         text = (f"eqE[0, S(0)]: {concl}\n  axiom: (0 = S(0))\n"
                 "  axiom: F(0) | ~F(0)\n")
         assert _check(text, theory).valid, concl
+
+
+def test_exists_i_premise_is_the_body_at_the_witness():
+    assert not _check("existsI[0]: exists x:N. F(x)\n  axiom: F(S(0))\n",
+                      ["F(S(0))"]).valid
 
 
 def test_eqi_concludes_at_its_parameter():
@@ -286,3 +295,16 @@ def test_g_forall_e_concludes_the_body():
     prem = "\n  axiom: forall x:N. (~N(x) | F(x))\n"
     assert not _check("G_FORALL_E[0]: (~N(0) | F(0))" + prem, theory).valid
     assert _check("G_FORALL_E[0]: F(0)" + prem, theory).valid
+
+
+def test_malformed_steps_are_invalid_not_errors():
+    for text in ("eqI: (0 = 0)\n",                            # no parameter
+                 "I_FORALL_E[0]: F(0)\n  axiom: F(0)\n",      # not universal
+                 "eqE[0]: F(0)\n  axiom: (0 = 0)\n  axiom: F(0)\n",
+                 "existsE: F(0)\n  axiom: F(0)\n",
+                 "negI: ~F(0)\n  axiom: F(0)\n"):
+        result = _check(text, ["F(0)", "0 = 0"],
+                        rules=SCHEMA_NAMES + EXTRA_DERIVATION_RULES)
+        assert not result.valid and result.reason, text
+    result = _check("existsE: F(0)\n  axiom: F(0)\n", ["F(0)"])
+    assert "discharges an assumption" in result.reason
