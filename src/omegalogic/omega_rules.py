@@ -8,6 +8,7 @@ them with tags, and soundness mode spot-checks them at bounded fuel.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
@@ -74,8 +75,10 @@ def instantiate_schema(vocab: Vocabulary, schema: str, body=None, hole=None,
     it builds.  `body` is the formula with `hole` free; the omega rules take
     a premise `family` ('tau' or a family name) and G_OMEGA its sort
     `guard`.  G_OMEGA concludes forall x. (N(x) -> body) and G_FORALL_E
-    eliminates that to body at its parameter.  The existsE schemas discharge
-    an assumption and have no standalone instance."""
+    eliminates that to N(t) -> body(t) at its parameter t.  The existsE
+    schemas discharge an assumption and have no standalone instance.  A
+    malformed request (an unknown family, a parameter of the wrong sort)
+    raises SchemaError."""
     if schema not in SCHEMA_NAMES:
         raise SchemaError(f"unknown schema {schema!r}")
     if schema in ("existsE", "S_EXISTS_E", "I_EXISTS_E"):
@@ -95,13 +98,16 @@ def instantiate_schema(vocab: Vocabulary, schema: str, body=None, hole=None,
         return params
 
     def sub(t):
-        return substitute(body, hole.name, t)
+        try:
+            return substitute(body, hole.name, t)
+        except ValueError as e:
+            raise SchemaError(str(e)) from None
 
     if schema in ("S_OMEGA", "I_OMEGA", "G_OMEGA"):
         if family is None:
             raise SchemaError(f"{schema} requires a premise family")
-        if family != "tau":
-            vocab.family(family)
+        if family != "tau" and family not in vocab.families:
+            raise SchemaError(f"unknown constant family {family!r}")
         fam_conj = SchemaConj(hole, body, family)
         if schema == "S_OMEGA":
             if any(not _is_base_constant_term(p, vocab) for p in params):
@@ -132,11 +138,13 @@ def instantiate_schema(vocab: Vocabulary, schema: str, body=None, hole=None,
         (t,) = arity(1)
         if schema == "S_FORALL_E" and not _is_base_constant_term(t, vocab):
             raise SchemaError("S_FORALL_E instantiates at base constant terms")
-        prem = Forall(hole, body)
+        prem, concl = body, sub(t)
         if schema == "G_FORALL_E":
-            prem = Forall(hole, implies(Atom("N", (hole,)), body))
+            prem = implies(Atom("N", (hole,)), body)
+            concl = implies(Atom("N", (t,)), concl)
         return RuleInstanceQ(schema, body, hole, params, family,
-                             premises=(prem,), conclusions=(sub(t),))
+                             premises=(Forall(hole, prem),),
+                             conclusions=(concl,))
 
     if schema in ("existsI", "S_EXISTS_I", "I_EXISTS_I"):
         (t,) = arity(1)
@@ -256,11 +264,11 @@ def check_derivation(root: Step, theory, rules, vocab: Vocabulary,
     """Purely syntactic derivation checking.  Each step is rebuilt from its
     schema by `instantiate_schema`, with the body, hole and guard the step
     shows (see `_shown_instance`): the step is valid when its children
-    conclude the instance's premises and it concludes the instance's
-    conclusion.  `negE` is not a schema and is checked on its own.  Axiom
-    leaves must be in the theory, family leaves must carry a justified tag,
-    and assumption leaves never check, since no rule discharges one.
-    Children are reported before their step."""
+    conclude the instance's premises, in any order, and it concludes the
+    instance's conclusion.  `negE` is not a schema and is checked on its
+    own.  Axiom leaves must be in the theory, family leaves must carry a
+    justified tag, and assumption leaves never check, since no rule
+    discharges one.  Children are reported before their step."""
     theory = tuple(theory)
     rules = tuple(rules)
     assumed = tuple(assumed_families)
@@ -306,7 +314,7 @@ def check_derivation(root: Step, theory, rules, vocab: Vocabulary,
             inst = _shown_instance(step, kids, vocab)
         except SchemaError as e:
             return fail(step, str(e))
-        if kids != inst.all_premises:
+        if Counter(kids) != Counter(inst.all_premises):
             return fail(step, f"premises are not those of the {step.rule} "
                         "instance: " + "; ".join(
                             print_formula(p) for p in inst.all_premises))
@@ -321,15 +329,17 @@ def check_derivation(root: Step, theory, rules, vocab: Vocabulary,
 def _shown_instance(step: Step, kids, vocab) -> RuleInstanceQ:
     """The instance of the step's schema at the body, hole and guard the step
     shows: a forall-elimination shows them in its premise, eqE in its two
-    formulas, every other schema in its conclusion, and G_OMEGA shows its
-    guard as its first premise."""
+    formulas (its premise is the one that is not the equation), every other
+    schema in its conclusion, and G_OMEGA shows its guard as its premise
+    that is not the family."""
     if step.rule == "eqE":
         if len(kids) != 2 or len(step.params) != 2:
             raise SchemaError("eqE rewrites a premise by an equation t1 = t2 "
                               "given as its parameters [t1, t2]")
         t1, t2 = step.params
         hole = Var(_EQE_HOLE, t1.sort)
-        body = _hole_between(kids[1], step.conclusion, t1, t2, hole)
+        prem = kids[1] if kids[0] == Eq(t1, t2) else kids[0]
+        body = _hole_between(prem, step.conclusion, t1, t2, hole)
         if body is _NO_HOLE:
             raise SchemaError("conclusion is not the premise with some "
                               f"{print_term(t1)} rewritten to {print_term(t2)}")
@@ -342,7 +352,8 @@ def _shown_instance(step: Step, kids, vocab) -> RuleInstanceQ:
         if (step.rule.startswith("G_") and isinstance(body, Or)
                 and body.left == Not(Atom("N", (hole,)))):
             body = body.right
-    guard = kids[0] if step.rule == "G_OMEGA" and len(kids) == 2 else None
+    # only G_OMEGA reads a guard: its premise that is not the family
+    guard = next((k for k in kids if not isinstance(k, SchemaConj)), None)
     return instantiate_schema(vocab, step.rule, body, hole, step.params,
                               step.family, guard)
 

@@ -244,10 +244,10 @@ def test_every_instance_checks_as_a_derivation(schema):
 
 # -- derivation steps the schemas do not build
 
-def _check(text, theory=(), vocab=RT_VOCAB, rules=SCHEMA_NAMES):
+def _check(text, theory=(), vocab=RT_VOCAB, rules=SCHEMA_NAMES, assumed=()):
     axioms = [parse_formula(a, vocab) for a in theory]
     return check_derivation(parse_derivation(text, vocab), axioms, rules,
-                            vocab)
+                            vocab, assumed_families=assumed)
 
 
 def test_eqe_conclusion_must_be_the_rewritten_premise():
@@ -257,6 +257,8 @@ def test_eqe_conclusion_must_be_the_rewritten_premise():
                       "  axiom: F(0)\n", ["0 = S(0)", "F(0)"]).valid
     assert _check("eqE[0, S(0)]: F(S(0))\n  axiom: (0 = S(0))\n"
                   "  axiom: F(0)\n", ["0 = S(0)", "F(0)"]).valid
+    assert _check("eqE[0, S(0)]: F(S(0))\n  axiom: F(0)\n"
+                  "  axiom: (0 = S(0))\n", ["0 = S(0)", "F(0)"]).valid
     # the equation must be the one the parameters name
     assert not _check("eqE[0, S(0)]: F(S(0))\n  axiom: (0 = 0)\n"
                       "  axiom: F(0)\n", ["0 = 0", "F(0)"]).valid
@@ -290,11 +292,29 @@ def test_s_exists_i_witness_is_a_base_constant():
                   ["F(S(0))"]).valid
 
 
-def test_g_forall_e_concludes_the_body():
+def test_g_forall_e_keeps_the_sort_guard():
+    # N(0) and F(0) both false satisfies the axiom and falsifies F(0)
     theory = ["forall x:N. (~N(x) | F(x))"]
     prem = "\n  axiom: forall x:N. (~N(x) | F(x))\n"
-    assert not _check("G_FORALL_E[0]: (~N(0) | F(0))" + prem, theory).valid
-    assert _check("G_FORALL_E[0]: F(0)" + prem, theory).valid
+    assert not _check("G_FORALL_E[0]: F(0)" + prem, theory).valid
+    assert _check("G_FORALL_E[0]: (~N(0) | F(0))" + prem, theory).valid
+
+
+def test_g_omega_premises_in_either_order():
+    guard = "forall x:N. (x = x)"
+    fam = "  family /\\{ F(x) : x in c } tag=schema-assumed\n"
+    concl = "G_OMEGA: family=c forall x:N. (~N(x) | F(x))\n"
+    for kids in (f"  axiom: {guard}\n" + fam, fam + f"  axiom: {guard}\n"):
+        text = concl + kids
+        result = check_derivation(parse_derivation(text, RT_VOCAB),
+                                  [parse_formula(guard, RT_VOCAB)],
+                                  ("G_OMEGA",), RT_VOCAB,
+                                  assumed_families=("c",))
+        assert result.valid, (text, result.reason)
+
+
+TWO_SORTS = parse_vocabulary("sort N\nsort B\nconst 0 : N\nconst b : B\n"
+                             "rel F : N\nfamily c : N countable")
 
 
 def test_malformed_steps_are_invalid_not_errors():
@@ -302,8 +322,12 @@ def test_malformed_steps_are_invalid_not_errors():
                  "I_FORALL_E[0]: F(0)\n  axiom: F(0)\n",      # not universal
                  "eqE[0]: F(0)\n  axiom: (0 = 0)\n  axiom: F(0)\n",
                  "existsE: F(0)\n  axiom: F(0)\n",
-                 "negI: ~F(0)\n  axiom: F(0)\n"):
-        result = _check(text, ["F(0)", "0 = 0"],
+                 "negI: ~F(0)\n  axiom: F(0)\n",
+                 "S_OMEGA: family=nosuch forall x:N. F(x)\n"
+                 "  family /\\{ F(x) : x in c } tag=schema-assumed\n",
+                 "I_FORALL_E[b]: F(0)\n  axiom: forall x:N. F(x)\n"):
+        result = _check(text, ["F(0)", "0 = 0", "forall x:N. F(x)"],
+                        vocab=TWO_SORTS, assumed=("c",),
                         rules=SCHEMA_NAMES + EXTRA_DERIVATION_RULES)
         assert not result.valid and result.reason, text
     result = _check("existsE: F(0)\n  axiom: F(0)\n", ["F(0)"])
