@@ -8,7 +8,6 @@ names too.
 """
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,37 +84,24 @@ def _family_terms(vocab, family, fuel, sort=None):
     'tau', every member of a finite family, and the first `fuel` members
     of a countable one."""
     if family == "tau":
-        return [Const(d.name, d.result_sort)
-                for d in vocab.constants(sort)], True
+        return vocab.constant_terms(sort), True
     fam = vocab.family(family)
     if fam.countable:
         return fam.enumerate_terms(fuel), False
     return list(fam.terms()), True
 
 
-# Plans are kept per formula object, never per structure, and go when
-# their formula is garbage-collected; a plan holds no reference to it.
-_PLANS = {}  # id(formula) -> (weak reference to it, {kind: _Code})
-
-
 def _compiled(f, kind):
-    """The plan of `f` for structures of `kind`, compiled on first use."""
-    entry = _PLANS.get(id(f))
-    if entry is None or entry[0]() is not f:
-        code = _Compiler(kind).compile(f)
-        _PLANS[id(f)] = (weakref.ref(f, _forget(id(f))), {kind: code})
-        return code
-    code = entry[1].get(kind)
-    if code is None:
-        code = entry[1][kind] = _Compiler(kind).compile(f)
+    """The plan of `f` for structures of `kind`, compiled on first use and
+    kept on the node, which it holds no reference to."""
+    try:
+        return f._plans[kind]
+    except AttributeError:  # the node's first plan
+        object.__setattr__(f, "_plans", {})
+    except KeyError:
+        pass
+    code = f._plans[kind] = _Compiler(kind).compile(f)
     return code
-
-
-def _forget(key):
-    def drop(ref):
-        if _PLANS.get(key, (None,))[0] is ref:
-            del _PLANS[key]
-    return drop
 
 
 class _Code:

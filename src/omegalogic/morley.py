@@ -8,12 +8,11 @@ bundles produce identical bytes.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .syntax import (
-    And, App, Atom, Const, Eq, Exists, Forall, Formula, Not, Or,
-    SyntaxError_, Var, Vocabulary, free_variables, parse_formula,
-    parse_vocabulary, print_formula,
+    Formula, SyntaxError_, Vocabulary, free_variables, map_children,
+    parse_formula, parse_vocabulary, print_formula,
 )
 from .structures import EvalError, eval_sentence
 
@@ -140,31 +139,9 @@ def load_bundle(path) -> ChangBundle:
 
 def _retype(f: Formula, sort_map) -> Formula:
     """Rebuild a formula with sorts renamed (relativization to V)."""
-    def rt(t):
-        if isinstance(t, Var):
-            return Var(t.name, sort_map.get(t.sort, t.sort))
-        if isinstance(t, Const):
-            return Const(t.name, sort_map.get(t.sort, t.sort))
-        if isinstance(t, App):
-            return App(t.func, tuple(rt(a) for a in t.args),
-                       sort_map.get(t.sort, t.sort))
-        raise BundleError(f"unexpected term in bundle formula: {t!r}")
-
-    if isinstance(f, Atom):
-        return Atom(f.rel, tuple(rt(a) for a in f.args))
-    if isinstance(f, Eq):
-        return Eq(rt(f.left), rt(f.right))
-    if isinstance(f, Not):
-        return Not(_retype(f.body, sort_map))
-    if isinstance(f, And):
-        return And(_retype(f.left, sort_map), _retype(f.right, sort_map))
-    if isinstance(f, Or):
-        return Or(_retype(f.left, sort_map), _retype(f.right, sort_map))
-    if isinstance(f, Forall):
-        return Forall(rt(f.var), _retype(f.body, sort_map))
-    if isinstance(f, Exists):
-        return Exists(rt(f.var), _retype(f.body, sort_map))
-    return f  # Absurd
+    g = map_children(f, lambda c: _retype(c, sort_map))
+    sort = getattr(g, "sort", None)
+    return replace(g, sort=sort_map[sort]) if sort in sort_map else g
 
 
 def _strip_outer(printed: str) -> str:

@@ -15,7 +15,7 @@ from typing import Optional
 from .syntax import (
     App, Atom, BOT, Const, ConstantFamily, Eq, Exists,
     FamilyMember, Forall, Formula, Not, Or, SchemaConj, SyntaxError_, Term,
-    Var, Vocabulary, constants_in, implies, parse_formula, parse_term,
+    Var, Vocabulary, constants_in, implies, nodes, parse_formula, parse_term,
     print_formula, print_term, substitute, term_is_ground,
 )
 from .structures import TruthAtFuel, _family_terms, eval_sentence
@@ -57,13 +57,8 @@ class RuleInstanceQ:
 
 def _is_base_constant_term(t: Term, vocab: Vocabulary) -> bool:
     """Ground term built from base constants and functions only."""
-    if isinstance(t, Const):
-        return t.name in vocab.symbols
-    if isinstance(t, FamilyMember):
-        return False
-    if isinstance(t, App):
-        return all(_is_base_constant_term(a, vocab) for a in t.args)
-    return False
+    return all(isinstance(n, App) or isinstance(n, Const)
+               and n.name in vocab.symbols for n in nodes(t))
 
 
 def instantiate_schema(vocab: Vocabulary, schema: str, body=None, hole=None,
@@ -156,7 +151,10 @@ def instantiate_schema(vocab: Vocabulary, schema: str, body=None, hole=None,
 
     if schema == "forallI":
         (c,) = arity(1)
-        if any(c == k for k in constants_in(body)):
+        if not isinstance(c, (Const, FamilyMember)):
+            raise SchemaError(f"eigenconstant {print_term(c)} is not a "
+                              "constant")
+        if c in constants_in(body):
             raise SchemaError("eigenconstant occurs in the conclusion body")
         return RuleInstanceQ(schema, body, hole, params, family,
                              premises=(sub(c),),
@@ -184,7 +182,13 @@ def instantiate_schema(vocab: Vocabulary, schema: str, body=None, hole=None,
 class SoundnessVerdict:
     status: str  # 'sound' | 'unsound' | 'unknown'
     fuel: int
-    witness: Optional[str] = None
+    facts: tuple = ()  # (label, formula or None) pairs behind the witness
+
+    @property
+    def witness(self) -> Optional[str]:
+        """The facts as text, formatted only when read; None for none."""
+        return "; ".join(label if f is None else f"{label}: {print_formula(f)}"
+                         for label, f in self.facts) or None
 
 
 def _target_eval(target, f, fuel):
@@ -217,18 +221,16 @@ def check_instance_sound(target, inst: RuleInstanceQ,
     concl_vals = [_target_eval(target, c, fuel) for c in inst.conclusions]
     for p, v in zip(premises, prem_vals):
         if v.value == "false":
-            return SoundnessVerdict("sound", fuel,
-                                    f"premise false: {print_formula(p)}")
+            return SoundnessVerdict("sound", fuel, (("premise false", p),))
     if any(v.value == "true" for v in concl_vals):
         return SoundnessVerdict("sound", fuel)
     if all(v.value == "true" for v in prem_vals) and all(
             v.value == "false" for v in concl_vals):
-        lines = [f"premise true: {print_formula(p)}" for p in premises]
-        lines += [f"conclusion false: {print_formula(c)}"
-                  for c in inst.conclusions]
+        facts = [("premise true", p) for p in premises]
+        facts += [("conclusion false", c) for c in inst.conclusions]
         if not inst.conclusions:
-            lines.append("empty conclusion set is always false")
-        return SoundnessVerdict("unsound", fuel, "; ".join(lines))
+            facts.append(("empty conclusion set is always false", None))
+        return SoundnessVerdict("unsound", fuel, tuple(facts))
     return SoundnessVerdict("unknown", fuel)
 
 
@@ -321,6 +323,15 @@ def check_derivation(root: Step, theory, rules, vocab: Vocabulary,
         if (step.conclusion,) != inst.conclusions:
             return fail(step, f"conclusion is not that of the {step.rule} "
                         f"instance: {print_formula(inst.conclusions[0])}")
+        if step.rule == "forallI":  # no leaf under it may name its constant
+            c, todo = inst.params[0], list(step.children)
+            while todo:
+                s = todo.pop()
+                todo += s.children
+                if s.rule in ("axiom", "family", "assumption") and \
+                        c in constants_in(s.conclusion):
+                    return fail(step, f"eigenconstant {print_term(c)} occurs "
+                                f"in the {s.rule} {print_formula(s.conclusion)}")
         return CheckResult(True)
 
     return check(root)

@@ -18,7 +18,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .syntax import Absurd, And, Atom, BOT, Formula, Not, Or, print_formula
+from .syntax import (
+    Absurd, And, Atom, BOT, Formula, Not, Or, nodes, print_formula,
+)
 
 
 RULE_CATALOGUE = ("&I", "&E1", "&E2", "vI1", "vI2", "vE", "vE_MC",
@@ -188,21 +190,12 @@ class Derivability:
         return "true" if self.decided else "false"
 
 
-def _subformulas(f):
-    yield f
-    if isinstance(f, Not):
-        yield from _subformulas(f.body)
-    elif isinstance(f, (And, Or)):
-        yield from _subformulas(f.left)
-        yield from _subformulas(f.right)
-
-
 def _search_space(seed):
     """Formula space for proof search: subformula closure of the seed, plus
     excluded-middle scaffolding, plus one and two negations of everything."""
     s0 = set()
     for f in seed:
-        s0.update(_subformulas(f))
+        s0.update(g for g in nodes(f) if isinstance(g, Formula))
     s0.add(BOT)
     s1 = set(s0) | {Or(f, Not(f)) for f in s0}
     return s1 | {Not(f) for f in s1} | {Not(Not(f)) for f in s1}
@@ -215,6 +208,9 @@ class Prover:
     def __init__(self, rules, space):
         self.rules = frozenset(_check_rules(rules))
         self.space = frozenset(space)
+        # f -> ~~f, for the double negations in the space
+        self.double = {g.body.body: g for g in self.space
+                       if isinstance(g, Not) and isinstance(g.body, Not)}
         self.memo = {}
 
     def _closure0(self, gamma):
@@ -278,8 +274,8 @@ class Prover:
                         if self._prove(cl, f.body, depth - 1):
                             return True
             if "DN" in self.rules:
-                nn = Not(Not(goal))
-                if nn in self.space and self._prove(cl, nn, depth - 1):
+                nn = self.double.get(goal)
+                if nn is not None and self._prove(cl, nn, depth - 1):
                     return True
             if "vE" in self.rules:
                 for f in cl:
@@ -622,7 +618,7 @@ def _atom_valuations(atoms):
 
 
 def is_tautology(f: Formula) -> bool:
-    atoms = {g for g in _subformulas(f) if isinstance(g, Atom)}
+    atoms = {g for g in nodes(f) if isinstance(g, Atom)}
     return all(value_of(v, f) for v in _atom_valuations(tuple(atoms)))
 
 

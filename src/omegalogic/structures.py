@@ -17,7 +17,7 @@ from .evaluation import (  # the evaluator's names, which callers import
 from .syntax import (
     Absurd, And, App, Atom, Const, Eq, FamilyMember, Formula, Not, Or,
     SyntaxError_, Term, Var, Vocabulary, applications, arg_tuples,
-    parse_term, parse_vocabulary, print_term, subterms, term_is_ground,
+    nodes, parse_term, parse_vocabulary, print_term, term_is_ground,
 )
 
 
@@ -149,7 +149,7 @@ class TermGeneratedStructure:
                     if n is None:
                         n = self._normal_form(a)
                     args.append(n)
-                    changed = changed or (n is not a and n != a)
+                    changed = changed or n is not a
                 if changed:
                     t = App(t.func, tuple(args), t.sort)
                     nf = normal.get(t)
@@ -216,9 +216,8 @@ class TermGeneratedStructure:
             sorts = _feeding_sorts(self.vocab, sort)
             funs = [d for d in self.vocab.functions()
                     if d.result_sort in sorts]
-            layer = sorted((Const(d.name, d.result_sort)
-                            for d in self.vocab.constants()
-                            if d.result_sort in sorts), key=_shortlex)
+            layer = sorted((c for c in self.vocab.constant_terms()
+                            if c.sort in sorts), key=_shortlex)
         else:
             layer = self.vocab.family(source).terms()
         while layer:
@@ -388,8 +387,7 @@ def permissible(v: Valuation, probes=None) -> PermissibilityVerdict:
     of the identity rules (t=t a theorem, =E a congruence)."""
     if probes is None:
         if v.structure is not None:
-            names = list(v.name_map.keys()) or [
-                Const(d.name, d.result_sort) for d in v.vocab.constants()]
+            names = list(v.name_map) or v.vocab.constant_terms()
             probes = default_probe_set(v.vocab, names)
         else:
             # explicit finite valuations are probed on their own domain
@@ -456,28 +454,8 @@ def _truth_table_value(f, v):
 
 
 def _formula_ground_terms(f):
-    """The ground terms of the quantifier-free `f`, with their subterms."""
-    out = set()
-
-    def add(t):
-        if term_is_ground(t):
-            out.update(subterms(t))
-
-    def walk(g):
-        if isinstance(g, Atom):
-            for a in g.args:
-                add(a)
-        elif isinstance(g, Eq):
-            add(g.left)
-            add(g.right)
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or)):
-            walk(g.left)
-            walk(g.right)
-
-    walk(f)
-    return out
+    """The ground terms of `f`, with their subterms."""
+    return {t for t in nodes(f) if isinstance(t, Term) and term_is_ground(t)}
 
 
 class _UnionFind:
@@ -555,11 +533,10 @@ def _map_defect(a, b, mapping):
     which the relation's truth or the function's value (when it is mapped
     too) is not carried over.  Relations are checked both ways; one that
     `a` or `b` cannot decide raises EvalError."""
-    for d in a.vocab.constants():
-        c = Const(d.name, d.result_sort)
+    for c in a.vocab.constant_terms():
         src = a.element_of(c)
         if src in mapping and mapping[src] != b.element_of(c):
-            return ("const", d.name)
+            return ("const", c.name)
     pools = {sort: [] for sort in a.vocab.sorts}
     for e in mapping:
         pools[a.sort_of(e)].append(e)

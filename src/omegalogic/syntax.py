@@ -8,9 +8,11 @@ into an infinite list).
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import MISSING, dataclass, fields
 from typing import Iterator, Optional
 
 
@@ -119,6 +121,7 @@ class Vocabulary:
         self.sorts = tuple(sorts)
         self.symbols = {}
         self.families = {}
+        self._constant_terms = {}  # sort or None -> tuple of Const
         for decl in symbols:
             self._add_symbol(decl)
         for fam in families:
@@ -133,6 +136,7 @@ class Vocabulary:
         if decl.result_sort is not None and decl.result_sort not in self.sorts:
             raise SyntaxError_(f"unknown sort {decl.result_sort!r} in {decl.name!r}")
         self.symbols[decl.name] = decl
+        self._constant_terms.clear()
 
     def _add_family(self, fam):
         if fam.name in self.symbols or fam.name in self.families:
@@ -147,6 +151,14 @@ class Vocabulary:
     def constants(self, sort=None):
         return [d for d in self.symbols.values()
                 if d.kind == "const" and (sort is None or d.result_sort == sort)]
+
+    def constant_terms(self, sort=None) -> tuple:
+        """`constants(sort)` as terms, in the same order, built once."""
+        terms = self._constant_terms.get(sort)
+        if terms is None:
+            terms = self._constant_terms[sort] = tuple(
+                Const(d.name, d.result_sort) for d in self.constants(sort))
+        return terms
 
     def relations(self):
         return [d for d in self.symbols.values() if d.kind == "rel"]
@@ -180,53 +192,144 @@ class Vocabulary:
 
 
 # ---------------------------------------------------------------------------
+# Interned nodes
+
+
+_EMPTY = frozenset()
+_SET = object.__setattr__
+
+
+class _Ref(weakref.ref):
+    """A table entry: a weak reference that knows its key."""
+
+    __slots__ = ("key",)
+
+
+class _Node:
+    """A term or formula node, hash-consed: each class keeps a table from
+    field tuples (defaults filled in) to the live node with those fields,
+    so building a node equal to a live one returns that node, and equality
+    and hashing are by identity.  A node leaves its table when it is no
+    longer referenced.  `_summary` holds its free variable names and
+    quantifier rank, worked out from its children's when it is built;
+    `_plans` is the evaluator's store of compiled plans."""
+
+    __slots__ = ("_summary", "_plans", "__weakref__")
+
+    def __new__(cls, *key, **kwargs):
+        if kwargs or len(key) != cls._width:
+            bound = cls._signature.bind(*key, **kwargs)
+            bound.apply_defaults()
+            key = tuple(bound.arguments.values())
+        ref = cls._table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        for name, value in zip(cls._names, key):
+            _SET(node, name, value)
+        _SET(node, "_summary", node._summarize())
+        ref = cls._table[key] = _Ref(node, cls._forget)
+        ref.key = key
+        return node
+
+    def _parts(self):
+        return tuple(getattr(self, n) for n in self._names)
+
+    def __reduce__(self):  # copies and pickles are built, so interned
+        return type(self), self._parts()
+
+    def _summarize(self):
+        return _EMPTY, 0
+
+
+def _interned(cls):
+    """Make the node class `cls` a frozen dataclass whose constructor
+    interns (see `_Node`)."""
+    cls = dataclass(frozen=True, eq=False, init=False, slots=True)(cls)
+    cls._names = tuple(f.name for f in fields(cls))
+    cls._width = len(cls._names)
+    cls._signature = inspect.Signature([inspect.Parameter(
+        f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+        default=inspect.Parameter.empty if f.default is MISSING else f.default)
+        for f in fields(cls)])
+    table = cls._table = {}
+
+    def forget(ref):
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+    cls._forget = staticmethod(forget)
+    return cls
+
+
+def _union(nodes):
+    """The free variables of `nodes`, sharing a child's set where it holds
+    them all."""
+    out = _EMPTY
+    for n in nodes:
+        fv = n._summary[0]
+        if not fv <= out:
+            out = fv if out <= fv else out | fv
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class Term:
-    pass
+class Term(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_interned
 class Var(Term):
     name: str
     sort: Optional[str] = None
 
+    def _summarize(self):
+        return frozenset((self.name,)), 0
 
-@dataclass(frozen=True)
+
+@_interned
 class Const(Term):
     name: str
     sort: str
 
 
-@dataclass(frozen=True)
+@_interned
 class FamilyMember(Term):
     family: str
     indices: tuple
     sort: str
 
 
-@dataclass(frozen=True)
+@_interned
 class App(Term):
     func: str
     args: tuple
     sort: str
 
+    def _summarize(self):
+        return _union(self.args), 0
+
 
 def term_is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, App):
-        return all(term_is_ground(a) for a in t.args)
-    return True
+    return not t._summary[0]
 
 
-def subterms(t: Term):
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from subterms(a)
+def nodes(f):
+    """Every node of the term or formula `f`, in preorder, left to right,
+    found without recursion."""
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        yield g
+        for v in reversed(g._parts()):
+            if isinstance(v, _Node):
+                todo.append(v)
+            elif type(v) is tuple:  # arguments; a family member's indices
+                todo += [a for a in reversed(v) if isinstance(a, _Node)]
 
 
 def arg_tuples(decl: SymbolDecl, terms):
@@ -245,58 +348,76 @@ def applications(decls, terms) -> list:
 # Formulas
 
 
-@dataclass(frozen=True)
-class Formula:
-    pass
+class Formula(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_interned
 class Atom(Formula):
     rel: str
     args: tuple = ()
 
+    _summarize = App._summarize
 
-@dataclass(frozen=True)
+
+@_interned
 class Eq(Formula):
     left: Term
     right: Term
 
+    def _summarize(self):  # of And and Or as well
+        return (_union((self.left, self.right)),
+                max(self.left._summary[1], self.right._summary[1]))
 
-@dataclass(frozen=True)
+
+@_interned
 class Absurd(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_interned
 class Not(Formula):
     body: Formula
 
+    def _summarize(self):
+        return self.body._summary
 
-@dataclass(frozen=True)
+
+@_interned
 class And(Formula):
     left: Formula
     right: Formula
 
+    _summarize = Eq._summarize
 
-@dataclass(frozen=True)
+
+@_interned
 class Or(Formula):
     left: Formula
     right: Formula
 
+    _summarize = Eq._summarize
 
-@dataclass(frozen=True)
+
+@_interned
 class Forall(Formula):
     var: Var
     body: Formula
 
+    def _summarize(self):
+        fv, rank = self.body._summary
+        return fv - {self.var.name}, rank + 1
 
-@dataclass(frozen=True)
+
+@_interned
 class Exists(Formula):
     var: Var
     body: Formula
 
+    _summarize = Forall._summarize
 
-@dataclass(frozen=True)
+
+@_interned
 class SchemaConj(Formula):
     """Conjunction of {body[hole := c] : c in family}; family is a name."""
 
@@ -304,12 +425,18 @@ class SchemaConj(Formula):
     body: Formula
     family: str
 
+    def _summarize(self):
+        fv, rank = self.body._summary
+        return fv - {self.hole.name}, rank
 
-@dataclass(frozen=True)
+
+@_interned
 class SchemaDisj(Formula):
     hole: Var
     body: Formula
     family: str
+
+    _summarize = SchemaConj._summarize
 
 
 BOT = Absurd()
@@ -326,35 +453,7 @@ def iff(a: Formula, b: Formula) -> Formula:
 
 def free_variables(f: Formula) -> frozenset:
     """Free variable names; schema holes are binder-like and excluded."""
-
-    def term_vars(t):
-        if isinstance(t, Var):
-            return {t.name}
-        if isinstance(t, App):
-            out = set()
-            for a in t.args:
-                out |= term_vars(a)
-            return out
-        return set()
-
-    if isinstance(f, Atom):
-        out = set()
-        for a in f.args:
-            out |= term_vars(a)
-        return frozenset(out)
-    if isinstance(f, Eq):
-        return frozenset(term_vars(f.left) | term_vars(f.right))
-    if isinstance(f, Absurd):
-        return frozenset()
-    if isinstance(f, Not):
-        return free_variables(f.body)
-    if isinstance(f, (And, Or)):
-        return frozenset().union(*map(free_variables, juncts(f, (And, Or))))
-    if isinstance(f, (Forall, Exists)):
-        return free_variables(f.body) - {f.var.name}
-    if isinstance(f, (SchemaConj, SchemaDisj)):
-        return free_variables(f.body) - {f.hole.name}
-    raise TypeError(f"not a formula: {f!r}")
+    return f._summary[0]
 
 
 def juncts(f: Formula, kinds) -> list:
@@ -377,17 +476,7 @@ def is_sentence(f: Formula) -> bool:
 
 def quantifier_rank(f: Formula) -> int:
     """Standard rank; schema nodes contribute the rank of their body."""
-    if isinstance(f, (Atom, Eq, Absurd)):
-        return 0
-    if isinstance(f, Not):
-        return quantifier_rank(f.body)
-    if isinstance(f, (And, Or)):
-        return max(map(quantifier_rank, juncts(f, (And, Or))))
-    if isinstance(f, (Forall, Exists)):
-        return 1 + quantifier_rank(f.body)
-    if isinstance(f, (SchemaConj, SchemaDisj)):
-        return quantifier_rank(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return f._summary[1]
 
 
 def substitute(f: Formula, var: str, t: Term) -> Formula:
@@ -395,73 +484,30 @@ def substitute(f: Formula, var: str, t: Term) -> Formula:
     if not term_is_ground(t):
         raise ValueError("substitution term must be closed")
 
-    def sub_term(u):
-        if isinstance(u, Var):
-            if u.name == var:
-                if u.sort is not None and t.sort is not None and u.sort != t.sort:
-                    raise ValueError(
-                        f"sort mismatch substituting {var}: {u.sort} vs {t.sort}")
-                return t
-            return u
-        if isinstance(u, App):
-            return App(u.func, tuple(sub_term(a) for a in u.args), u.sort)
-        return u
+    def sub(g):
+        if var not in g._summary[0]:
+            return g  # `var` is not free here
+        if isinstance(g, Var):
+            if g.sort is not None and t.sort is not None and g.sort != t.sort:
+                raise ValueError(
+                    f"sort mismatch substituting {var}: {g.sort} vs {t.sort}")
+            return t
+        return map_children(g, sub)
 
-    if isinstance(f, Atom):
-        return Atom(f.rel, tuple(sub_term(a) for a in f.args))
-    if isinstance(f, Eq):
-        return Eq(sub_term(f.left), sub_term(f.right))
-    if isinstance(f, Absurd):
-        return f
-    if isinstance(f, Not):
-        return Not(substitute(f.body, var, t))
-    if isinstance(f, And):
-        return And(substitute(f.left, var, t), substitute(f.right, var, t))
-    if isinstance(f, Or):
-        return Or(substitute(f.left, var, t), substitute(f.right, var, t))
-    if isinstance(f, (Forall, Exists)):
-        if f.var.name == var:
-            return f
-        cls = type(f)
-        return cls(f.var, substitute(f.body, var, t))
-    if isinstance(f, (SchemaConj, SchemaDisj)):
-        if f.hole.name == var:
-            return f
-        cls = type(f)
-        return cls(f.hole, substitute(f.body, var, t), f.family)
-    raise TypeError(f"not a formula: {f!r}")
+    return sub(f)
+
+
+def map_children(g, fn):
+    """The node `g` rebuilt with `fn(c)` for each child node `c`, whether a
+    field or in a tuple of arguments."""
+    return type(g)(*(fn(v) if isinstance(v, _Node) else
+                     tuple(fn(a) if isinstance(a, _Node) else a for a in v)
+                     if type(v) is tuple else v for v in g._parts()))
 
 
 def constants_in(f: Formula):
     """All Const / FamilyMember leaves occurring in f."""
-    out = []
-
-    def walk_term(t):
-        if isinstance(t, (Const, FamilyMember)):
-            out.append(t)
-        elif isinstance(t, App):
-            for a in t.args:
-                walk_term(a)
-
-    def walk(g):
-        if isinstance(g, Atom):
-            for a in g.args:
-                walk_term(a)
-        elif isinstance(g, Eq):
-            walk_term(g.left)
-            walk_term(g.right)
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.body)
-        elif isinstance(g, (SchemaConj, SchemaDisj)):
-            walk(g.body)
-
-    walk(f)
-    return out
+    return [t for t in nodes(f) if isinstance(t, (Const, FamilyMember))]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ bounds they were reached under.
 
 import itertools
 import re
+import weakref
 from dataclasses import dataclass, replace
 from math import gcd
 from typing import Optional
@@ -44,7 +45,7 @@ def _type_terms(vocab, varnames):
     constants, and one layer of unary function application."""
     sort = vocab.sorts[0]
     base = [Var(v, sort) for v in varnames]
-    base += [Const(d.name, d.result_sort) for d in vocab.constants()]
+    base += vocab.constant_terms()
     unary = [d for d in vocab.functions() if d.arity == 1]
     return base + applications(unary, base)
 
@@ -60,10 +61,14 @@ def _type_atoms(vocab, varnames):
     return atoms
 
 
+_POOLS = weakref.WeakKeyDictionary()  # vocabulary -> {(arity, rank): pool}
+
+
 def canonical_formulas(vocab, arity, rank):
     """The formula pool behind complete_type: literals over v0..v_{n-1} plus
     single-quantifier prefixes nested to the given rank, in shortlex order
-    on the printed form."""
+    on the printed form.  Built once per vocabulary, arity and rank, so that
+    its nodes, and the plans compiled on them, are reused."""
     def pool(varnames, k):
         atoms = _type_atoms(vocab, varnames)
         out = list(atoms) + [Not(a) for a in atoms]
@@ -75,14 +80,14 @@ def canonical_formulas(vocab, arity, rank):
                     out.append(Exists(Var(y, sort), f))
                     out.append(Forall(Var(y, sort), f))
         return out
-    seen, result = set(), []
-    for f in pool([f"v{i}" for i in range(arity)], rank):
-        key = print_formula(f)
-        if key not in seen:
-            seen.add(key)
-            result.append(f)
-    result.sort(key=lambda f: (len(print_formula(f)), print_formula(f)))
-    return result
+    pools = _POOLS.setdefault(vocab, {})
+    if (arity, rank) not in pools:
+        by_text = {}  # the first formula printed as each text
+        for f in pool([f"v{i}" for i in range(arity)], rank):
+            by_text.setdefault(print_formula(f), f)
+        pools[arity, rank] = tuple(
+            by_text[t] for t in sorted(by_text, key=lambda t: (len(t), t)))
+    return pools[arity, rank]
 
 
 def holds_on_tuple(s, f, tup, fuel=8):
@@ -287,8 +292,8 @@ def ef_signature(s, rounds):
 
 def _atomic_separator(a, ta, b, tb):
     """A literal true of ta in a and false of tb in b, or None."""
-    nconst = len(a.vocab.constants())
-    consts = [Const(d.name, d.result_sort) for d in a.vocab.constants()]
+    consts = a.vocab.constant_terms()
+    nconst = len(consts)
     sort = a.vocab.sorts[0] if a.vocab.sorts else None
 
     def term(i):

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import omegalogic
 from omegalogic.cli import main
 
 
@@ -84,6 +87,21 @@ def test_check_proof_rejects_a_bad_rewrite(capsys, tmp_path):
                        "--vocab", A("nat.voc"))
     assert code == 1
     assert out.startswith(f"proof {prf}: invalid")
+
+
+def test_check_proof_keeps_the_eigenconstant_out_of_the_axioms(
+        capsys, tmp_path):
+    # forallI may not generalize the 0 of the axiom F(0)
+    (tmp_path / "f.voc").write_text("sort N\nconst 0 : N\nrel F : N\n")
+    (tmp_path / "f.thy").write_text("axiom F(0)\n")
+    prf = tmp_path / "gen.prf"
+    prf.write_text("forallI[0]: forall x:N. F(x)\n  axiom: F(0)\n")
+    code, out, _ = run(capsys, "check-proof", str(prf),
+                       "--vocab", str(tmp_path / "f.voc"),
+                       "--theory", str(tmp_path / "f.thy"))
+    assert code == 1
+    assert out == (f"proof {prf}: invalid\n"
+                   "  reason: eigenconstant 0 occurs in the axiom F(0)\n")
 
 
 def test_applicability_pure_equality(capsys):
@@ -200,3 +218,57 @@ def test_malformed_witness_map_exits_2(capsys, tmp_path):
                        "--witness", str(bad))
     assert code == 2
     assert err.startswith("omega: a piece reads") and "(line 2, col 1)" in err
+
+
+# the command lines of the README, --machine added or not
+README_COMMANDS = [
+    ["prop-admissible", "--atoms", "p", "--depth", "1",
+     "--rules", "&I,&E1,&E2"],
+    ["prop-table", "--connective", "|", "--atoms", "p,q",
+     "--rules", "vI1,vI2,vE"],
+    ["refute", "--structure", A("omega-succ.struct"), "--theory", A("q.thy"),
+     "--fresh", "d"],
+    ["check-proof", A("omega-succ-refutation.prf"), "--vocab",
+     A("nat-ext.voc"), "--rules", "I_OMEGA,I_FORALL_E,eqI,negE",
+     "--assume-family", "tau"],
+    ["applicability", "--vocab", A("dense-order.voc"), "--schema", "I_OMEGA"],
+    ["type", "--structure", A("chain3.struct"), "--tuple", "b", "--rank", "1"],
+    ["atomic", "--structure", A("omega-succ.struct"), "--rank", "1"],
+    ["ef", A("chain3.struct"), A("chain4.struct"), "--rounds", "3"],
+    ["scott", A("chain3.struct")],
+    ["generative", A("rationals.struct"), "--witness", A("q-shift.map")],
+    ["morley-code", A("morley", "z-order.chg")],
+    ["verify-omega", A("morley", "toy.thy"), A("morley", "toy-good.struct")],
+]
+
+# runs the commands given as JSON after allocating and partly freeing
+# `argv[1]` throwaway objects of assorted sizes, which moves the addresses,
+# and so the identity hashes, of every node built afterwards
+_RUN_COMMANDS = """
+import contextlib, io, json, sys
+junk = [(object(), [None] * (i % 9), {i: i}) for i in range(int(sys.argv[1]))]
+del junk[::2]
+from omegalogic.cli import main
+out = []
+for argv in json.loads(sys.argv[2]):
+    for machine in ([], ["--machine"]):
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = main(machine + argv)
+        out.append([code, text.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_readme_commands_do_not_depend_on_allocation_order():
+    src = os.path.dirname(os.path.dirname(omegalogic.__file__))
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
+    outputs = [subprocess.run(
+        [sys.executable, "-c", _RUN_COMMANDS, str(n),
+         json.dumps(README_COMMANDS)],
+        env=env, capture_output=True, text=True, check=True).stdout
+        for n in (0, 4000)]
+    assert outputs[0] == outputs[1]
+    # every command ran: only ef, which tells the chains apart, exits 1
+    assert [code for code, _ in json.loads(outputs[0])] == [0] * 14 + \
+        [1] * 2 + [0] * 8

@@ -12,6 +12,7 @@ import itertools
 import os
 import random
 import time
+import weakref
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -409,14 +410,15 @@ def test_early_checks_keep_unknown_and_errors():
 def test_plan_is_reused_and_released():
     s = _finite_structure(random.Random(2))
     f = parse_formula("exists x:S. exists y:S. (R(x, y) & P(y))", FINITE)
-    key = id(f)
     eval_sentence(s, f)
-    code = evaluation._PLANS[key][1]["finite"]
+    code = f._plans["finite"]
     eval_sentence(_finite_structure(random.Random(3)), f)
-    assert evaluation._PLANS[key][1]["finite"] is code
-    del f, code
+    assert f._plans["finite"] is code
+    # the plan lives on the node and holds no reference to it
+    gone = weakref.ref(f)
+    del f
     gc.collect()
-    assert key not in evaluation._PLANS
+    assert gone() is None and code.fn is not None
 
 
 # -- the sort of a schema hole over tau

@@ -3,6 +3,7 @@ import pytest
 from omegalogic.syntax import (
     App, Atom, BOT, Const, ConstantFamily, Eq, FamilyMember, Forall, Not,
     SchemaConj, Var, parse_formula, parse_vocabulary, print_formula,
+    print_term,
 )
 from omegalogic.structures import Valuation, parse_structure
 from omegalogic.omega_rules import (
@@ -155,6 +156,42 @@ def test_eigenvariable_violation():
     assert "assumption" in result.reason or "eigen" in result.reason
 
 
+def test_forall_i_eigenconstant_stays_out_of_the_leaves():
+    # forall x:N. F(x) does not follow from the one instance F(0) that the
+    # theory asserts: 0 occurs in the axiom leaf under the premise
+    x, zero = Var("x", "N"), Const("0", "N")
+    f0 = Atom("F", (zero,))
+    gen = Step("forallI", Forall(x, Atom("F", (x,))), (Step("axiom", f0),),
+               params=(zero,))
+    result = check_derivation(gen, [f0], ("forallI",), NAT)
+    assert not result.valid
+    assert result.reason == "eigenconstant 0 occurs in the axiom F(0)"
+    # a fresh eigenconstant over a closed premise generalizes
+    d = Const("d", "N")
+    refl = Step("forallI", Forall(x, Eq(x, x)),
+                (Step("eqI", Eq(d, d), params=(d,)),), params=(d,))
+    assert check_derivation(refl, [], ("forallI", "eqI"), ext_vocab()).valid
+    # an eigenconstant is a constant, never a compound term
+    with pytest.raises(SchemaError, match="is not a constant"):
+        instantiate_schema(NAT, "forallI", Atom("F", (x,)), x,
+                           params=(App("S", (zero,), "N"),))
+
+
+def test_soundness_witness_text():
+    x = Var("x", "N")
+    voc = parse_vocabulary("sort N\nconst 0 : N\nrel F : N")
+    inst = instantiate_schema(voc, "S_OMEGA", Atom("F", (x,)), x, family="tau")
+    f0, every = Atom("F", (Const("0", "N"),)), Forall(x, Atom("F", (x,)))
+    verdicts = [check_instance_sound(
+        Valuation(voc, assignment={f0: a, every: b}), inst, fuel=5)
+        for a, b in ((True, False), (False, False), (True, True))]
+    assert [(v.status, v.witness) for v in verdicts] == [
+        ("unsound", "premise true: /\\{ F(x) : x in tau }; "
+                    "conclusion false: forall x:N. F(x)"),
+        ("sound", "premise false: /\\{ F(x) : x in tau }"),
+        ("sound", None)]
+
+
 def test_dangling_assumption_rejected():
     step = Step("assumption", Atom("F", (Const("0", "N"),)))
     result = check_derivation(step, [], ("eqI",), NAT)
@@ -239,7 +276,12 @@ def test_every_instance_checks_as_a_derivation(schema):
         step = _one_step(inst)
         result = check_derivation(step, theory, (schema,), RT_VOCAB,
                                   assumed_families=("tau", "c"))
-        assert result.valid, (print_derivation(step), result.reason)
+        if schema == "forallI":  # its axiom leaf names the eigenconstant
+            assert not result.valid and result.reason.startswith(
+                f"eigenconstant {print_term(inst.params[0])} occurs in the "
+                "axiom"), print_derivation(step)
+        else:
+            assert result.valid, (print_derivation(step), result.reason)
 
 
 # -- derivation steps the schemas do not build

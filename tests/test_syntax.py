@@ -1,11 +1,16 @@
+import dataclasses
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
 from omegalogic.cli import main
 
 from omegalogic.syntax import (
-    And, App, Atom, Const, ConstantFamily, Eq, Exists, FamilyMember, Forall,
-    Not, Or, SchemaConj, SyntaxError_, Var, free_variables,
+    Absurd, And, App, Atom, BOT, Const, ConstantFamily, Eq, Exists,
+    FamilyMember, Forall, Not, Or, SchemaConj, SchemaDisj, SyntaxError_, Var,
+    free_variables,
     is_sentence, parse_formula, parse_term, parse_vocabulary, print_formula,
     print_vocabulary, quantifier_rank, substitute,
 )
@@ -189,6 +194,80 @@ def test_schema_hole_is_binderlike():
 def test_bot_parses():
     f = parse_formula("P(0) -> _|_", NAT)
     assert print_formula(f) == "(~P(0) | _|_)"
+
+
+# --- interning ---------------------------------------------------------------
+
+_X = Var("x", "N")
+_ZERO = Const("0", "N")
+_PX = Atom("P", (_X,))
+NODES = [(Var, ("x", "N")), (Const, ("0", "N")),
+         (FamilyMember, ("D", (1,), "N")), (App, ("S", (_ZERO,), "N")),
+         (Atom, ("P", (_ZERO,))), (Eq, (_ZERO, _X)), (Absurd, ()),
+         (Not, (_PX,)), (And, (_PX, BOT)), (Or, (_PX, BOT)),
+         (Forall, (_X, _PX)), (Exists, (_X, _PX)),
+         (SchemaConj, (_X, _PX, "D")), (SchemaDisj, (_X, _PX, "D"))]
+
+
+@pytest.mark.parametrize("cls,parts", NODES, ids=lambda v: getattr(
+    v, "__name__", ""))
+def test_equal_fields_give_one_node(cls, parts):
+    node = cls(*parts)
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert cls(*parts) is node
+    assert cls(**dict(zip(names, parts))) is node
+    assert dataclasses.replace(node) is node
+    assert type(node)(*(getattr(node, n) for n in names)) is node
+    assert node == cls(*parts) and hash(node) == hash(cls(*parts))
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, None)
+
+
+def test_defaulted_fields_are_filled_in():
+    assert Var("x") is Var("x", None) is Var(name="x")
+    assert Atom("Q") is Atom("Q", ()) is Atom(rel="Q")
+    assert Absurd() is BOT
+    assert dataclasses.replace(Var("x", "N"), sort=None) is Var("x")
+    assert Var("x") is not Var("x", "N")
+
+
+def _table_sizes():
+    return sum(len(cls._table) for cls, _ in NODES)
+
+
+def test_unreferenced_nodes_leave_the_table():
+    t = App("S", (FamilyMember("D", (7,), "N"),), "N")
+    key = (t.func, t.args, t.sort)
+    gone = weakref.ref(t)
+    assert App._table[key]() is t
+    del t
+    gc.collect()
+    assert gone() is None and key not in App._table
+    # rounds that build and drop formulas leave the tables as they found them
+    sizes = []
+    for _ in range(3):
+        fs = [parse_formula(f"forall x:N. (P(S(x)) | x != D_{i})", NAT)
+              for i in range(200)]
+        assert len(set(fs)) == 200
+        del fs
+        gc.collect()
+        sizes.append(_table_sizes())
+    assert sizes[0] == sizes[1] == sizes[2]
+
+
+def test_deep_formulas_need_no_recursion():
+    def chain():
+        f = Atom("P", (_X,))
+        for i in range(10_000):
+            f = Not(f) if i % 2 else Exists(_X, f) if i % 4 else And(f, _PX)
+        return f
+
+    f, g = chain(), chain()
+    assert f is g and f == g and len({f, g}) == 1 and f in {g}
+    assert free_variables(f) == frozenset()
+    assert free_variables(And(_PX, f)) == {"x"}
+    assert quantifier_rank(f) == quantifier_rank(Not(f)) == 2_500
 
 
 # --- property tests --------------------------------------------------------
