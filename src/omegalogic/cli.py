@@ -49,8 +49,12 @@ def _parse_axioms(text, vocab):
         if not line.startswith("axiom"):
             raise SyntaxError_(f"theory line {lineno} is not an axiom: "
                                f"{line!r}")
-        axioms.append(parse_formula(line[len("axiom"):].strip(), vocab,
-                                    require_sentence=True))
+        text = line[len("axiom"):].strip()
+        try:
+            axioms.append(parse_formula(text, vocab, require_sentence=True))
+        except SyntaxError_ as e:
+            start = raw.index(text, raw.index("axiom") + len("axiom"))
+            raise e.at(lineno, start + 1) from None
     return axioms
 
 

@@ -480,7 +480,8 @@ def parse_derivation(text: str, vocab: Vocabulary) -> Step:
         level, line, lineno = entries[pos]
         if level != depth:
             raise SyntaxError_("bad derivation nesting", lineno, 1)
-        step, pos = _parse_step_line(line, lineno, vocab), pos + 1
+        step = _parse_step_line(line, lineno, 2 * depth + 1, vocab)
+        pos += 1
         children = []
         while pos < len(entries) and entries[pos][0] == depth + 1:
             child, pos = build(pos, depth + 1)
@@ -496,18 +497,26 @@ def parse_derivation(text: str, vocab: Vocabulary) -> Step:
     return root
 
 
-def _parse_step_line(line, lineno, vocab):
+def _parse_step_line(line, lineno, col, vocab):
+    """One step; `line` starts at column `col` of file line `lineno`."""
+
+    def parse(parse_fn, text, start):  # text starts at line[start:]
+        try:
+            return parse_fn(text.strip(), vocab)
+        except SyntaxError_ as e:
+            pad = len(text) - len(text.lstrip())
+            raise e.at(lineno, col + start + pad) from None
+
     if line.startswith("family "):
         rest = line[len("family "):]
         if " tag=" not in rest:
             raise SyntaxError_("family step missing tag", lineno, 1)
         formula_txt, tag = rest.rsplit(" tag=", 1)
-        f = parse_formula(formula_txt.strip(), vocab)
+        f = parse(parse_formula, formula_txt, len("family "))
         if not isinstance(f, SchemaConj):
             raise SyntaxError_("family step needs a schema-conjunction", lineno, 1)
         return Step("family", f, family=f.family, tag=tag.strip())
     head, _, formula_txt = line.partition(":")
-    head = head.strip()
     family = None
     if formula_txt.lstrip().startswith("family="):
         fam_txt, _, formula_txt = formula_txt.lstrip().partition(" ")
@@ -515,14 +524,16 @@ def _parse_step_line(line, lineno, vocab):
     params = ()
     if "[" in head:
         rule, bracket = head.split("[", 1)
-        if not bracket.endswith("]"):
+        if not bracket.rstrip().endswith("]"):
             raise SyntaxError_("unterminated parameter list", lineno, 1)
-        params = tuple(parse_term(p.strip(), vocab)
-                       for p in bracket[:-1].split(","))
+        start = len(rule) + 1
+        for p in bracket.rstrip()[:-1].split(","):
+            params += (parse(parse_term, p, start),)
+            start += len(p) + 1
     else:
         rule = head
-    return Step(rule.strip(), parse_formula(formula_txt.strip(), vocab),
-                params=params, family=family)
+    conclusion = parse(parse_formula, formula_txt, len(line) - len(formula_txt))
+    return Step(rule.strip(), conclusion, params=params, family=family)
 
 
 # ---------------------------------------------------------------------------

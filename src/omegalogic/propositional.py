@@ -10,12 +10,19 @@ rules and proof depth; the universe keeps that immutable clause set, and the
 clause set keeps a two-watched-literal solver loaded with it, so every
 enumeration and forcing query over the universe reuses one compile and one
 loaded solver under new assumptions.
+
+A compile does each piece of its work once. The prover's formula space is
+built at the universe's first compile and kept for the others; the prover
+works out the forward closure of each assumption set once; and the vE
+clauses ask each distinct disjunct, not each disjunction, which sentences it
+proves.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .syntax import (
@@ -72,6 +79,12 @@ class SentenceUniverse:
         self.index = {f: i for i, f in enumerate(self.sentences)}
         self._clauses = {}  # (frozenset of rules, depth) -> ClauseSet
 
+    @cached_property
+    def _space(self):
+        """The prover's formula space over the sentences, which no rule set
+        changes: built at the first compile and kept for the others."""
+        return _search_space(self.sentences)
+
     def __len__(self):
         return len(self.sentences)
 
@@ -106,41 +119,44 @@ class RuleInstanceP:
 
 def rule_instances(rules, u: SentenceUniverse):
     """All instances of the named rules over the universe."""
-    rules = _check_rules(rules)
-    out = []
+    return list(_instances(_check_rules(rules), u, hypothetical=True))
+
+
+def _instances(rules, u: SentenceUniverse, hypothetical):
+    """The instances of the rules over the universe, in order; without
+    `hypothetical`, only the plain ones, which compile to a clause each:
+    none of vE or negI (they have hypothetical premises) nor Refutation."""
     for f in u.sentences:
         if isinstance(f, And):
             a, b = f.left, f.right
             if "&I" in rules:
-                out.append(RuleInstanceP("&I", (a, b), (), (f,)))
+                yield RuleInstanceP("&I", (a, b), (), (f,))
             if "&E1" in rules:
-                out.append(RuleInstanceP("&E1", (f,), (), (a,)))
+                yield RuleInstanceP("&E1", (f,), (), (a,))
             if "&E2" in rules:
-                out.append(RuleInstanceP("&E2", (f,), (), (b,)))
+                yield RuleInstanceP("&E2", (f,), (), (b,))
         elif isinstance(f, Or):
             a, b = f.left, f.right
             if "vI1" in rules:
-                out.append(RuleInstanceP("vI1", (a,), (), (f,)))
+                yield RuleInstanceP("vI1", (a,), (), (f,))
             if "vI2" in rules:
-                out.append(RuleInstanceP("vI2", (b,), (), (f,)))
+                yield RuleInstanceP("vI2", (b,), (), (f,))
             if "vE_MC" in rules:
-                out.append(RuleInstanceP("vE_MC", (f,), (), (a, b)))
-            if "vE" in rules:
+                yield RuleInstanceP("vE_MC", (f,), (), (a, b))
+            if hypothetical and "vE" in rules:
                 for c in u.sentences:
-                    out.append(RuleInstanceP(
-                        "vE", (f,), ((a, c), (b, c)), (c,)))
+                    yield RuleInstanceP("vE", (f,), ((a, c), (b, c)), (c,))
         elif isinstance(f, Not):
             a = f.body
-            if "negI" in rules:
-                out.append(RuleInstanceP("negI", (), ((a, BOT),), (f,)))
+            if hypothetical and "negI" in rules:
+                yield RuleInstanceP("negI", (), ((a, BOT),), (f,))
             if "negE" in rules and a in u:
-                out.append(RuleInstanceP("negE", (a, f), (), (BOT,)))
+                yield RuleInstanceP("negE", (a, f), (), (BOT,))
             if "DN" in rules and isinstance(a, Not):
-                out.append(RuleInstanceP("DN", (f,), (), (a.body,)))
-    if "Refutation" in rules:
-        out.append(RuleInstanceP(
-            "Refutation", (conjunction_of(u.sentences),), (), ()))
-    return out
+                yield RuleInstanceP("DN", (f,), (), (a.body,))
+    if hypothetical and "Refutation" in rules:
+        yield RuleInstanceP(
+            "Refutation", (conjunction_of(u.sentences),), (), ())
 
 
 def value_of(v, f: Formula):
@@ -197,13 +213,16 @@ def _search_space(seed):
     for f in seed:
         s0.update(g for g in nodes(f) if isinstance(g, Formula))
     s0.add(BOT)
-    s1 = set(s0) | {Or(f, Not(f)) for f in s0}
-    return s1 | {Not(f) for f in s1} | {Not(Not(f)) for f in s1}
+    s1 = s0 | {Or(f, Not(f)) for f in s0}
+    return frozenset(s1 | {Not(f) for f in s1} | {Not(Not(f)) for f in s1})
 
 
 class Prover:
     """Depth-bounded proof search for the multiple-conclusion calculus,
-    restricted to a fixed finite formula space."""
+    restricted to a fixed finite formula space.
+
+    Proofs are memoized per (closed assumption set, goal, depth), and the
+    forward closure of each assumption set is worked out once per prover."""
 
     def __init__(self, rules, space):
         self.rules = frozenset(_check_rules(rules))
@@ -212,9 +231,13 @@ class Prover:
         self.double = {g.body.body: g for g in self.space
                        if isinstance(g, Not) and isinstance(g.body, Not)}
         self.memo = {}
+        self.closures = {}  # assumption set -> its closure
 
     def _closure0(self, gamma):
         """Cheap forward closure under the elimination rules."""
+        done = self.closures.get(gamma)
+        if done is not None:
+            return done
         cl = set(gamma)
         changed = True
         while changed:
@@ -235,7 +258,8 @@ class Prover:
                     if g not in cl:
                         cl.add(g)
                         changed = True
-        return frozenset(cl)
+        done = self.closures[gamma] = frozenset(cl)
+        return done
 
     def proves(self, gamma: frozenset, goal: Formula, depth: int) -> bool:
         cl = self._closure0(gamma)
@@ -348,7 +372,11 @@ def admissibility_clauses(rules, u: SentenceUniverse, depth: int):
     the admissible total valuations on the universe, as a `ClauseSet`.
 
     Compiled once per set of rules and depth; the universe keeps the result,
-    so rule order and repetition do not matter."""
+    so rule order and repetition do not matter. Within a compile the prover
+    asks each distinct vE disjunct about every sentence once and caches each
+    closure, over a search space the universe builds once for all its
+    compiles; every derivability question still goes through
+    `Prover.proves`."""
     rules = _check_rules(rules)
     key = (frozenset(rules), depth)
     clauses = u._clauses.get(key)
@@ -364,24 +392,25 @@ def _compile_clauses(rules, u: SentenceUniverse, depth: int):
     def add(lits):
         clauses.add(tuple(sorted(set(lits))))
 
-    for inst in rule_instances(rules, u):
-        if inst.hyps or inst.rule == "Refutation":
-            continue
+    for inst in _instances(rules, u, hypothetical=False):
         add([-idx[p] for p in inst.premises] +
             [idx[c] for c in inst.conclusions])
 
-    space = _search_space(u.sentences)
-    prover = Prover(rules, space)
+    prover = Prover(rules, u._space)
     empty = frozenset()
 
     if "vE" in rules:
+        # a |- c depends on the disjunct a alone, so each distinct disjunct
+        # is asked about every sentence once, however many Ors share it
+        follows = {}  # disjunct -> the sentences it proves
         for f in u.sentences:
             if isinstance(f, Or):
-                ca = {c for c in u.sentences
-                      if prover.proves(frozenset([f.left]), c, depth)}
-                cb = {c for c in u.sentences
-                      if prover.proves(frozenset([f.right]), c, depth)}
-                for c in ca & cb:
+                for a in (f.left, f.right):
+                    if a not in follows:
+                        gamma = frozenset((a,))
+                        follows[a] = {c for c in u.sentences
+                                      if prover.proves(gamma, c, depth)}
+                for c in follows[f.left] & follows[f.right]:
                     add([-idx[f], idx[c]])
 
     if "negI" in rules:

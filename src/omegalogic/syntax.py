@@ -12,7 +12,7 @@ import inspect
 import itertools
 import re
 import weakref
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import Iterator, Optional
 
 
@@ -26,6 +26,11 @@ class SyntaxError_(Exception):
         super().__init__(message)
         self.line = line
         self.col = col
+
+    def at(self, line, col=1):
+        """This error, raised parsing one line's text, placed in its file:
+        the text starts at column `col` of file line `line`."""
+        return SyntaxError_(self.message, line, col + (self.col or 1) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +248,20 @@ class _Node:
     def _summarize(self):
         return _EMPTY, 0
 
+    def _frozen(self, name, *value):
+        what = "assign to" if value else "delete"
+        raise FrozenInstanceError(f"cannot {what} field {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
 
 def _interned(cls):
     """Make the node class `cls` a frozen dataclass whose constructor
     interns (see `_Node`)."""
     cls = dataclass(frozen=True, eq=False, init=False, slots=True)(cls)
+    # the generated pair calls super() with the class from before the slots
+    # rebuild, a TypeError for any name that is not a field: use _Node's
+    del cls.__setattr__, cls.__delattr__
     cls._names = tuple(f.name for f in fields(cls))
     cls._width = len(cls._names)
     cls._signature = inspect.Signature([inspect.Parameter(
@@ -769,10 +783,17 @@ class _FormulaParser:
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
 
+    def _end(self, message):
+        """`message` placed just past the last token, if there is one."""
+        if not self.toks:
+            return SyntaxError_(message)
+        last = self.toks[-1]
+        return SyntaxError_(message, last.line, last.col + len(last.text))
+
     def next(self):
         tok = self.peek()
         if tok is None:
-            raise SyntaxError_("unexpected end of input")
+            raise self._end("unexpected end of input")
         self.pos += 1
         return tok
 
@@ -815,7 +836,7 @@ class _FormulaParser:
     def unary(self) -> Formula:
         tok = self.peek()
         if tok is None:
-            raise SyntaxError_("unexpected end of formula")
+            raise self._end("unexpected end of formula")
         if tok.text == "~":
             self.next()
             return Not(self.unary())
