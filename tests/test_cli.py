@@ -220,6 +220,34 @@ def test_malformed_witness_map_exits_2(capsys, tmp_path):
     assert err.startswith("omega: a piece reads") and "(line 2, col 1)" in err
 
 
+def test_malformed_theory_axiom_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.thy"
+    bad.write_text("theory q\n# successor\naxiom forall x:N. S(x) != \n")
+    code, out, err = run(capsys, "refute", "--structure",
+                         A("omega-succ.struct"), "--theory", str(bad),
+                         "--fresh", "d")
+    assert (code, out) == (2, "")
+    assert err == "omega: unexpected end of input (line 3, col 26)\n"
+
+
+@pytest.mark.parametrize("step,message", [
+    ("  eqI[d]: (d = ", "unexpected end of input (line 2, col 15)"),
+    ("  eqI[d, zz]: (d = d)",
+     "unknown symbol or unbound variable 'zz' (line 2, col 10)"),
+    ("  I_OMEGA: family=tau forall x:N. (x != )",
+     "unknown symbol or unbound variable ')' (line 2, col 41)"),
+    ("  family /\\{ (x != d) : x in tau tag=t",
+     "malformed schema node (line 2, col 10)"),
+])
+def test_malformed_proof_step_exits_2(capsys, tmp_path, step, message):
+    bad = tmp_path / "bad.prf"
+    bad.write_text(f"negE: _|_\n{step}\n")
+    code, out, err = run(capsys, "check-proof", str(bad),
+                         "--vocab", A("nat-ext.voc"))
+    assert (code, out) == (2, "")
+    assert err == f"omega: {message}\n"
+
+
 # the command lines of the README, --machine added or not
 README_COMMANDS = [
     ["prop-admissible", "--atoms", "p", "--depth", "1",

@@ -355,6 +355,141 @@ def test_clauses_are_immutable():
 
 
 # ---------------------------------------------------------------------------
+# The clause compile against the plain one
+
+
+def reference_closure(rules, gamma):
+    """Reference: the forward closure under &E1, &E2, DN and negE, built
+    round by round to its fixpoint, with no cache."""
+    cl = set(gamma)
+    while True:
+        new = set()
+        for f in cl:
+            if isinstance(f, And):
+                new |= {g for r, g in (("&E1", f.left), ("&E2", f.right))
+                        if r in rules}
+            elif isinstance(f, Not):
+                if "DN" in rules and isinstance(f.body, Not):
+                    new.add(f.body.body)
+                if "negE" in rules and f.body in cl:
+                    new.add(BOT)
+        if new <= cl:
+            return frozenset(cl)
+        cl |= new
+
+
+class UncachedProver(propositional.Prover):
+    """The prover with every closure worked out afresh."""
+
+    def _closure0(self, gamma):
+        return reference_closure(self.rules, gamma)
+
+
+def reference_clauses(rules, u, depth):
+    """Reference: the plain compile. Every rule instance is built and those
+    with hypothetical premises skipped, each disjunction asks both its
+    disjuncts about every sentence, and each call builds its own search
+    space and an uncached prover."""
+    idx = {f: i + 1 for f, i in u.index.items()}
+    clauses = set()
+
+    def add(lits):
+        clauses.add(tuple(sorted(set(lits))))
+
+    for inst in rule_instances(rules, u):
+        if inst.hyps or inst.rule == "Refutation":
+            continue
+        add([-idx[p] for p in inst.premises] +
+            [idx[c] for c in inst.conclusions])
+    prover = UncachedProver(rules, propositional._search_space(u.sentences))
+    empty = frozenset()
+    if "vE" in rules:
+        for f in u.sentences:
+            if isinstance(f, Or):
+                ca = {c for c in u.sentences
+                      if prover.proves(frozenset([f.left]), c, depth)}
+                cb = {c for c in u.sentences
+                      if prover.proves(frozenset([f.right]), c, depth)}
+                for c in ca & cb:
+                    add([-idx[f], idx[c]])
+    if "negI" in rules:
+        for f in u.sentences:
+            if isinstance(f, Not) and prover.proves(
+                    frozenset([f.body]), BOT, depth):
+                add([idx[f]])
+    for s in u.sentences:
+        if prover.proves(empty, s, depth):
+            add([idx[s]])
+    if "vE_MC" in rules:
+        for s in u.sentences:
+            ns = Not(s)
+            if ns in u and prover.proves(empty, Or(s, ns), depth):
+                add([idx[s], idx[ns]])
+    if "Refutation" in rules:
+        add([-idx[s] for s in u.sentences])
+        add([-idx[BOT]])
+    return ClauseSet(sorted(clauses))
+
+
+def _assert_compiles_match(rules, u, depth):
+    got = admissibility_clauses(rules, u, depth)
+    assert tuple(got) == tuple(reference_clauses(rules, u, depth)), \
+        (rules, u.atoms, u.depth, depth)
+
+
+@pytest.mark.parametrize("atoms,depth", [(["p"], 0), (["p"], 1), (["p"], 2),
+                                         (["p", "q"], 1),
+                                         (["p", "q", "r"], 1)])
+def test_clauses_match_reference(atoms, depth):
+    u = sentence_universe(atoms, depth)
+    for rules in ORACLE_RULE_SETS:
+        _assert_compiles_match(rules, u, 6)
+
+
+# the rule sets of the prop-forcing workload, at its proof depth
+BENCH_RULE_SETS = (("&I", "&E1", "&E2"), ("vI1", "vI2", "vE"),
+                   ("negI", "negE", "DN"), FULL)
+
+
+@pytest.mark.parametrize("atoms", [["a", "b", "c", "d"],
+                                   ["a", "b", "c", "d", "e"]])
+def test_clauses_match_reference_on_bench_universes(atoms):
+    u = sentence_universe(atoms, 1)
+    for rules in BENCH_RULE_SETS:
+        _assert_compiles_match(rules, u, 6)
+
+
+def test_clauses_match_reference_on_random_rule_sets():
+    rng = random.Random(1212)
+    universes = [sentence_universe(["p", "q"], 1),
+                 sentence_universe(["p", "q", "r"], 1)]
+    for trial in range(40):
+        rules = tuple(r for r in propositional.RULE_CATALOGUE
+                      if rng.random() < 0.5)
+        u = universes[trial % 2]
+        for depth in (0, 1, 3, 6):
+            _assert_compiles_match(rules, u, depth)
+
+
+def test_cached_closures_match_uncached():
+    rng = random.Random(77)
+    space = sorted(sentence_universe(["p", "q"], 1)._space,
+                   key=propositional.print_formula)
+    rule_sets = [("&E1", "&E2", "DN", "negE"), ("&E1",), ("DN", "negE"),
+                 ("&E2", "negE"), ()]
+    provers = [propositional.Prover(rules, space) for rules in rule_sets]
+    for _ in range(300):
+        gamma = set(rng.sample(space, rng.randint(0, 4)))
+        gamma |= {f.body for f in list(gamma)
+                  if isinstance(f, Not) and rng.random() < 0.5}
+        gamma = frozenset(gamma)
+        for prover, rules in zip(provers, rule_sets):
+            closure = prover._closure0(gamma)
+            assert closure == reference_closure(rules, gamma), (rules, gamma)
+            assert prover._closure0(gamma) is closure
+
+
+# ---------------------------------------------------------------------------
 # The enumeration cap
 
 

@@ -219,9 +219,11 @@ def test_equal_fields_give_one_node(cls, parts):
     assert dataclasses.replace(node) is node
     assert type(node)(*(getattr(node, n) for n in names)) is node
     assert node == cls(*parts) and hash(node) == hash(cls(*parts))
-    for name in names:
+    for name in names + ["x", "_summary"]:  # a field, or any other name
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(node, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
 
 
 def test_defaulted_fields_are_filled_in():
