@@ -117,8 +117,9 @@ class _Code:
 
     def run(self, s, env, fuel, extra, fragment):
         slots = [None] * self.width
-        for name, i in self.free:
-            slots[i] = env[name]
+        normal = self.free and s.kind == "term-generated"  # values enter a
+        for name, i in self.free:  # presentation as normal forms
+            slots[i] = s.normalize(env[name]) if normal else env[name]
         return self.fn(_Call(s, fuel, extra, fragment), slots)
 
 
@@ -201,8 +202,8 @@ class _Compiler:
     """Compiles a formula into nested closures `fn(call, slots)` for
     structures of one kind (`_Code`).  Quantifier blocks and chains of
     `And`/`Or` are flattened by loops, so a long chain costs no recursion.
-    Finite structures read relation extents and compare elements directly;
-    presentations go through `holds` and `equal`."""
+    Elements are compared directly, a presentation's being normal forms;
+    finite structures read relation extents, presentations ask `holds`."""
 
     def __init__(self, kind):
         self.finite = kind == "finite"
@@ -242,14 +243,12 @@ class _Compiler:
         if isinstance(f, Atom):
             return self.atom(f, scope)
         if isinstance(f, Eq):
-            if self.finite and type(f.left) is Var and type(f.right) is Var:
+            if type(f.left) is Var and type(f.right) is Var:
                 i, j = self.slot(f.left.name, scope), self.slot(f.right.name,
                                                                  scope)
                 return lambda c, e: e[i] == e[j]
             a, b = self.term(f.left, scope), self.term(f.right, scope)
-            if self.finite:
-                return lambda c, e: a(c, e) == b(c, e)
-            return lambda c, e: c.s.equal(a(c, e), b(c, e))
+            return lambda c, e: a(c, e) == b(c, e)
         if isinstance(f, Not):
             body = self.formula(f.body, scope)
             if self.finite and isinstance(f.body, (Atom, Eq)):
@@ -269,13 +268,14 @@ class _Compiler:
 
     def atom(self, f, scope):
         rel = f.rel
-        if not self.finite:
-            args = [self.term(a, scope) for a in f.args]
-            return lambda c, e: c.s.holds(rel, [a(c, e) for a in args])
         if any(type(a) is not Var for a in f.args):
             args = [self.term(a, scope) for a in f.args]
+            if not self.finite:
+                return lambda c, e: c.s.holds(rel, [a(c, e) for a in args])
             return lambda c, e: tuple([a(c, e) for a in args]) in c.rels[rel]
         idx = [self.slot(a.name, scope) for a in f.args]
+        if not self.finite:
+            return lambda c, e: c.s.holds(rel, [e[i] for i in idx])
         if len(idx) == 1:
             (i,) = idx
             return lambda c, e: (e[i],) in c.rels[rel]

@@ -170,9 +170,6 @@ class TermGeneratedStructure:
             normal[u] = nf
         return nf
 
-    def equal(self, t1: Term, t2: Term) -> bool:
-        return self.normalize(t1) == self.normalize(t2)
-
     def sort_of(self, e):
         """The sort of the element `e` (a normal-form ground term), or None
         for a non-element."""
@@ -183,10 +180,12 @@ class TermGeneratedStructure:
         return self.normalize(App(name, tuple(args), decl.result_sort))
 
     def holds(self, rel, args):
+        """Whether `rel` holds of the elements `args`, normal forms, which
+        its decider receives as they are."""
         decider = self.rel_deciders.get(rel)
         if decider is None:
             raise EvalError(f"no decision rule for relation {rel!r}")
-        return decider(tuple(self.normalize(a) for a in args))
+        return decider(tuple(args))
 
     def enumerate_elements(self, limit, sort=None):
         """The first `limit` elements of `sort` (of every sort when None),
@@ -237,8 +236,9 @@ class TermGeneratedStructure:
                            key=_shortlex)
 
     def element_of(self, t: Term, extra=None):
+        """The element `t` names: the normal form of `t` or of `extra[t]`."""
         if extra and t in extra:
-            return extra[t]
+            t = extra[t]
         return self.normalize(t)
 
 
@@ -300,11 +300,14 @@ def _indices(t: Term):
     return t.indices
 
 
+# the number of indices each builtin decider reads off a family member
+_DECIDER_INDICES = {"integer-lt": 1, "rational-lt": 2}
+
 BUILTIN_DECIDERS = {
     "integer-lt": lambda args: _indices(args[0])[0] < _indices(args[1])[0],
     "rational-lt": lambda args: (
-        _indices(args[0])[0] * _indices(args[1])[1]
-        < _indices(args[1])[0] * _indices(args[0])[1]),
+        (a := _indices(args[0]))[0] * (b := _indices(args[1]))[1]
+        < b[0] * a[1]),
 }
 
 
@@ -592,6 +595,7 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None):
     generated_by = None
     rewrites = []
     rel_deciders = {}
+    decider_lines = []  # (relation, decider, line), checked at the end
 
     elements = set()  # every element of the domains declared so far
 
@@ -680,6 +684,7 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None):
                     raise SyntaxError_(f"unknown decider {decider_name!r}",
                                        lineno, 1)
                 rel_deciders[rel] = BUILTIN_DECIDERS[decider_name]
+                decider_lines.append((rel, decider_name, lineno))
             else:
                 raise SyntaxError_(f"unknown structure declaration: {line!r}",
                                    lineno, 1)
@@ -694,12 +699,35 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None):
         raise SyntaxError_("structure file names no vocabulary")
     if generated_by is not None:
         try:
-            return TermGeneratedStructure(vocab, generated_by, rewrites,
-                                          rel_deciders, name=name)
+            s = TermGeneratedStructure(vocab, generated_by, rewrites,
+                                       rel_deciders, name=name)
         except SyntaxError_ as e:  # an unknown generating family
             raise SyntaxError_(e.message, generated_line, 1) from None
+        for rel, decider_name, lineno in decider_lines:
+            _check_decider(vocab, generated_by, rel, decider_name, lineno)
+        return s
     return FiniteStructure(vocab, domains, relations, functions, constants,
                            name=name)
+
+
+def _check_decider(vocab, generated_by, rel, decider_name, lineno):
+    """Raise SyntaxError_ at `lineno` unless the builtin decider fits the
+    relation: a binary one over the sort of the generating family, whose
+    members carry as many indices as the decider reads."""
+    if generated_by == "tau":
+        why = "decides on family members, and tau generates none"
+    else:
+        fam = vocab.family(generated_by)
+        if vocab.symbols[rel].arg_sorts != (fam.sort, fam.sort):
+            why = f"needs a binary relation on {fam.sort}"
+        elif fam.index_arity != _DECIDER_INDICES[decider_name]:
+            why = (f"needs a family of index arity "
+                   f"{_DECIDER_INDICES[decider_name]}, and {generated_by} "
+                   f"has {fam.index_arity}")
+        else:
+            return
+    raise SyntaxError_(f"{decider_name} cannot decide {rel!r}: it {why}",
+                       lineno, 1)
 
 
 def load_structure(path):

@@ -487,8 +487,7 @@ def parse_witness_map(text: str, vocab) -> WitnessMap:
     return WitnessMap(tuple(pieces), misses)
 
 
-def _affine_image(s, elem, a, b):
-    n = s.normalize(elem)
+def _affine_image(s, n, a, b):
     if not isinstance(n, FamilyMember):
         raise EvalError(
             f"affine piece applied to non-family element {print_term(n)}")
@@ -535,7 +534,7 @@ def verify_witness(s, w: WitnessMap, bound=12, fuel=4):
         return False, (f"witness map breaks {name} at "
                        f"({', '.join(print_term(t) for t in src)})")
     missed = s.normalize(w.misses)
-    if any(s.equal(img, missed) for img in images.values()):
+    if missed in images.values():
         return False, (f"properness certificate {print_term(missed)} "
                        "appears in the sampled image")
     return True, None

@@ -2,8 +2,8 @@
 replaced, which this file keeps as the reference: same value, or the same
 exception class, on generated sentences over finite structures (one with an
 empty sort, and blocks over a sort they lack) and over the omega-succ,
-integers and rationals presentations, under both semantics and at fuels
-1, 3 and 8, and over a two-sorted one whose blocks mix a whole range with
+integers (with a name whose value is not a normal form), rationals and
+addition presentations, under both semantics and at fuels 1, 3 and 8, and over a two-sorted one whose blocks mix a whole range with
 a cut-off one.  Also: plan reuse and release, the sort of a `tau` schema's
 hole, large Scott sentences, and the iterative walks in `syntax`."""
 
@@ -25,7 +25,7 @@ from omegalogic.syntax import (
 )
 from omegalogic.structures import (
     EvalError, FiniteStructure, TermGeneratedStructure, Valuation,
-    eval_sentence, load_structure,
+    eval_sentence, load_structure, parse_structure,
 )
 from omegalogic.types_atomicity import scott_sentence_finite
 
@@ -69,18 +69,21 @@ def _reference_resolve(s, t, env, extra):
     return s.element_of(t, extra)
 
 
+def _reference_element(s, t, env, extra):
+    # normalized here, whatever the evaluator assumes of its values
+    v = _reference_resolve(s, t, env, extra)
+    return v if s.kind == "finite" else s.normalize(v)
+
+
 def reference_eval(s, f, env, fuel, extra, fragment=False):
     if isinstance(f, Absurd):
         return False
     if isinstance(f, Atom):
-        return s.holds(f.rel, [_reference_resolve(s, a, env, extra)
+        return s.holds(f.rel, [_reference_element(s, a, env, extra)
                                for a in f.args])
     if isinstance(f, Eq):
-        a = _reference_resolve(s, f.left, env, extra)
-        b = _reference_resolve(s, f.right, env, extra)
-        if s.kind == "finite":
-            return a == b
-        return s.equal(a, b)
+        return (_reference_element(s, f.left, env, extra)
+                == _reference_element(s, f.right, env, extra))
     if isinstance(f, Not):
         v = reference_eval(s, f.body, env, fuel, extra, fragment)
         return None if v is None else (not v)
@@ -167,6 +170,15 @@ def _presentation(name):
 
 PRESENTATIONS = {name: _presentation(f"{name}.struct")
                  for name in ("omega-succ", "integers", "rationals")}
+# addition on the numerals, which rewrites function applications
+PRESENTATIONS["plus"] = parse_structure(
+    "structure plus\ngenerated by tau\nrewrite p(x, 0) -> x\n"
+    "rewrite p(x, S(y)) -> S(p(x, y))",
+    parse_vocabulary("sort N\nconst 0 : N\nfun S : N -> N\n"
+                     "fun p : N N -> N"))
+# a name the sentences use that `extra_names` maps to a term that is not
+# a normal form (0 rewrites to D_0)
+NAMED = {"integers": {Const("c", "Z"): Const("0", "Z")}}
 
 
 # B has one ground term and N infinitely many, so a block over both mixes
@@ -197,13 +209,15 @@ LANGUAGES = {
     "omega-succ": Language(PRESENTATIONS["omega-succ"].vocab,
                            {"N": [Const("0", "N")]}, ["tau"]),
     "integers": Language(PRESENTATIONS["integers"].vocab,
-                         {"Z": [Const("0", "Z")] + [
+                         {"Z": [Const("0", "Z"), Const("c", "Z")] + [
                              FamilyMember("D", (i,), "Z") for i in (0, 1, -1)]},
                          ["tau", "D"]),
     "rationals": Language(PRESENTATIONS["rationals"].vocab,
                           {"Q": [FamilyMember("D", (1, 2), "Q"),
                                  FamilyMember("D", (0, 1), "Q")]},
                           ["tau", "D"]),
+    "plus": Language(PRESENTATIONS["plus"].vocab, {"N": [Const("0", "N")]},
+                     ["tau"]),
     # no schemas: the reference's tau stream is not filtered by sort
     "mixed": Language(MIXED.vocab, {"N": [Const("0", "N")],
                                     "B": [Const("b", "B")]}, []),
@@ -348,7 +362,7 @@ def test_matches_reference_on_finite_blocks(seed, f):
        fuel=st.sampled_from([1, 3, 8]), fragment=st.booleans())
 def test_matches_reference_on_presentations(data, name, fuel, fragment):
     f = data.draw(formulas(LANGUAGES[name], depth=2))
-    _compare(PRESENTATIONS[name], f, fuel, fragment, {})
+    _compare(PRESENTATIONS[name], f, fuel, fragment, NAMED.get(name, {}))
 
 
 @SETTINGS
@@ -368,6 +382,27 @@ def test_an_unknown_part_leaves_a_block_unknown():
         f = parse_formula(text, nat.vocab)
         assert reference_eval(nat, f, {}, 3, {}) is None
         assert eval_sentence(nat, f, 3).value == "unknown", text
+
+
+def test_values_enter_a_presentation_as_normal_forms():
+    # `holds` and `==` take elements as they are, so a value from the
+    # caller's environment or from `extra_names` is normalized where it
+    # enters: on the integers the constant 0 rewrites to D_0
+    z = PRESENTATIONS["integers"]
+    zero, c = Const("0", "Z"), Const("c", "Z")
+    d0, d1 = FamilyMember("D", (0,), "Z"), FamilyMember("D", (1,), "Z")
+    lt = Atom("<", (Var("x", "Z"), d1))
+    assert structures._eval(z, lt, {"x": zero}, 8, {}) is True
+    assert reference_eval(z, lt, {"x": zero}, 8, {}) is True
+    for f in (Atom("<", (c, d1)), Eq(c, d0)):
+        assert reference_eval(z, f, {}, 8, {c: zero}) is True
+        assert eval_sentence(z, f, extra_names={c: zero}).value == "true"
+    # and a function's value is normalized where it is applied
+    plus = PRESENTATIONS["plus"]
+    for text in ("p(S(0), S(0)) = S(S(0))", "forall x:N. p(x, 0) = x"):
+        f = parse_formula(text, plus.vocab)
+        assert reference_eval(plus, f, {}, 4, {}, True) is True
+        assert eval_sentence(plus, f, 4, fragment=True).value == "true"
 
 
 def test_early_checks_keep_unknown_and_errors():

@@ -219,10 +219,26 @@ def test_rewrite_of_a_member_is_not_a_pattern_variable():
     (["structure f over nat.voc", "domain N { a }", "const 1 = a"], 3),
     (["structure f over nat.voc", "generated by tau",
       "rel-decide Q by integer-lt"], 3),
+    # a builtin decider must fit its relation and the generating family
+    (["structure f over z.voc", "generated by D",
+      "rel-decide P by integer-lt"], 3),
+    (["structure f over z.voc", "generated by D",
+      "rel-decide < by rational-lt"], 3),
+    (["structure f over q.voc", "generated by D",
+      "rel-decide < by integer-lt"], 3),
+    (["structure f over z.voc", "generated by D",
+      "rel-decide E by integer-lt"], 3),
+    (["structure f over z.voc", "rel-decide < by integer-lt",
+      "generated by tau"], 2),
 ])
 def test_cli_structure_file_errors_name_the_line(capsys, tmp_path, lines,
                                                  bad_line):
     (tmp_path / "nat.voc").write_text("sort N\nconst 0 : N\nfun S : N -> N\n")
+    (tmp_path / "z.voc").write_text(
+        "sort Z\nsort W\nrel < : Z Z\nrel P : Z\nrel E : Z W\nconst 0 : Z\n"
+        "family D : Z countable scheme integers\n")
+    (tmp_path / "q.voc").write_text(
+        "sort Q\nrel < : Q Q\nfamily D : Q countable scheme rationals\n")
     f = tmp_path / "f.struct"
     f.write_text("\n".join(lines) + "\n")
     assert main(["scott", str(f)]) == 2

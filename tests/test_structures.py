@@ -1,13 +1,13 @@
 import pytest
 
 from omegalogic.syntax import (
-    App, Atom, Const, ConstantFamily, Eq, Not, SyntaxError_, parse_formula,
-    parse_vocabulary,
+    App, Atom, Const, ConstantFamily, Eq, FamilyMember, Not, SyntaxError_,
+    parse_formula, parse_vocabulary,
 )
 from omegalogic.structures import (
-    EvalError, FiniteStructure, Valuation, all_finite_structures, embed_search,
-    eval_sentence, is_isomorphic, parse_structure, permissible,
-    valuation_of_structure,
+    BUILTIN_DECIDERS, EvalError, FiniteStructure, Valuation, _indices,
+    all_finite_structures, embed_search, eval_sentence, is_isomorphic,
+    parse_structure, permissible, valuation_of_structure,
 )
 from omegalogic.types_atomicity import scott_sentence_finite
 from omegalogic.cli import main
@@ -239,6 +239,48 @@ def test_rational_lt_decider():
     # rather than false)
     g = parse_formula("exists x:Q. (R[0,1] < x) & (x < R[1,1])", voc)
     assert eval_sentence(s, g, fuel=20).value == "true"
+
+
+def _raised(fn, args):
+    try:
+        return fn(args)
+    except Exception as e:  # the class and message are what must agree
+        return type(e), str(e)
+
+
+def test_rational_lt_raises_as_the_two_pass_form_did():
+    def two_pass(args):  # the earlier form, reading indices twice
+        return (_indices(args[0])[0] * _indices(args[1])[1]
+                < _indices(args[1])[0] * _indices(args[0])[1])
+
+    members = [FamilyMember("D", idx, "Q")
+               for idx in [(), (1,), (-1, 2), (1, 3), (3, 1)]]
+    pool = members + [Const("0", "Q")]
+    inputs = [()] + [(a,) for a in pool] + [
+        (a, b) for a in pool for b in pool]
+    for args in inputs:
+        assert _raised(BUILTIN_DECIDERS["rational-lt"], args) == \
+            _raised(two_pass, args), args
+
+
+def test_ill_fitting_deciders_are_rejected_where_they_are_named():
+    # each parsed before, then raised IndexError or, for integer-lt over
+    # the rationals, compared numerators only (D[1,3] < D[1,2] was false)
+    ints = parse_vocabulary("sort Z\nrel < : Z Z\nrel P : Z\n"
+                            "family D : Z countable scheme integers")
+    rats = parse_vocabulary("sort Q\nrel < : Q Q\n"
+                            "family D : Q countable scheme rationals")
+    for text, voc, why in [
+            ("rel-decide P by integer-lt", ints, "binary relation on Z"),
+            ("rel-decide < by rational-lt", ints, "index arity 2, and D has 1"),
+            ("rel-decide < by integer-lt", rats, "index arity 1, and D has 2")]:
+        with pytest.raises(SyntaxError_) as e:
+            parse_structure(f"structure s\ngenerated by D\n{text}", voc)
+        assert e.value.line == 3 and why in e.value.message, text
+    s = parse_structure("structure s\ngenerated by D\n"
+                        "rel-decide < by rational-lt", rats)
+    f = parse_formula("D[1,3] < D[1,2]", rats)
+    assert eval_sentence(s, f, fuel=1).value == "true"
 
 
 def test_embed_presentation_into_itself_is_identity():
