@@ -107,7 +107,7 @@ def _compiled(f, kind):
 class _Code:
     """A compiled formula: `fn(call, slots)` gives its truth value, with
     each variable in a slot of the list `slots`; `free` names the slots
-    that the caller's environment fills."""
+    that the caller's environment fills, normalized on a presentation."""
 
     __slots__ = ("fn", "free", "width", "quantified")
 
@@ -117,8 +117,8 @@ class _Code:
 
     def run(self, s, env, fuel, extra, fragment):
         slots = [None] * self.width
-        normal = self.free and s.kind == "term-generated"  # values enter a
-        for name, i in self.free:  # presentation as normal forms
+        normal = self.free and s.kind == "term-generated"
+        for name, i in self.free:
             slots[i] = s.normalize(env[name]) if normal else env[name]
         return self.fn(_Call(s, fuel, extra, fragment), slots)
 

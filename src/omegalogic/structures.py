@@ -712,20 +712,17 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None):
 
 def _check_decider(vocab, generated_by, rel, decider_name, lineno):
     """Raise SyntaxError_ at `lineno` unless the builtin decider fits the
-    relation: a binary one over the sort of the generating family, whose
-    members carry as many indices as the decider reads."""
-    if generated_by == "tau":
-        why = "decides on family members, and tau generates none"
+    relation: a binary one over the sort of the generating family, a
+    countable family whose members carry as many indices as it reads."""
+    arity = _DECIDER_INDICES[decider_name]
+    fam = None if generated_by == "tau" else vocab.family(generated_by)
+    if fam is None or not fam.countable or fam.index_arity != arity:
+        why = (f"compares members of a countable family of index arity "
+               f"{arity}, and {generated_by} is not one")
+    elif vocab.symbols[rel].arg_sorts != (fam.sort, fam.sort):
+        why = f"needs a binary relation on {fam.sort}"
     else:
-        fam = vocab.family(generated_by)
-        if vocab.symbols[rel].arg_sorts != (fam.sort, fam.sort):
-            why = f"needs a binary relation on {fam.sort}"
-        elif fam.index_arity != _DECIDER_INDICES[decider_name]:
-            why = (f"needs a family of index arity "
-                   f"{_DECIDER_INDICES[decider_name]}, and {generated_by} "
-                   f"has {fam.index_arity}")
-        else:
-            return
+        return
     raise SyntaxError_(f"{decider_name} cannot decide {rel!r}: it {why}",
                        lineno, 1)
 

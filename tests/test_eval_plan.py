@@ -3,9 +3,10 @@ replaced, which this file keeps as the reference: same value, or the same
 exception class, on generated sentences over finite structures (one with an
 empty sort, and blocks over a sort they lack) and over the omega-succ,
 integers (with a name whose value is not a normal form), rationals and
-addition presentations, under both semantics and at fuels 1, 3 and 8, and over a two-sorted one whose blocks mix a whole range with
-a cut-off one.  Also: plan reuse and release, the sort of a `tau` schema's
-hole, large Scott sentences, and the iterative walks in `syntax`."""
+addition presentations, under both semantics and at fuels 1, 3 and 8, and
+over a two-sorted one whose blocks mix a whole range with a cut-off one.
+Also: plan reuse and release, the sort of a `tau` schema's hole, large
+Scott sentences, and the iterative walks in `syntax`."""
 
 import gc
 import itertools

@@ -270,10 +270,12 @@ def test_ill_fitting_deciders_are_rejected_where_they_are_named():
                             "family D : Z countable scheme integers")
     rats = parse_vocabulary("sort Q\nrel < : Q Q\n"
                             "family D : Q countable scheme rationals")
+    named = parse_vocabulary("sort Z\nrel < : Z Z\nfamily D : Z = { a b }")
     for text, voc, why in [
             ("rel-decide P by integer-lt", ints, "binary relation on Z"),
-            ("rel-decide < by rational-lt", ints, "index arity 2, and D has 1"),
-            ("rel-decide < by integer-lt", rats, "index arity 1, and D has 2")]:
+            ("rel-decide < by rational-lt", ints, "index arity 2, and D is"),
+            ("rel-decide < by integer-lt", rats, "index arity 1, and D is"),
+            ("rel-decide < by integer-lt", named, "index arity 1, and D is")]:
         with pytest.raises(SyntaxError_) as e:
             parse_structure(f"structure s\ngenerated by D\n{text}", voc)
         assert e.value.line == 3 and why in e.value.message, text
