@@ -62,6 +62,19 @@ def _rules_arg(text):
     return tuple(r.strip() for r in text.split(",") if r.strip())
 
 
+def _tuple_arg(text):
+    """The items of a comma-separated tuple, split only at the commas
+    outside parentheses and brackets, so `D[1,2]` stays one item."""
+    items, depth = [""], 0
+    for ch in text:
+        depth += (ch in "([") - (ch in ")]")
+        if ch == "," and not depth:
+            items.append("")
+        else:
+            items[-1] += ch
+    return [item.strip() for item in items]
+
+
 def _emit(args, report, lines):
     if args.machine:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -171,8 +184,7 @@ def cmd_applicability(args):
     lines = [f"schema {args.schema} over {args.vocab}:",
              f"  usable premise families: {rep['count']} "
              f"({', '.join(rep['usable_families']) or 'none'})"]
-    for b in rep["blockers"]:
-        lines.append(f"  blocker: {b}")
+    lines += [f"  blocker: {b}" for b in rep["blockers"]]
     report = {"command": "applicability", "schema": args.schema, **rep}
     _emit(args, report, lines)
     return 0
@@ -180,13 +192,9 @@ def cmd_applicability(args):
 
 def cmd_type(args):
     s = _load_struct(args.structure)
-    tup = []
-    for name in args.tuple.split(","):
-        name = name.strip()
-        if s.kind == "finite":
-            tup.append(name)
-        else:
-            tup.append(s.normalize(parse_term(name, s.vocab)))
+    names = _tuple_arg(args.tuple)
+    tup = names if s.kind == "finite" else [
+        s.normalize(parse_term(name, s.vocab)) for name in names]
     td = complete_type(s, tup, args.rank, fuel=args.fuel)
     lines = [f"rank-{args.rank} type of ({args.tuple}) in {s.name}: "
              f"{len(td.formulas)} formulas"]
@@ -204,8 +212,7 @@ def cmd_atomic(args):
     lines = [f"{s.name}: {verdict.status} (rank {args.rank})"]
     if verdict.reason:
         lines.append(f"  reason: {verdict.reason}")
-    for e in verdict.evidence:
-        lines.append(f"  evidence: {e}")
+    lines += [f"  evidence: {e}" for e in verdict.evidence]
     report = {"command": "atomic", "structure": s.name,
               "bounds": {"rank": args.rank, "fuel": args.fuel},
               "status": verdict.status, "reason": verdict.reason,
@@ -240,9 +247,8 @@ def cmd_scott(args):
 
 def cmd_generative(args):
     s = _load_struct(args.structure)
-    witness = None
-    if args.witness:
-        witness = parse_witness_map(_read(args.witness), s.vocab)
+    witness = (parse_witness_map(_read(args.witness), s.vocab)
+               if args.witness else None)
     v = generativity(s, bound=args.bound, witness=witness, fuel=args.fuel)
     lines = [f"{s.name}: {v.verdict}" +
              (f" ({v.reason})" if v.reason else "") +

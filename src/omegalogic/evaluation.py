@@ -78,19 +78,6 @@ def _eval(s, f, env, fuel, extra, fragment=False):
     return _compiled(f, s.kind).run(s, env, fuel, extra, fragment)
 
 
-def _family_terms(vocab, family, fuel, sort=None):
-    """The names a schema over `family` ranges over, and whether they are
-    all of them: the constants of `sort` (of every sort when None) for
-    'tau', every member of a finite family, and the first `fuel` members
-    of a countable one."""
-    if family == "tau":
-        return vocab.constant_terms(sort), True
-    fam = vocab.family(family)
-    if fam.countable:
-        return fam.enumerate_terms(fuel), False
-    return list(fam.terms()), True
-
-
 def _compiled(f, kind):
     """The plan of `f` for structures of `kind`, compiled on first use and
     kept on the node, which it holds no reference to."""
@@ -155,18 +142,22 @@ class _Call:
     def schema_range(self, key):
         """The elements a schema hole of `sort` over `family`, the pair
         `key`, takes, whether they are all of them, and the error that
-        naming the next one raised (raised only where the loop reaches it)."""
+        naming the next one raised (raised only where the loop reaches it).
+        Over 'tau' they are the values of the vocabulary's `tau_stream`:
+        all of them on a finite structure, the first `fuel` on a
+        presentation."""
         r = self.ranges.get(key)
         if r is None:
             s, (family, sort) = self.s, key
-            if family == "tau" and s.kind == "term-generated":
-                names = itertools.islice(
-                    (t for t in s._ground_terms("tau", sort)
-                     if sort in (None, t.sort)), max(self.fuel, 0))
-                exhaustive = False
+            if family != "tau":
+                names, exhaustive = s.vocab.family(family).range_at(self.fuel)
+            elif s.kind == "finite":
+                r = self.ranges[key] = (s.closed_elements(sort), True, None)
+                return r
             else:
-                names, exhaustive = _family_terms(s.vocab, family,
-                                                  self.fuel, sort)
+                names, exhaustive = itertools.islice(
+                    s.vocab.tau_stream(sort, s.normalize),
+                    max(self.fuel, 0)), False
             values, error = [], None
             try:
                 for t in names:

@@ -199,12 +199,6 @@ class Derivability:
     decided: Optional[bool]  # None = undecided at the bound
     depth_bound: int
 
-    @property
-    def status(self):
-        if self.decided is None:
-            return "undecided"
-        return "true" if self.decided else "false"
-
 
 def _search_space(seed):
     """Formula space for proof search: subformula closure of the seed, plus

@@ -8,11 +8,12 @@ importable from here as well.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Optional
 
 from .evaluation import (  # the evaluator's names, which callers import
-    EvalError, TruthAtFuel, _eval, _family_terms, eval_sentence,
+    EvalError, TruthAtFuel, _eval, eval_sentence,
 )
 from .syntax import (
     Absurd, And, App, Atom, Const, Eq, FamilyMember, Formula, Not, Or,
@@ -50,6 +51,9 @@ class FiniteStructure:
             for f, table in (functions or {}).items()}
         self.constants = dict(constants or {})
         self._check_total()
+        # sort -> `closed_elements`: made here, and filled with tuples of
+        # names, which the garbage collector stops tracing
+        self._closed = {}
         self._element_sort = {}
         for s, es in self.domains.items():
             for e in es:
@@ -99,6 +103,20 @@ class FiniteStructure:
         if isinstance(t, App):
             return self.apply_fun(t.func, [self.element_of(a, extra) for a in t.args])
         raise EvalError(f"not a ground term: {t!r}")
+
+    def closed_elements(self, sort):
+        """The elements that the closed terms of `sort` name, in the order
+        of the vocabulary's `tau_stream`, found once per sort: constants and
+        function tables are fixed once built, and `extra` (of `element_of`)
+        names only family members."""
+        values = self._closed.get(sort)
+        if values is None:
+            named = {}  # each term's element: one built on them takes a step
+            name = self.element_of if not self.functions else (
+                lambda t: named.setdefault(t, self.element_of(t, named)))
+            values = self._closed[sort] = tuple(
+                self.vocab.tau_stream(sort, name))
+        return values
 
 
 class TermGeneratedStructure:
@@ -193,83 +211,23 @@ class TermGeneratedStructure:
         fewer.
 
         The order is that of the generators: a family's members in index
-        order, or for 'tau' the constant terms layer by layer -- the
-        constants, then the functions applied to the elements found so far
-        -- each layer in shortlex order of the printed term."""
-        if self.generated_by != "tau" and sort not in (
-                None, self.vocab.family(self.generated_by).sort):
-            return []  # a family generates elements of its own sort only
-        terms = (t for t in self._ground_terms(self.generated_by, sort)
-                 if sort in (None, t.sort))
-        return list(itertools.islice(terms, max(limit, 0)))
-
-    def _ground_terms(self, source, sort=None):
-        """Each element named by `source` ('tau' or a family name) once,
-        as its normal form, in the order `enumerate_elements` states.
-
-        Given a `sort`, 'tau' builds only the terms of the sorts that feed
-        it, in the same order; the stream then ends once a sort with
-        finitely many ground terms has none left."""
-        seen = {}  # normal forms in order of discovery
-        if source == "tau":
-            sorts = _feeding_sorts(self.vocab, sort)
-            funs = [d for d in self.vocab.functions()
-                    if d.result_sort in sorts]
-            layer = sorted((c for c in self.vocab.constant_terms()
-                            if c.sort in sorts), key=_shortlex)
+        order, or for 'tau' the vocabulary's `tau_stream`."""
+        if self.generated_by == "tau":
+            values = self.vocab.tau_stream(sort, self.normalize)
         else:
-            layer = self.vocab.family(source).terms()
-        while layer:
-            start = len(seen)
-            for t in layer:
-                n = self.normalize(t)
-                if n not in seen:
-                    seen[n] = None
-                    yield n
-            if source != "tau":
-                return
-            # an application whose arguments were all found before the
-            # last layer was in that layer already
-            fresh = set(itertools.islice(seen, start, None))
-            apps = applications(funs, list(seen))
-            layer = sorted((a for a in apps if not fresh.isdisjoint(a.args)),
-                           key=_shortlex)
+            fam = self.vocab.family(self.generated_by)
+            if sort not in (None, fam.sort):
+                return []  # a family generates elements of its own sort only
+            seen = set()  # each element once
+            values = (n for n in map(self.normalize, fam.terms())
+                      if not (n in seen or seen.add(n)))
+        return list(itertools.islice(values, max(limit, 0)))
 
     def element_of(self, t: Term, extra=None):
         """The element `t` names: the normal form of `t` or of `extra[t]`."""
         if extra and t in extra:
             t = extra[t]
         return self.normalize(t)
-
-
-def _feeding_sorts(vocab, sort):
-    """The sorts whose ground terms can occur in a ground term of `sort`,
-    `sort` included (every sort when it is None): the argument sorts,
-    taken transitively, of the functions into them whose argument sorts all
-    have ground terms."""
-    if sort is None:
-        return set(vocab.sorts)
-    inhabited = {d.result_sort for d in vocab.constants()}
-    while True:
-        live = [d for d in vocab.functions()
-                if inhabited.issuperset(d.arg_sorts)]
-        grown = inhabited.union(d.result_sort for d in live)
-        if grown == inhabited:
-            break
-        inhabited = grown
-    sorts, todo = {sort}, [sort]
-    while todo:
-        target = todo.pop()
-        for d in live:
-            if d.result_sort == target:
-                todo += [a for a in d.arg_sorts if a not in sorts]
-                sorts.update(d.arg_sorts)
-    return sorts
-
-
-def _shortlex(t: Term):
-    p = print_term(t)
-    return len(p), p
 
 
 def _match(pattern: Term, t: Term, env) -> bool:
@@ -329,8 +287,7 @@ class Valuation:
         if sentence in self.assignment:
             return self.assignment[sentence]
         if self.structure is not None:
-            v = _eval(self.structure, sentence, {}, 1, self.name_map)
-            return v
+            return _eval(self.structure, sentence, {}, 1, self.name_map)
         return None
 
 
@@ -377,10 +334,8 @@ def default_probe_set(vocab: Vocabulary, names):
     terms += applications(vocab.functions(), terms)
     probes = [Atom(d.name, args)
               for d in vocab.relations() for args in arg_tuples(d, terms)]
-    for t1 in terms:
-        for t2 in terms:
-            if t1.sort == t2.sort:
-                probes.append(Eq(t1, t2))
+    probes += [Eq(t1, t2) for t1 in terms for t2 in terms
+               if t1.sort == t2.sort]
     return probes
 
 
@@ -447,12 +402,11 @@ def _truth_table_value(f, v):
     if isinstance(f, Not):
         b = _truth_table_value(f.body, v)
         return None if b is None else not b
-    if isinstance(f, And):
+    if isinstance(f, (And, Or)):
         a, b = _truth_table_value(f.left, v), _truth_table_value(f.right, v)
-        return None if a is None or b is None else (a and b)
-    if isinstance(f, Or):
-        a, b = _truth_table_value(f.left, v), _truth_table_value(f.right, v)
-        return None if a is None or b is None else (a or b)
+        if a is None or b is None:
+            return None
+        return (a and b) if isinstance(f, And) else (a or b)
     return None  # quantified: out of scope for qf probes
 
 
@@ -465,11 +419,8 @@ class _UnionFind:
     def __init__(self, items):
         self.parent = {x: x for x in items}
 
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
     def find(self, x):
-        self.add(x)
+        self.parent.setdefault(x, x)
         while self.parent[x] != x:
             self.parent[x] = self.parent[self.parent[x]]
             x = self.parent[x]
@@ -519,7 +470,7 @@ def embed_search(a, b, bound: int = 20):
 
 def _forced_embedding(a, b, bound):
     mapping = {t: b.element_of(t) for t in a.enumerate_elements(bound)}
-    if len(set(map(str, mapping.values()))) != len(mapping):
+    if len(set(mapping.values())) != len(mapping):
         return None
     if _map_defect(a, b, mapping) is not None:
         return None
@@ -585,8 +536,6 @@ def _backtrack_embedding(a, b):
 def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None):
     """Parse the structure file format; `over <file>` resolves the
     vocabulary relative to `base_dir`."""
-    import os
-
     name = "anonymous"
     domains = {}
     relations = {}
@@ -728,8 +677,6 @@ def _check_decider(vocab, generated_by, rel, decider_name, lineno):
 
 
 def load_structure(path):
-    import os
-
     with open(path) as fh:
         text = fh.read()
     return parse_structure(text, base_dir=os.path.dirname(os.path.abspath(path)))
@@ -745,29 +692,24 @@ def all_finite_structures(vocab: Vocabulary, size: int, sort=None):
     if sort is None:
         (sort,) = vocab.sorts
     domain = tuple(f"e{i}" for i in range(size))
-    rel_spaces = []
-    rels = vocab.relations()
+    rels, funs, consts = vocab.relations(), vocab.functions(), vocab.constants()
+    spaces = []  # the choices for each relation, then function, then constant
     for d in rels:
         tuples = list(itertools.product(domain, repeat=d.arity))
-        rel_spaces.append([frozenset(c)
-                           for r in range(len(tuples) + 1)
-                           for c in itertools.combinations(tuples, r)])
-    fun_spaces = []
-    funs = vocab.functions()
+        spaces.append([frozenset(c) for r in range(len(tuples) + 1)
+                       for c in itertools.combinations(tuples, r)])
     for d in funs:
         keys = list(itertools.product(domain, repeat=d.arity))
-        fun_spaces.append([dict(zip(keys, vals))
-                           for vals in itertools.product(domain, repeat=len(keys))])
-    const_spaces = [list(domain) for _ in vocab.constants()]
-    consts = vocab.constants()
-    for rel_choice in itertools.product(*rel_spaces) if rel_spaces else [()]:
-        for fun_choice in itertools.product(*fun_spaces) if fun_spaces else [()]:
-            for const_choice in itertools.product(*const_spaces) if const_spaces else [()]:
-                yield FiniteStructure(
-                    vocab, {sort: domain},
-                    {d.name: set(c) for d, c in zip(rels, rel_choice)},
-                    {d.name: t for d, t in zip(funs, fun_choice)},
-                    {d.name: e for d, e in zip(consts, const_choice)})
+        spaces.append([dict(zip(keys, vals))
+                       for vals in itertools.product(domain, repeat=len(keys))])
+    spaces += [domain] * len(consts)
+    for choice in itertools.product(*spaces):
+        fun_choice = choice[len(rels):]
+        yield FiniteStructure(
+            vocab, {sort: domain},
+            {d.name: set(c) for d, c in zip(rels, choice)},
+            {d.name: t for d, t in zip(funs, fun_choice)},
+            {d.name: e for d, e in zip(consts, fun_choice[len(funs):])})
 
 
 def is_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:

@@ -115,6 +115,14 @@ class ConstantFamily:
         """First `limit` member terms in enumeration order."""
         return list(itertools.islice(self.terms(), max(limit, 0)))
 
+    def range_at(self, fuel):
+        """The members a schema over the family ranges over at `fuel`, and
+        whether they are all of them: every member of a finite family, the
+        first `fuel` members of a countable one."""
+        if self.countable:
+            return self.enumerate_terms(fuel), False
+        return list(self.terms()), True
+
 
 class Vocabulary:
     """A finite multi-sorted signature plus auxiliary constant families.
@@ -126,7 +134,8 @@ class Vocabulary:
         self.sorts = tuple(sorts)
         self.symbols = {}
         self.families = {}
-        self._constant_terms = {}  # sort or None -> tuple of Const
+        self._constant_terms = None  # the constants as terms, once built
+        self._tau_starts = {}  # sort or None -> `tau_stream`'s start
         for decl in symbols:
             self._add_symbol(decl)
         for fam in families:
@@ -141,7 +150,8 @@ class Vocabulary:
         if decl.result_sort is not None and decl.result_sort not in self.sorts:
             raise SyntaxError_(f"unknown sort {decl.result_sort!r} in {decl.name!r}")
         self.symbols[decl.name] = decl
-        self._constant_terms.clear()
+        self._constant_terms = None
+        self._tau_starts.clear()
 
     def _add_family(self, fam):
         if fam.name in self.symbols or fam.name in self.families:
@@ -157,13 +167,33 @@ class Vocabulary:
         return [d for d in self.symbols.values()
                 if d.kind == "const" and (sort is None or d.result_sort == sort)]
 
-    def constant_terms(self, sort=None) -> tuple:
-        """`constants(sort)` as terms, in the same order, built once."""
-        terms = self._constant_terms.get(sort)
-        if terms is None:
-            terms = self._constant_terms[sort] = tuple(
-                Const(d.name, d.result_sort) for d in self.constants(sort))
-        return terms
+    def constant_terms(self) -> tuple:
+        """`constants()` as terms, in the same order, built once."""
+        if self._constant_terms is None:
+            self._constant_terms = tuple(
+                Const(d.name, d.result_sort) for d in self.constants())
+        return self._constant_terms
+
+    def tau_stream(self, sort=None, name=None):
+        """Each value that a closed term of `sort` (of every sort when None)
+        names, once: the constants, then the functions applied to the values
+        found so far, one layer at a time, each layer in shortlex order of
+        the printed terms.  `name(t)` is the value of `t` (a normal form, an
+        element, or by default `t` itself); a value that is no term enters
+        later layers as the first term naming it.  Only the sorts feeding
+        `sort` are built, so the stream ends once no layer adds a value."""
+        start = self._tau_starts.get(sort)
+        if start is None:  # the functions feeding `sort`, its first layer
+            sorts = _feeding_sorts(self, sort)
+            start = self._tau_starts[sort] = (
+                [d for d in self.functions() if d.result_sort in sorts],
+                sorted((c for c in self.constant_terms() if c.sort in sorts),
+                       key=_shortlex))
+        funs, layer = start
+        if not funs:  # the constants, named at once
+            return iter(dict.fromkeys(layer if name is None else
+                                      map(name, layer)))
+        return _tau_layers(funs, layer, sort, name)
 
     def relations(self):
         return [d for d in self.symbols.values() if d.kind == "rel"]
@@ -194,6 +224,53 @@ class Vocabulary:
             if fam.countable and len(idx) == fam.index_arity:
                 return FamilyMember(fam.name, idx, fam.sort)
         return None
+
+
+def _tau_layers(funs, layer, sort, name):
+    """`Vocabulary.tau_stream` where the functions `funs` feed `sort`."""
+    found = {}  # value -> the term that later layers apply functions to
+    while layer:
+        new = len(found)
+        for t in layer:
+            v = t if name is None else name(t)
+            if v not in found:
+                found[v] = v if isinstance(v, Term) else t
+                if sort is None or t.sort == sort:
+                    yield v
+        # an application whose arguments were all found before the last
+        # layer was in that layer already
+        fresh = set(itertools.islice(found.values(), new, None))
+        layer = sorted((a for a in applications(funs, list(found.values()))
+                        if not fresh.isdisjoint(a.args)), key=_shortlex)
+
+
+def _feeding_sorts(vocab, sort):
+    """The sorts whose ground terms can occur in a ground term of `sort`,
+    `sort` included (every sort when it is None): the argument sorts,
+    taken transitively, of the functions into them whose argument sorts all
+    have ground terms."""
+    if sort is None:
+        return set(vocab.sorts)
+    inhabited = {d.result_sort for d in vocab.constants()}
+    while True:
+        live = [d for d in vocab.functions()
+                if inhabited.issuperset(d.arg_sorts)]
+        grown = inhabited.union(d.result_sort for d in live)
+        if grown == inhabited:
+            break
+        inhabited = grown
+    sorts = {sort}
+    while True:
+        grown = sorts.union(*(d.arg_sorts for d in live
+                              if d.result_sort in sorts))
+        if grown == sorts:
+            return sorts
+        sorts = grown
+
+
+def _shortlex(t):
+    p = print_term(t)
+    return len(p), p
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +759,8 @@ def parse_vocabulary(text: str) -> Vocabulary:
         parts = line.replace(":", " : ").split()
         head = parts[0]
         try:
+            if head in ("rel", "fun", "const", "family") and parts[2] != ":":
+                raise SyntaxError_("expected ':'", lineno, 1)
             if head == "sort":
                 (name,) = parts[1:]
                 if name in sorts:
@@ -689,13 +768,9 @@ def parse_vocabulary(text: str) -> Vocabulary:
                 sorts.append(name)
             elif head == "rel":
                 name = parts[1]
-                if parts[2] != ":":
-                    raise SyntaxError_("expected ':'", lineno, 1)
                 symbols.append((lineno, SymbolDecl(name, "rel", tuple(parts[3:]), None)))
             elif head == "fun":
                 name = parts[1]
-                if parts[2] != ":":
-                    raise SyntaxError_("expected ':'", lineno, 1)
                 rest = parts[3:]
                 if "->" not in rest:
                     raise SyntaxError_("expected '->' in fun declaration", lineno, 1)
@@ -704,14 +779,10 @@ def parse_vocabulary(text: str) -> Vocabulary:
                 symbols.append((lineno, SymbolDecl(name, "fun", tuple(args), result)))
             elif head == "const":
                 name = parts[1]
-                if parts[2] != ":":
-                    raise SyntaxError_("expected ':'", lineno, 1)
                 (sort,) = parts[3:]
                 symbols.append((lineno, SymbolDecl(name, "const", (), sort)))
             elif head == "family":
                 name = parts[1]
-                if parts[2] != ":":
-                    raise SyntaxError_("expected ':'", lineno, 1)
                 sort = parts[3]
                 rest = parts[4:]
                 if rest and rest[0] == "countable":

@@ -524,7 +524,7 @@ def verify_witness(s, w: WitnessMap, bound=12, fuel=4):
     images = {}
     for e in sample:
         images[e] = _witness_image(s, w, e, fuel)
-    if len({print_term(t) for t in images.values()}) != len(images):
+    if len(set(images.values())) != len(images):
         return False, "witness map is not injective on the sample"
     defect = _map_defect(s, s, images)
     if defect is not None:

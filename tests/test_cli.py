@@ -128,6 +128,30 @@ def test_type(capsys):
     assert "exists x1:S. (x1 < v0)" in out
 
 
+def test_type_of_a_pair_on_a_finite_structure(capsys):
+    code, out, _ = run(capsys, "type", "--structure", A("chain3.struct"),
+                       "--tuple", "a, c", "--rank", "0")
+    assert code == 0
+    assert "rank-0 type of (a, c) in chain3:" in out
+    assert "(v0 < v1)" in out and "~(v1 < v0)" in out
+
+
+def test_type_of_members_with_two_indices(capsys):
+    """The tuple is split at top-level commas only, so `D[1,2]` is one
+    rationals member."""
+    code, out, err = run(capsys, "type", "--structure",
+                         A("rationals.struct"), "--tuple", "D[1,2]",
+                         "--rank", "0")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "rank-0 type of (D[1,2]) in rationals: 1 formulas", "  ~(v0 < v0)"]
+    code, out, _ = run(capsys, "--machine", "type", "--structure",
+                       A("rationals.struct"), "--tuple", "D[1,2],D[1,3]",
+                       "--rank", "0")
+    assert code == 0
+    assert "(v1 < v0)" in json.loads(out)["formulas"]
+
+
 def test_atomic_exit_codes(capsys):
     code, out, _ = run(capsys, "atomic", "--structure",
                        A("omega-succ.struct"), "--rank", "1")

@@ -9,7 +9,6 @@ Also: plan reuse and release, the sort of a `tau` schema's hole, large
 Scott sentences, and the iterative walks in `syntax`."""
 
 import gc
-import itertools
 import os
 import random
 import time
@@ -21,7 +20,7 @@ from omegalogic import evaluation, structures
 from omegalogic.omega_rules import _target_eval
 from omegalogic.syntax import (
     Absurd, And, App, Atom, Const, Eq, Exists, FamilyMember, Forall, Not, Or,
-    SchemaConj, SchemaDisj, Var, free_variables, parse_formula,
+    SchemaConj, SchemaDisj, Var, applications, free_variables, parse_formula,
     parse_vocabulary, print_formula, print_term, quantifier_rank,
 )
 from omegalogic.structures import (
@@ -29,6 +28,8 @@ from omegalogic.structures import (
     eval_sentence, load_structure, parse_structure,
 )
 from omegalogic.types_atomicity import scott_sentence_finite
+
+from test_ground_terms import _shortlex, reference_tau
 
 
 ASSETS = os.path.join(os.path.dirname(__file__), "..", "assets")
@@ -44,21 +45,41 @@ def _reference_binding(s, f, fuel, extra):
             return f.var.name, s.elements(f.var.sort), True
         values = s.enumerate_elements(fuel, f.var.sort)
         return f.var.name, values, len(values) < fuel
-    if f.family == "tau" and s.kind == "term-generated":
-        names = itertools.islice(s._ground_terms("tau"), max(fuel, 0))
-        exhaustive = False
-    else:
+    if f.family != "tau":
         names, exhaustive = _reference_family_terms(s.vocab, f.family, fuel)
+    elif s.kind == "finite":
+        return f.hole.name, _reference_closure(s, f.hole.sort, extra), True
+    else:
+        names, exhaustive = reference_tau(s, fuel, f.hole.sort), False
     return f.hole.name, (s.element_of(c, extra) for c in names), exhaustive
 
 
 def _reference_family_terms(vocab, family, fuel):
-    if family == "tau":
-        return [Const(d.name, d.result_sort) for d in vocab.constants()], True
     fam = vocab.family(family)
     if fam.countable:
         return fam.enumerate_terms(fuel), False
     return list(fam.terms()), True
+
+
+def _reference_closure(s, sort, extra):
+    """The elements of `sort` that closed terms name in the finite `s`:
+    the constants, then every function applied to the first terms found
+    for the elements so far, one layer at a time, each layer in shortlex
+    order; each element once, in the order found."""
+    found = {}  # element -> the first term naming it
+    layer = sorted(s.vocab.constant_terms(), key=_shortlex)
+    while layer:
+        grew = False
+        for t in layer:
+            e = s.element_of(t, extra)
+            if e not in found:
+                found[e] = t
+                grew = True
+        if not grew:
+            break
+        layer = sorted(applications(s.vocab.functions(), list(
+            found.values())), key=_shortlex)
+    return [e for e, t in found.items() if t.sort == sort]
 
 
 def _reference_resolve(s, t, env, extra):

@@ -1,8 +1,10 @@
 """The ground-term stream of term-generated presentations, pinned against
 the two enumerators it replaced: the layer-by-layer tau enumerator and the
-family branch that read `2 * limit` members.  Also the normalizer, pinned
-against the rewrite loop it replaced, and the sorts of rewrite pattern
-variables."""
+family branch that read `2 * limit` members.  The same `tau` stream on
+finite structures (the closure of the constants) and on valuations (the
+first `fuel` closed terms), pinned on the paper's omega-rule.  Also the
+normalizer, pinned against the rewrite loop it replaced, and the sorts of
+rewrite pattern variables."""
 
 import itertools
 import os
@@ -19,7 +21,9 @@ from omegalogic.structures import (
     FiniteStructure, Valuation, _instantiate, _match, eval_sentence,
     parse_structure,
 )
-from omegalogic.omega_rules import check_instance_sound, instantiate_schema
+from omegalogic.omega_rules import (
+    _target_eval, check_instance_sound, instantiate_schema,
+)
 
 
 ASSETS = os.path.join(os.path.dirname(__file__), "..", "assets")
@@ -177,6 +181,61 @@ def test_limit_zero_is_empty():
     s = presentations()["omega-succ"]
     assert s.enumerate_elements(0) == []
     assert presentations()["integers"].enumerate_elements(0) == []
+
+
+# -- one tau stream: what a `tau` schema ranges over on a finite structure
+#    and on a valuation, as on a presentation
+
+
+NAT_P = parse_vocabulary("sort N\nconst 0 : N\nfun S : N -> N\nrel P : N")
+TAU_P = "/\\{ P(x) : x in tau }"
+
+
+def _s_omega():
+    x = Var("x", "N")
+    return instantiate_schema(NAT_P, "S_OMEGA", Atom("P", (x,)), x,
+                              family="tau")
+
+
+def test_tau_ranges_over_the_closure_on_a_finite_structure():
+    """0 and S(0) name both elements, so the omega-rule is sound here: its
+    premise family is false at S(0), though P(0) holds."""
+    m = FiniteStructure(NAT_P, {"N": ["a", "b"]}, {"P": {("a",)}},
+                        {"S": {"a": "b", "b": "b"}}, {"0": "a"})
+    assert m.closed_elements("N") == ("a", "b")
+    assert eval_sentence(m, parse_formula(TAU_P, NAT_P)).value == "false"
+    verdict = check_instance_sound(m, _s_omega())
+    assert verdict.status == "sound"
+    assert verdict.witness == "premise false: " + TAU_P
+
+
+def test_an_unnamed_element_still_refutes_the_omega_rule():
+    """c is named by no closed term, so every named instance holds while
+    the universal fails: the rule is unsound here."""
+    m = FiniteStructure(NAT_P, {"N": ["a", "b", "c"]},
+                        {"P": {("a",), ("b",)}},
+                        {"S": {"a": "b", "b": "a", "c": "c"}}, {"0": "a"})
+    assert m.closed_elements("N") == ("a", "b")
+    assert eval_sentence(m, parse_formula(TAU_P, NAT_P)).value == "true"
+    assert check_instance_sound(m, _s_omega()).status == "unsound"
+
+
+def test_a_valuation_spot_checks_closed_terms_beyond_the_constants():
+    numerals = [Const("0", "N")]
+    for _ in range(3):
+        numerals.append(App("S", (numerals[-1],), "N"))
+    assert list(itertools.islice(NAT_P.tau_stream("N"), 4)) == numerals
+    f = parse_formula(TAU_P, NAT_P)
+    facts = {Atom("P", (n,)): True for n in numerals}
+    # the first `fuel` closed terms: S(S(S(0))) is beyond fuel 3
+    v = Valuation(NAT_P, assignment={**facts,
+                                     Atom("P", (numerals[3],)): False})
+    assert _target_eval(v, f, 3).value == "true"
+    assert _target_eval(v, f, 4).value == "false"
+    # P(S(0)) false: the premise family is false, so the rule is sound
+    v = Valuation(NAT_P, assignment={**facts,
+                                     Atom("P", (numerals[1],)): False})
+    assert check_instance_sound(v, _s_omega(), fuel=3).status == "sound"
 
 
 # -- the family listing of valuation targets

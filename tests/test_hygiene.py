@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-and no function of it takes a parameter it never reads."""
+"""Source hygiene: no module of the package imports a name it never uses
+or another module's private name, and no function of it takes a parameter
+it never reads."""
 
 import ast
 import pathlib
@@ -10,7 +11,17 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "omegalogic"
 
 # the evaluator's names that `structures` imports for its callers
 REEXPORTED = {"structures": {"EvalError", "TruthAtFuel", "_eval",
-                             "_family_terms", "eval_sentence"}}
+                             "eval_sentence"}}
+
+# the private names a module may import from another: `structures` keeps
+# the evaluator's `_eval` for its callers, and `types_atomicity` shares
+# three helpers of `structures` (the benchmark's tracer wraps `_eval` where
+# `types_atomicity` imports it)
+PRIVATE_IMPORTS_ALLOWED = {
+    "structures": {("evaluation", "_eval")},
+    "types_atomicity": {("structures", "_eval"), ("structures", "_instantiate"),
+                        ("structures", "_map_defect")},
+}
 
 # v_top is a valuation: it takes the sentence it calls true
 UNREAD_ALLOWED = {"propositional": {("v_top", "f")}}
@@ -40,6 +51,28 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Optional, List\n"
                      "x: List[int] = []\n")
     assert unused_imports(tree) == {"os", "Optional"}
+
+
+def private_imports(tree):
+    """(module, name) for each `_`-prefixed name imported from a module."""
+    return {(node.module or "", alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name.startswith("_")}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_no_private_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert private_imports(tree) - PRIVATE_IMPORTS_ALLOWED.get(
+        path.stem, set()) == set()
+
+
+def test_the_check_sees_a_private_import():
+    tree = ast.parse("from __future__ import annotations\nimport os._x\n"
+                     "from .a import _b, c\nfrom x.y import _z as w\n"
+                     "from . import _m\n")
+    assert private_imports(tree) == {("a", "_b"), ("x.y", "_z"), ("", "_m")}
 
 
 def unread_parameters(tree):

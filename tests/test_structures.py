@@ -1,7 +1,7 @@
 import pytest
 
 from omegalogic.syntax import (
-    App, Atom, Const, ConstantFamily, Eq, FamilyMember, Not, SyntaxError_,
+    And, App, Atom, Const, ConstantFamily, Eq, FamilyMember, Not, SyntaxError_,
     parse_formula, parse_vocabulary,
 )
 from omegalogic.structures import (
@@ -156,6 +156,21 @@ def test_self_identity_false_rejected():
     verdict = permissible(v)
     assert not verdict
     assert "=I" in verdict.reason
+
+
+def test_propositionally_inconsistent_assignment_rejected():
+    """Atoms valued consistently, but a conjunction called true whose
+    conjunct is false."""
+    voc = parse_vocabulary("sort S\nrel P : S\nrel Q : S\nconst a : S")
+    pa, qa = Atom("P", (Const("a", "S"),)), Atom("Q", (Const("a", "S"),))
+    both = And(pa, qa)
+    v = Valuation(voc, assignment={pa: False, qa: True, both: True})
+    verdict = permissible(v)
+    assert not verdict
+    assert verdict.reason == "propositionally inconsistent true-set"
+    assert verdict.witnesses == (both,)
+    assert permissible(Valuation(voc, assignment={pa: False, qa: True,
+                                                  both: False}))
 
 
 def test_embed_chain_into_longer():
