@@ -72,7 +72,7 @@ def _tuple_arg(text):
             items.append("")
         else:
             items[-1] += ch
-    return [item.strip() for item in items]
+    return items
 
 
 def _emit(args, report, lines):
@@ -184,7 +184,8 @@ def cmd_applicability(args):
     lines = [f"schema {args.schema} over {args.vocab}:",
              f"  usable premise families: {rep['count']} "
              f"({', '.join(rep['usable_families']) or 'none'})"]
-    lines += [f"  blocker: {b}" for b in rep["blockers"]]
+    for b in rep["blockers"]:
+        lines.append(f"  blocker: {b}")
     report = {"command": "applicability", "schema": args.schema, **rep}
     _emit(args, report, lines)
     return 0
@@ -192,9 +193,13 @@ def cmd_applicability(args):
 
 def cmd_type(args):
     s = _load_struct(args.structure)
-    names = _tuple_arg(args.tuple)
-    tup = names if s.kind == "finite" else [
-        s.normalize(parse_term(name, s.vocab)) for name in names]
+    tup = []
+    for name in _tuple_arg(args.tuple):
+        name = name.strip()
+        if s.kind == "finite":
+            tup.append(name)
+        else:
+            tup.append(s.normalize(parse_term(name, s.vocab)))
     td = complete_type(s, tup, args.rank, fuel=args.fuel)
     lines = [f"rank-{args.rank} type of ({args.tuple}) in {s.name}: "
              f"{len(td.formulas)} formulas"]
@@ -212,7 +217,8 @@ def cmd_atomic(args):
     lines = [f"{s.name}: {verdict.status} (rank {args.rank})"]
     if verdict.reason:
         lines.append(f"  reason: {verdict.reason}")
-    lines += [f"  evidence: {e}" for e in verdict.evidence]
+    for e in verdict.evidence:
+        lines.append(f"  evidence: {e}")
     report = {"command": "atomic", "structure": s.name,
               "bounds": {"rank": args.rank, "fuel": args.fuel},
               "status": verdict.status, "reason": verdict.reason,
@@ -247,8 +253,9 @@ def cmd_scott(args):
 
 def cmd_generative(args):
     s = _load_struct(args.structure)
-    witness = (parse_witness_map(_read(args.witness), s.vocab)
-               if args.witness else None)
+    witness = None
+    if args.witness:
+        witness = parse_witness_map(_read(args.witness), s.vocab)
     v = generativity(s, bound=args.bound, witness=witness, fuel=args.fuel)
     lines = [f"{s.name}: {v.verdict}" +
              (f" ({v.reason})" if v.reason else "") +

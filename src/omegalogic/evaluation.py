@@ -156,7 +156,7 @@ class _Call:
                 return r
             else:
                 names, exhaustive = itertools.islice(
-                    s.vocab.tau_stream(sort, s.normalize),
+                    s.vocab.tau_stream(sort, s.element_of),
                     max(self.fuel, 0)), False
             values, error = [], None
             try:

@@ -104,23 +104,31 @@ def instantiate_schema(vocab: Vocabulary, schema: str, body=None, hole=None,
             raise SchemaError(f"{schema} requires a premise family")
         if family != "tau" and family not in vocab.families:
             raise SchemaError(f"unknown constant family {family!r}")
-        if schema == "S_OMEGA" and any(
-                not _is_base_constant_term(p, vocab) for p in params):
-            raise SchemaError("S_OMEGA takes no auxiliary parameters")
-        for p in params if schema == "I_OMEGA" else ():
-            if _is_base_constant_term(p, vocab):
-                raise SchemaError(
-                    f"I_OMEGA parameter {print_term(p)} must come from "
-                    "Const(tau(C)) - Const(tau)")
-        extra, concl = (), Forall(hole, body)
-        if schema == "G_OMEGA":
-            if guard is None:
-                raise SchemaError("G_OMEGA requires the sort-guard premise")
-            extra = (guard,)
-            concl = Forall(hole, implies(Atom("N", (hole,)), body))
+        fam_conj = SchemaConj(hole, body, family)
+        if schema == "S_OMEGA":
+            if any(not _is_base_constant_term(p, vocab) for p in params):
+                raise SchemaError("S_OMEGA takes no auxiliary parameters")
+            return RuleInstanceQ(schema, body, hole, params, family,
+                                 premise_family=fam_conj,
+                                 conclusions=(Forall(hole, body),))
+        if schema == "I_OMEGA":
+            for p in params:
+                if _is_base_constant_term(p, vocab):
+                    raise SchemaError(
+                        f"I_OMEGA parameter {print_term(p)} must come from "
+                        "Const(tau(C)) - Const(tau)")
+            return RuleInstanceQ(schema, body, hole, params, family,
+                                 premise_family=fam_conj,
+                                 conclusions=(Forall(hole, body),))
+        # G_OMEGA
+        if guard is None:
+            raise SchemaError("G_OMEGA requires the sort-guard premise")
+        n_pred = Atom("N", (hole,))
+        concl = Forall(hole, implies(n_pred, body))
         return RuleInstanceQ(schema, body, hole, params, family,
-                             premise_family=SchemaConj(hole, body, family),
-                             extra_premises=extra, conclusions=(concl,))
+                             premise_family=fam_conj,
+                             extra_premises=(guard,),
+                             conclusions=(concl,))
 
     if schema in ("forallE", "S_FORALL_E", "I_FORALL_E", "G_FORALL_E"):
         (t,) = arity(1)
@@ -189,12 +197,12 @@ def _target_eval(target, f, fuel):
         return eval_sentence(target, f, fuel, fragment=True)
     # a valuation: look sentences up; spot-check schema families memberwise
     if isinstance(f, SchemaConj):
-        vocab = target.vocab
+        vocab, sort = target.vocab, f.hole.sort
         if f.family != "tau":
             members, _ = vocab.family(f.family).range_at(fuel)
-        else:  # the first `fuel` closed terms, or every constant
-            cap = max(fuel, 0) if vocab.functions() else None
-            members = itertools.islice(vocab.tau_stream(f.hole.sort), cap)
+        else:  # the first `fuel` closed terms, and every constant
+            members = itertools.islice(vocab.tau_stream(sort), max(
+                fuel, len(vocab.constants(sort))))
         vals = [target.value(substitute(f.body, f.hole.name, m))
                 for m in members]
         if any(v is False for v in vals):
@@ -553,16 +561,19 @@ def applicability_report(theory, vocab: Vocabulary, schema: str) -> dict:
             usable = [f.name for f in countable if f.sort == "N"]
             if not usable:
                 blockers.append("no countable N-sort constant family")
-    else:
-        usable = [f.name for f in countable]
-        if vocab.constants():
-            if vocab.functions():
-                usable.insert(0, "tau")  # infinitely many constant terms
-            elif not usable:
-                blockers.append("only finitely many constant terms "
-                                "(dcl(empty) finite)")
+        return {"schema": schema, "usable_families": usable,
+                "count": len(usable), "blockers": blockers,
+                "axioms": len(tuple(theory))}
+
+    usable = [f.name for f in countable]
+    if vocab.constants():
+        if vocab.functions():
+            usable.insert(0, "tau")  # infinitely many constant terms
         elif not usable:
-            blockers.append("no constants")
+            blockers.append("only finitely many constant terms "
+                            "(dcl(empty) finite)")
+    elif not usable:
+        blockers.append("no constants")
     return {"schema": schema, "usable_families": usable,
             "count": len(usable), "blockers": blockers,
             "axioms": len(tuple(theory))}

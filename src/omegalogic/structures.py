@@ -8,7 +8,6 @@ importable from here as well.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,11 +110,8 @@ class FiniteStructure:
         names only family members."""
         values = self._closed.get(sort)
         if values is None:
-            named = {}  # each term's element: one built on them takes a step
-            name = self.element_of if not self.functions else (
-                lambda t: named.setdefault(t, self.element_of(t, named)))
             values = self._closed[sort] = tuple(
-                self.vocab.tau_stream(sort, name))
+                self.vocab.tau_stream(sort, self.element_of))
         return values
 
 
@@ -213,7 +209,7 @@ class TermGeneratedStructure:
         The order is that of the generators: a family's members in index
         order, or for 'tau' the vocabulary's `tau_stream`."""
         if self.generated_by == "tau":
-            values = self.vocab.tau_stream(sort, self.normalize)
+            values = self.vocab.tau_stream(sort, self.element_of)
         else:
             fam = self.vocab.family(self.generated_by)
             if sort not in (None, fam.sort):
@@ -287,7 +283,8 @@ class Valuation:
         if sentence in self.assignment:
             return self.assignment[sentence]
         if self.structure is not None:
-            return _eval(self.structure, sentence, {}, 1, self.name_map)
+            v = _eval(self.structure, sentence, {}, 1, self.name_map)
+            return v
         return None
 
 
@@ -334,8 +331,10 @@ def default_probe_set(vocab: Vocabulary, names):
     terms += applications(vocab.functions(), terms)
     probes = [Atom(d.name, args)
               for d in vocab.relations() for args in arg_tuples(d, terms)]
-    probes += [Eq(t1, t2) for t1 in terms for t2 in terms
-               if t1.sort == t2.sort]
+    for t1 in terms:
+        for t2 in terms:
+            if t1.sort == t2.sort:
+                probes.append(Eq(t1, t2))
     return probes
 
 
@@ -402,11 +401,12 @@ def _truth_table_value(f, v):
     if isinstance(f, Not):
         b = _truth_table_value(f.body, v)
         return None if b is None else not b
-    if isinstance(f, (And, Or)):
+    if isinstance(f, And):
         a, b = _truth_table_value(f.left, v), _truth_table_value(f.right, v)
-        if a is None or b is None:
-            return None
-        return (a and b) if isinstance(f, And) else (a or b)
+        return None if a is None or b is None else (a and b)
+    if isinstance(f, Or):
+        a, b = _truth_table_value(f.left, v), _truth_table_value(f.right, v)
+        return None if a is None or b is None else (a or b)
     return None  # quantified: out of scope for qf probes
 
 
@@ -419,8 +419,11 @@ class _UnionFind:
     def __init__(self, items):
         self.parent = {x: x for x in items}
 
-    def find(self, x):
+    def add(self, x):
         self.parent.setdefault(x, x)
+
+    def find(self, x):
+        self.add(x)
         while self.parent[x] != x:
             self.parent[x] = self.parent[self.parent[x]]
             x = self.parent[x]
@@ -536,6 +539,8 @@ def _backtrack_embedding(a, b):
 def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None):
     """Parse the structure file format; `over <file>` resolves the
     vocabulary relative to `base_dir`."""
+    import os
+
     name = "anonymous"
     domains = {}
     relations = {}
@@ -677,6 +682,8 @@ def _check_decider(vocab, generated_by, rel, decider_name, lineno):
 
 
 def load_structure(path):
+    import os
+
     with open(path) as fh:
         text = fh.read()
     return parse_structure(text, base_dir=os.path.dirname(os.path.abspath(path)))
@@ -692,24 +699,29 @@ def all_finite_structures(vocab: Vocabulary, size: int, sort=None):
     if sort is None:
         (sort,) = vocab.sorts
     domain = tuple(f"e{i}" for i in range(size))
-    rels, funs, consts = vocab.relations(), vocab.functions(), vocab.constants()
-    spaces = []  # the choices for each relation, then function, then constant
+    rel_spaces = []
+    rels = vocab.relations()
     for d in rels:
         tuples = list(itertools.product(domain, repeat=d.arity))
-        spaces.append([frozenset(c) for r in range(len(tuples) + 1)
-                       for c in itertools.combinations(tuples, r)])
+        rel_spaces.append([frozenset(c)
+                           for r in range(len(tuples) + 1)
+                           for c in itertools.combinations(tuples, r)])
+    fun_spaces = []
+    funs = vocab.functions()
     for d in funs:
         keys = list(itertools.product(domain, repeat=d.arity))
-        spaces.append([dict(zip(keys, vals))
-                       for vals in itertools.product(domain, repeat=len(keys))])
-    spaces += [domain] * len(consts)
-    for choice in itertools.product(*spaces):
-        fun_choice = choice[len(rels):]
-        yield FiniteStructure(
-            vocab, {sort: domain},
-            {d.name: set(c) for d, c in zip(rels, choice)},
-            {d.name: t for d, t in zip(funs, fun_choice)},
-            {d.name: e for d, e in zip(consts, fun_choice[len(funs):])})
+        fun_spaces.append([dict(zip(keys, vals))
+                           for vals in itertools.product(domain, repeat=len(keys))])
+    const_spaces = [list(domain) for _ in vocab.constants()]
+    consts = vocab.constants()
+    for rel_choice in itertools.product(*rel_spaces) if rel_spaces else [()]:
+        for fun_choice in itertools.product(*fun_spaces) if fun_spaces else [()]:
+            for const_choice in itertools.product(*const_spaces) if const_spaces else [()]:
+                yield FiniteStructure(
+                    vocab, {sort: domain},
+                    {d.name: set(c) for d, c in zip(rels, rel_choice)},
+                    {d.name: t for d, t in zip(funs, fun_choice)},
+                    {d.name: e for d, e in zip(consts, const_choice)})
 
 
 def is_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:

@@ -178,22 +178,36 @@ class Vocabulary:
         """Each value that a closed term of `sort` (of every sort when None)
         names, once: the constants, then the functions applied to the values
         found so far, one layer at a time, each layer in shortlex order of
-        the printed terms.  `name(t)` is the value of `t` (a normal form, an
-        element, or by default `t` itself); a value that is no term enters
-        later layers as the first term naming it.  Only the sorts feeding
-        `sort` are built, so the stream ends once no layer adds a value."""
+        the printed terms.  `name(t, named)` is the value of `t`, where
+        `named` maps the terms found so far to theirs (a structure's
+        `element_of`: a normal form or an element); by default it is `t`
+        itself.  A value that is no term enters later layers as the first
+        term naming it.  Only the sorts feeding `sort` are built, so the
+        stream ends once no layer adds a value."""
         start = self._tau_starts.get(sort)
         if start is None:  # the functions feeding `sort`, its first layer
             sorts = _feeding_sorts(self, sort)
             start = self._tau_starts[sort] = (
                 [d for d in self.functions() if d.result_sort in sorts],
                 sorted((c for c in self.constant_terms() if c.sort in sorts),
-                       key=_shortlex))
+                       key=lambda c: (len(c.name), c.name)))
         funs, layer = start
-        if not funs:  # the constants, named at once
-            return iter(dict.fromkeys(layer if name is None else
-                                      map(name, layer)))
-        return _tau_layers(funs, layer, sort, name)
+        named, found, text = {}, set(), {}  # `text`: see `_shortlex`
+        while layer:
+            new = len(named)
+            for t in layer:
+                v = t if name is None else name(t, named)
+                if v not in found:
+                    found.add(v)
+                    named[v if isinstance(v, Term) else t] = v
+                    if sort is None or t.sort == sort:
+                        yield v
+            # an application whose arguments were all found before the last
+            # layer was in that layer already
+            fresh = set(itertools.islice(named, new, None))
+            layer = sorted((a for a in applications(funs, list(named))
+                            if not fresh.isdisjoint(a.args)),
+                           key=lambda a: _shortlex(a, text))
 
     def relations(self):
         return [d for d in self.symbols.values() if d.kind == "rel"]
@@ -226,24 +240,6 @@ class Vocabulary:
         return None
 
 
-def _tau_layers(funs, layer, sort, name):
-    """`Vocabulary.tau_stream` where the functions `funs` feed `sort`."""
-    found = {}  # value -> the term that later layers apply functions to
-    while layer:
-        new = len(found)
-        for t in layer:
-            v = t if name is None else name(t)
-            if v not in found:
-                found[v] = v if isinstance(v, Term) else t
-                if sort is None or t.sort == sort:
-                    yield v
-        # an application whose arguments were all found before the last
-        # layer was in that layer already
-        fresh = set(itertools.islice(found.values(), new, None))
-        layer = sorted((a for a in applications(funs, list(found.values()))
-                        if not fresh.isdisjoint(a.args)), key=_shortlex)
-
-
 def _feeding_sorts(vocab, sort):
     """The sorts whose ground terms can occur in a ground term of `sort`,
     `sort` included (every sort when it is None): the argument sorts,
@@ -259,17 +255,28 @@ def _feeding_sorts(vocab, sort):
         if grown == inhabited:
             break
         inhabited = grown
-    sorts = {sort}
-    while True:
-        grown = sorts.union(*(d.arg_sorts for d in live
-                              if d.result_sort in sorts))
-        if grown == sorts:
-            return sorts
-        sorts = grown
+    sorts, todo = {sort}, [sort]
+    while todo:
+        target = todo.pop()
+        for d in live:
+            if d.result_sort == target:
+                todo += [a for a in d.arg_sorts if a not in sorts]
+                sorts.update(d.arg_sorts)
+    return sorts
 
 
-def _shortlex(t):
-    p = print_term(t)
+def _shortlex(t, text):
+    """The shortlex key of `print_term(t)`.  `text` keeps the printed
+    terms: an application's is built from its arguments' kept ones, so a
+    deep term is printed without recursing through it."""
+    p = text.get(t)
+    if p is None:
+        if isinstance(t, App):
+            args = ", ".join(_shortlex(a, text)[1] for a in t.args)
+            p = f"{t.func}({args})"
+        else:
+            p = print_term(t)
+        text[t] = p
     return len(p), p
 
 
@@ -759,8 +766,6 @@ def parse_vocabulary(text: str) -> Vocabulary:
         parts = line.replace(":", " : ").split()
         head = parts[0]
         try:
-            if head in ("rel", "fun", "const", "family") and parts[2] != ":":
-                raise SyntaxError_("expected ':'", lineno, 1)
             if head == "sort":
                 (name,) = parts[1:]
                 if name in sorts:
@@ -768,9 +773,13 @@ def parse_vocabulary(text: str) -> Vocabulary:
                 sorts.append(name)
             elif head == "rel":
                 name = parts[1]
+                if parts[2] != ":":
+                    raise SyntaxError_("expected ':'", lineno, 1)
                 symbols.append((lineno, SymbolDecl(name, "rel", tuple(parts[3:]), None)))
             elif head == "fun":
                 name = parts[1]
+                if parts[2] != ":":
+                    raise SyntaxError_("expected ':'", lineno, 1)
                 rest = parts[3:]
                 if "->" not in rest:
                     raise SyntaxError_("expected '->' in fun declaration", lineno, 1)
@@ -779,10 +788,14 @@ def parse_vocabulary(text: str) -> Vocabulary:
                 symbols.append((lineno, SymbolDecl(name, "fun", tuple(args), result)))
             elif head == "const":
                 name = parts[1]
+                if parts[2] != ":":
+                    raise SyntaxError_("expected ':'", lineno, 1)
                 (sort,) = parts[3:]
                 symbols.append((lineno, SymbolDecl(name, "const", (), sort)))
             elif head == "family":
                 name = parts[1]
+                if parts[2] != ":":
+                    raise SyntaxError_("expected ':'", lineno, 1)
                 sort = parts[3]
                 rest = parts[4:]
                 if rest and rest[0] == "countable":

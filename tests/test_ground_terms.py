@@ -2,7 +2,8 @@
 the two enumerators it replaced: the layer-by-layer tau enumerator and the
 family branch that read `2 * limit` members.  The same `tau` stream on
 finite structures (the closure of the constants) and on valuations (the
-first `fuel` closed terms), pinned on the paper's omega-rule.  Also the
+first `fuel` closed terms and every constant), pinned on the paper's
+omega-rule.  Also the
 normalizer, pinned against the rewrite loop it replaced, and the sorts of
 rewrite pattern variables."""
 
@@ -14,7 +15,8 @@ import pytest
 
 from omegalogic.cli import main
 from omegalogic.syntax import (
-    App, Atom, Const, SyntaxError_, Var, parse_formula, parse_term,
+    App, Atom, Const, SchemaConj, SyntaxError_, Var, parse_formula,
+    parse_term,
     parse_vocabulary, print_term,
 )
 from omegalogic.structures import (
@@ -236,6 +238,37 @@ def test_a_valuation_spot_checks_closed_terms_beyond_the_constants():
     v = Valuation(NAT_P, assignment={**facts,
                                      Atom("P", (numerals[1],)): False})
     assert check_instance_sound(v, _s_omega(), fuel=3).status == "sound"
+
+
+def test_a_valuation_checks_every_constant_past_the_fuel():
+    """Fuel 2 caps the closed terms, never the constants: the false
+    instance is at the last constant, of a sort that no function feeds
+    and of one that a function feeds."""
+    voc = parse_vocabulary("sort N\nsort C\nfun S : N -> N\nrel P : N\n"
+                           "rel Q : C\n" + "".join(
+                               f"const {c}{i} : {c}\n"
+                               for c in "NC" for i in range(4)))
+    for sort, rel in (("C", "Q"), ("N", "P")):
+        x = Var("x", sort)
+        members = [Const(f"{sort}{i}", sort) for i in range(4)]
+        f = SchemaConj(x, Atom(rel, (x,)), "tau")
+        v = Valuation(voc, assignment={Atom(rel, (c,)): c != members[-1]
+                                       for c in members})
+        assert _target_eval(v, f, 2).value == "false", sort
+
+
+def test_tau_on_a_long_finite_chain():
+    """Naming and ordering a closed term take a step on its arguments', so
+    the 1,200 numerals of a successor chain, the last 1,199 deep, are
+    listed without recursing through them."""
+    es = [f"e{i}" for i in range(1200)]
+    succ = dict(zip(es, es[1:] + es[-1:]))
+    m = FiniteStructure(NAT_P, {"N": es}, {"P": {(e,) for e in es[:-1]}},
+                        {"S": succ}, {"0": "e0"})
+    assert m.closed_elements("N") == tuple(es)
+    assert eval_sentence(m, parse_formula(TAU_P, NAT_P)).value == "false"
+    terms = list(itertools.islice(NAT_P.tau_stream("N"), 1200))
+    assert [t.args[0] for t in terms[1:]] == terms[:-1]
 
 
 # -- the family listing of valuation targets
