@@ -257,10 +257,11 @@ def test_a_valuation_checks_every_constant_past_the_fuel():
         assert _target_eval(v, f, 2).value == "false", sort
 
 
-def test_tau_on_a_long_finite_chain():
+def test_tau_on_long_chains():
     """Naming and ordering a closed term take a step on its arguments', so
     the 1,200 numerals of a successor chain, the last 1,199 deep, are
-    listed without recursing through them."""
+    listed without recursing through them: on a finite structure, on a
+    valuation and on a presentation with a rewrite."""
     es = [f"e{i}" for i in range(1200)]
     succ = dict(zip(es, es[1:] + es[-1:]))
     m = FiniteStructure(NAT_P, {"N": es}, {"P": {(e,) for e in es[:-1]}},
@@ -269,6 +270,11 @@ def test_tau_on_a_long_finite_chain():
     assert eval_sentence(m, parse_formula(TAU_P, NAT_P)).value == "false"
     terms = list(itertools.islice(NAT_P.tau_stream("N"), 1200))
     assert [t.args[0] for t in terms[1:]] == terms[:-1]
+    voc = parse_vocabulary("sort N\nconst 0 : N\nfun S : N -> N\n"
+                           "fun D : N -> N")
+    s = parse_structure("structure d\ngenerated by tau\nrewrite D(x) -> x",
+                        voc)
+    assert s.enumerate_elements(1200) == terms
 
 
 # -- the family listing of valuation targets
