@@ -202,8 +202,10 @@ class Vocabulary:
                     named[v if isinstance(v, Term) else t] = v
                     if sort is None or t.sort == sort:
                         yield v
-            if not funs:  # no next layer; building it empty doubles the
-                break     # cost of a function-free range
+            # with no function there is no next layer, and building it
+            # empty doubles the cost of a function-free range
+            if not funs:
+                break
             # an application whose arguments were all found before the last
             # layer was in that layer already
             fresh = set(itertools.islice(named, new, None))
