@@ -5,6 +5,7 @@ errors.  `--machine` mirrors the text report as a JSON document.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -304,7 +305,10 @@ def cmd_verify_omega(args):
 # Parser
 
 
+@functools.cache
 def build_parser():
+    """The `omega` argument parser, built on the first call and then kept:
+    parsing leaves it as it was."""
     p = argparse.ArgumentParser(
         prog="omega",
         description="workbench for inferential logics: propositional "

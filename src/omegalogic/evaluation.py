@@ -7,6 +7,7 @@ outcome and never silently coerces to a boolean.  `structures` keeps these
 names too.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -32,9 +33,16 @@ class TruthAtFuel:
 
 
 def _tv(b, fuel=0, witness=None):
-    if b is None:
-        return TruthAtFuel("unknown", fuel, witness)
-    return TruthAtFuel("true" if b else "false", fuel, witness)
+    value = "unknown" if b is None else "true" if b else "false"
+    if witness is None:
+        return _kept_truth(value, fuel)
+    return TruthAtFuel(value, fuel, witness)
+
+
+@functools.cache
+def _kept_truth(value, fuel):
+    """One frozen, witness-free truth value per (value, fuel) pair."""
+    return TruthAtFuel(value, fuel)
 
 
 def eval_sentence(s, f: Formula, fuel: int = 8, extra_names=None,

@@ -195,7 +195,8 @@ class SoundnessVerdict:
 def _target_eval(target, f, fuel):
     if hasattr(target, "kind"):  # a structure
         return eval_sentence(target, f, fuel, fragment=True)
-    # a valuation: look sentences up; spot-check schema families memberwise
+    # a valuation: look sentences up; spot-check schema families memberwise,
+    # in range order, stopping at the first false member
     if isinstance(f, SchemaConj):
         vocab, sort = target.vocab, f.hole.sort
         if f.family != "tau":
@@ -203,13 +204,14 @@ def _target_eval(target, f, fuel):
         else:  # the first `fuel` closed terms, and every constant
             members = itertools.islice(vocab.tau_stream(sort), max(
                 fuel, len(vocab.constants(sort))))
-        vals = [target.value(substitute(f.body, f.hole.name, m))
-                for m in members]
-        if any(v is False for v in vals):
-            return TruthAtFuel("false", fuel)
-        if all(v is True for v in vals):
-            return TruthAtFuel("true", fuel)
-        return TruthAtFuel("unknown", fuel)
+        value = "true"
+        for m in members:
+            v = target.value(substitute(f.body, f.hole.name, m))
+            if v is False:
+                return TruthAtFuel("false", fuel)
+            if v is not True:
+                value = "unknown"
+        return TruthAtFuel(value, fuel)
     v = target.value(f)
     if v is None:
         return TruthAtFuel("unknown", fuel)
@@ -218,25 +220,38 @@ def _target_eval(target, f, fuel):
 
 def check_instance_sound(target, inst: RuleInstanceQ,
                          fuel: int = 8) -> SoundnessVerdict:
-    """Unsound iff every premise (including the symbolic family, spot-checked
-    at fuel, with bounded-fragment quantifier semantics) is true and every
-    conclusion false."""
+    """Spot-check one rule instance on `target`, a structure or a valuation.
+
+    The instance is unsound iff every premise (the symbolic family too,
+    spot-checked at `fuel`, with bounded-fragment quantifier semantics) is
+    true and every conclusion false.  The premises are read in
+    `inst.all_premises` order: the first false one makes the instance
+    sound, with that premise as its fact.  Then the conclusions are read in
+    order, and the first true one makes it sound, with no fact.  The
+    verdict is unsound, with every premise and conclusion as facts, only
+    when every premise read true and every conclusion false; otherwise it
+    is unknown.  Nothing is evaluated after the deciding premise or
+    conclusion, so an error that a later one would raise does not surface,
+    as with `eval_sentence`, which stops at the first false conjunct."""
     premises = inst.all_premises
-    prem_vals = [_target_eval(target, p, fuel) for p in premises]
-    concl_vals = [_target_eval(target, c, fuel) for c in inst.conclusions]
-    for p, v in zip(premises, prem_vals):
-        if v.value == "false":
+    decided = True  # every fact read so far as an unsound instance has it
+    for p in premises:
+        value = _target_eval(target, p, fuel).value
+        if value == "false":
             return SoundnessVerdict("sound", fuel, (("premise false", p),))
-    if any(v.value == "true" for v in concl_vals):
-        return SoundnessVerdict("sound", fuel)
-    if all(v.value == "true" for v in prem_vals) and all(
-            v.value == "false" for v in concl_vals):
-        facts = [("premise true", p) for p in premises]
-        facts += [("conclusion false", c) for c in inst.conclusions]
-        if not inst.conclusions:
-            facts.append(("empty conclusion set is always false", None))
-        return SoundnessVerdict("unsound", fuel, tuple(facts))
-    return SoundnessVerdict("unknown", fuel)
+        decided = decided and value == "true"
+    for c in inst.conclusions:
+        value = _target_eval(target, c, fuel).value
+        if value == "true":
+            return SoundnessVerdict("sound", fuel)
+        decided = decided and value == "false"
+    if not decided:
+        return SoundnessVerdict("unknown", fuel)
+    facts = [("premise true", p) for p in premises]
+    facts += [("conclusion false", c) for c in inst.conclusions]
+    if not inst.conclusions:
+        facts.append(("empty conclusion set is always false", None))
+    return SoundnessVerdict("unsound", fuel, tuple(facts))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,24 @@
+import itertools
+import random
+
 import pytest
 
+from omegalogic.cli import main
+from omegalogic import omega_rules
 from omegalogic.syntax import (
     App, Atom, BOT, Const, ConstantFamily, Eq, FamilyMember, Forall, Not,
     SchemaConj, Var, parse_formula, parse_vocabulary, print_formula,
-    print_term,
+    print_term, substitute,
 )
-from omegalogic.structures import Valuation, parse_structure
+from omegalogic.structures import (
+    EvalError, TruthAtFuel, Valuation, all_finite_structures, eval_sentence,
+    parse_structure,
+)
 from omegalogic.omega_rules import (
-    EXTRA_DERIVATION_RULES, SCHEMA_NAMES, SchemaError, Step,
-    applicability_report, check_derivation, check_instance_sound,
-    instantiate_schema, parse_derivation, print_derivation, refute_extension,
-    refutation_vocabulary,
+    EXTRA_DERIVATION_RULES, SCHEMA_NAMES, SchemaError, SoundnessVerdict, Step,
+    _target_eval, applicability_report, check_derivation,
+    check_instance_sound, instantiate_schema, parse_derivation,
+    print_derivation, refute_extension, refutation_vocabulary,
 )
 
 
@@ -374,3 +382,189 @@ def test_malformed_steps_are_invalid_not_errors():
         assert not result.valid and result.reason, text
     result = _check("existsE: F(0)\n  axiom: F(0)\n", ["F(0)"])
     assert "discharges an assumption" in result.reason
+
+
+# -- soundness spot-checks stop at the deciding fact
+
+def _eager_target_eval(target, f, fuel):
+    """`_target_eval` with every member of a valuation's schema family
+    evaluated before any is tested."""
+    if hasattr(target, "kind") or not isinstance(f, SchemaConj):
+        return _target_eval(target, f, fuel)
+    vocab, sort = target.vocab, f.hole.sort
+    if f.family != "tau":
+        members, _ = vocab.family(f.family).range_at(fuel)
+    else:
+        members = itertools.islice(vocab.tau_stream(sort), max(
+            fuel, len(vocab.constants(sort))))
+    vals = [target.value(substitute(f.body, f.hole.name, m))
+            for m in members]
+    if any(v is False for v in vals):
+        return TruthAtFuel("false", fuel)
+    if all(v is True for v in vals):
+        return TruthAtFuel("true", fuel)
+    return TruthAtFuel("unknown", fuel)
+
+
+def _eager_sound(target, inst, fuel=8):
+    """The reference: every premise and every conclusion is evaluated
+    before any of them is looked at."""
+    premises = inst.all_premises
+    prem_vals = [_eager_target_eval(target, p, fuel) for p in premises]
+    concl_vals = [_eager_target_eval(target, c, fuel)
+                  for c in inst.conclusions]
+    for p, v in zip(premises, prem_vals):
+        if v.value == "false":
+            return SoundnessVerdict("sound", fuel, (("premise false", p),))
+    if any(v.value == "true" for v in concl_vals):
+        return SoundnessVerdict("sound", fuel)
+    if all(v.value == "true" for v in prem_vals) and all(
+            v.value == "false" for v in concl_vals):
+        facts = [("premise true", p) for p in premises]
+        facts += [("conclusion false", c) for c in inst.conclusions]
+        if not inst.conclusions:
+            facts.append(("empty conclusion set is always false", None))
+        return SoundnessVerdict("unsound", fuel, tuple(facts))
+    return SoundnessVerdict("unknown", fuel)
+
+
+# the finite-models benchmark's omega vocabulary
+PQ_VOCAB = parse_vocabulary(
+    "sort S\nrel P : S\nrel Q : S\nconst a : S\nconst b : S")
+PQ_STRUCTURES = [s for n in (1, 2, 3)
+                 for s in all_finite_structures(PQ_VOCAB, n)]
+
+
+def _random_body(rng, depth=2):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(["P(x)", "Q(x)", "x = a", "x = b", "P(a)"])
+    op = rng.choice(["~", "&", "|"])
+    if op == "~":
+        return f"~({_random_body(rng, depth - 1)})"
+    return f"({_random_body(rng, depth - 1)} {op} {_random_body(rng, depth - 1)})"
+
+
+def _pq_instances(seed, n_bodies=6):
+    rng = random.Random(seed)
+    x = Var("x", "S")
+    a, b = Const("a", "S"), Const("b", "S")
+    for _ in range(n_bodies):
+        body = parse_formula(_random_body(rng), PQ_VOCAB, bound=[("x", "S")])
+        for schema in ("I_OMEGA", "S_OMEGA"):
+            yield instantiate_schema(PQ_VOCAB, schema, body, x, family="tau")
+        for schema in ("I_FORALL_E", "S_FORALL_E", "existsI", "forallE"):
+            for t in (a, b):
+                yield instantiate_schema(PQ_VOCAB, schema, body, x, (t,),
+                                         "tau")
+        for ts in itertools.product((a, b), repeat=2):
+            yield instantiate_schema(PQ_VOCAB, "eqE", body, x, ts)
+
+
+def _partial_valuation(rng, insts):
+    """A valuation that calls each sentence of `insts` (each family member
+    too) true, false or nothing, at random."""
+    sentences = set()
+    for inst in insts:
+        for f in inst.all_premises + inst.conclusions:
+            if isinstance(f, SchemaConj):
+                sentences.update(substitute(f.body, f.hole.name, Const(c, "S"))
+                                 for c in ("a", "b"))
+            else:
+                sentences.add(f)
+    choice = (True, False, None)
+    return Valuation(PQ_VOCAB, assignment={
+        f: v for f in sorted(sentences, key=print_formula)
+        if (v := rng.choice(choice)) is not None})
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+def test_lazy_soundness_matches_the_eager_reference(seed):
+    insts = list(_pq_instances(seed))
+    rng = random.Random(seed)
+    targets = PQ_STRUCTURES + [Valuation(PQ_VOCAB, structure=s)
+                               for s in PQ_STRUCTURES[:20]]
+    targets += [_partial_valuation(rng, insts) for _ in range(20)]
+    statuses = set()
+    for target in targets:
+        for inst in insts:
+            got = check_instance_sound(target, inst)
+            assert got == _eager_sound(target, inst), (
+                inst.schema, print_formula(inst.conclusions[0]))
+            statuses.add(got.status)
+    assert statuses == {"sound", "unsound", "unknown"}
+
+
+def test_an_error_after_the_deciding_premise_does_not_surface():
+    # R has neither an extent nor a decider, so evaluating R(t) raises
+    voc = parse_vocabulary("sort N\nconst 0 : N\nfun S : N -> N\nrel R : N")
+    s = parse_structure("structure s\ngenerated by tau", voc)
+    x, zero = Var("x", "N"), Const("0", "N")
+    inst = instantiate_schema(voc, "eqE", Atom("R", (x,)), x,
+                              (zero, App("S", (zero,), "N")))
+    with pytest.raises(EvalError, match="no decision rule"):
+        eval_sentence(s, inst.conclusions[0])
+    with pytest.raises(EvalError):  # the eager reference reads on and raises
+        _eager_sound(s, inst)
+    verdict = check_instance_sound(s, inst)
+    assert verdict.status == "sound"
+    assert verdict.facts == (("premise false", inst.premises[0]),)
+
+
+class _CountingValuation(Valuation):
+    def __init__(self, vocab, assignment):
+        super().__init__(vocab, assignment=assignment)
+        self.read = []
+
+    def value(self, sentence):
+        self.read.append(sentence)
+        return super().value(sentence)
+
+
+def test_nothing_is_evaluated_after_the_deciding_fact(monkeypatch):
+    x, a, b = Var("x", "S"), Const("a", "S"), Const("b", "S")
+    px, pa, pb = Atom("P", (x,)), Atom("P", (a,)), Atom("P", (b,))
+    # a false family member ends the family, and the check, at once
+    inst = instantiate_schema(PQ_VOCAB, "S_OMEGA", px, x, family="tau")
+    v = _CountingValuation(PQ_VOCAB, {pa: False, pb: False})
+    assert check_instance_sound(v, inst).status == "sound"
+    assert len(v.read) == 1
+    # a true conclusion is the last sentence read
+    inst = instantiate_schema(PQ_VOCAB, "forallE", px, x, (a,))
+    v = _CountingValuation(PQ_VOCAB, {pa: True})
+    assert check_instance_sound(v, inst).status == "sound"
+    assert v.read == [Forall(x, px), pa]
+    # the first false premise is the only sentence read
+    inst = instantiate_schema(PQ_VOCAB, "eqE", px, x, (a, b))
+    v = _CountingValuation(PQ_VOCAB, {Eq(a, b): False, pa: True, pb: True})
+    assert check_instance_sound(v, inst).status == "sound"
+    assert v.read == [Eq(a, b)]
+    # on a structure: one evaluation where a != b
+    calls = []
+
+    def counting(s, f, *args, **kw):
+        calls.append(f)
+        return eval_sentence(s, f, *args, **kw)
+
+    monkeypatch.setattr(omega_rules, "eval_sentence", counting)
+    m = next(s for s in PQ_STRUCTURES
+             if s.constants["a"] != s.constants["b"])
+    assert check_instance_sound(m, inst).status == "sound"
+    assert calls == [Eq(a, b)]
+
+
+def test_equal_evaluations_give_equal_truth_values():
+    m = PQ_STRUCTURES[-1]
+    f = parse_formula("exists x:S. P(x)", PQ_VOCAB)
+    first, again = eval_sentence(m, f, 5), eval_sentence(m, f, 5)
+    assert first == again == TruthAtFuel(first.value, 5)
+    assert eval_sentence(m, f, 6).fuel_used == 6
+    with pytest.raises(TypeError):
+        bool(first)
+
+
+def test_the_help_text_repeats(capsys):
+    texts = []
+    for _ in range(2):
+        assert main(["--help"]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and texts[0].startswith("usage: omega")
