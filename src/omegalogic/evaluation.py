@@ -32,17 +32,12 @@ class TruthAtFuel:
         raise TypeError("TruthAtFuel does not coerce; inspect .value")
 
 
-def _tv(b, fuel=0, witness=None):
-    value = "unknown" if b is None else "true" if b else "false"
-    if witness is None:
-        return _kept_truth(value, fuel)
-    return TruthAtFuel(value, fuel, witness)
-
-
 @functools.cache
-def _kept_truth(value, fuel):
-    """One frozen, witness-free truth value per (value, fuel) pair."""
-    return TruthAtFuel(value, fuel)
+def _tv(b, fuel=0):
+    """The truth value of `b` (True, False or None for unknown) at `fuel`:
+    one frozen instance per pair, shared by every call."""
+    return TruthAtFuel("unknown" if b is None else "true" if b else "false",
+                       fuel)
 
 
 def eval_sentence(s, f: Formula, fuel: int = 8, extra_names=None,

@@ -234,18 +234,18 @@ def check_instance_sound(target, inst: RuleInstanceQ,
     conclusion, so an error that a later one would raise does not surface,
     as with `eval_sentence`, which stops at the first false conjunct."""
     premises = inst.all_premises
-    decided = True  # every fact read so far as an unsound instance has it
+    all_as_unsound = True
     for p in premises:
         value = _target_eval(target, p, fuel).value
         if value == "false":
             return SoundnessVerdict("sound", fuel, (("premise false", p),))
-        decided = decided and value == "true"
+        all_as_unsound = all_as_unsound and value == "true"
     for c in inst.conclusions:
         value = _target_eval(target, c, fuel).value
         if value == "true":
             return SoundnessVerdict("sound", fuel)
-        decided = decided and value == "false"
-    if not decided:
+        all_as_unsound = all_as_unsound and value == "false"
+    if not all_as_unsound:
         return SoundnessVerdict("unknown", fuel)
     facts = [("premise true", p) for p in premises]
     facts += [("conclusion false", c) for c in inst.conclusions]

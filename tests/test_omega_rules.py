@@ -4,7 +4,7 @@ import random
 import pytest
 
 from omegalogic.cli import main
-from omegalogic import omega_rules
+from omegalogic import cli, omega_rules
 from omegalogic.syntax import (
     App, Atom, BOT, Const, ConstantFamily, Eq, FamilyMember, Forall, Not,
     SchemaConj, Var, parse_formula, parse_vocabulary, print_formula,
@@ -552,19 +552,24 @@ def test_nothing_is_evaluated_after_the_deciding_fact(monkeypatch):
     assert calls == [Eq(a, b)]
 
 
-def test_equal_evaluations_give_equal_truth_values():
+def test_equal_evaluations_share_one_truth_value():
     m = PQ_STRUCTURES[-1]
     f = parse_formula("exists x:S. P(x)", PQ_VOCAB)
     first, again = eval_sentence(m, f, 5), eval_sentence(m, f, 5)
-    assert first == again == TruthAtFuel(first.value, 5)
-    assert eval_sentence(m, f, 6).fuel_used == 6
+    assert first is again
+    assert first == TruthAtFuel(first.value, 5)
+    other = eval_sentence(m, f, 6)
+    assert other is not first and other.fuel_used == 6
     with pytest.raises(TypeError):
         bool(first)
 
 
-def test_the_help_text_repeats(capsys):
+def test_the_parser_is_built_once(capsys):
+    cli.build_parser.cache_clear()
     texts = []
     for _ in range(2):
         assert main(["--help"]) == 0
         texts.append(capsys.readouterr().out)
+    built = cli.build_parser.cache_info()
+    assert (built.misses, built.hits) == (1, 1)
     assert texts[0] == texts[1] and texts[0].startswith("usage: omega")
