@@ -11,7 +11,7 @@ import os
 import sys
 
 from .syntax import (
-    SyntaxError_, parse_formula, parse_term, parse_vocabulary, print_formula,
+    SyntaxError_, parse_axiom, parse_term, parse_vocabulary, print_formula,
 )
 from .structures import EvalError, parse_structure
 from . import propositional as prop
@@ -50,12 +50,7 @@ def _parse_axioms(text, vocab):
         if not line.startswith("axiom"):
             raise SyntaxError_(f"theory line {lineno} is not an axiom: "
                                f"{line!r}")
-        text = line[len("axiom"):].strip()
-        try:
-            axioms.append(parse_formula(text, vocab, require_sentence=True))
-        except SyntaxError_ as e:
-            start = raw.index(text, raw.index("axiom") + len("axiom"))
-            raise e.at(lineno, start + 1) from None
+        axioms.append(parse_axiom(raw, lineno, vocab))
     return axioms
 
 

@@ -7,12 +7,13 @@ The emitted theory file is a deterministic, byte-stable artifact: identical
 bundles produce identical bytes.
 """
 
+import itertools
 import re
 from dataclasses import dataclass, replace
 
 from .syntax import (
     Formula, SyntaxError_, Vocabulary, free_variables, map_children,
-    parse_formula, parse_vocabulary, print_formula,
+    parse_at, parse_axiom, parse_formula, parse_vocabulary, print_formula,
 )
 from .structures import EvalError, eval_sentence
 
@@ -91,8 +92,7 @@ def chang_bundle_load(text: str) -> ChangBundle:
         elif line.startswith("axiom"):
             if vocab is None:
                 raise BundleError("axiom before base-vocab")
-            axioms.append(parse_formula(line[len("axiom"):].strip(), vocab,
-                                        require_sentence=True))
+            axioms.append(parse_axiom(raw, lineno, vocab))
         elif line.startswith("type"):
             if vocab is None:
                 raise BundleError("type before base-vocab")
@@ -101,8 +101,9 @@ def chang_bundle_load(text: str) -> ChangBundle:
                 raise BundleError(f"malformed type line {lineno}: {line!r}")
             n, i = int(m.group(1)), int(m.group(2))
             sort = vocab.sorts[0]
-            f = parse_formula(m.group(3), vocab,
-                              bound=[(f"v{k}", sort) for k in range(n)])
+            f = parse_at(parse_formula, m.group(3), lineno,
+                         raw.index(line) + m.start(3) + 1, vocab,
+                         bound=[(f"v{k}", sort) for k in range(n)])
             want = {f"v{k}" for k in range(n)}
             if set(free_variables(f)) != want:
                 raise BundleError(
@@ -230,9 +231,9 @@ def parse_theory(text: str) -> MorleyTheory:
     """Re-read an emitted theory file."""
     note = "unnamed"
     decl_lines = []
-    axiom_texts = []
+    axiom_lines = []  # (line, its number), parsed once the vocabulary is read
     schema = None
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped.startswith("# Morley coding of"):
             note = stripped[len("# Morley coding of"):].strip()
@@ -240,7 +241,7 @@ def parse_theory(text: str) -> MorleyTheory:
         if not line:
             continue
         if line.startswith("axiom"):
-            axiom_texts.append(line[len("axiom"):].strip())
+            axiom_lines.append((raw, lineno))
         elif line.startswith("schema"):
             parts = line.split()
             if len(parts) != 4 or parts[2] != "over":
@@ -249,8 +250,8 @@ def parse_theory(text: str) -> MorleyTheory:
         else:
             decl_lines.append(line)
     vocab = parse_vocabulary("\n".join(decl_lines))
-    axioms = tuple(("axiom", parse_formula(t, vocab, require_sentence=True))
-                   for t in axiom_texts)
+    axioms = tuple(("axiom", parse_axiom(raw, lineno, vocab))
+                   for raw, lineno in axiom_lines)
     return MorleyTheory(vocab, axioms, schema or ("G_OMEGA", "c"), text, note)
 
 
@@ -270,8 +271,6 @@ def verify_omega_model(t: MorleyTheory, candidate, fuel: int = 8) -> MorleyVerdi
     """Pass iff all axioms hold and every V-tuple is coded by a flagged
     standard constant; otherwise a violation trace through the totality
     axiom, mirroring the refutation of the uncoded tuple."""
-    import itertools
-
     if fuel <= 0:
         raise EvalError("fuel must be positive")
     if candidate.kind != "finite":

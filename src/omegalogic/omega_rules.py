@@ -16,8 +16,8 @@ from typing import Optional
 from .syntax import (
     App, Atom, BOT, Const, ConstantFamily, Eq, Exists,
     FamilyMember, Forall, Formula, Not, Or, SchemaConj, SyntaxError_, Term,
-    Var, Vocabulary, constants_in, implies, nodes, parse_formula, parse_term,
-    print_formula, print_term, substitute, term_is_ground,
+    Var, Vocabulary, constants_in, implies, nodes, parse_at, parse_formula,
+    parse_term, print_formula, print_term, substitute, term_is_ground,
 )
 from .structures import TruthAtFuel, eval_sentence
 
@@ -519,20 +519,13 @@ def parse_derivation(text: str, vocab: Vocabulary) -> Step:
 
 def _parse_step_line(line, lineno, col, vocab):
     """One step; `line` starts at column `col` of file line `lineno`."""
-
-    def parse(parse_fn, text, start):  # text starts at line[start:]
-        try:
-            return parse_fn(text.strip(), vocab)
-        except SyntaxError_ as e:
-            pad = len(text) - len(text.lstrip())
-            raise e.at(lineno, col + start + pad) from None
-
     if line.startswith("family "):
         rest = line[len("family "):]
         if " tag=" not in rest:
             raise SyntaxError_("family step missing tag", lineno, 1)
         formula_txt, tag = rest.rsplit(" tag=", 1)
-        f = parse(parse_formula, formula_txt, len("family "))
+        f = parse_at(parse_formula, formula_txt, lineno,
+                     col + len("family "), vocab)
         if not isinstance(f, SchemaConj):
             raise SyntaxError_("family step needs a schema-conjunction", lineno, 1)
         return Step("family", f, family=f.family, tag=tag.strip())
@@ -548,11 +541,12 @@ def _parse_step_line(line, lineno, col, vocab):
             raise SyntaxError_("unterminated parameter list", lineno, 1)
         start = len(rule) + 1
         for p in bracket.rstrip()[:-1].split(","):
-            params += (parse(parse_term, p, start),)
+            params += (parse_at(parse_term, p, lineno, col + start, vocab),)
             start += len(p) + 1
     else:
         rule = head
-    conclusion = parse(parse_formula, formula_txt, len(line) - len(formula_txt))
+    conclusion = parse_at(parse_formula, formula_txt, lineno,
+                          col + len(line) - len(formula_txt), vocab)
     return Step(rule.strip(), conclusion, params=params, family=family)
 
 

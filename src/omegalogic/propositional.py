@@ -160,22 +160,34 @@ def _instances(rules, u: SentenceUniverse, hypothetical):
 
 
 def value_of(v, f: Formula):
-    """Truth value of f under valuation v (a dict over the universe or a
-    callable); sentences outside a dict's domain are computed compositionally
-    from their parts."""
-    if callable(v):
-        return v(f)
-    if f in v:
-        return v[f]
-    if isinstance(f, Absurd):
-        return v[f]  # raise KeyError: ⋏ must be assigned
+    """Truth value of f under the valuation v (a dict, or a callable that
+    gives None where it assigns nothing) in strong Kleene logic (Kleene
+    1952, *Introduction to Metamathematics* §64), None for unknown: a
+    sentence v assigns has that value; an unassigned `~`, `&` or `|` takes
+    the value of its parts, each read the same way, so one false conjunct or
+    one true disjunct settles it; an unassigned ⋏ is false; anything else
+    left unassigned is None."""
+    b = v(f) if callable(v) else v.get(f)
+    if b is not None:
+        return b
     if isinstance(f, Not):
-        return not value_of(v, f.body)
-    if isinstance(f, And):
-        return value_of(v, f.left) and value_of(v, f.right)
-    if isinstance(f, Or):
-        return value_of(v, f.left) or value_of(v, f.right)
-    raise KeyError(f)
+        b = value_of(v, f.body)
+        return None if b is None else not b
+    if isinstance(f, (And, Or)):
+        settles = isinstance(f, Or)  # the part value that settles f
+        parts = (value_of(v, f.left), value_of(v, f.right))
+        if settles in parts:
+            return settles
+        return None if None in parts else not settles
+    return False if isinstance(f, Absurd) else None
+
+
+def _truth(v, f: Formula):
+    """`value_of` for the two-valued callers: unknown raises KeyError."""
+    b = value_of(v, f)
+    if b is None:
+        raise KeyError(f)
+    return b
 
 
 def rule_sound(v, inst: RuleInstanceP, derivability_oracle=None) -> bool:
@@ -185,9 +197,9 @@ def rule_sound(v, inst: RuleInstanceP, derivability_oracle=None) -> bool:
         if derivability_oracle is None or not derivability_oracle(a, c):
             return True  # fact does not hold: vacuously sound
     for p in inst.premises:
-        if not value_of(v, p):
+        if not _truth(v, p):
             return True
-    return any(value_of(v, c) for c in inst.conclusions)
+    return any(_truth(v, c) for c in inst.conclusions)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +612,7 @@ def satisfiable(clauses, nvars, assumptions=()):
 
 
 def clauses_satisfied(v, u: SentenceUniverse, clauses) -> bool:
-    assign = [bool(value_of(v, s)) for s in u.sentences]
+    assign = [bool(_truth(v, s)) for s in u.sentences]
     for cl in clauses:
         if not any((lit > 0) == assign[abs(lit) - 1] for lit in cl):
             return False
@@ -632,17 +644,15 @@ def admissible_valuations(rules, u: SentenceUniverse, derivability_depth=6):
 
 
 def _atom_valuations(atoms):
-    """Every two-valued assignment to the atoms, with ⋏ false, as a dict
-    that `value_of` extends compositionally."""
+    """Every two-valued assignment to the atoms, as a dict that `value_of`
+    extends compositionally (⋏ reads false)."""
     for bits in itertools.product((False, True), repeat=len(atoms)):
-        v = dict(zip(atoms, bits))
-        v[BOT] = False
-        yield v
+        yield dict(zip(atoms, bits))
 
 
 def is_tautology(f: Formula) -> bool:
     atoms = {g for g in nodes(f) if isinstance(g, Atom)}
-    return all(value_of(v, f) for v in _atom_valuations(tuple(atoms)))
+    return all(_truth(v, f) for v in _atom_valuations(tuple(atoms)))
 
 
 def v_top(f: Formula) -> bool:
@@ -657,7 +667,7 @@ def v_tautology(f: Formula) -> bool:
 
 def classical_valuations(u: SentenceUniverse):
     """The truth-table valuations over the atom assignments, ⋏ false."""
-    return [{s: value_of(v, s) for s in u.sentences}
+    return [{s: _truth(v, s) for s in u.sentences}
             for v in _atom_valuations(tuple(Atom(a) for a in u.atoms))]
 
 

@@ -8,16 +8,18 @@ importable from here as well.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Optional
 
 from .evaluation import (  # the evaluator's names, which callers import
     EvalError, TruthAtFuel, _eval, eval_sentence,
 )
+from .propositional import value_of
 from .syntax import (
-    Absurd, And, App, Atom, Const, Eq, FamilyMember, Formula, Not, Or,
-    SyntaxError_, Term, Var, Vocabulary, applications, arg_tuples,
-    nodes, parse_term, parse_vocabulary, print_term, term_is_ground,
+    App, Atom, Const, Eq, FamilyMember, Formula, Not, SyntaxError_, Term,
+    Var, Vocabulary, applications, arg_tuples, nodes, parse_term,
+    parse_vocabulary, print_term, term_is_ground,
 )
 
 
@@ -283,8 +285,7 @@ class Valuation:
         if sentence in self.assignment:
             return self.assignment[sentence]
         if self.structure is not None:
-            v = _eval(self.structure, sentence, {}, 1, self.name_map)
-            return v
+            return _eval(self.structure, sentence, {}, 1, self.name_map)
         return None
 
 
@@ -341,7 +342,10 @@ def default_probe_set(vocab: Vocabulary, names):
 def permissible(v: Valuation, probes=None) -> PermissibilityVerdict:
     """Check Def-of-permissibility conditions: totality on the probe set,
     propositional and equational consistency of the true-set, and soundness
-    of the identity rules (t=t a theorem, =E a congruence)."""
+    of the identity rules (t=t a theorem, =E a congruence).  Each assigned
+    compound must agree with the strong-Kleene value `value_of` gives it
+    from its parts as v reads them, so a false conjunct refutes a true `&`
+    even beside an unknown one; no satisfiable assignment fails that."""
     if probes is None:
         if v.structure is not None:
             names = list(v.name_map) or v.vocab.constant_terms()
@@ -362,9 +366,8 @@ def permissible(v: Valuation, probes=None) -> PermissibilityVerdict:
     # equational consistency: congruence closure of the true equalities
     # must not clash with a false equality or with relation atom values
     true_eqs = [p for p in probes if isinstance(p, Eq) and v.value(p) is True]
-    terms = set()
-    for p in probes:
-        terms.update(_formula_ground_terms(p))
+    terms = {t for p in probes for t in nodes(p)
+             if isinstance(t, Term) and term_is_ground(t)}  # with subterms
     uf = _UnionFind(terms)
     for p in true_eqs:
         uf.union(p.left, p.right)
@@ -384,35 +387,13 @@ def permissible(v: Valuation, probes=None) -> PermissibilityVerdict:
                     (atoms[key][0], p))
             atoms[key] = (p, v.value(p))
 
-    # propositional consistency on any explicit compound assignments
+    # propositional consistency: each assigned compound against its parts
     for f, val in v.assignment.items():
-        computed = _truth_table_value(f, v)
+        computed = value_of(lambda g: None if g is f else v.value(g), f)
         if computed is not None and computed != val:
             return PermissibilityVerdict(
                 False, "propositionally inconsistent true-set", (f,))
     return PermissibilityVerdict(True)
-
-
-def _truth_table_value(f, v):
-    if isinstance(f, (Atom, Eq)):
-        return v.value(f)
-    if isinstance(f, Absurd):
-        return False
-    if isinstance(f, Not):
-        b = _truth_table_value(f.body, v)
-        return None if b is None else not b
-    if isinstance(f, And):
-        a, b = _truth_table_value(f.left, v), _truth_table_value(f.right, v)
-        return None if a is None or b is None else (a and b)
-    if isinstance(f, Or):
-        a, b = _truth_table_value(f.left, v), _truth_table_value(f.right, v)
-        return None if a is None or b is None else (a or b)
-    return None  # quantified: out of scope for qf probes
-
-
-def _formula_ground_terms(f):
-    """The ground terms of `f`, with their subterms."""
-    return {t for t in nodes(f) if isinstance(t, Term) and term_is_ground(t)}
 
 
 class _UnionFind:
@@ -475,14 +456,15 @@ def _forced_embedding(a, b, bound):
     mapping = {t: b.element_of(t) for t in a.enumerate_elements(bound)}
     if len(set(mapping.values())) != len(mapping):
         return None
-    if _map_defect(a, b, mapping) is not None:
+    if map_defect(a, b, mapping) is not None:
         return None
     return mapping
 
 
-def _map_defect(a, b, mapping):
+def map_defect(a, b, mapping):
     """The first atomic fact that the partial map `mapping` from `a` into
-    `b` breaks, or None.
+    `b` breaks, or None: the one structure-map check, which embedding and
+    isomorphism search and the generativity witness check share.
 
     A defect is ('const', name) for a constant whose element is mapped
     elsewhere than the constant of `b`, or ('rel', name, src) / ('fun',
@@ -522,7 +504,7 @@ def _backtrack_embedding(a, b):
             if cand in used:
                 continue
             mapping[e] = cand
-            if _map_defect(a, b, mapping) is None:
+            if map_defect(a, b, mapping) is None:
                 res = extend(i + 1, mapping, used | {cand})
                 if res is not None:
                     return res
@@ -539,8 +521,6 @@ def _backtrack_embedding(a, b):
 def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None):
     """Parse the structure file format; `over <file>` resolves the
     vocabulary relative to `base_dir`."""
-    import os
-
     name = "anonymous"
     domains = {}
     relations = {}
@@ -682,11 +662,9 @@ def _check_decider(vocab, generated_by, rel, decider_name, lineno):
 
 
 def load_structure(path):
-    import os
-
     with open(path) as fh:
-        text = fh.read()
-    return parse_structure(text, base_dir=os.path.dirname(os.path.abspath(path)))
+        return parse_structure(fh.read(),
+                               base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +715,6 @@ def is_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
         mapping = {}
         for m in combo:
             mapping.update(m)
-        if _map_defect(a, b, mapping) is None:
+        if map_defect(a, b, mapping) is None:
             return True
     return False

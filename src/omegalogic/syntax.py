@@ -1123,3 +1123,20 @@ def parse_term(text: str, vocab: Vocabulary, bound=(), patterns=None) -> Term:
     if parser.peek() is not None:
         raise SyntaxError_("junk after term")
     return t
+
+
+def parse_at(parse, text, line, col, vocab, **kw):
+    """`parse` of a `text` that starts at column `col` of file line `line`,
+    with a SyntaxError_ placed at its file line and column."""
+    try:
+        return parse(text.strip(), vocab, **kw)
+    except SyntaxError_ as e:
+        raise e.at(line, col + len(text) - len(text.lstrip())) from None
+
+
+def parse_axiom(raw, line, vocab) -> Formula:
+    """The sentence of `raw`, file line `line`: `axiom <sentence> [# ...]`."""
+    code = raw.split("#", 1)[0]
+    start = code.index("axiom") + len("axiom")
+    return parse_at(parse_formula, code[start:], line, start + 1, vocab,
+                    require_sentence=True)

@@ -19,8 +19,9 @@ from .syntax import (
     And, App, Atom, Const, Eq, Exists, FamilyMember, Forall, Formula, Not,
     Or, SyntaxError_, Term, Var, applications, arg_tuples, free_variables,
     parse_formula, parse_term, print_formula, print_term, quantifier_rank,
+    substitute,
 )
-from .structures import EvalError, _eval, _instantiate, _map_defect
+from .structures import EvalError, _eval, map_defect
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +514,7 @@ def _witness_image(s, w: WitnessMap, elem, fuel=4):
             if action[0] == "affine":
                 return s.normalize(_affine_image(s, elem, action[1],
                                                  action[2]))
-            return s.normalize(_instantiate(action[1], {"x": elem}))
+            return s.normalize(substitute(action[1], "x", elem))
     raise EvalError(f"no piece guard covers {print_term(elem)}")
 
 
@@ -526,7 +527,7 @@ def verify_witness(s, w: WitnessMap, bound=12, fuel=4):
         images[e] = _witness_image(s, w, e, fuel)
     if len(set(images.values())) != len(images):
         return False, "witness map is not injective on the sample"
-    defect = _map_defect(s, s, images)
+    defect = map_defect(s, s, images)
     if defect is not None:
         if defect[0] == "const":
             return False, f"witness map moves the constant {defect[1]}"

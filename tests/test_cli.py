@@ -254,6 +254,28 @@ def test_malformed_theory_axiom_exits_2(capsys, tmp_path):
     assert err == "omega: unexpected end of input (line 3, col 26)\n"
 
 
+@pytest.mark.parametrize("command,name,text,message", [
+    ("verify-omega", "bad.thy",
+     "sort N\nrel N : N\nfamily c : N = { c_1_0 }\naxiom forall x0:N. N(x0\n",
+     "unexpected end of input (line 4, col 24)"),
+    ("morley-code", "bad.chg",
+     "base-vocab {\n  sort Z\n}\naxiom forall x:Z. x = \n",
+     "unexpected end of input (line 4, col 22)"),
+    ("morley-code", "bad.chg",
+     "base-vocab {\n  sort Z\n}\n  type n=1 i=0 : v0 = zz  # v0 is 0\n",
+     "unknown symbol or unbound variable 'zz' (line 4, col 23)"),
+], ids=["theory-axiom", "bundle-axiom", "bundle-type"])
+def test_malformed_morley_file_exits_2(capsys, tmp_path, command, name, text,
+                                       message):
+    bad = tmp_path / name
+    bad.write_text(text)
+    code, out, err = run(capsys, command, str(bad),
+                         *([A("morley", "toy-good.struct")]
+                           if command == "verify-omega" else []))
+    assert (code, out) == (2, "")
+    assert err == f"omega: {message}\n"
+
+
 @pytest.mark.parametrize("step,message", [
     ("  eqI[d]: (d = ", "unexpected end of input (line 2, col 15)"),
     ("  eqI[d, zz]: (d = d)",

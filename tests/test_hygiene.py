@@ -13,14 +13,14 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "omegalogic"
 REEXPORTED = {"structures": {"EvalError", "TruthAtFuel", "_eval",
                              "eval_sentence"}}
 
-# the private names a module may import from another: `structures` keeps
-# the evaluator's `_eval` for its callers, and `types_atomicity` shares
-# three helpers of `structures` (the benchmark's tracer wraps `_eval` where
-# `types_atomicity` imports it)
+# the private names a module may import from another: only the evaluator's
+# `_eval`, which `structures` imports from `evaluation` and `types_atomicity`
+# from `structures`.  The benchmark's tracer names it in its layer row
+# ("eval", "structures", "_eval") and wraps it where `types_atomicity`
+# imports it, so the pair stays until that row moves to a public name.
 PRIVATE_IMPORTS_ALLOWED = {
     "structures": {("evaluation", "_eval")},
-    "types_atomicity": {("structures", "_eval"), ("structures", "_instantiate"),
-                        ("structures", "_map_defect")},
+    "types_atomicity": {("structures", "_eval")},
 }
 
 # v_top is a valuation: it takes the sentence it calls true

@@ -1,10 +1,11 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from omegalogic import propositional
-from omegalogic.syntax import And, Atom, BOT, Not, Or
+from omegalogic.syntax import And, Atom, BOT, Const, Eq, Not, Or
 from omegalogic.propositional import (
     ClauseSet, GuardError, RuleInstanceP, admissible_valuations,
     admissibility_clauses, classical_valuations, clauses_satisfied,
@@ -85,6 +86,36 @@ def test_rule_sound_examples():
     # v^|- on a vE_MC instance whose premise is a theorem
     ve_mc = RuleInstanceP("vE_MC", (Or(P, Not(P)),), (), (P, Not(P)))
     assert not rule_sound(v_tautology, ve_mc)
+
+
+def test_value_of_is_strong_kleene():
+    assert propositional.value_of({Q: False}, And(P, Q)) is False
+    assert propositional.value_of({P: True}, Or(Q, P)) is True
+    assert propositional.value_of({P: True}, And(P, Q)) is None
+    assert propositional.value_of({}, Not(Or(Q, BOT))) is None
+    assert propositional.value_of({}, BOT) is False
+    # an assigned compound is read as assigned, not from its parts
+    assert propositional.value_of({P: False, And(P, Q): True}, And(P, Q))
+    assert propositional.value_of(lambda f: None, Not(BOT)) is True
+
+
+def test_two_valued_callers_raise_on_unknown():
+    """A sentence the valuation leaves unknown raises KeyError in the
+    two-valued callers; it never counts as false."""
+    unknown = lambda f: None  # noqa: E731
+    with pytest.raises(KeyError):
+        rule_sound({Q: True}, RuleInstanceP("&I", (P, Q), (), (And(P, Q),)))
+    with pytest.raises(KeyError):
+        rule_sound(unknown, RuleInstanceP("negE", (P, Not(P)), (), (BOT,)))
+    u = sentence_universe(["p"], 0)
+    with pytest.raises(KeyError):
+        clauses_satisfied(unknown, u, [(1, 2)])
+    a = Const("a", "S")
+    with pytest.raises(KeyError):  # no atom assignment values `a = a`
+        propositional.is_tautology(Or(P, Eq(a, a)))
+    with pytest.raises(KeyError):
+        classical_valuations(SimpleNamespace(atoms=("p",),
+                                             sentences=(P, Or(P, Q))))
 
 
 def test_conjunction_rules_force_meet():

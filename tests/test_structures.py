@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from omegalogic.syntax import (
-    And, App, Atom, Const, ConstantFamily, Eq, FamilyMember, Not, SyntaxError_,
-    parse_formula, parse_vocabulary,
+    Absurd, And, App, Atom, Const, ConstantFamily, Eq, FamilyMember, Not, Or,
+    SyntaxError_, parse_formula, parse_vocabulary,
 )
 from omegalogic.structures import (
     BUILTIN_DECIDERS, EvalError, FiniteStructure, Valuation, _indices,
@@ -171,6 +173,84 @@ def test_propositionally_inconsistent_assignment_rejected():
     assert verdict.witnesses == (both,)
     assert permissible(Valuation(voc, assignment={pa: False, qa: True,
                                                   both: False}))
+
+
+P_A = Atom("P", (Const("a", "S"),))
+Q_A = Atom("Q", (Const("a", "S"),))
+PQ_VOCAB = parse_vocabulary("sort S\nrel P : S\nrel Q : S\nconst a : S")
+
+
+@pytest.mark.parametrize("assignment,witness", [
+    ({P_A: False, And(P_A, Q_A): True}, And(P_A, Q_A)),
+    ({Not(P_A): True, Not(Not(P_A)): True}, Not(Not(P_A))),
+    ({P_A: False, Or(P_A, Q_A): True, Not(Or(P_A, Q_A)): True},
+     Not(Or(P_A, Q_A))),
+], ids=["false-conjunct", "double-negation", "negated-disjunction"])
+def test_compound_contradicting_its_parts_rejected(assignment, witness):
+    """Each compound is checked against its parts as v reads them: a part v
+    assigns counts as assigned, and one false conjunct settles `&` though
+    the other conjunct is unassigned."""
+    verdict = permissible(Valuation(PQ_VOCAB, assignment=assignment))
+    assert not verdict
+    assert verdict.reason == "propositionally inconsistent true-set"
+    assert verdict.witnesses == (witness,)
+
+
+def _strict_value(f, v):
+    """The strict three-valued walker `permissible` once used: one unknown
+    part makes the whole unknown, and assigned compounds are recomputed."""
+    if isinstance(f, (Atom, Eq)):
+        return v.value(f)
+    if isinstance(f, Absurd):
+        return False
+    if isinstance(f, Not):
+        b = _strict_value(f.body, v)
+        return None if b is None else not b
+    if isinstance(f, (And, Or)):
+        a, b = _strict_value(f.left, v), _strict_value(f.right, v)
+        if a is None or b is None:
+            return None
+        return (a and b) if isinstance(f, And) else (a or b)
+    return None
+
+
+def _classical(f, row):
+    if isinstance(f, Atom):
+        return row[f]
+    if isinstance(f, Not):
+        return not _classical(f.body, row)
+    if isinstance(f, And):
+        return _classical(f.left, row) and _classical(f.right, row)
+    if isinstance(f, Or):
+        return _classical(f.left, row) or _classical(f.right, row)
+    return False  # ⋏
+
+
+def test_permissibility_against_brute_force_and_the_strict_walker():
+    """Random explicit assignments over P(a), Q(a) and ⋏ with compounds up
+    to depth 2: no assignment that some atom values satisfy is rejected, and
+    every assignment the strict walker rejects is rejected."""
+    leaves = [P_A, Q_A, Absurd()]
+    depth1 = leaves + [Not(f) for f in leaves] + [
+        c(f, g) for c in (And, Or) for f in leaves for g in leaves]
+    pool = depth1 + [Not(f) for f in depth1] + [
+        c(f, g) for c in (And, Or) for f in depth1 for g in depth1]
+    rows = [{P_A: p, Q_A: q} for p in (False, True) for q in (False, True)]
+    rng = random.Random(16)
+    newly_rejected = 0
+    for _ in range(3000):
+        assignment = {f: rng.random() < 0.5
+                      for f in rng.sample(pool, rng.randint(1, 5))}
+        v = Valuation(PQ_VOCAB, assignment=assignment)
+        verdict = bool(permissible(v))
+        satisfiable = any(all(_classical(f, row) == b
+                              for f, b in assignment.items()) for row in rows)
+        strict_rejects = any(_strict_value(f, v) not in (None, b)
+                             for f, b in assignment.items())
+        assert verdict or not satisfiable, assignment
+        assert not (verdict and strict_rejects), assignment
+        newly_rejected += not verdict and not strict_rejects
+    assert newly_rejected > 0
 
 
 def test_embed_chain_into_longer():
