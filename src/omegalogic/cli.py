@@ -12,6 +12,7 @@ import sys
 
 from .syntax import (
     SyntaxError_, parse_axiom, parse_term, parse_vocabulary, print_formula,
+    read_lines,
 )
 from .structures import EvalError, parse_structure
 from . import propositional as prop
@@ -42,16 +43,13 @@ def _load_struct(path, vocab=None):
 
 
 def _parse_axioms(text, vocab):
-    axioms = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line or line.startswith("theory"):
-            continue
-        if not line.startswith("axiom"):
-            raise SyntaxError_(f"theory line {lineno} is not an axiom: "
-                               f"{line!r}")
-        axioms.append(parse_axiom(raw, lineno, vocab))
-    return axioms
+    def check(line):
+        if not line[0].startswith(("axiom", "theory")):
+            raise SyntaxError_(f"not an axiom: {line[0]!r}")
+
+    lines = read_lines(text, "theory", check)
+    return [parse_axiom(line, vocab) for line in lines
+            if line[0].startswith("axiom")]
 
 
 def _rules_arg(text):
@@ -284,7 +282,7 @@ def cmd_morley_code(args):
 
 
 def cmd_verify_omega(args):
-    t = morley.load_theory(args.theory)
+    t = morley.parse_theory(_read(args.theory))
     cand = _load_struct(args.candidate, vocab=t.vocab)
     v = morley.verify_omega_model(t, cand, fuel=args.fuel)
     lines = [f"{cand.name} against {t.note}: {v.status}"]
@@ -402,7 +400,7 @@ def main(argv=None):
         return 2
     try:
         return args.fn(args)
-    except (UsageError, SyntaxError_, morley.BundleError) as e:
+    except (UsageError, SyntaxError_) as e:
         print(f"omega: {e}", file=sys.stderr)
         return 2
     except (EvalError, omr.SchemaError, prop.GuardError, ValueError) as e:

@@ -14,12 +14,13 @@ from dataclasses import dataclass, replace
 from .syntax import (
     Formula, SyntaxError_, Vocabulary, free_variables, map_children,
     parse_at, parse_axiom, parse_formula, parse_vocabulary, print_formula,
+    read_lines,
 )
 from .structures import EvalError, eval_sentence
 
 
-class BundleError(Exception):
-    pass
+class BundleError(SyntaxError_):
+    """A Chang bundle that does not parse or cannot be coded."""
 
 
 @dataclass
@@ -70,39 +71,34 @@ def chang_bundle_load(text: str) -> ChangBundle:
     """
     note = "unnamed"
     vocab = None
-    vocab_lines = []
-    in_vocab = False
+    block = None  # the open base-vocab line and the lines below it
     axioms = []
     types = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if in_vocab:
-            if line == "}":
-                in_vocab = False
-                vocab = parse_vocabulary("\n".join(vocab_lines))
+
+    def read(line):
+        nonlocal note, vocab, block
+        code = line[0]
+        if block is not None:
+            if code == "}":
+                vocab = parse_vocabulary(block[1:])
+                block = None
             else:
-                vocab_lines.append(line)
-            continue
-        if line.startswith("note"):
-            note = line[len("note"):].strip()
-        elif line.startswith("base-vocab"):
-            in_vocab = True
-        elif line.startswith("axiom"):
-            if vocab is None:
-                raise BundleError("axiom before base-vocab")
-            axioms.append(parse_axiom(raw, lineno, vocab))
-        elif line.startswith("type"):
-            if vocab is None:
-                raise BundleError("type before base-vocab")
-            m = _TYPE_RE.fullmatch(line)
+                block.append(line)
+        elif code.startswith("note"):
+            note = code[len("note"):].strip()
+        elif code.startswith("base-vocab"):
+            block = [line]
+        elif vocab is None and code.startswith(("axiom", "type")):
+            raise BundleError(f"{code.split()[0]} before base-vocab")
+        elif code.startswith("axiom"):
+            axioms.append(parse_axiom(line, vocab))
+        elif code.startswith("type"):
+            m = _TYPE_RE.fullmatch(code)
             if not m:
-                raise BundleError(f"malformed type line {lineno}: {line!r}")
+                raise BundleError(f"malformed type line: {code!r}")
             n, i = int(m.group(1)), int(m.group(2))
             sort = vocab.sorts[0]
-            f = parse_at(parse_formula, m.group(3), lineno,
-                         raw.index(line) + m.start(3) + 1, vocab,
+            f = parse_at(parse_formula, line, m.start(3), vocab,
                          bound=[(f"v{k}", sort) for k in range(n)])
             want = {f"v{k}" for k in range(n)}
             if set(free_variables(f)) != want:
@@ -119,7 +115,11 @@ def chang_bundle_load(text: str) -> ChangBundle:
                     f"type n={n} i={i}: duplicate generating formula")
             got.append(f)
         else:
-            raise BundleError(f"unknown bundle line {lineno}: {line!r}")
+            raise BundleError(f"unknown bundle line: {code!r}")
+
+    read_lines(text, "bundle", read)
+    if block is not None:
+        raise BundleError("base-vocab block is not closed", block[0][1], 1)
     if vocab is None:
         raise BundleError("bundle declares no base-vocab")
     if len(vocab.sorts) != 1:
@@ -229,30 +229,24 @@ def morley_code(b: ChangBundle) -> MorleyTheory:
 
 def parse_theory(text: str) -> MorleyTheory:
     """Re-read an emitted theory file."""
-    note = "unnamed"
-    decl_lines = []
-    axiom_lines = []  # (line, its number), parsed once the vocabulary is read
-    schema = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped.startswith("# Morley coding of"):
-            note = stripped[len("# Morley coding of"):].strip()
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("axiom"):
-            axiom_lines.append((raw, lineno))
-        elif line.startswith("schema"):
-            parts = line.split()
+    note = re.search(r"^[ \t]*# Morley coding of(.*)", text, re.M)
+    schema = [("G_OMEGA", "c")]
+
+    def read_schema(line):
+        if line[0].startswith("schema"):
+            parts = line[0].split()
             if len(parts) != 4 or parts[2] != "over":
-                raise SyntaxError_(f"malformed schema line: {line!r}")
-            schema = (parts[1], parts[3])
-        else:
-            decl_lines.append(line)
-    vocab = parse_vocabulary("\n".join(decl_lines))
-    axioms = tuple(("axiom", parse_axiom(raw, lineno, vocab))
-                   for raw, lineno in axiom_lines)
-    return MorleyTheory(vocab, axioms, schema or ("G_OMEGA", "c"), text, note)
+                raise SyntaxError_(f"malformed schema line: {line[0]!r}")
+            schema.append((parts[1], parts[3]))
+
+    lines = read_lines(text, "theory", read_schema)
+    # every other line declares the vocabulary
+    vocab = parse_vocabulary([line for line in lines
+                              if not line[0].startswith(("axiom", "schema"))])
+    axioms = tuple(("axiom", parse_axiom(line, vocab)) for line in lines
+                   if line[0].startswith("axiom"))
+    return MorleyTheory(vocab, axioms, schema[-1], text,
+                        note.group(1).strip() if note else "unnamed")
 
 
 def load_theory(path) -> MorleyTheory:

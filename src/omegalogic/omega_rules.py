@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Optional
 
 from .syntax import (
     App, Atom, BOT, Const, ConstantFamily, Eq, Exists,
     FamilyMember, Forall, Formula, Not, Or, SchemaConj, SyntaxError_, Term,
     Var, Vocabulary, constants_in, implies, nodes, parse_at, parse_formula,
-    parse_term, print_formula, print_term, substitute, term_is_ground,
+    parse_term, print_formula, print_term, read_lines, substitute,
+    term_is_ground,
 )
 from .structures import TruthAtFuel, eval_sentence
 
@@ -434,10 +435,8 @@ def refute_extension(presentation, extension: str) -> Step:
     if naming == "tau" and not vocab.constants():
         raise SchemaError("no named elements: the omega-rule is powerless here")
 
-    sort = (vocab.sorts[0] if naming == "tau"
-            else vocab.family(naming).sort)
-    d = Const(extension, sort)
-    hole = Var("x", sort)
+    d = Const(extension, _refuted_sort(presentation))
+    hole = Var("x", d.sort)
     body = Not(Eq(hole, d))
 
     family_step = Step("family", SchemaConj(hole, body, naming),
@@ -451,10 +450,17 @@ def refute_extension(presentation, extension: str) -> Step:
 
 def refutation_vocabulary(presentation, extension: str) -> Vocabulary:
     """The expanded vocabulary tau(C) carrying the fresh constant."""
-    vocab = presentation.vocab
-    sort = (vocab.sorts[0] if presentation.generated_by == "tau"
-            else vocab.family(presentation.generated_by).sort)
-    return vocab.expand(ConstantFamily("_ext", sort, members=(extension,)))
+    return presentation.vocab.expand(ConstantFamily(
+        "_ext", _refuted_sort(presentation), members=(extension,)))
+
+
+def _refuted_sort(presentation):
+    """The sort of the fresh element: the generating family's, or the
+    first sort for `tau` (ROADMAP item 1)."""
+    naming = presentation.generated_by
+    if naming == "tau":
+        return presentation.vocab.sorts[0]
+    return presentation.vocab.family(naming).sort
 
 
 # ---------------------------------------------------------------------------
@@ -486,50 +492,48 @@ def print_derivation(root: Step) -> str:
 def parse_derivation(text: str, vocab: Vocabulary) -> Step:
     """Inverse of print_derivation: one step per line, two-space indentation
     for children."""
-    entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].rstrip()
-        if not stripped.strip():
-            continue
-        indent = len(stripped) - len(stripped.lstrip())
-        if indent % 2:
-            raise SyntaxError_("odd indentation in derivation", lineno, 1)
-        entries.append((indent // 2, stripped.strip(), lineno))
+    path = []  # the open steps from the root down, each with its children
 
-    def build(pos, depth):
-        level, line, lineno = entries[pos]
-        if level != depth:
-            raise SyntaxError_("bad derivation nesting", lineno, 1)
-        step = _parse_step_line(line, lineno, 2 * depth + 1, vocab)
-        pos += 1
-        children = []
-        while pos < len(entries) and entries[pos][0] == depth + 1:
-            child, pos = build(pos, depth + 1)
-            children.append(child)
-        return Step(step.rule, step.conclusion, tuple(children),
-                    step.params, step.family, step.tag), pos
+    def close(depth):
+        """Finish the open steps below `depth`; the last one finished."""
+        step = None
+        while len(path) > depth:
+            step, children = path.pop()
+            step = replace(step, children=tuple(children))
+            if path:
+                path[-1][1].append(step)
+        return step
 
-    if not entries:
+    def read(line):
+        depth, odd = divmod(line[2] - 1, 2)
+        if odd:
+            raise SyntaxError_("odd indentation in derivation")
+        if depth == 0 and path:
+            raise SyntaxError_("multiple roots in derivation file")
+        if depth > len(path):
+            raise SyntaxError_("bad derivation nesting")
+        close(depth)
+        path.append((_parse_step(line, vocab), []))
+
+    read_lines(text, "derivation", read)
+    if not path:
         raise SyntaxError_("empty derivation")
-    root, pos = build(0, 0)
-    if pos != len(entries):
-        raise SyntaxError_("multiple roots in derivation file")
-    return root
+    return close(0)
 
 
-def _parse_step_line(line, lineno, col, vocab):
-    """One step; `line` starts at column `col` of file line `lineno`."""
-    if line.startswith("family "):
-        rest = line[len("family "):]
-        if " tag=" not in rest:
-            raise SyntaxError_("family step missing tag", lineno, 1)
-        formula_txt, tag = rest.rsplit(" tag=", 1)
-        f = parse_at(parse_formula, formula_txt, lineno,
-                     col + len("family "), vocab)
+def _parse_step(line, vocab):
+    """The step on `line`, as `read_lines` gives it."""
+    code = line[0]
+    if code.startswith("family "):
+        tag = code.rfind(" tag=")
+        if tag < 0:
+            raise SyntaxError_("family step missing tag")
+        f = parse_at(parse_formula, line, len("family "), vocab, tag)
         if not isinstance(f, SchemaConj):
-            raise SyntaxError_("family step needs a schema-conjunction", lineno, 1)
-        return Step("family", f, family=f.family, tag=tag.strip())
-    head, _, formula_txt = line.partition(":")
+            raise SyntaxError_("family step needs a schema-conjunction")
+        return Step("family", f, family=f.family,
+                    tag=code[tag + len(" tag="):].strip())
+    head, _, formula_txt = code.partition(":")
     family = None
     if formula_txt.lstrip().startswith("family="):
         fam_txt, _, formula_txt = formula_txt.lstrip().partition(" ")
@@ -538,15 +542,16 @@ def _parse_step_line(line, lineno, col, vocab):
     if "[" in head:
         rule, bracket = head.split("[", 1)
         if not bracket.rstrip().endswith("]"):
-            raise SyntaxError_("unterminated parameter list", lineno, 1)
+            raise SyntaxError_("unterminated parameter list")
         start = len(rule) + 1
         for p in bracket.rstrip()[:-1].split(","):
-            params += (parse_at(parse_term, p, lineno, col + start, vocab),)
+            params += (parse_at(parse_term, line, start, vocab,
+                                start + len(p)),)
             start += len(p) + 1
     else:
         rule = head
-    conclusion = parse_at(parse_formula, formula_txt, lineno,
-                          col + len(line) - len(formula_txt), vocab)
+    conclusion = parse_at(parse_formula, line, len(code) - len(formula_txt),
+                          vocab)
     return Step(rule.strip(), conclusion, params=params, family=family)
 
 

@@ -18,8 +18,8 @@ from .evaluation import (  # the evaluator's names, which callers import
 from .propositional import value_of
 from .syntax import (
     App, Atom, Const, Eq, FamilyMember, Formula, Not, SyntaxError_, Term,
-    Var, Vocabulary, applications, arg_tuples, nodes, parse_term,
-    parse_vocabulary, print_term, term_is_ground,
+    Var, Vocabulary, applications, arg_tuples, nodes, parse_at, parse_term,
+    parse_vocabulary, print_term, read_lines, term_is_ground,
 )
 
 
@@ -529,125 +529,116 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None):
     generated_by = None
     rewrites = []
     rel_deciders = {}
-    decider_lines = []  # (relation, decider, line), checked at the end
 
     elements = set()  # every element of the domains declared so far
 
     def check_named(names):
         for e in names:
             if e not in elements:
-                raise SyntaxError_(f"{e!r} is not in a declared domain",
-                                   lineno, 1)
+                raise SyntaxError_(f"{e!r} is not in a declared domain")
 
     def check_declared(name, kind):
         decl = vocab and vocab.symbols.get(name)
         member = kind == "const" and vocab and vocab.lookup_member(name)
         if not member and (not decl or decl.kind != kind):
-            raise SyntaxError_(f"{name!r} is not a declared {kind}", lineno, 1)
+            raise SyntaxError_(f"{name!r} is not a declared {kind}")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    def declare(line):
+        nonlocal name, vocab, generated_by
+        code = line[0]
+        parts = code.split()
         head = parts[0]
-        try:
-            if head == "structure":
-                name = parts[1]
-                if len(parts) >= 4 and parts[2] == "over" and vocab is None:
-                    path = os.path.join(base_dir or ".", parts[3])
+        if head == "structure":
+            name = parts[1]
+            if len(parts) >= 4 and parts[2] == "over" and vocab is None:
+                path = os.path.join(base_dir or ".", parts[3])
+                try:
                     with open(path) as fh:
                         vocab = parse_vocabulary(fh.read())
-            elif head == "domain":
-                sort = parts[1]
-                inner = line.split("{", 1)[1].rsplit("}", 1)[0].split()
-                domains[sort] = inner
-                elements.update(inner)
-            elif head == "rel" and "=" in parts:
-                rel = parts[1]
-                check_declared(rel, "rel")
-                body = line.split("=", 1)[1].strip().strip("{}").strip()
-                tuples = []
-                for chunk in body.replace("(", " ( ").replace(")", " ) ").split(")"):
-                    items = chunk.replace("(", " ").replace(",", " ").split()
-                    if items:
-                        check_named(items)
-                        tuples.append(tuple(items))
-                relations[rel] = tuples
-            elif head == "fun" and "=" in parts:
-                fn = parts[1]
-                check_declared(fn, "fun")
-                body = line.split("=", 1)[1].strip().strip("{}").strip()
-                table = {}
-                for pair in body.split():
-                    src, dst = pair.split("->")
-                    key = tuple(src.split(","))
-                    check_named(key + (dst,))
-                    table[key] = dst
-                functions[fn] = table
-            elif head == "const" and "=" in parts:
-                check_declared(parts[1], "const")
-                check_named([parts[3]])
-                constants[parts[1]] = parts[3]
-            elif head == "generated":
-                # 'generated by tau' / 'generated by D'
-                generated_by, generated_line = parts[2], lineno
-            elif head == "rewrite":
-                if vocab is None:
-                    raise SyntaxError_("rewrite before vocabulary known",
-                                       lineno, 1)
-                lhs_txt, rhs_txt = line[len("rewrite"):].split("->", 1)
-                try:
-                    patterns = {}
-                    lhs = parse_term(lhs_txt, vocab, patterns=patterns)
-                    rhs = parse_term(rhs_txt, vocab, list(patterns.items()))
-                except SyntaxError_ as e:
-                    raise SyntaxError_(e.message, lineno, 1) from None
-                if isinstance(lhs, Var):
-                    # it would match every term, so normalizing never ends
-                    raise SyntaxError_("rewrite left-hand side is a bare "
-                                       "variable", lineno, 1)
-                rewrites.append((lhs, rhs))
-            elif head == "rel-decide":
-                rel = parts[1]
-                check_declared(rel, "rel")
-                if parts[2] != "by":
-                    raise SyntaxError_("expected 'by' in rel-decide", lineno, 1)
-                decider_name = parts[3]
-                if decider_name not in BUILTIN_DECIDERS:
-                    raise SyntaxError_(f"unknown decider {decider_name!r}",
-                                       lineno, 1)
-                rel_deciders[rel] = BUILTIN_DECIDERS[decider_name]
-                decider_lines.append((rel, decider_name, lineno))
-            else:
-                raise SyntaxError_(f"unknown structure declaration: {line!r}",
-                                   lineno, 1)
-        except (IndexError, ValueError):
-            raise SyntaxError_(f"malformed structure line: {line!r}",
-                               lineno, 1) from None
-        except OSError as e:  # the vocabulary file of an `over` clause
-            raise SyntaxError_(f"cannot read {e.filename}: {e.strerror}",
-                               lineno, 1) from None
+                except OSError as e:
+                    raise SyntaxError_(f"cannot read {e.filename}: "
+                                       f"{e.strerror}") from None
+        elif head == "domain":
+            inner = code.split("{", 1)[1].rsplit("}", 1)[0].split()
+            domains[parts[1]] = inner
+            elements.update(inner)
+        elif head == "rel" and "=" in parts:
+            rel = parts[1]
+            check_declared(rel, "rel")
+            body = code.split("=", 1)[1].strip().strip("{}").strip()
+            tuples = []
+            for chunk in body.replace("(", " ( ").replace(")", " ) ").split(")"):
+                items = chunk.replace("(", " ").replace(",", " ").split()
+                if items:
+                    check_named(items)
+                    tuples.append(tuple(items))
+            relations[rel] = tuples
+        elif head == "fun" and "=" in parts:
+            fn = parts[1]
+            check_declared(fn, "fun")
+            body = code.split("=", 1)[1].strip().strip("{}").strip()
+            table = {}
+            for pair in body.split():
+                src, dst = pair.split("->")
+                key = tuple(src.split(","))
+                check_named(key + (dst,))
+                table[key] = dst
+            functions[fn] = table
+        elif head == "const" and "=" in parts:
+            check_declared(parts[1], "const")
+            check_named([parts[3]])
+            constants[parts[1]] = parts[3]
+        elif head == "generated":
+            # 'generated by tau' / 'generated by D'
+            generated_by = parts[2]
+        elif head == "rewrite":
+            if vocab is None:
+                raise SyntaxError_("rewrite before vocabulary known")
+            arrow, patterns = code.index("->"), {}
+            lhs = parse_at(parse_term, line, len("rewrite"), vocab, arrow,
+                           patterns=patterns)
+            rhs = parse_at(parse_term, line, arrow + 2, vocab,
+                           bound=list(patterns.items()))
+            if isinstance(lhs, Var):
+                # it would match every term, so normalizing never ends
+                raise SyntaxError_("rewrite left-hand side is a bare variable")
+            rewrites.append((lhs, rhs))
+        elif head == "rel-decide":
+            rel = parts[1]
+            check_declared(rel, "rel")
+            if parts[2] != "by":
+                raise SyntaxError_("expected 'by' in rel-decide")
+            if parts[3] not in BUILTIN_DECIDERS:
+                raise SyntaxError_(f"unknown decider {parts[3]!r}")
+            rel_deciders[rel] = BUILTIN_DECIDERS[parts[3]]
+        else:
+            raise SyntaxError_(f"unknown structure declaration: {code!r}")
 
+    lines = read_lines(text, "structure", declare)
     if vocab is None:
         raise SyntaxError_("structure file names no vocabulary")
-    if generated_by is not None:
-        try:
-            s = TermGeneratedStructure(vocab, generated_by, rewrites,
-                                       rel_deciders, name=name)
-        except SyntaxError_ as e:  # an unknown generating family
-            raise SyntaxError_(e.message, generated_line, 1) from None
-        for rel, decider_name, lineno in decider_lines:
-            _check_decider(vocab, generated_by, rel, decider_name, lineno)
-        return s
-    return FiniteStructure(vocab, domains, relations, functions, constants,
-                           name=name)
+    if generated_by is None:
+        return FiniteStructure(vocab, domains, relations, functions,
+                               constants, name=name)
+    # the generating family and the deciders, each at its line, once the
+    # vocabulary and the family are known
+    read_lines(lines, "structure",
+               lambda line: _check_generation(vocab, generated_by, line[0]))
+    return TermGeneratedStructure(vocab, generated_by, rewrites,
+                                  rel_deciders, name=name)
 
 
-def _check_decider(vocab, generated_by, rel, decider_name, lineno):
-    """Raise SyntaxError_ at `lineno` unless the builtin decider fits the
-    relation: a binary one over the sort of the generating family, a
-    countable family whose members carry as many indices as it reads."""
+def _check_generation(vocab, generated_by, code):
+    """Raise SyntaxError_ if the line `code` names an undeclared generating
+    family, or a builtin decider that does not fit its relation: a binary
+    one over the sort of the generating family, a countable family whose
+    members carry as many indices as it reads."""
+    parts = code.split()
+    if parts[0] == "generated" and parts[2] != "tau":
+        vocab.family(parts[2])
+    if parts[0] != "rel-decide":
+        return
+    rel, decider_name = parts[1], parts[3]
     arity = _DECIDER_INDICES[decider_name]
     fam = None if generated_by == "tau" else vocab.family(generated_by)
     if fam is None or not fam.countable or fam.index_arity != arity:
@@ -657,8 +648,7 @@ def _check_decider(vocab, generated_by, rel, decider_name, lineno):
         why = f"needs a binary relation on {fam.sort}"
     else:
         return
-    raise SyntaxError_(f"{decider_name} cannot decide {rel!r}: it {why}",
-                       lineno, 1)
+    raise SyntaxError_(f"{decider_name} cannot decide {rel!r}: it {why}")
 
 
 def load_structure(path):

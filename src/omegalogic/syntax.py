@@ -30,7 +30,7 @@ class SyntaxError_(Exception):
     def at(self, line, col=1):
         """This error, raised parsing one line's text, placed in its file:
         the text starts at column `col` of file line `line`."""
-        return SyntaxError_(self.message, line, col + (self.col or 1) - 1)
+        return type(self)(self.message, line, col + (self.col or 1) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +703,6 @@ def _wrap(f: Formula) -> str:
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
   | (?P<schemaconj>/\\\{)
   | (?P<schemadisj>\\/\{)
   | (?P<bot>_\|_)
@@ -736,7 +735,7 @@ def tokenize(text: str):
             raise SyntaxError_(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
         tok = m.group()
-        if kind not in ("ws", "comment"):
+        if kind != "ws":
             tokens.append(Token(kind, tok, line, col))
         newlines = tok.count("\n")
         if newlines:
@@ -749,9 +748,42 @@ def tokenize(text: str):
 
 
 # ---------------------------------------------------------------------------
-# Vocabulary parsing
+# Input files
 
-def parse_vocabulary(text: str) -> Vocabulary:
+
+def read_lines(text, what, handle):
+    """The one reader of every file format: call `handle((code, number,
+    col))` on each line of `text` that holds more than space and a `#`
+    comment, `code` being the line without them, `number` its file line and
+    `col` the column `code` starts at, and return these lines.  `text` may
+    be lines read before, tuples that start with these three, and `handle`
+    gets each whole.  An IndexError or ValueError a line raises
+    becomes "malformed <what> line", and a SyntaxError_ with no location is
+    placed at column 1 of its line."""
+    if isinstance(text, str):
+        lines = []
+        for number, raw in enumerate(text.splitlines(), start=1):
+            code = raw.split("#", 1)[0]
+            stripped = code.lstrip()
+            if stripped:
+                lines.append((stripped.rstrip(), number,
+                              len(code) - len(stripped) + 1))
+        text = lines
+    line = None
+    try:
+        for line in text:
+            handle(line)
+    except (IndexError, ValueError):
+        raise SyntaxError_(f"malformed {what} line: {line[0]!r}",
+                           line[1], 1) from None
+    except SyntaxError_ as e:
+        if e.line is None:
+            raise e.at(line[1]) from None
+        raise
+    return text
+
+
+def parse_vocabulary(text) -> Vocabulary:
     """Parse the line-oriented declaration grammar:
 
         sort N
@@ -760,75 +792,54 @@ def parse_vocabulary(text: str) -> Vocabulary:
         const 0 : N
         family D : N countable [scheme integers]
         family Names : S = { a b c }
-    """
-    sorts = []
-    symbols, families = [], []  # (line, declaration) pairs
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.replace(":", " : ").split()
-        head = parts[0]
-        try:
-            if head == "sort":
-                (name,) = parts[1:]
-                if name in sorts:
-                    raise SyntaxError_(f"duplicate sort {name!r}", lineno, 1)
-                sorts.append(name)
-            elif head == "rel":
-                name = parts[1]
-                if parts[2] != ":":
-                    raise SyntaxError_("expected ':'", lineno, 1)
-                symbols.append((lineno, SymbolDecl(name, "rel", tuple(parts[3:]), None)))
-            elif head == "fun":
-                name = parts[1]
-                if parts[2] != ":":
-                    raise SyntaxError_("expected ':'", lineno, 1)
-                rest = parts[3:]
-                if "->" not in rest:
-                    raise SyntaxError_("expected '->' in fun declaration", lineno, 1)
-                arrow = rest.index("->")
-                args, (result,) = rest[:arrow], rest[arrow + 1:]
-                symbols.append((lineno, SymbolDecl(name, "fun", tuple(args), result)))
-            elif head == "const":
-                name = parts[1]
-                if parts[2] != ":":
-                    raise SyntaxError_("expected ':'", lineno, 1)
-                (sort,) = parts[3:]
-                symbols.append((lineno, SymbolDecl(name, "const", (), sort)))
-            elif head == "family":
-                name = parts[1]
-                if parts[2] != ":":
-                    raise SyntaxError_("expected ':'", lineno, 1)
-                sort = parts[3]
-                rest = parts[4:]
-                if rest and rest[0] == "countable":
-                    scheme = "naturals"
-                    arity = 1
-                    if len(rest) >= 3 and rest[1] == "scheme":
-                        scheme = rest[2]
-                        arity = 2 if scheme == "rationals" else 1
-                    families.append((lineno, ConstantFamily(name, sort, None, arity, scheme)))
-                elif rest and rest[0] == "=":
-                    if rest[1] != "{" or rest[-1] != "}":
-                        raise SyntaxError_("expected '{ members }'", lineno, 1)
-                    families.append((lineno, ConstantFamily(name, sort, tuple(rest[2:-1]))))
-                else:
-                    raise SyntaxError_("expected 'countable' or '= { ... }'", lineno, 1)
-            else:
-                raise SyntaxError_(f"unknown declaration {head!r}", lineno, 1)
-        except (IndexError, ValueError):
-            raise SyntaxError_(f"malformed declaration: {line!r}", lineno, 1)
-    # sorts may be declared below their first use, so the declarations are
-    # checked once all are read: every symbol first, as the constructor does
+
+    `text` may be lines read before (see `read_lines`).  Sorts may be
+    declared below their first use, so the symbols, then the families, are
+    added once every line is read, as the constructor adds them."""
+    sorts, symbols, families = [], [], []
+
+    def declare(line):
+        head, *parts = line[0].replace(":", " : ").split()
+        if head not in ("sort", "rel", "fun", "const", "family"):
+            raise SyntaxError_(f"unknown declaration {head!r}")
+        if head == "sort":
+            (name,) = parts
+            if name in sorts:
+                raise SyntaxError_(f"duplicate sort {name!r}")
+            sorts.append(name)
+            return
+        name, colon, *rest = parts
+        if colon != ":":
+            raise SyntaxError_("expected ':'")
+        if head == "rel":
+            symbols.append(line + (SymbolDecl(name, "rel", tuple(rest), None),))
+        elif head == "fun":
+            arrow = rest.index("->")
+            (result,) = rest[arrow + 1:]
+            symbols.append(line + (SymbolDecl(name, "fun", tuple(rest[:arrow]),
+                                              result),))
+        elif head == "const":
+            (sort,) = rest
+            symbols.append(line + (SymbolDecl(name, "const", (), sort),))
+        elif rest[1:2] == ["countable"]:
+            scheme = rest[3] if rest[2:3] == ["scheme"] else "naturals"
+            if rest[2:] not in ([], ["scheme", scheme]):
+                raise SyntaxError_("expected 'countable [scheme <name>]'")
+            if scheme not in ("naturals", "integers", "rationals"):
+                raise SyntaxError_(f"unknown enumeration scheme {scheme!r}")
+            arity = 2 if scheme == "rationals" else 1
+            families.append(line + (ConstantFamily(name, rest[0], None, arity,
+                                                   scheme),))
+        elif rest[1:3] == ["=", "{"] and rest[-1] == "}":
+            families.append(line + (ConstantFamily(name, rest[0],
+                                                   tuple(rest[3:-1])),))
+        else:
+            raise SyntaxError_("expected 'countable' or '= { ... }'")
+
+    read_lines(text, "declaration", declare)
     vocab = Vocabulary(sorts, ())
-    for add, decls in ((vocab._add_symbol, symbols),
-                       (vocab._add_family, families)):
-        for lineno, decl in decls:
-            try:
-                add(decl)
-            except SyntaxError_ as e:
-                raise SyntaxError_(e.message, lineno, 1) from None
+    read_lines(symbols, "declaration", lambda line: vocab._add_symbol(line[3]))
+    read_lines(families, "declaration", lambda line: vocab._add_family(line[3]))
     return vocab
 
 
@@ -1063,14 +1074,7 @@ class _FormulaParser:
         decl = self.vocab.symbols.get(name)
         if decl is not None and decl.kind == "fun" and decl.arity > 0:
             args = self.term_list(decl.arg_sorts)
-            if len(args) != decl.arity:
-                raise SyntaxError_(f"{name!r} expects {decl.arity} arguments",
-                                   tok.line, tok.col)
-            for a, s in zip(args, decl.arg_sorts):
-                if a.sort != s:
-                    raise SyntaxError_(
-                        f"argument of sort {a.sort} where {s} required",
-                        tok.line, tok.col)
+            self._check_profile(decl, args, tok)
             return App(name, tuple(args), decl.result_sort)
         if decl is not None and decl.kind == "const":
             return Const(name, decl.result_sort)
@@ -1120,23 +1124,26 @@ def parse_term(text: str, vocab: Vocabulary, bound=(), patterns=None) -> Term:
     each one's sort, and one used at two sorts raises SyntaxError_."""
     parser = _FormulaParser(tokenize(text), vocab, bound, patterns)
     t = parser.term()
-    if parser.peek() is not None:
-        raise SyntaxError_("junk after term")
+    tok = parser.peek()
+    if tok is not None:
+        raise SyntaxError_(f"junk after term: {tok.text!r}", tok.line, tok.col)
     return t
 
 
-def parse_at(parse, text, line, col, vocab, **kw):
-    """`parse` of a `text` that starts at column `col` of file line `line`,
-    with a SyntaxError_ placed at its file line and column."""
+def parse_at(parse, line, start, vocab, stop=None, **kw):
+    """`parse` of the piece `code[start:stop]` of a `line` (code, number,
+    col) that `read_lines` gives, with a SyntaxError_ placed at its file
+    line and column."""
+    code, number, col = line
+    text = code[start:stop]
     try:
         return parse(text.strip(), vocab, **kw)
     except SyntaxError_ as e:
-        raise e.at(line, col + len(text) - len(text.lstrip())) from None
+        start += len(text) - len(text.lstrip())
+        raise e.at(number, col + start) from None
 
 
-def parse_axiom(raw, line, vocab) -> Formula:
-    """The sentence of `raw`, file line `line`: `axiom <sentence> [# ...]`."""
-    code = raw.split("#", 1)[0]
-    start = code.index("axiom") + len("axiom")
-    return parse_at(parse_formula, code[start:], line, start + 1, vocab,
+def parse_axiom(line, vocab) -> Formula:
+    """The sentence of `line`, `axiom <sentence>` as `read_lines` gives it."""
+    return parse_at(parse_formula, line, len("axiom"), vocab,
                     require_sentence=True)

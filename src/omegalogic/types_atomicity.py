@@ -18,8 +18,8 @@ from typing import Optional
 from .syntax import (
     And, App, Atom, Const, Eq, Exists, FamilyMember, Forall, Formula, Not,
     Or, SyntaxError_, Term, Var, applications, arg_tuples, free_variables,
-    parse_formula, parse_term, print_formula, print_term, quantifier_rank,
-    substitute,
+    parse_at, parse_formula, parse_term, print_formula, print_term,
+    quantifier_rank, read_lines, substitute,
 )
 from .structures import EvalError, _eval, map_defect
 
@@ -201,28 +201,15 @@ def _ef_points(s, tup):
     return consts + tuple(tup)
 
 
-def _atomic_type(s, tup):
-    """The atomic facts of the constants followed by `tup`, as point
-    indices: ('=', i, j) for i < j naming one element, and (R, idx) for a
-    relation tuple.  `_atomic_separator` picks the first fact in the
-    iteration order of a set difference, which depends on how these sets
-    are filled."""
-    pts = _ef_points(s, tup)
-    facts = set()
-    for i, a in enumerate(pts):
-        for j, b in enumerate(pts):
-            if i < j and a == b:
-                facts.add(("=", i, j))
-    for d in s.vocab.relations():
-        for idx in itertools.product(range(len(pts)), repeat=d.arity):
-            if tuple(pts[i] for i in idx) in s.relations[d.name]:
-                facts.add((d.name, idx))
-    return frozenset(facts)
-
-
 def _new_facts(pts, rels):
     """The atomic facts of the points `pts` that involve the last one, in a
-    fixed order.  `rels` holds (name, arity, extent) per relation."""
+    fixed order, as point indices: ('=', i, last) for i < last naming the
+    same element, then (R, idx) per relation tuple.  With no points, the
+    facts of no point: the true 0-ary relations.  `rels` holds (name,
+    arity, extent) per relation."""
+    if not pts:
+        return tuple((name, ()) for name, arity, ext in rels
+                     if not arity and () in ext)
     last = len(pts) - 1
     older, every = range(last), range(last + 1)
     facts = [("=", i, last) for i in older if pts[i] == pts[last]]
@@ -264,7 +251,10 @@ def _signatures(s, table):
             for d in s.vocab.relations()]
     elems = _ef_elements(s)
     consts = _ef_points(s, ())
-    facts, sigs = {(): _atomic_type(s, ())}, {}
+    # the facts of the constants, those of their prefixes in turn
+    facts = {(): tuple(f for j in range(len(consts) + 1)
+                       for f in _new_facts(consts[:j], rels))}
+    sigs = {}
 
     def sig(tup, k):
         key = (tup, k)
@@ -291,8 +281,13 @@ def ef_signature(s, rounds):
     return _signatures(s, {})((), rounds)
 
 
-def _atomic_separator(a, ta, b, tb):
-    """A literal true of ta in a and false of tb in b, or None."""
+def _atomic_separator(a, ta, b, tb, sigs):
+    """A literal true of ta in a and false of tb in b, or None: the first
+    fact that holds of one tuple and not of the other, taking the facts of
+    the constants and then those of each point of the tuples in turn, one
+    of ta's before one of tb's, each in `_new_facts` order.  The facts are
+    read from the signatures `sigs` (by structure id), in which equal facts
+    are one object."""
     consts = a.vocab.constant_terms()
     nconst = len(consts)
     sort = a.vocab.sorts[0] if a.vocab.sorts else None
@@ -302,13 +297,22 @@ def _atomic_separator(a, ta, b, tb):
             return consts[i]
         return Var(f"v{i - nconst}", sort)
 
-    fa, fb = _atomic_type(a, ta), _atomic_type(b, tb)
-    for fact in fa ^ fb:
+    def literal(fact):
         if fact[0] == "=":
-            lit = Eq(term(fact[1]), term(fact[2]))
-        else:
-            lit = Atom(fact[0], tuple(term(i) for i in fact[1]))
-        return lit if fact in fa else Not(lit)
+            return Eq(term(fact[1]), term(fact[2]))
+        return Atom(fact[0], tuple(term(i) for i in fact[1]))
+
+    sig_a, sig_b = sigs[id(a)], sigs[id(b)]
+    for j in range(len(ta) + 1):
+        fa, fb = sig_a(ta[:j], 0)[0], sig_b(tb[:j], 0)[0]
+        if fa is fb:
+            continue
+        for fact in fa:
+            if fact not in fb:
+                return literal(fact)
+        for fact in fb:
+            if fact not in fa:
+                return Not(literal(fact))
     return None
 
 
@@ -342,7 +346,7 @@ def _distinguish(a, ta, b, tb, r, sigs, memo):
     tuples whose rank-r signatures in `sigs` (by structure id) differ."""
     key = (id(a), ta, tb)
     if key not in memo:
-        res = _atomic_separator(a, ta, b, tb)
+        res = _atomic_separator(a, ta, b, tb, sigs)
         if res is None:
             res = _winning_move(a, ta, b, tb, r, sigs, memo)
         if res is None:
@@ -456,33 +460,33 @@ def parse_witness_map(text: str, vocab) -> WitnessMap:
     pieces = []
     misses = None
     x = [("x", vocab.sorts[0])]
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            if line.startswith("piece"):
-                head, colon, arrow = line[len("piece"):].rpartition(":")
-                lhs, to, rhs = arrow.partition("->")
-                if not colon or not to:
-                    raise SyntaxError_("a piece reads "
-                                       "'piece <guard> : x -> <image>'")
-                guard = parse_formula(head.strip(), vocab, bound=x)
-                if lhs.strip() != "x":
-                    raise SyntaxError_("witness pieces map the variable x")
-                rhs = rhs.strip()
-                m = _AFFINE_RE.fullmatch(rhs)
-                if m:
-                    action = ("affine", int(m.group(1)), int(m.group(2)))
-                else:
-                    action = ("term", parse_term(rhs, vocab, bound=x))
-                pieces.append((guard, action))
-            elif line.startswith("misses"):
-                misses = parse_term(line[len("misses"):].strip(), vocab)
+
+    def read(line):
+        nonlocal misses
+        code = line[0]
+        if code.startswith("piece"):
+            colon = code.rfind(":")
+            arrow = code.find("->", colon)
+            if colon < 0 or arrow < 0:
+                raise SyntaxError_("a piece reads "
+                                   "'piece <guard> : x -> <image>'")
+            guard = parse_at(parse_formula, line, len("piece"), vocab, colon,
+                             bound=x)
+            if code[colon + 1:arrow].strip() != "x":
+                raise SyntaxError_("witness pieces map the variable x")
+            m = _AFFINE_RE.fullmatch(code[arrow + 2:].strip())
+            if m:
+                action = ("affine", int(m.group(1)), int(m.group(2)))
             else:
-                raise SyntaxError_(f"unknown witness-map line: {line!r}")
-        except SyntaxError_ as e:
-            raise SyntaxError_(e.message, lineno, 1) from None
+                action = ("term", parse_at(parse_term, line, arrow + 2, vocab,
+                                           bound=x))
+            pieces.append((guard, action))
+        elif code.startswith("misses"):
+            misses = parse_at(parse_term, line, len("misses"), vocab)
+        else:
+            raise SyntaxError_(f"unknown witness-map line: {code!r}")
+
+    read_lines(text, "witness-map", read)
     if not pieces or misses is None:
         raise SyntaxError_("witness map needs pieces and a misses line")
     return WitnessMap(tuple(pieces), misses)

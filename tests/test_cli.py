@@ -264,7 +264,26 @@ def test_malformed_theory_axiom_exits_2(capsys, tmp_path):
     ("morley-code", "bad.chg",
      "base-vocab {\n  sort Z\n}\n  type n=1 i=0 : v0 = zz  # v0 is 0\n",
      "unknown symbol or unbound variable 'zz' (line 4, col 23)"),
-], ids=["theory-axiom", "bundle-axiom", "bundle-type"])
+    ("morley-code", "bad.chg",
+     "note x\nbase-vocab {\n  sort Z\n  rel < : Z Z\n  rel P Z\n}\n",
+     "expected ':' (line 5, col 1)"),
+    ("verify-omega", "bad.thy",
+     "# Morley coding of x\nsort N\nsort V\nrel N : N\nfun f : V\n",
+     "malformed declaration line: 'fun f : V' (line 5, col 1)"),
+    ("verify-omega", "bad.thy",
+     "sort N\nrel N : N\nfamily c : N = { c_1_0 }\nschema G_OMEGA c\n",
+     "malformed schema line: 'schema G_OMEGA c' (line 4, col 1)"),
+    ("morley-code", "bad.chg",
+     "base-vocab {\n  sort Z\n}\ntype n=1 i=0 : v0 = v0\n"
+     "type n=1 i=2 : ~(v0 = v0)\n",
+     "type n=1: index i=2 out of order (expected 1) (line 5, col 1)"),
+    ("morley-code", "bad.chg", "note x\naxiom forall x:Z. x = x\n",
+     "axiom before base-vocab (line 2, col 1)"),
+    ("morley-code", "bad.chg", "note x\nbase-vocab {\n  sort Z\n",
+     "base-vocab block is not closed (line 2, col 1)"),
+], ids=["theory-axiom", "bundle-axiom", "bundle-type", "bundle-base-vocab",
+        "theory-declaration", "theory-schema", "bundle-type-order",
+        "bundle-axiom-first", "bundle-unclosed-base-vocab"])
 def test_malformed_morley_file_exits_2(capsys, tmp_path, command, name, text,
                                        message):
     bad = tmp_path / name
@@ -284,6 +303,8 @@ def test_malformed_morley_file_exits_2(capsys, tmp_path, command, name, text,
      "unknown symbol or unbound variable ')' (line 2, col 41)"),
     ("  family /\\{ (x != d) : x in tau tag=t",
      "malformed schema node (line 2, col 10)"),
+    ("    eqI[d]: (d = d)", "bad derivation nesting (line 2, col 1)"),
+    ("eqI[d]: (d = d)", "multiple roots in derivation file (line 2, col 1)"),
 ])
 def test_malformed_proof_step_exits_2(capsys, tmp_path, step, message):
     bad = tmp_path / "bad.prf"
@@ -292,6 +313,26 @@ def test_malformed_proof_step_exits_2(capsys, tmp_path, step, message):
                          "--vocab", A("nat-ext.voc"))
     assert (code, out) == (2, "")
     assert err == f"omega: {message}\n"
+
+
+def test_missing_theory_file_exits_2(capsys, tmp_path):
+    missing = str(tmp_path / "nope.thy")
+    code, out, err = run(capsys, "verify-omega", missing,
+                         A("morley", "toy-good.struct"))
+    assert (code, out) == (2, "")
+    assert err == f"omega: cannot read {missing}: No such file or directory\n"
+
+
+def test_ef_sentence_does_not_depend_on_the_hash_seed():
+    src = os.path.dirname(os.path.dirname(omegalogic.__file__))
+    outputs = [subprocess.run(
+        [sys.executable, "-c", "from omegalogic.cli import main; main()",
+         "ef", A("chain3.struct"), A("chain4.struct"), "--rounds", "3"],
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+        capture_output=True, text=True, check=True).stdout
+        for seed in ("1", "2")]
+    assert "separating sentence: exists" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 # the command lines of the README, --machine added or not

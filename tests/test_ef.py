@@ -67,7 +67,23 @@ def _reference_separator(a, ta, b, tb):
 
     fa = _reference_atomic_type(a, ta)
     fb = _reference_atomic_type(b, tb)
-    for fact in fa ^ fb:
+    rels = [d.name for d in a.vocab.relations()]
+
+    def order(fact):
+        """By the last point the fact names, the constants counting as one
+        point; then one of ta's before one of tb's; then by that last
+        point; then equalities by their first point before relation facts,
+        these by relation, by the first position holding their last point
+        and by their points."""
+        if fact[0] == "=":
+            last, rest = fact[2], (-1, 0, (fact[1],))
+        else:
+            idx = fact[1]
+            last = max(idx, default=-1)
+            rest = (rels.index(fact[0]), idx.index(last) if idx else 0, idx)
+        return (max(last, nconst - 1), fact not in fa, last) + rest
+
+    for fact in sorted(fa ^ fb, key=order)[:1]:
         if fact[0] == "=":
             lit = Eq(term(fact[1]), term(fact[2]))
         else:

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses
-or another module's private name, and no function of it takes a parameter
-it never reads."""
+or another module's private name, no function of it takes a parameter it
+never reads, and only `syntax` splits a file into lines."""
 
 import ast
 import pathlib
@@ -107,3 +107,29 @@ def test_the_check_sees_an_unread_parameter():
                      "class K:\n    def m(self, x):\n        return 0\n"
                      "h = lambda u, v: u\n")
     assert unread_parameters(tree) == {("f", "b"), ("f", "rest"), ("m", "x")}
+
+
+def line_splits(tree):
+    """The line numbers of the calls `.splitlines()` and `.split("#", ...)`
+    in the module: the file convention that `syntax.read_lines` keeps."""
+    return {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and (node.func.attr == "splitlines"
+                 or node.func.attr == "split" and node.args
+                 and isinstance(node.args[0], ast.Constant)
+                 and node.args[0].value == "#")}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_only_syntax_reads_lines(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert path.stem == "syntax" or line_splits(tree) == set()
+
+
+def test_the_check_sees_a_line_split():
+    tree = ast.parse("a = text.splitlines()\nb = raw.split('#', 1)[0]\n"
+                     "c = raw.split(',')\nd = raw.split()\n"
+                     "e = '#'.join(a)\n")
+    assert line_splits(tree) == {1, 2}

@@ -69,8 +69,12 @@ def test_sort_may_be_declared_below_its_first_use():
      "family name 'a' clashes with existing symbol"),
     ("sort N\nconst a : N\n\nfamily F : N = { b a }\n", 4,
      "family member 'a' clashes with symbol"),
+    ("sort N\nfamily D : N countable scheme frob\n", 2,
+     "unknown enumeration scheme 'frob'"),
+    ("sort N\nfamily D : N countable junk here\n", 2,
+     "expected 'countable [scheme <name>]'"),
 ], ids=["unknown-sort", "duplicate-symbol", "family-name-clash",
-        "family-member-clash"])
+        "family-member-clash", "unknown-scheme", "junk-after-countable"])
 def test_vocabulary_errors_name_their_line(text, line, message, tmp_path,
                                            capsys):
     with pytest.raises(SyntaxError_) as info:

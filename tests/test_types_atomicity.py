@@ -274,11 +274,22 @@ def test_integers_doubling_witness():
     ("piece x === x : x -> x\nmisses D_1", 1),      # a bad guard
     ("piece x = x : y -> x\nmisses D_1", 1),
     ("piece x = x : x -> x\nmap x", 2),
+    ("piece ~(x < Q_0_1) : x -> affine(1, 1)\nmisses D_1", 1),  # bad guard
 ])
 def test_malformed_witness_map_lines(text, line):
     with pytest.raises(SyntaxError_) as err:
         parse_witness_map(text, integers().vocab)
-    assert err.value.line == line
+    assert (err.value.line, err.value.col) == (line, WITNESS_COLS.get(text, 1))
+
+
+# the column of each error above that is inside a formula or term; any
+# other error is placed at column 1 of its line
+WITNESS_COLS = {
+    "piece x = x : x -> D_1(\nmisses D_1": 23,
+    "piece x = x : x -> x\n\nmisses D_1 D_2": 12,
+    "piece x === x : x -> x\nmisses D_1": 10,
+    "piece ~(x < Q_0_1) : x -> affine(1, 1)\nmisses D_1": 13,
+}
 
 
 def test_bad_witness_rejected():
