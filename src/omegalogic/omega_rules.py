@@ -71,7 +71,8 @@ def instantiate_schema(vocab: Vocabulary, schema: str, body=None, hole=None,
     every schema step with it, and `check_instance_sound` spot-checks what
     it builds.  `body` is the formula with `hole` free; the omega rules take
     a premise `family` ('tau' or a family name) and G_OMEGA its sort
-    `guard`.  G_OMEGA concludes forall x. (N(x) -> body) and G_FORALL_E
+    `guard`, which must read `forall v:S. N(v)` with S the sort of the
+    hole.  G_OMEGA concludes forall x. (N(x) -> body) and G_FORALL_E
     eliminates that to N(t) -> body(t) at its parameter t.  The existsE
     schemas discharge an assumption and have no standalone instance.  A
     malformed request (an unknown family, a parameter of the wrong sort)
@@ -121,9 +122,14 @@ def instantiate_schema(vocab: Vocabulary, schema: str, body=None, hole=None,
             return RuleInstanceQ(schema, body, hole, params, family,
                                  premise_family=fam_conj,
                                  conclusions=(Forall(hole, body),))
-        # G_OMEGA
+        # G_OMEGA: the guard says that N holds on the hole's whole sort
         if guard is None:
             raise SchemaError("G_OMEGA requires the sort-guard premise")
+        if not (isinstance(guard, Forall) and guard.var.sort == hole.sort
+                and guard.body is Atom("N", (guard.var,))):
+            raise SchemaError(f"G_OMEGA's sort guard must read forall v:"
+                              f"{hole.sort}. N(v), not "
+                              f"{print_formula(guard)}")
         n_pred = Atom("N", (hole,))
         concl = Forall(hole, implies(n_pred, body))
         return RuleInstanceQ(schema, body, hole, params, family,

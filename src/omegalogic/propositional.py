@@ -16,6 +16,12 @@ built at the universe's first compile and kept for the others; the prover
 works out the forward closure of each assumption set once; and the vE
 clauses ask each distinct disjunct, not each disjunction, which sentences it
 proves.
+
+Most of the prover's goals are underivable, and it cuts those that some
+classical atom assignment refutes (a true closure, a false goal) before
+searching: every rule is classically sound, so the cut changes no answer.
+This is the diagram filter of Gelernter's geometry machine (1959), with a
+truth table in place of the diagram.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ RULE_CATALOGUE = ("&I", "&E1", "&E2", "vI1", "vI2", "vE", "vE_MC",
 
 UNIVERSE_GUARD_DEPTH = 4
 MAX_VALUATIONS = 200000
+CUT_ATOMS = 12  # the prover's cut tries at most 2^12 atom assignments
 
 
 class GuardError(Exception):
@@ -228,7 +235,18 @@ class Prover:
     restricted to a fixed finite formula space.
 
     Proofs are memoized per (closed assumption set, goal, depth), and the
-    forward closure of each assumption set is worked out once per prover."""
+    forward closure of each assumption set is worked out once per prover.
+
+    A goal false in some classical model of its closed assumptions is cut
+    (memoized False) before any search. The cut is exact, because every
+    step the prover takes (&I, vI1/2, vE, negI, negE, DN, the eliminations
+    of the closure, and vE_MC in `proves_set`) is classically sound, so such
+    a goal is underivable at every depth. A model is an atom assignment,
+    any node that is not `~`, `&`, `|` or ⋏ counting as an atom: each
+    formula has the bitmask of the assignments that make it true, and each
+    closure the AND of its members' masks. A new rule must be classically
+    sound, which `test_every_rule_instance_is_classically_sound` checks,
+    or the cut would lose its proofs."""
 
     def __init__(self, rules, space):
         self.rules = frozenset(_check_rules(rules))
@@ -238,6 +256,45 @@ class Prover:
                        if isinstance(g, Not) and isinstance(g.body, Not)}
         self.memo = {}
         self.closures = {}  # assumption set -> its closure
+        self.models = {}  # closure -> the assignments making it all true
+        # the first CUT_ATOMS atoms of the space get a bit each; the others
+        # are false in every assignment tried, so each is still a real one
+        atoms = sorted((g for g in self.space
+                        if not isinstance(g, (Not, And, Or, Absurd))),
+                       key=print_formula)[:CUT_ATOMS]
+        width = 1 << len(atoms)  # assignment j makes atom i true iff bit i
+        self.true = (1 << width) - 1  # the mask of every assignment
+        self.masks = {}  # formula -> the assignments that make it true
+        for i, atom in enumerate(atoms):
+            period = 1 << (i + 1)
+            half = ((1 << (1 << i)) - 1) << (1 << i)
+            self.masks[atom] = half * (self.true // ((1 << period) - 1))
+
+    def _mask(self, f):
+        """The assignments that make f true, found without recursion."""
+        masks = self.masks
+        m = masks.get(f)
+        if m is not None:
+            return m
+        todo, new = [f], []  # new: the parts without a mask, wholes first
+        while todo:
+            g = todo.pop()
+            if g not in masks:
+                new.append(g)
+                if isinstance(g, Not):
+                    todo.append(g.body)
+                elif isinstance(g, (And, Or)):
+                    todo += (g.left, g.right)
+        for g in reversed(new):
+            if isinstance(g, Not):
+                masks[g] = self.true ^ masks[g.body]
+            elif isinstance(g, And):
+                masks[g] = masks[g.left] & masks[g.right]
+            elif isinstance(g, Or):
+                masks[g] = masks[g.left] | masks[g.right]
+            else:
+                masks[g] = 0  # ⋏, and an atom without a bit: false
+        return masks[f]
 
     def _closure0(self, gamma):
         """Cheap forward closure under the elimination rules."""
@@ -265,6 +322,11 @@ class Prover:
                         cl.add(g)
                         changed = True
         done = self.closures[gamma] = frozenset(cl)
+        if done not in self.models:
+            m = self.true
+            for f in done:
+                m &= self._mask(f)
+            self.models[done] = m
         return done
 
     def proves(self, gamma: frozenset, goal: Formula, depth: int) -> bool:
@@ -275,7 +337,10 @@ class Prover:
         key = (cl, goal, depth)
         if key in self.memo:
             return self.memo[key]
-        result = self._prove_inner(cl, goal, depth)
+        if self.models[cl] & ~self._mask(goal):
+            result = False  # a model of cl falsifies the goal
+        else:
+            result = self._prove_inner(cl, goal, depth)
         self.memo[key] = result
         return result
 

@@ -15,9 +15,10 @@ from typing import Optional
 from .evaluation import (  # the evaluator's names, which callers import
     EvalError, TruthAtFuel, _eval, eval_sentence,
 )
-from .propositional import value_of
+from .propositional import satisfiable, value_of
 from .syntax import (
-    App, Atom, Const, Eq, FamilyMember, Formula, Not, SyntaxError_, Term,
+    Absurd, And, App, Atom, Const, Eq, FamilyMember, Formula, Not, Or,
+    SyntaxError_, Term,
     Var, Vocabulary, applications, arg_tuples, nodes, parse_at, parse_term,
     parse_vocabulary, print_term, read_lines, term_is_ground,
 )
@@ -345,7 +346,10 @@ def permissible(v: Valuation, probes=None) -> PermissibilityVerdict:
     of the identity rules (t=t a theorem, =E a congruence).  Each assigned
     compound must agree with the strong-Kleene value `value_of` gives it
     from its parts as v reads them, so a false conjunct refutes a true `&`
-    even beside an unknown one; no satisfiable assignment fails that."""
+    even beside an unknown one, and that compound is the witness; then
+    some atom values must give every assigned sentence its value, which
+    rejects `{P(a)&Q(a): T, ~P(a): T}` with every assigned sentence as
+    the witnesses."""
     if probes is None:
         if v.structure is not None:
             names = list(v.name_map) or v.vocab.constant_terms()
@@ -387,13 +391,50 @@ def permissible(v: Valuation, probes=None) -> PermissibilityVerdict:
                     (atoms[key][0], p))
             atoms[key] = (p, v.value(p))
 
-    # propositional consistency: each assigned compound against its parts
+    # propositional consistency: each assigned compound against its parts,
+    # then all the assigned sentences together
     for f, val in v.assignment.items():
         computed = value_of(lambda g: None if g is f else v.value(g), f)
         if computed is not None and computed != val:
             return PermissibilityVerdict(
                 False, "propositionally inconsistent true-set", (f,))
+    if not _atom_values_exist(v.assignment):
+        return PermissibilityVerdict(
+            False, "propositionally inconsistent true-set",
+            tuple(v.assignment))
     return PermissibilityVerdict(True)
+
+
+def _atom_values_exist(assignment):
+    """Do some atom values give every sentence of `assignment` its value?
+    One `dpll` call over a variable per node, each compound tied to its
+    parts (Tseitin 1968); a node that is not `~`, `&`, `|` or ⋏ is an atom,
+    free to take either value."""
+    var, clauses, todo = {}, [], []
+
+    def index(f):
+        if f not in var:
+            var[f] = len(var) + 1
+            todo.append(f)
+        return var[f]
+
+    for f, val in assignment.items():
+        clauses.append((index(f) if val else -index(f),))
+    while todo:
+        g = todo.pop()
+        x = var[g]
+        if isinstance(g, Not):
+            b = index(g.body)
+            clauses += [(-x, -b), (x, b)]
+        elif isinstance(g, And):
+            a, b = index(g.left), index(g.right)
+            clauses += [(-x, a), (-x, b), (x, -a, -b)]
+        elif isinstance(g, Or):
+            a, b = index(g.left), index(g.right)
+            clauses += [(x, -a), (x, -b), (-x, a, b)]
+        elif isinstance(g, Absurd):
+            clauses.append((-x,))
+    return satisfiable(clauses, len(var))
 
 
 class _UnionFind:
@@ -522,6 +563,7 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None):
     """Parse the structure file format; `over <file>` resolves the
     vocabulary relative to `base_dir`."""
     name = "anonymous"
+    header = None  # the file line of the `structure` header
     domains = {}
     relations = {}
     functions = {}
@@ -544,12 +586,12 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None):
             raise SyntaxError_(f"{name!r} is not a declared {kind}")
 
     def declare(line):
-        nonlocal name, vocab, generated_by
+        nonlocal name, vocab, generated_by, header
         code = line[0]
         parts = code.split()
         head = parts[0]
         if head == "structure":
-            name = parts[1]
+            name, header = parts[1], line[1]
             if len(parts) >= 4 and parts[2] == "over" and vocab is None:
                 path = os.path.join(base_dir or ".", parts[3])
                 try:
@@ -618,8 +660,11 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None):
     if vocab is None:
         raise SyntaxError_("structure file names no vocabulary")
     if generated_by is None:
-        return FiniteStructure(vocab, domains, relations, functions,
-                               constants, name=name)
+        try:
+            return FiniteStructure(vocab, domains, relations, functions,
+                                   constants, name=name)
+        except EvalError as e:  # a function table or a constant left out
+            raise SyntaxError_(str(e), header, 1) from None
     # the generating family and the deciders, each at its line, once the
     # vocabulary and the family are known
     read_lines(lines, "structure",

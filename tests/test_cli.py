@@ -315,6 +315,23 @@ def test_malformed_proof_step_exits_2(capsys, tmp_path, step, message):
     assert err == f"omega: {message}\n"
 
 
+@pytest.mark.parametrize("table,message", [
+    ("const 0 = a\n", "missing function table for 'S'"),
+    ("fun S = { a->a }\n", "missing constant assignment for '0'"),
+    ("const 0 = a\nfun S = { }\n",
+     "function table for 'S' not total at ('a',)"),
+], ids=["function-table", "constant", "partial-table"])
+def test_finite_structure_missing_a_table_exits_2(capsys, tmp_path, table,
+                                                  message):
+    (tmp_path / "nat.voc").write_text("sort N\nconst 0 : N\nfun S : N -> N\n")
+    bad = tmp_path / "f.struct"
+    bad.write_text("# one element\n\nstructure f over nat.voc\n"
+                   "domain N { a }\n" + table)
+    code, out, err = run(capsys, "scott", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"omega: {message} (line 3, col 1)\n"
+
+
 def test_missing_theory_file_exits_2(capsys, tmp_path):
     missing = str(tmp_path / "nope.thy")
     code, out, err = run(capsys, "verify-omega", missing,

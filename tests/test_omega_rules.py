@@ -241,7 +241,7 @@ RT_VOCAB = parse_vocabulary(
 RT_BODIES = ("F(x)", "~F(x)", "exists y:N. (S(y) = x)", "F(x) | x = 0")
 RT_PARAMS = (Const("0", "N"), App("S", (Const("0", "N"),), "N"),
              Const("d", "N"), FamilyMember("c", (1,), "N"))
-RT_GUARD = parse_formula("forall x:N. (x = x)", RT_VOCAB)
+RT_GUARD = parse_formula("forall x:N. N(x)", RT_VOCAB)
 OMEGA_SCHEMAS = ("S_OMEGA", "I_OMEGA", "G_OMEGA")
 INSTANTIABLE = tuple(n for n in SCHEMA_NAMES
                      if n not in ("existsE", "S_EXISTS_E", "I_EXISTS_E"))
@@ -351,7 +351,7 @@ def test_g_forall_e_keeps_the_sort_guard():
 
 
 def test_g_omega_premises_in_either_order():
-    guard = "forall x:N. (x = x)"
+    guard = "forall x:N. N(x)"
     fam = "  family /\\{ F(x) : x in c } tag=schema-assumed\n"
     concl = "G_OMEGA: family=c forall x:N. (~N(x) | F(x))\n"
     for kids in (f"  axiom: {guard}\n" + fam, fam + f"  axiom: {guard}\n"):
@@ -361,6 +361,36 @@ def test_g_omega_premises_in_either_order():
                                   ("G_OMEGA",), RT_VOCAB,
                                   assumed_families=("c",))
         assert result.valid, (text, result.reason)
+
+
+def test_g_omega_takes_only_the_sort_guard_form():
+    """The guard must say that N holds on the whole sort of the hole;
+    `forall x:N. (x = x)` says nothing about the family covering N."""
+    x = Var("x", "N")
+    body = parse_formula("F(x)", RT_VOCAB, bound=[("x", "N")])
+    for text in ("forall x:N. (x = x)", "forall y:N. N(y)", "N(0)",
+                 "forall x:N. (N(x) & N(x))", "forall x:N. F(x)"):
+        guard = parse_formula(text, RT_VOCAB)
+        if text == "forall y:N. N(y)":  # any bound variable will do
+            assert instantiate_schema(RT_VOCAB, "G_OMEGA", body, x,
+                                      family="c", guard=guard)
+            continue
+        with pytest.raises(SchemaError, match="sort guard must read"):
+            instantiate_schema(RT_VOCAB, "G_OMEGA", body, x, family="c",
+                               guard=guard)
+    y = Var("y", "B")  # a guard over another sort than the hole's
+    with pytest.raises(SchemaError, match="sort guard must read"):
+        instantiate_schema(RT_VOCAB, "G_OMEGA", body, x, family="c",
+                           guard=Forall(y, Atom("N", (y,))))
+    text = ("G_OMEGA: family=c forall x:N. (~N(x) | F(x))\n"
+            "  axiom: forall x:N. (x = x)\n"
+            "  family /\\{ F(x) : x in c } tag=schema-assumed\n")
+    result = check_derivation(parse_derivation(text, RT_VOCAB),
+                              [parse_formula("forall x:N. (x = x)",
+                                             RT_VOCAB)],
+                              ("G_OMEGA",), RT_VOCAB,
+                              assumed_families=("c",))
+    assert not result.valid and "sort guard must read" in result.reason
 
 
 TWO_SORTS = parse_vocabulary("sort N\nsort B\nconst 0 : N\nconst b : B\n"

@@ -409,8 +409,18 @@ def reference_closure(rules, gamma):
         cl |= new
 
 
-class UncachedProver(propositional.Prover):
-    """The prover with every closure worked out afresh."""
+class UncutProver(propositional.Prover):
+    """The prover without the classical cut: the memo, then the search."""
+
+    def _prove(self, cl, goal, depth):
+        key = (cl, goal, depth)
+        if key not in self.memo:
+            self.memo[key] = self._prove_inner(cl, goal, depth)
+        return self.memo[key]
+
+
+class UncachedProver(UncutProver):
+    """The prover without the cut, with every closure worked out afresh."""
 
     def _closure0(self, gamma):
         return reference_closure(self.rules, gamma)
@@ -532,3 +542,101 @@ def test_enumeration_cap_boundary(monkeypatch):
     monkeypatch.setattr(propositional, "MAX_VALUATIONS", 255)
     with pytest.raises(GuardError):
         admissible_valuations(rules, u)
+
+
+# ---------------------------------------------------------------------------
+# The prover's classical cut against the search without it
+
+
+def _compile_with(prover_class, rules, u, depth, monkeypatch):
+    """A fresh compile whose prover is of `prover_class`, and that prover."""
+    made = []
+
+    class Recorded(prover_class):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(propositional, "Prover", Recorded)
+        clauses = propositional._compile_clauses(rules, u, depth)
+    (prover,) = made
+    return clauses, prover
+
+
+def _random_rule_sets(rng, count):
+    return [tuple(r for r in propositional.RULE_CATALOGUE
+                  if rng.random() < 0.5) for _ in range(count)]
+
+
+@pytest.mark.parametrize("atoms,depth", [(["a"], 1), (["a", "b"], 1),
+                                         (["a", "b", "c"], 1),
+                                         (["a", "b", "c", "d"], 1),
+                                         (["a", "b", "c", "d", "e"], 1),
+                                         (["p"], 2)])
+def test_cut_and_uncut_provers_agree(atoms, depth, monkeypatch):
+    """The same clauses, and every goal the cut prover memoized (cut or
+    searched) has the answer the uncut search gives it."""
+    u = sentence_universe(atoms, depth)
+    rule_sets = BENCH_RULE_SETS + tuple(
+        _random_rule_sets(random.Random(1800 + len(u)), 20))
+    for rules in rule_sets:
+        for proof_depth in (0, 1, 3, 6):
+            cut, cut_prover = _compile_with(
+                propositional.Prover, rules, u, proof_depth, monkeypatch)
+            plain, plain_prover = _compile_with(
+                UncutProver, rules, u, proof_depth, monkeypatch)
+            assert cut == plain, (rules, atoms, depth, proof_depth)
+            assert cut_prover.memo.items() <= plain_prover.memo.items()
+
+
+def _random_formula(rng, atoms, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(atoms + [BOT])
+    kind = rng.choice((Not, And, Or))
+    if kind is Not:
+        return Not(_random_formula(rng, atoms, depth - 1))
+    return kind(_random_formula(rng, atoms, depth - 1),
+                _random_formula(rng, atoms, depth - 1))
+
+
+def test_cut_and_uncut_derivable_agree(monkeypatch):
+    """300 random queries; every tenth has a premise over 14 atoms, past the
+    12 that get a bit in the cut's assignments."""
+    rng = random.Random(1818)
+    atoms = [P, Q, Atom("r")]
+    many = conjunction_of([Atom(f"a{i}") for i in range(14)])
+    queries = []
+    for k, rules in enumerate(_random_rule_sets(rng, 300)):
+        premises = [_random_formula(rng, atoms, 2)
+                    for _ in range(rng.randint(0, 3))]
+        if k % 10 == 0:
+            premises.append(Or(many, _random_formula(rng, atoms, 2)))
+        queries.append((rules, premises,
+                        [_random_formula(rng, atoms, 2)
+                         for _ in range(rng.randint(0, 3))],
+                        rng.randint(0, 6)))
+    cut = [derivable(*q) for q in queries]
+    monkeypatch.setattr(propositional, "Prover", UncutProver)
+    assert [derivable(*q) for q in queries] == cut
+    assert {d.decided for d in cut} == {True, False, None}
+
+
+def test_every_rule_instance_is_classically_sound():
+    """What the prover's cut rests on: every instance of every catalogue
+    rule holds in every classical valuation. A plain rule is checked as
+    written; a hypothetical premise a |- c (vE, negI) is read as v(a)
+    implies v(c), and Refutation's premise, the conjunction of the whole
+    universe, ⋏ among it, must be false."""
+    seen = set()
+    for atoms, depth in ((["p"], 2), (["p", "q"], 1)):
+        u = sentence_universe(atoms, depth)
+        instances = rule_instances(propositional.RULE_CATALOGUE, u)
+        seen |= {inst.rule for inst in instances}
+        for v in classical_valuations(u):
+            def holds(a, c):
+                return not v[a] or v[c]
+
+            for inst in instances:
+                assert rule_sound(v, inst, holds), (inst, v)
+    assert seen == set(propositional.RULE_CATALOGUE)

@@ -196,6 +196,18 @@ def test_compound_contradicting_its_parts_rejected(assignment, witness):
     assert verdict.witnesses == (witness,)
 
 
+def test_assignment_no_atom_values_satisfy_rejected():
+    """The contradiction runs through P(a), which v leaves unassigned, so
+    no compound contradicts its parts as v reads them."""
+    assignment = {And(P_A, Q_A): True, Not(P_A): True}
+    verdict = permissible(Valuation(PQ_VOCAB, assignment=assignment))
+    assert not verdict
+    assert verdict.reason == "propositionally inconsistent true-set"
+    assert verdict.witnesses == (And(P_A, Q_A), Not(P_A))
+    assert permissible(Valuation(PQ_VOCAB, assignment={
+        And(P_A, Q_A): True, Not(Q_A): False}))
+
+
 def _strict_value(f, v):
     """The strict three-valued walker `permissible` once used: one unknown
     part makes the whole unknown, and assigned compounds are recomputed."""
@@ -228,8 +240,8 @@ def _classical(f, row):
 
 def test_permissibility_against_brute_force_and_the_strict_walker():
     """Random explicit assignments over P(a), Q(a) and ⋏ with compounds up
-    to depth 2: no assignment that some atom values satisfy is rejected, and
-    every assignment the strict walker rejects is rejected."""
+    to depth 2: an assignment is rejected exactly when no atom values
+    satisfy it, so every one the strict walker rejects is rejected."""
     leaves = [P_A, Q_A, Absurd()]
     depth1 = leaves + [Not(f) for f in leaves] + [
         c(f, g) for c in (And, Or) for f in leaves for g in leaves]
@@ -247,7 +259,7 @@ def test_permissibility_against_brute_force_and_the_strict_walker():
                               for f, b in assignment.items()) for row in rows)
         strict_rejects = any(_strict_value(f, v) not in (None, b)
                              for f, b in assignment.items())
-        assert verdict or not satisfiable, assignment
+        assert verdict == satisfiable, assignment
         assert not (verdict and strict_rejects), assignment
         newly_rejected += not verdict and not strict_rejects
     assert newly_rejected > 0
