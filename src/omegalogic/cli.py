@@ -91,21 +91,22 @@ def cmd_prop_admissible(args):
              f"rules: {', '.join(rules)}",
              f"admissible valuations: {len(vals)} "
              f"(proof depth {args.proof_depth})"]
+    names = [print_formula(s) for s in u.sentences]
     rows = []
     if len(u.sentences) <= 14:
-        header = "  ".join(print_formula(s) for s in u.sentences)
-        lines.append(header)
+        lines.append("  ".join(names))
+        # each column is as wide as its sentence's name
+        cells = {b: [("T" if b else "F").center(len(name)) for name in names]
+                 for b in (True, False)}
         for v in vals:
-            bits = "".join("T" if v[s] else "F" for s in u.sentences)
-            rows.append(bits)
-            lines.append("  ".join(
-                ("T" if v[s] else "F").center(len(print_formula(s)))
-                for s in u.sentences))
+            truth = [v[s] for s in u.sentences]
+            rows.append("".join("T" if b else "F" for b in truth))
+            lines.append("  ".join(cells[b][i] for i, b in enumerate(truth)))
     report = {"command": "prop-admissible", "atoms": args.atoms.split(","),
               "depth": args.depth, "rules": list(rules),
               "bounds": {"proof_depth": args.proof_depth},
               "universe_size": len(u.sentences),
-              "sentences": [print_formula(s) for s in u.sentences],
+              "sentences": names,
               "admissible_count": len(vals), "valuations": rows}
     _emit(args, report, lines)
     return 0

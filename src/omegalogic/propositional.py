@@ -12,16 +12,23 @@ enumeration and forcing query over the universe reuses one compile and one
 loaded solver under new assumptions.
 
 A compile does each piece of its work once. The prover's formula space is
-built at the universe's first compile and kept for the others; the prover
-works out the forward closure of each assumption set once; and the vE
-clauses ask each distinct disjunct, not each disjunction, which sentences it
-proves.
+a membership test over the universe's subformula closure, which decides the
+excluded-middle and negation scaffolding around it by node identity without
+building it; the universe makes it at its first compile and keeps it for
+the others. The prover works out the forward closure of each assumption set
+once, and the vE clauses ask each distinct disjunct, not each disjunction,
+which sentences it proves.
 
 Most of the prover's goals are underivable, and it cuts those that some
 classical atom assignment refutes (a true closure, a false goal) before
 searching: every rule is classically sound, so the cut changes no answer.
 This is the diagram filter of Gelernter's geometry machine (1959), with a
 truth table in place of the diagram.
+
+Most admissibility clauses have two literals, and the solver keeps each as
+a pair of implications that propagation follows directly; a decision whose
+false literal no clause reads skips propagation altogether. A truth-table
+query that a model found earlier answers costs two integer ANDs.
 """
 
 from __future__ import annotations
@@ -219,15 +226,53 @@ class Derivability:
     depth_bound: int
 
 
+class _Space:
+    """The prover's formula space as a membership test: the subformula
+    closure of a seed, ⋏ added, widened with excluded-middle scaffolding
+    `f | ~f` for each f in the closure, and one and two negations of the
+    closure and of that scaffolding. Hash-consed nodes make the test one of
+    identity, so no scaffolding node is built to answer it."""
+
+    __slots__ = ("closure",)
+
+    def __init__(self, closure):
+        self.closure = closure  # a frozenset, subformula closed, ⋏ in it
+
+    def widened(self, f):
+        """Is f in the closure or the scaffolding `g | ~g` over it? The
+        space holds ~~f exactly when this holds."""
+        if f in self.closure:
+            return True
+        if isinstance(f, Or):
+            right = f.right
+            return isinstance(right, Not) and right.body is f.left and \
+                f.left in self.closure
+        return False
+
+    def __contains__(self, f):
+        if self.widened(f):
+            return True
+        if not isinstance(f, Not):
+            return False
+        f = f.body
+        return self.widened(f) or isinstance(f, Not) and self.widened(f.body)
+
+
 def _search_space(seed):
-    """Formula space for proof search: subformula closure of the seed, plus
-    excluded-middle scaffolding, plus one and two negations of everything."""
-    s0 = set()
-    for f in seed:
-        s0.update(g for g in nodes(f) if isinstance(g, Formula))
-    s0.add(BOT)
-    s1 = s0 | {Or(f, Not(f)) for f in s0}
-    return frozenset(s1 | {Not(f) for f in s1} | {Not(Not(f)) for f in s1})
+    """The formula space for proof search over the seed (see `_Space`)."""
+    closure = {BOT}
+    todo = list(seed)
+    while todo:
+        f = todo.pop()
+        if f not in closure:  # a member's subformulas are in already
+            closure.add(f)
+            if isinstance(f, Not):
+                todo.append(f.body)
+            elif isinstance(f, (And, Or)):
+                todo += (f.left, f.right)
+            elif not isinstance(f, (Atom, Absurd)):  # quantified, say
+                todo += [g for g in nodes(f) if isinstance(g, Formula)]
+    return _Space(frozenset(closure))
 
 
 class Prover:
@@ -250,16 +295,16 @@ class Prover:
 
     def __init__(self, rules, space):
         self.rules = frozenset(_check_rules(rules))
-        self.space = frozenset(space)
-        # f -> ~~f, for the double negations in the space
-        self.double = {g.body.body: g for g in self.space
-                       if isinstance(g, Not) and isinstance(g.body, Not)}
+        self.space = space  # a `_search_space`
+        # goal -> ~~goal when the space holds it, else False; filled lazily
+        self.double = {}
         self.memo = {}
         self.closures = {}  # assumption set -> its closure
         self.models = {}  # closure -> the assignments making it all true
         # the first CUT_ATOMS atoms of the space get a bit each; the others
-        # are false in every assignment tried, so each is still a real one
-        atoms = sorted((g for g in self.space
+        # are false in every assignment tried, so each is still a real one.
+        # Every atom of the space is in the closure it widens
+        atoms = sorted((g for g in space.closure
                         if not isinstance(g, (Not, And, Or, Absurd))),
                        key=print_formula)[:CUT_ATOMS]
         width = 1 << len(atoms)  # assignment j makes atom i true iff bit i
@@ -370,7 +415,10 @@ class Prover:
                             return True
             if "DN" in self.rules:
                 nn = self.double.get(goal)
-                if nn is not None and self._prove(cl, nn, depth - 1):
+                if nn is None:
+                    nn = self.double[goal] = \
+                        self.space.widened(goal) and Not(Not(goal))
+                if nn and self._prove(cl, nn, depth - 1):
                     return True
             if "vE" in self.rules:
                 for f in cl:
@@ -519,33 +567,45 @@ class _Solver:
     """One clause set over variables 1..nvars, loaded once and searched under
     any number of assumption sets.
 
-    Each clause of two or more literals watches its first two (Moskewicz et
+    A clause of two literals is kept as two implications: `implied[a]` lists
+    the literals that must be true once a is false (Aspvall, Plass and Tarjan
+    1979). Each longer clause watches its first two literals (Moskewicz et
     al. 2001, "Chaff"), so propagation visits only the clauses watching a
     literal that just became false, and backtracking leaves the watches as
-    they are. Unit clauses and what they imply stay assigned at the root
-    between calls (Eén and Sörensson 2003, "An Extensible SAT-solver")."""
+    they are. A decision whose false literal has no implication and no watch
+    propagates nothing, and skips propagation. Unit clauses and what they
+    imply stay assigned at the root between calls (Eén and Sörensson 2003,
+    "An Extensible SAT-solver")."""
 
     def __init__(self, clauses, nvars):
         self.nvars = nvars
         # value[lit] is the truth of a signed literal, None while unassigned:
         # slot v holds +v and, by negative indexing, slot -v holds -v
         self.value = [None] * (2 * nvars + 1)
+        self.implied = implied = [[] for _ in range(2 * nvars + 1)]
         self.watches = [[] for _ in range(2 * nvars + 1)]
         self.trail = []  # true literals, in assignment order
         self.head = 0  # trail[:head] has been propagated
         self.ok = True  # False once the root level is contradictory
         units = []
+        self._check_range(set().union(*clauses))
         for clause in clauses:
-            lits = list(dict.fromkeys(clause))
-            self._check_range(lits)
-            members = set(lits)
-            if any(-lit in members for lit in lits):
-                continue  # a tautology constrains nothing
-            if len(lits) == 1:
-                units.append(lits[0])
-            elif lits:
-                self.watches[lits[0]].append(lits)
-                self.watches[lits[1]].append(lits)
+            if len(clause) != 2 or clause[0] in (clause[1], -clause[1]):
+                members = set(clause)
+                if any(-lit in members for lit in members):
+                    continue  # a tautology constrains nothing
+                if len(members) < len(clause):
+                    clause = tuple(dict.fromkeys(clause))  # merge repeats
+            if len(clause) == 2:
+                a, b = clause
+                implied[a].append(b)
+                implied[b].append(a)
+            elif len(clause) == 1:
+                units.append(clause[0])
+            elif clause:
+                clause = list(clause)
+                self.watches[clause[0]].append(clause)
+                self.watches[clause[1]].append(clause)
             else:
                 self.ok = False
         for lit in units:
@@ -557,10 +617,10 @@ class _Solver:
         self.root = len(self.trail)
 
     def _check_range(self, lits):
-        for lit in lits:
-            if not 0 < abs(lit) <= self.nvars:
-                raise ValueError(f"literal {lit} outside variables "
-                                 f"1..{self.nvars}")
+        nvars = self.nvars
+        if lits and (0 in lits or min(lits) < -nvars or max(lits) > nvars):
+            lit = next(lit for lit in lits if not 0 < abs(lit) <= nvars)
+            raise ValueError(f"literal {lit} outside variables 1..{nvars}")
 
     def _assign(self, lit):
         self.value[lit] = True
@@ -576,12 +636,24 @@ class _Solver:
 
     def _propagate(self):
         """Unit propagation from the trail's head; False on a conflict."""
-        value, watches, trail = self.value, self.watches, self.trail
+        value, implied, watches, trail = \
+            self.value, self.implied, self.watches, self.trail
         head = self.head
         while head < len(trail):
             false_lit = -trail[head]
             head += 1
+            for lit in implied[false_lit]:
+                b = value[lit]
+                if b is None:
+                    value[lit] = True
+                    value[-lit] = False
+                    trail.append(lit)
+                elif not b:
+                    self.head = head
+                    return False
             watching = watches[false_lit]
+            if not watching:
+                continue
             keep = []
             for k, clause in enumerate(watching):
                 other = clause[0]
@@ -614,11 +686,12 @@ class _Solver:
     def solve(self, assumptions, limit):
         """The models under the assumptions, in lexicographic order, at most
         `limit` of them; the solver is back at its root state afterwards."""
+        self._check_range(assumptions)
         models = []
         if not self.ok:
             return models
-        self._check_range(assumptions)
         value, trail, nvars = self.value, self.trail, self.nvars
+        implied, watches = self.implied, self.watches
         decisions = []  # (trail length before, variable, on its True branch)
         try:
             for lit in assumptions:
@@ -636,22 +709,28 @@ class _Solver:
                     mark, var, _ = decisions.pop()
                     self._undo(mark)
                     decisions.append((mark, var, True))
-                    self._assign(var)
+                    lit = var
+                else:
+                    # every variable below the last decision is assigned
+                    var = decisions[-1][1] + 1 if decisions else 1
+                    while var <= nvars and value[var] is not None:
+                        var += 1
+                    if var > nvars:
+                        models.append(tuple(value[1:nvars + 1]))
+                        if limit is not None and len(models) >= limit:
+                            return models
+                        conflict = True  # backtrack to the next model
+                        continue
+                    decisions.append((len(trail), var, False))
+                    lit = -var
+                value[lit] = True
+                value[-lit] = False
+                trail.append(lit)
+                if implied[-lit] or watches[-lit]:
                     conflict = not self._propagate()
-                    continue
-                # every variable below the last decision is assigned
-                var = decisions[-1][1] + 1 if decisions else 1
-                while var <= nvars and value[var] is not None:
-                    var += 1
-                if var > nvars:
-                    models.append(tuple(value[1:nvars + 1]))
-                    if limit is not None and len(models) >= limit:
-                        return models
-                    conflict = True  # backtrack to the next model
-                    continue
-                decisions.append((len(trail), var, False))
-                self._assign(-var)
-                conflict = not self._propagate()
+                else:  # nothing reads -lit: no propagation to do
+                    self.head += 1
+                    conflict = False
         finally:
             self._undo(self.root)
 
@@ -668,7 +747,7 @@ def dpll(clauses, nvars, assumptions=(), limit=None):
     if isinstance(clauses, ClauseSet):
         solver = clauses.solver(nvars)
     else:
-        solver = _Solver(clauses, nvars)
+        solver = _Solver(tuple(clauses), nvars)
     return solver.solve(tuple(assumptions), limit)
 
 
@@ -741,6 +820,13 @@ def classical_valuations(u: SentenceUniverse):
 
 
 _ROWS2 = ((True, True), (True, False), (False, True), (False, False))
+_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _model_mask(model):
+    """A model (a tuple of booleans) as the bitmask with bit n - v set when
+    variable v is true, n the model's length."""
+    return int(bytes(model).translate(_BITS), 2)
 
 
 def determined_truth_table(connective, rules, u: SentenceUniverse,
@@ -752,7 +838,9 @@ def determined_truth_table(connective, rules, u: SentenceUniverse,
     side and none with the compound on the other. Each side needs one model
     of the clauses under the row's assumptions; a side already seen for the
     row is not asked again, and a model found earlier that meets a query's
-    assumptions answers it without a solve."""
+    assumptions answers it without a solve. Found models are kept as
+    bitmasks, and so is each query, as the variables it needs true and
+    those it needs false."""
     rules = _check_rules(rules)
     clauses = admissibility_clauses(rules, u, depth)
     n = len(u)
@@ -763,14 +851,20 @@ def determined_truth_table(connective, rules, u: SentenceUniverse,
         if isinstance(f, kind):
             parts = (f.left, f.right) if connective in "&|" else (f.body,)
             instances.append((idx[f], [idx[p] for p in parts]))
-    models = []  # every model found in this call
+    models = []  # every model found in this call, as a bitmask
 
     def realizable(assume):
+        true = false = 0
+        for lit in assume:
+            if lit > 0:
+                true |= 1 << (n - lit)
+            else:
+                false |= 1 << (n + lit)
         for m in models:
-            if all(m[abs(lit) - 1] == (lit > 0) for lit in assume):
+            if m & true == true and not m & false:
                 return True
         found = dpll(clauses, n, assume, limit=1)
-        models.extend(found)
+        models.extend(_model_mask(m) for m in found)
         return bool(found)
 
     rows = _ROWS2 if connective in "&|" else ((True,), (False,))

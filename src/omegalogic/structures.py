@@ -600,6 +600,12 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None):
                 except OSError as e:
                     raise SyntaxError_(f"cannot read {e.filename}: "
                                        f"{e.strerror}") from None
+                except SyntaxError_ as e:  # placed in the vocabulary file
+                    if e.line is None:
+                        raise SyntaxError_(f"{e.message} in {parts[3]}") \
+                            from None
+                    raise SyntaxError_(e.message, e.line, e.col,
+                                       parts[3]) from None
         elif head == "domain":
             inner = code.split("{", 1)[1].rsplit("}", 1)[0].split()
             domains[parts[1]] = inner

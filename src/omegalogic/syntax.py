@@ -17,15 +17,19 @@ from typing import Iterator, Optional
 
 
 class SyntaxError_(Exception):
-    """Parse or well-formedness error, with optional line/column info."""
+    """Parse or well-formedness error, with optional line/column info, and
+    the name of the file the line is in when that is not the file parsed
+    (a vocabulary a structure file names)."""
 
-    def __init__(self, message, line=None, col=None):
+    def __init__(self, message, line=None, col=None, file=None):
         self.message = message  # without the location
         if line is not None:
-            message = f"{message} (line {line}, col {col})"
+            where = f"{file} line" if file else "line"
+            message = f"{message} ({where} {line}, col {col})"
         super().__init__(message)
         self.line = line
         self.col = col
+        self.file = file
 
     def at(self, line, col=1):
         """This error, raised parsing one line's text, placed in its file:
@@ -647,17 +651,20 @@ def print_formula(f: Formula) -> str:
     if isinstance(f, Not):
         if isinstance(f.body, Eq):
             return f"({print_term(f.body.left)} != {print_term(f.body.right)})"
-        return f"~{_wrap(f.body)}"
+        try:
+            return f"~{_wrap(f.body)}"
+        except RecursionError:
+            return _print_loop(f)
     if isinstance(f, And):
         try:
             return f"({print_formula(f.left)} & {print_formula(f.right)})"
         except RecursionError:
-            return _print_spine(f)
+            return _print_loop(f)
     if isinstance(f, Or):
         try:
             return f"({print_formula(f.left)} | {print_formula(f.right)})"
         except RecursionError:
-            return _print_spine(f)
+            return _print_loop(f)
     if isinstance(f, Forall):
         return f"forall {f.var.name}:{f.var.sort}. {print_formula(f.body)}"
     if isinstance(f, Exists):
@@ -669,21 +676,27 @@ def print_formula(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _print_spine(f: Formula) -> str:
-    """`f`, a chain of & and | nodes too deep to print by recursion (a Scott
-    sentence is a conjunction thousands of nodes deep), with its left spine
-    printed by a loop; the text is the recursive printer's.  Depth that
-    does not come from a left spine stays an error."""
-    if not isinstance(f.left, (And, Or)):
-        raise RecursionError("formula nested too deeply to print")
-    spine = []
-    while isinstance(f, (And, Or)):
-        spine.append(f)
-        f = f.left
-    out = ["(" * len(spine), print_formula(f)]
-    for g in reversed(spine):
-        out += (" & " if isinstance(g, And) else " | ",
-                print_formula(g.right), ")")
+def _print_loop(f: Formula) -> str:
+    """`f`, a formula of ~, & and | too deep to print by recursion (a Scott
+    sentence is a conjunction thousands of nodes deep), printed by a loop
+    over those connectives; the text is the recursive printer's. Each other
+    node is printed by the recursive printer, so depth under a quantifier
+    stays an error."""
+    out = []
+    todo = [f]  # nodes to print, and text to put out, last first
+    while todo:
+        g = todo.pop()
+        if isinstance(g, str):
+            out.append(g)
+        elif isinstance(g, (And, Or)):
+            out.append("(")
+            todo += (")", g.right, " & " if isinstance(g, And) else " | ",
+                     g.left)
+        elif isinstance(g, Not) and isinstance(g.body, (Not, And, Or)):
+            out.append("~")  # the body's text starts with ~ or (: no wrap
+            todo.append(g.body)
+        else:
+            out.append(print_formula(g))
     return "".join(out)
 
 

@@ -22,17 +22,24 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def golden(name):
+    with open(A("golden", name), newline="") as fh:
+        return fh.read()
+
+
 def test_prop_admissible_happy_path(capsys):
     code, out, _ = run(capsys, "prop-admissible", "--atoms", "p",
                        "--depth", "1", "--rules", "&I,&E1,&E2")
     assert code == 0
-    assert "admissible valuations:" in out
+    assert "admissible valuations: 256 (proof depth 6)" in out.splitlines()
+    assert out == golden("prop-admissible.txt")
 
 
 def test_prop_admissible_machine_mirror(capsys):
     code, out, _ = run(capsys, "--machine", "prop-admissible", "--atoms", "p",
                        "--depth", "1", "--rules", "&I,&E1,&E2")
     assert code == 0
+    assert out == golden("prop-admissible.json")
     doc = json.loads(out)
     assert doc["command"] == "prop-admissible"
     assert doc["bounds"] == {"proof_depth": 6}
@@ -330,6 +337,15 @@ def test_finite_structure_missing_a_table_exits_2(capsys, tmp_path, table,
     code, out, err = run(capsys, "scott", str(bad))
     assert (code, out) == (2, "")
     assert err == f"omega: {message} (line 3, col 1)\n"
+
+
+def test_error_in_the_over_vocabulary_names_that_file(capsys, tmp_path):
+    (tmp_path / "bad.voc").write_text("sort N\nrel P : N\nrel P N\n")
+    f1 = tmp_path / "f1.struct"
+    f1.write_text("structure f over bad.voc\n")
+    code, out, err = run(capsys, "scott", str(f1))
+    assert (code, out) == (2, "")
+    assert err == "omega: expected ':' (bad.voc line 3, col 1)\n"
 
 
 def test_missing_theory_file_exits_2(capsys, tmp_path):

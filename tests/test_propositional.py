@@ -5,7 +5,9 @@ from types import SimpleNamespace
 import pytest
 
 from omegalogic import propositional
-from omegalogic.syntax import And, Atom, BOT, Const, Eq, Not, Or
+from omegalogic.syntax import (
+    And, Atom, BOT, Const, Eq, Forall, Formula, Not, Or, Var, nodes,
+)
 from omegalogic.propositional import (
     ClauseSet, GuardError, RuleInstanceP, admissible_valuations,
     admissibility_clauses, classical_valuations, clauses_satisfied,
@@ -305,6 +307,117 @@ def test_dpll_many_variables_without_recursion():
     assert not satisfiable(chain + [(-1500,)], 1500, (1,))
 
 
+def _random_binary_cnf(rng, nvars):
+    """Mostly two-literal clauses, some with a repeated literal or a
+    literal and its negation; a few units and three-literal clauses."""
+    clauses = []
+    for _ in range(rng.randint(1, 2 * nvars + 2)):
+        a, b = _random_literal(rng, nvars), _random_literal(rng, nvars)
+        kind = rng.random()
+        if kind < 0.1:
+            b = a  # repeated
+        elif kind < 0.2:
+            b = -a  # complementary: a tautology
+        elif kind < 0.3:
+            clauses.append((a,))
+            continue
+        elif kind < 0.4:
+            clauses.append((a, b, _random_literal(rng, nvars)))
+            continue
+        clauses.append((a, b))
+    return clauses
+
+
+def test_dpll_binary_clauses_match_brute_force():
+    rng = random.Random(1919)
+    for case in range(500):
+        nvars = 1 + case % 10
+        clauses = _random_binary_cnf(rng, nvars)
+        loaded = ClauseSet(sorted(set(clauses)))
+        for limit in (None, 1, 3):
+            assume = _random_assumptions(rng, nvars)
+            want = brute_models(clauses, nvars, assume, limit)
+            assert dpll(clauses, nvars, assume, limit) == want, \
+                (clauses, nvars, assume, limit)
+            assert dpll(loaded, nvars, assume, limit) == want, \
+                (clauses, nvars, assume, limit)
+        assert dpll(loaded, nvars) == brute_models(clauses, nvars)
+
+
+def reference_propagation(clauses, assumptions):
+    """Reference: the literals unit propagation makes true from the
+    assumptions, or None on a conflict."""
+    true = set()
+    for lit in assumptions:
+        if -lit in true:
+            return None
+        true.add(lit)
+    changed = True
+    while changed:
+        changed = False
+        for cl in clauses:
+            if any(lit in true for lit in cl):
+                continue
+            left = {lit for lit in cl if -lit not in true}
+            if not left:
+                return None
+            if len(left) == 1:
+                true |= left
+                changed = True
+    return true
+
+
+def _propagated(solver, assumptions):
+    """The literals a loaded solver makes true from the assumptions by
+    propagation, or None on a conflict; the solver is back at its root
+    state afterwards."""
+    try:
+        if not solver.ok:
+            return None
+        for lit in assumptions:
+            if solver.value[lit] is False:
+                return None
+            if solver.value[lit] is None:
+                solver._assign(lit)
+        return set(solver.trail) if solver._propagate() else None
+    finally:
+        solver._undo(solver.root)
+
+
+def test_binary_propagation_reaches_the_unit_fixpoint():
+    """Dropping one direction of a binary clause's implications loses no
+    model (the other direction still meets the conflict) but leaves forced
+    literals unassigned; the propagated state shows it."""
+    rng = random.Random(1920)
+    for case in range(500):
+        nvars = 1 + case % 10
+        clauses = _random_binary_cnf(rng, nvars)
+        assume = _random_assumptions(rng, nvars)
+        want = reference_propagation(clauses, assume)
+        for load in (clauses, ClauseSet(sorted(set(clauses)))):
+            solver = propositional._Solver(load, nvars)
+            assert _propagated(solver, assume) == want, \
+                (clauses, nvars, assume)
+
+
+@pytest.mark.parametrize("bad", [0, 4, -4])
+def test_dpll_rejects_literals_out_of_range(bad):
+    """Literal 0 and +-(nvars + 1), in clauses of one, two and three
+    literals and in assumptions, on a fresh load and a clause set's."""
+    nvars = 3
+    for clause in ((bad,), (1, bad), (bad, -2), (-1, 2, bad)):
+        clauses = [(1, -2), clause]
+        with pytest.raises(ValueError):
+            dpll(clauses, nvars)
+        with pytest.raises(ValueError):
+            dpll(ClauseSet(sorted(clauses)), nvars)
+    for assume in ((bad,), (1, bad)):
+        with pytest.raises(ValueError):
+            dpll([(1, -2)], nvars, assume)
+        with pytest.raises(ValueError):
+            dpll(ClauseSet([(1, -2)]), nvars, assume)
+
+
 # ---------------------------------------------------------------------------
 # Truth tables against the three-query reference
 
@@ -387,6 +500,63 @@ def test_clauses_are_immutable():
 
 # ---------------------------------------------------------------------------
 # The clause compile against the plain one
+
+
+def reference_space(seed):
+    """Reference: the prover's formula space built as a set, the subformula
+    closure of the seed, plus excluded-middle scaffolding, plus one and two
+    negations of everything."""
+    s0 = set()
+    for f in seed:
+        s0.update(g for g in nodes(f) if isinstance(g, Formula))
+    s0.add(BOT)
+    s1 = s0 | {Or(f, Not(f)) for f in s0}
+    return frozenset(s1 | {Not(f) for f in s1} | {Not(Not(f)) for f in s1})
+
+
+def _assert_space_matches_reference(seed):
+    space = propositional._search_space(seed)
+    want = reference_space(seed)
+    for f in want:
+        assert f in space, f
+        # near misses: a disjunction with the wrong negation, its mirror
+        # image, and a third negation
+        assert (Or(Not(f), f) in space) == (Or(Not(f), f) in want), f
+        assert (Not(Not(Not(f))) in space) == (Not(Not(Not(f))) in want), f
+    closure = sorted(space.closure, key=propositional.print_formula)
+    for f, g in zip(closure, closure[1:] + closure[:1]):
+        if f is not g:
+            assert (Or(f, Not(g)) in space) == (Or(f, Not(g)) in want), (f, g)
+
+
+@pytest.mark.parametrize("atoms,depth", [(["a"], 1), (["a", "b"], 1),
+                                         (["a", "b", "c"], 1),
+                                         (["a", "b", "c", "d"], 1),
+                                         (["a", "b", "c", "d", "e"], 1),
+                                         (["p"], 2)])
+def test_search_space_matches_reference_on_universes(atoms, depth):
+    u = sentence_universe(atoms, depth)
+    _assert_space_matches_reference(u.sentences)
+    assert u._space.closure == frozenset(u.sentences)
+
+
+def test_search_space_matches_reference_on_derivable_seeds():
+    rng = random.Random(1919)
+    atoms = [P, Q, Atom("r")]
+    for _ in range(200):
+        seed = [_random_formula(rng, atoms, rng.randint(0, 4))
+                for _ in range(rng.randint(0, 4))]
+        _assert_space_matches_reference(seed)
+
+
+def test_search_space_keeps_the_subformulas_of_other_nodes():
+    """A quantified formula or an equation counts as an atom to the prover,
+    and its subformulas are in the space as in the reference."""
+    c = Const("c", "S")
+    body = Or(Atom("R", (Var("x", "S"),)), Not(Eq(c, c)))
+    seed = [Forall(Var("x", "S"), body), And(P, Eq(c, c))]
+    _assert_space_matches_reference(seed)
+    assert body in propositional._search_space(seed)
 
 
 def reference_closure(rules, gamma):
@@ -514,11 +684,12 @@ def test_clauses_match_reference_on_random_rule_sets():
 
 def test_cached_closures_match_uncached():
     rng = random.Random(77)
-    space = sorted(sentence_universe(["p", "q"], 1)._space,
+    u = sentence_universe(["p", "q"], 1)
+    space = sorted(reference_space(u.sentences),
                    key=propositional.print_formula)
     rule_sets = [("&E1", "&E2", "DN", "negE"), ("&E1",), ("DN", "negE"),
                  ("&E2", "negE"), ()]
-    provers = [propositional.Prover(rules, space) for rules in rule_sets]
+    provers = [propositional.Prover(rules, u._space) for rules in rule_sets]
     for _ in range(300):
         gamma = set(rng.sample(space, rng.randint(0, 4)))
         gamma |= {f.body for f in list(gamma)

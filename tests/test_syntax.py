@@ -1,5 +1,8 @@
 import dataclasses
 import gc
+import random
+import sys
+import threading
 import weakref
 
 import pytest
@@ -274,6 +277,69 @@ def test_deep_formulas_need_no_recursion():
     assert free_variables(f) == frozenset()
     assert free_variables(And(_PX, f)) == {"x"}
     assert quantifier_rank(f) == quantifier_rank(Not(f)) == 2_500
+
+
+def _chain(kind, depth):
+    """A chain `depth` connectives deep over the atoms a0, a1, ...: nested
+    negations, or a right-deep & or | chain."""
+    f = Atom(f"a{depth}")
+    for i in reversed(range(depth)):
+        f = Not(f) if kind is Not else kind(Atom(f"a{i}"), f)
+    return f
+
+
+@pytest.mark.parametrize("kind,sign", [(Not, None), (And, " & "),
+                                       (Or, " | ")])
+def test_deep_chains_print(kind, sign):
+    depth = 10_000
+    if kind is Not:
+        want = "~" * depth + f"a{depth}"
+    else:
+        want = "".join(f"(a{i}{sign}" for i in range(depth)) + \
+            f"a{depth}" + ")" * depth
+    assert print_formula(_chain(kind, depth)) == want
+
+
+def _print_under_limit(f, limit):
+    """print_formula(f) in a thread run under the recursion limit `limit`,
+    so that the printer falls back to its loop wherever it nests deeper."""
+    out = []
+
+    def work():
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
+        try:
+            out.append(print_formula(f))
+        finally:
+            sys.setrecursionlimit(old)
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join()
+    return out[0]
+
+
+def test_printing_by_loop_gives_the_recursive_text():
+    """Mixed formulas 120 connectives deep over leaves of every kind print
+    the same with the recursion limit at 40 as without it."""
+    c = Const("0", "N")
+    leaves = [Atom("p"), Absurd(), Eq(c, c), Not(Eq(c, c)), _PX,
+              Forall(_X, _PX), Exists(_X, Not(_PX)), Atom("<", (c, _X))]
+    rng = random.Random(8)
+
+    def formula(depth):
+        if depth == 0:
+            return rng.choice(leaves)
+        kind = rng.choice((Not, Not, And, Or))
+        if kind is Not:
+            return Not(formula(depth - 1))
+        if rng.random() < 0.5:
+            return kind(formula(depth - 1), rng.choice(leaves))
+        return kind(rng.choice(leaves), formula(depth - 1))
+
+    for _ in range(100):
+        f = formula(120)
+        assert _print_under_limit(f, 40) == print_formula(f)
 
 
 # --- property tests --------------------------------------------------------
