@@ -600,10 +600,7 @@ def parse_structure(text: str, vocab: Vocabulary = None, base_dir=None):
                 except OSError as e:
                     raise SyntaxError_(f"cannot read {e.filename}: "
                                        f"{e.strerror}") from None
-                except SyntaxError_ as e:  # placed in the vocabulary file
-                    if e.line is None:
-                        raise SyntaxError_(f"{e.message} in {parts[3]}") \
-                            from None
+                except SyntaxError_ as e:  # at a line of the vocabulary
                     raise SyntaxError_(e.message, e.line, e.col,
                                        parts[3]) from None
         elif head == "domain":
