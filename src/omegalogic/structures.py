@@ -486,11 +486,33 @@ def embed_search(a, b, bound: int = 20):
 
     For a term-generated source the map is forced on the first `bound`
     elements by interpreting their generating terms in the target."""
-    if a.vocab.sorts != b.vocab.sorts or set(a.vocab.symbols) != set(b.vocab.symbols):
-        raise EvalError("embed_search requires a common vocabulary")
+    _check_common_vocabulary(a, b, "embed_search")
     if a.kind == "term-generated":
         return _forced_embedding(a, b, bound)
     return _backtrack_embedding(a, b)
+
+
+def is_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
+    """Whether some sort-respecting bijection carries `a` onto `b`.
+
+    Each sort must have as many elements on both sides.  Then an injective
+    map that carries every atomic fact both ways is onto, so it is an
+    isomorphism, and the embedding search (`_backtrack_embedding`) finds
+    one if there is any.  Both structures must be finite and share one
+    vocabulary, or EvalError is raised."""
+    _check_common_vocabulary(a, b, "is_isomorphic")
+    if a.kind != "finite" or b.kind != "finite":
+        raise EvalError("is_isomorphic requires finite structures")
+    for s in a.vocab.sorts:
+        if len(a.domains[s]) != len(b.domains[s]):
+            return False
+    return _backtrack_embedding(a, b) is not None
+
+
+def _check_common_vocabulary(a, b, who):
+    if (a.vocab.sorts != b.vocab.sorts
+            or set(a.vocab.symbols) != set(b.vocab.symbols)):
+        raise EvalError(f"{who} requires a common vocabulary")
 
 
 def _forced_embedding(a, b, bound):
@@ -738,21 +760,3 @@ def all_finite_structures(vocab: Vocabulary, size: int, sort=None):
                     {d.name: set(c) for d, c in zip(rels, rel_choice)},
                     {d.name: t for d, t in zip(funs, fun_choice)},
                     {d.name: e for d, e in zip(consts, const_choice)})
-
-
-def is_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
-    """Brute-force isomorphism search over all sort-respecting bijections."""
-    for s in a.vocab.sorts:
-        if len(a.domains[s]) != len(b.domains[s]):
-            return False
-    per_sort = []
-    for s in a.vocab.sorts:
-        per_sort.append([dict(zip(a.domains[s], perm))
-                         for perm in itertools.permutations(b.domains[s])])
-    for combo in itertools.product(*per_sort):
-        mapping = {}
-        for m in combo:
-            mapping.update(m)
-        if map_defect(a, b, mapping) is None:
-            return True
-    return False

@@ -11,6 +11,7 @@ bounds they were reached under.
 import itertools
 import re
 import weakref
+from collections import Counter
 from dataclasses import dataclass, replace
 from math import gcd
 from typing import Optional
@@ -234,6 +235,58 @@ def _ef_elements(s):
     return [e for sort in s.vocab.sorts for e in s.domains[sort]]
 
 
+def _twin_classes(s):
+    """The twin class of each element of `s`, as a tuple in domain order,
+    or None when every class is a singleton.  Two elements are twins when
+    they have the same sort, neither is the value of a constant, and
+    swapping them maps every relation onto itself.  Twinship is an
+    equivalence, and any map that sends each element to a member of its
+    own class is an automorphism.  Twins occur equally often at each
+    argument position of each relation, so only elements with equal
+    counts are compared."""
+    fixed = set(s.constants.values())
+    exts = [s.relations[d.name] for d in s.vocab.relations()]
+    count = Counter((r, i, e) for r, ext in enumerate(exts)
+                    for t in ext for i, e in enumerate(t))
+    places = [(r, i) for r, d in enumerate(s.vocab.relations())
+              for i in range(d.arity)]
+
+    def twins(x, y):
+        swap = {x: y, y: x}
+        return all(tuple(swap.get(e, e) for e in t) in ext
+                   for ext in exts for t in ext)
+
+    classes = []
+    for sort in s.vocab.sorts:
+        near = {}  # counts -> the classes of elements with those counts
+        for e in s.domains[sort]:
+            if e in fixed:
+                classes.append([e])
+                continue
+            mine = near.setdefault(tuple(count[r, i, e] for r, i in places),
+                                   [])
+            cls = next((c for c in mine if twins(c[0], e)), None)
+            if cls is None:
+                cls = []
+                mine.append(cls)
+                classes.append(cls)
+            cls.append(e)
+    if all(len(cls) == 1 for cls in classes):
+        return None
+    return {e: tuple(cls) for cls in classes for e in cls}
+
+
+def _canonical(tup, twin):
+    """The tuple an automorphism carries `tup` to by sending each new point
+    to the first member of its twin class not used before it."""
+    image, out = {}, []
+    for x in tup:
+        if x not in image:
+            image[x] = next(y for y in twin[x] if y not in out)
+        out.append(image[x])
+    return tuple(out)
+
+
 def _signatures(s, table):
     """The signature function of `s`: sig(tup, k) is the rank-k
     back-and-forth signature of `tup`, the pair (the atomic facts that
@@ -244,27 +297,46 @@ def _signatures(s, table):
     Moves to an element already among the points are left out: Duplicator
     answers one with the matching point, which leaves the position as it
     was with a round less, so it tells apart no tuples that the other moves
-    do not.  Signatures are computed on demand, memoised, and interned in
-    `table`, so equal signatures are one object."""
+    do not.  Tuples an automorphism swapping twins (`_twin_classes`) maps
+    onto each other have one signature: a tuple missing from the memo takes
+    that of its canonical tuple (`_canonical`), and the moves take one
+    element of each twin class, the first not among the points.  So only
+    canonical tuples are ever built.  Signatures are computed on demand,
+    memoised by the tuple asked for, and interned in `table`, so equal
+    signatures are one object."""
     _check_relational(s)
     rels = [(d.name, d.arity, s.relations[d.name])
             for d in s.vocab.relations()]
     elems = _ef_elements(s)
+    twin = _twin_classes(s)
     consts = _ef_points(s, ())
     # the facts of the constants, those of their prefixes in turn
     facts = {(): tuple(f for j in range(len(consts) + 1)
                        for f in _new_facts(consts[:j], rels))}
     sigs = {}
 
+    def movers(pts):
+        if twin is None:
+            return [x for x in elems if x not in pts]
+        taken, out = set(pts), []
+        for x in elems:
+            if x not in taken:
+                out.append(x)
+                taken.update(twin[x])
+        return out
+
     def sig(tup, k):
         key = (tup, k)
         if key not in sigs:
+            if twin is not None and (canon := _canonical(tup, twin)) != tup:
+                sigs[key] = sig(canon, k)
+                return sigs[key]
             pts = consts + tup
             if tup not in facts:
                 f = _new_facts(pts, rels)
                 facts[tup] = table.setdefault(f, f)
             moves = None if k == 0 else frozenset(
-                sig(tup + (x,), k - 1) for x in elems if x not in pts)
+                sig(tup + (x,), k - 1) for x in movers(pts))
             t = (facts[tup], moves)
             sigs[key] = table.setdefault(t, t)
         return sigs[key]
@@ -283,11 +355,16 @@ def ef_signature(s, rounds):
 
 def _atomic_separator(a, ta, b, tb, sigs):
     """A literal true of ta in a and false of tb in b, or None: the first
-    fact that holds of one tuple and not of the other, taking the facts of
-    the constants and then those of each point of the tuples in turn, one
-    of ta's before one of tb's, each in `_new_facts` order.  The facts are
-    read from the signatures `sigs` (by structure id), in which equal facts
-    are one object."""
+    fact of the newest points (the constants, for empty tuples) that holds
+    of one tuple and not of the other, one of ta's before one of tb's, each
+    in `_new_facts` order.  Only the newest points are compared, since a
+    pair of longer tuples is only reached from a parent pair with no atomic
+    separator, whose older points share every fact.  The facts are read
+    from the signatures `sigs` (by structure id), in which equal facts are
+    one object."""
+    fa, fb = sigs[id(a)](ta, 0)[0], sigs[id(b)](tb, 0)[0]
+    if fa is fb:
+        return None
     consts = a.vocab.constant_terms()
     nconst = len(consts)
     sort = a.vocab.sorts[0] if a.vocab.sorts else None
@@ -302,17 +379,12 @@ def _atomic_separator(a, ta, b, tb, sigs):
             return Eq(term(fact[1]), term(fact[2]))
         return Atom(fact[0], tuple(term(i) for i in fact[1]))
 
-    sig_a, sig_b = sigs[id(a)], sigs[id(b)]
-    for j in range(len(ta) + 1):
-        fa, fb = sig_a(ta[:j], 0)[0], sig_b(tb[:j], 0)[0]
-        if fa is fb:
-            continue
-        for fact in fa:
-            if fact not in fb:
-                return literal(fact)
-        for fact in fb:
-            if fact not in fa:
-                return Not(literal(fact))
+    for fact in fa:
+        if fact not in fb:
+            return literal(fact)
+    for fact in fb:
+        if fact not in fa:
+            return Not(literal(fact))
     return None
 
 
@@ -359,13 +431,18 @@ def ef_equivalent(a, b, rounds, want_formula=True):
     """('equivalent', None) or ('distinguished', separating sentence).
 
     The signatures of both structures are interned in one table, so
-    comparing two is an identity test.  The separating sentence follows
+    comparing two is an identity test; each structure's signatures collapse
+    its twin classes (`_signatures`).  The separating sentence follows
     Spoiler's winning strategy: at each position it takes the first move,
     in a and then in b, whose signature no reply matches, and recurses
-    only into that move against each reply.  A move to an element already
-    among the points wins exactly when the two tuples differ with a round
-    less.  The game ignores sorts: a move ranges over the elements of every
-    sort, and variables are typed at the first sort (ROADMAP item 1)."""
+    only into that move against each reply.  Moves and replies are the
+    elements themselves, twins included, and the memo of positions is
+    keyed by the real tuples, since which move wins first depends on them;
+    a position is first tested for an atomic separator of its newest
+    points.  A move to an element already among the points wins exactly
+    when the two tuples differ with a round less.  The game ignores sorts:
+    a move ranges over the elements of every sort, and variables are typed
+    at the first sort (ROADMAP item 1)."""
     table = {}
     sigs = {id(a): _signatures(a, table), id(b): _signatures(b, table)}
     if sigs[id(a)]((), rounds) is sigs[id(b)]((), rounds):

@@ -5,6 +5,7 @@ Like that reference, the game ignores sorts (ROADMAP item 1), so sentences
 are checked by evaluation on single-sorted vocabularies only; on two-sorted
 ones the results are compared with the reference."""
 
+import functools
 import itertools
 import random
 import time
@@ -16,9 +17,12 @@ from omegalogic.syntax import (
     quantifier_rank,
 )
 from omegalogic.structures import (
-    EvalError, FiniteStructure, eval_sentence, parse_structure,
+    EvalError, FiniteStructure, all_finite_structures, eval_sentence,
+    parse_structure,
 )
-from omegalogic.types_atomicity import ef_equivalent, ef_signature
+from omegalogic.types_atomicity import (
+    _twin_classes, ef_equivalent, ef_signature,
+)
 
 
 DIGRAPH = parse_vocabulary("sort S\nrel R : S S")
@@ -192,8 +196,9 @@ def differential_pairs():
                          (5, 7, 3), (2, 2, 3)):
         yield chain(m, "x"), chain(n, "y"), rounds
         yield chain(n, "x"), chain(m, "y"), rounds
+    # the last three are the costly pure-set slots of the ef-iso benchmark
     for m, n, rounds in ((1, 2, 2), (2, 3, 3), (3, 5, 3), (1, 4, 1),
-                         (3, 4, 4)):
+                         (3, 4, 4), (3, 9, 4), (8, 9, 4), (2, 9, 3)):
         yield pure_set(m, "x"), pure_set(n, "y"), rounds
         yield pure_set(n, "x"), pure_set(m, "y"), rounds
 
@@ -223,6 +228,51 @@ def test_signature_equality_matches_reference():
     for i, j in itertools.combinations(range(len(structs)), 2):
         if structs[i].vocab is structs[j].vocab:
             assert (mine[i] == mine[j]) == (ref[i] == ref[j]), (i, j)
+
+
+def _swap_is_automorphism(s, x, y):
+    swap = {x: y, y: x}
+
+    def move(e):
+        return swap.get(e, e)
+
+    return (all(move(e) == e for e in s.constants.values())
+            and all({tuple(map(move, t)) for t in ext} == ext
+                    for ext in s.relations.values()))
+
+
+@functools.cache
+def _small_marked(sizes):
+    return [s for n in sizes for s in all_finite_structures(MARKED, n)]
+
+
+def test_twin_classes_match_brute_force():
+    """Two elements share a twin class iff they have the same sort and
+    swapping them is an automorphism (which fixes the constants)."""
+    structs = _small_marked((1, 2)) + _small_marked((3,))
+    structs += [s for a, b, _ in two_sorted_pairs() for s in (a, b)]
+    shared = 0
+    for s in structs:
+        twin = _twin_classes(s) or {}
+        elems = [(e, sort) for sort in s.vocab.sorts for e in s.domains[sort]]
+        for (x, sx), (y, sy) in itertools.combinations(elems, 2):
+            want = sx == sy and _swap_is_automorphism(s, x, y)
+            assert (y in twin.get(x, (x,))) == want, (s.relations, x, y)
+            shared += want
+    assert shared > 400
+
+
+@pytest.mark.parametrize("sizes,rounds", [((1, 2), 3), ((3,), 2)])
+def test_signatures_with_twins_match_reference(sizes, rounds):
+    """On every small structure with a mark and a constant, and on the
+    two-sorted ones, two structures share an `ef_signature` iff they share
+    a reference signature."""
+    for structs in (_small_marked(sizes),
+                    [s for a, b, _ in two_sorted_pairs() for s in (a, b)]):
+        pairs = {(ef_signature(s, rounds), reference_signature(s, rounds))
+                 for s in structs}
+        assert len(pairs) == len({p[0] for p in pairs}) == len(
+            {p[1] for p in pairs})
 
 
 def two_sorted_pairs():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -449,6 +450,86 @@ def test_map_checks_agree_with_evaluation():
                 assert _embeds_by_eval(s, t, m)
             if s.size() == t.size():
                 assert (m is not None) == iso
+
+
+# -- the isomorphism search `is_isomorphic` replaced, as its oracle
+
+
+def _image(s, m):
+    """The constants, relations and function graphs of `s`, carried along
+    the map `m`."""
+    return (tuple(m[s.constants[d.name]] for d in s.vocab.constants()),
+            tuple(frozenset(tuple(map(m.get, t)) for t in s.relations[d.name])
+                  for d in s.vocab.relations()),
+            tuple(frozenset((tuple(map(m.get, k)), m[v])
+                            for k, v in s.functions[d.name].items())
+                  for d in s.vocab.functions()))
+
+
+def _relabellings(s):
+    """The images of `s` under every sort-respecting permutation of its
+    domains."""
+    sorts = s.vocab.sorts
+    out = set()
+    for perms in itertools.product(*(itertools.permutations(s.domains[x])
+                                     for x in sorts)):
+        out.add(_image(s, {e: y for x, p in zip(sorts, perms)
+                           for e, y in zip(s.domains[x], p)}))
+    return out
+
+
+def _assert_iso_matches_permutations(structures):
+    """`is_isomorphic` on every pair, against brute force: two structures
+    on the same domains are isomorphic iff one is a relabelling of the
+    other, and structures on different domains are not (the structures
+    given share their element names sort by sort)."""
+    found = {}
+    images = [_image(t, {e: e for es in t.domains.values() for e in es})
+              for t in structures]
+    for i, s in enumerate(structures):
+        perms = _relabellings(s)
+        for t, image in zip(structures[i:], images[i:]):
+            want = s.domains == t.domains and image in perms
+            assert is_isomorphic(s, t) == want, (s.domains, t.domains)
+            found[want] = found.get(want, 0) + 1
+    return found
+
+
+def test_is_isomorphic_matches_permutations():
+    structures = [s for n in (1, 2, 3)
+                  for s in all_finite_structures(DIFF_VOCAB, n)]
+    assert _assert_iso_matches_permutations(structures)[True] > len(
+        structures)
+
+
+def test_two_sorted_is_isomorphic_matches_permutations():
+    voc = parse_vocabulary("sort A\nsort B\nrel P : A\nrel R : A B")
+    structures = []
+    for n_a, n_b in itertools.product(range(3), repeat=2):
+        dom = {"A": [f"a{i}" for i in range(n_a)],
+               "B": [f"b{i}" for i in range(n_b)]}
+        ps = list(itertools.product(dom["A"], repeat=1))
+        rs = list(itertools.product(dom["A"], dom["B"]))
+        for p in itertools.product((0, 1), repeat=len(ps)):
+            for r in itertools.product((0, 1), repeat=len(rs)):
+                structures.append(FiniteStructure(voc, dom, {
+                    "P": {t for t, on in zip(ps, p) if on},
+                    "R": {t for t, on in zip(rs, r) if on}}))
+    found = _assert_iso_matches_permutations(structures)
+    assert found[True] > len(structures)
+
+
+def test_is_isomorphic_rejects_other_vocabularies_and_presentations():
+    with pytest.raises(EvalError, match="common vocabulary"):
+        is_isomorphic(chain(2), FiniteStructure(
+            parse_vocabulary("sort S\nrel R : S S"), {"S": "ab"}))
+    nat = omega_succ()
+    with pytest.raises(EvalError, match="finite structures"):
+        is_isomorphic(nat, nat)
+    finite = FiniteStructure(nat.vocab, {"N": ["a"]}, functions={
+        "S": {"a": "a"}}, constants={"0": "a"})
+    with pytest.raises(EvalError, match="finite structures"):
+        is_isomorphic(finite, nat)
 
 
 @pytest.mark.parametrize("line", [
