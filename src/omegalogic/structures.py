@@ -510,8 +510,8 @@ def is_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
 
 
 def _check_common_vocabulary(a, b, who):
-    if (a.vocab.sorts != b.vocab.sorts
-            or set(a.vocab.symbols) != set(b.vocab.symbols)):
+    """Same sorts, and the same declaration under every symbol name."""
+    if a.vocab.sorts != b.vocab.sorts or a.vocab.symbols != b.vocab.symbols:
         raise EvalError(f"{who} requires a common vocabulary")
 
 

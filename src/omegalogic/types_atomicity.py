@@ -245,11 +245,11 @@ def _twin_classes(s):
     argument position of each relation, so only elements with equal
     counts are compared."""
     fixed = set(s.constants.values())
-    exts = [s.relations[d.name] for d in s.vocab.relations()]
+    rels = s.vocab.relations()
+    exts = [s.relations[d.name] for d in rels]
     count = Counter((r, i, e) for r, ext in enumerate(exts)
                     for t in ext for i, e in enumerate(t))
-    places = [(r, i) for r, d in enumerate(s.vocab.relations())
-              for i in range(d.arity)]
+    places = [(r, i) for r, d in enumerate(rels) for i in range(d.arity)]
 
     def twins(x, y):
         swap = {x: y, y: x}

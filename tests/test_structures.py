@@ -508,7 +508,7 @@ def test_two_sorted_is_isomorphic_matches_permutations():
     for n_a, n_b in itertools.product(range(3), repeat=2):
         dom = {"A": [f"a{i}" for i in range(n_a)],
                "B": [f"b{i}" for i in range(n_b)]}
-        ps = list(itertools.product(dom["A"], repeat=1))
+        ps = [(x,) for x in dom["A"]]
         rs = list(itertools.product(dom["A"], dom["B"]))
         for p in itertools.product((0, 1), repeat=len(ps)):
             for r in itertools.product((0, 1), repeat=len(rs)):
@@ -520,9 +520,13 @@ def test_two_sorted_is_isomorphic_matches_permutations():
 
 
 def test_is_isomorphic_rejects_other_vocabularies_and_presentations():
-    with pytest.raises(EvalError, match="common vocabulary"):
-        is_isomorphic(chain(2), FiniteStructure(
-            parse_vocabulary("sort S\nrel R : S S"), {"S": "ab"}))
+    """Other symbols, or a symbol of the same name declared otherwise, make
+    another vocabulary, and a presentation is not finite: each raises."""
+    for other in ("sort S\nrel R : S S", "sort S\nrel < : S"):
+        s = FiniteStructure(parse_vocabulary(other), {"S": "ab"})
+        for search in (is_isomorphic, embed_search):
+            with pytest.raises(EvalError, match="common vocabulary"):
+                search(chain(2), s)
     nat = omega_succ()
     with pytest.raises(EvalError, match="finite structures"):
         is_isomorphic(nat, nat)
