@@ -14,7 +14,9 @@ from .syntax import (
     SyntaxError_, parse_axiom, parse_term, parse_vocabulary, print_formula,
     read_lines,
 )
-from .structures import EvalError, parse_structure
+from .structures import (
+    EvalError, check_common_vocabulary, parse_structure,
+)
 from . import propositional as prop
 from . import omega_rules as omr
 from .types_atomicity import (
@@ -54,6 +56,18 @@ def _parse_axioms(text, vocab):
 
 def _rules_arg(text):
     return tuple(r.strip() for r in text.split(",") if r.strip())
+
+
+def _bound_arg(text):
+    """A round or rank bound: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, not {text!r}")
+    return n
 
 
 def _tuple_arg(text):
@@ -225,6 +239,11 @@ def cmd_atomic(args):
 def cmd_ef(args):
     a = _load_struct(args.a)
     b = _load_struct(args.b)
+    try:
+        check_common_vocabulary(a, b, "ef")
+    except EvalError:
+        raise UsageError(f"{args.a} and {args.b} are over different "
+                         "vocabularies")
     verdict, f = ef_equivalent(a, b, args.rounds)
     lines = [f"{a.name} vs {b.name} at {args.rounds} rounds: {verdict}"]
     if f is not None:
@@ -353,18 +372,18 @@ def build_parser():
     sp = add("type", cmd_type, help="rank-bounded complete type of a tuple")
     sp.add_argument("--structure", required=True)
     sp.add_argument("--tuple", required=True)
-    sp.add_argument("--rank", type=int, default=1)
+    sp.add_argument("--rank", type=_bound_arg, default=1)
     sp.add_argument("--fuel", type=int, default=8)
 
     sp = add("atomic", cmd_atomic, help="atomicity at a rank bound")
     sp.add_argument("--structure", required=True)
-    sp.add_argument("--rank", type=int, default=1)
+    sp.add_argument("--rank", type=_bound_arg, default=1)
     sp.add_argument("--fuel", type=int, default=8)
 
     sp = add("ef", cmd_ef, help="Ehrenfeucht-Fraisse equivalence")
     sp.add_argument("a")
     sp.add_argument("b")
-    sp.add_argument("--rounds", type=int, default=3)
+    sp.add_argument("--rounds", type=_bound_arg, default=3)
 
     sp = add("scott", cmd_scott, help="Scott sentence of a finite structure")
     sp.add_argument("structure")

@@ -486,7 +486,7 @@ def embed_search(a, b, bound: int = 20):
 
     For a term-generated source the map is forced on the first `bound`
     elements by interpreting their generating terms in the target."""
-    _check_common_vocabulary(a, b, "embed_search")
+    check_common_vocabulary(a, b, "embed_search")
     if a.kind == "term-generated":
         return _forced_embedding(a, b, bound)
     return _backtrack_embedding(a, b)
@@ -500,7 +500,7 @@ def is_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
     isomorphism, and the embedding search (`_backtrack_embedding`) finds
     one if there is any.  Both structures must be finite and share one
     vocabulary, or EvalError is raised."""
-    _check_common_vocabulary(a, b, "is_isomorphic")
+    check_common_vocabulary(a, b, "is_isomorphic")
     if a.kind != "finite" or b.kind != "finite":
         raise EvalError("is_isomorphic requires finite structures")
     for s in a.vocab.sorts:
@@ -509,7 +509,7 @@ def is_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
     return _backtrack_embedding(a, b) is not None
 
 
-def _check_common_vocabulary(a, b, who):
+def check_common_vocabulary(a, b, who):
     """Same sorts, and the same declaration under every symbol name."""
     if a.vocab.sorts != b.vocab.sorts or a.vocab.symbols != b.vocab.symbols:
         raise EvalError(f"{who} requires a common vocabulary")

@@ -8,7 +8,9 @@ round count, generativity relative to a sample bound.  Verdicts carry the
 bounds they were reached under.
 """
 
+import functools
 import itertools
+import operator
 import re
 import weakref
 from collections import Counter
@@ -22,7 +24,9 @@ from .syntax import (
     parse_at, parse_formula, parse_term, print_formula, print_term,
     quantifier_rank, read_lines, substitute,
 )
-from .structures import EvalError, _eval, map_defect
+from .structures import (
+    EvalError, _eval, check_common_vocabulary, map_defect,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -197,30 +201,48 @@ def is_atomic(s, rank, fuel=8, max_arity=1) -> AtomicityVerdict:
 # Ehrenfeucht-Fraisse equivalence (relational vocabularies)
 
 
-def _ef_points(s, tup):
-    consts = tuple(s.constants[d.name] for d in s.vocab.constants())
-    return consts + tuple(tup)
+def _reader(idx):
+    """An `operator.itemgetter` of the indices `idx`: it reads a point
+    tuple's entry at the one index, or the tuple of its entries at more,
+    or () at none (as the empty slice)."""
+    return operator.itemgetter(*idx or [slice(0)])
+
+
+@functools.cache
+def _readers(arity, last):
+    """The index tuples of an `arity`-ary fact of points 0..last whose
+    largest index is `last`, each with its `_reader`: ordered by the first
+    position holding `last`, then lexicographically.  With no points
+    (`last` -1) that is the empty index tuple of a 0-ary relation.  Kept
+    for the process, one immutable entry per (arity, last) asked for."""
+    idxs = sorted((idx for idx in itertools.product(range(last + 1),
+                                                    repeat=arity)
+                   if max(idx, default=-1) == last),
+                  key=lambda idx: (idx + (last,)).index(last))
+    return tuple((idx, _reader(idx)) for idx in idxs)
+
+
+def _ef_relations(s):
+    """(name, arity, keys) per relation of `s`, the keys being its tuples
+    as a `_reader` of as many indices reads them."""
+    return [(d.name, d.arity,
+             set(map(_reader(range(d.arity)), s.relations[d.name])))
+            for d in s.vocab.relations()]
 
 
 def _new_facts(pts, rels):
-    """The atomic facts of the points `pts` that involve the last one, in a
-    fixed order, as point indices: ('=', i, last) for i < last naming the
-    same element, then (R, idx) per relation tuple.  With no points, the
-    facts of no point: the true 0-ary relations.  `rels` holds (name,
-    arity, extent) per relation."""
-    if not pts:
-        return tuple((name, ()) for name, arity, ext in rels
-                     if not arity and () in ext)
+    """The atomic facts of the points `pts` that involve the last one, as
+    point indices: ('=', i, last) for i < last naming the same element,
+    then (R, idx) per relation in `rels` order, each relation's in
+    `_readers` order.  With no points, the facts of no point: the true
+    0-ary relations.  `rels` is `_ef_relations` of the structure.
+    Separating sentences take the first fact in this order that tells two
+    tuples apart, so the order is part of their text."""
     last = len(pts) - 1
-    older, every = range(last), range(last + 1)
-    facts = [("=", i, last) for i in older if pts[i] == pts[last]]
-    for name, arity, ext in rels:
-        # k is the first argument position holding the last point
-        for k in range(arity):
-            ranges = [older] * k + [(last,)] + [every] * (arity - k - 1)
-            for idx in itertools.product(*ranges):
-                if tuple(map(pts.__getitem__, idx)) in ext:
-                    facts.append((name, idx))
+    facts = [("=", i, last) for i in range(last) if pts[i] == pts[last]]
+    for name, arity, keys in rels:
+        facts += [(name, idx) for idx, read in _readers(arity, last)
+                  if read(pts) in keys]
     return tuple(facts)
 
 
@@ -229,10 +251,6 @@ def _check_relational(s):
         raise EvalError("ef_equivalent requires finite structures")
     if s.vocab.functions():
         raise EvalError("ef_equivalent supports relational vocabularies only")
-
-
-def _ef_elements(s):
-    return [e for sort in s.vocab.sorts for e in s.domains[sort]]
 
 
 def _twin_classes(s):
@@ -287,11 +305,25 @@ def _canonical(tup, twin):
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class _Side:
+    """One structure's part in the EF game, built once per structure by
+    `_signatures`: the signature function `sig`, the elements of the
+    constants (the points ahead of every tuple), the constants as terms,
+    the elements of every sort, and the sort variables are typed at."""
+
+    sig: object
+    consts: tuple
+    terms: tuple
+    elems: tuple
+    sort: Optional[str]
+
+
 def _signatures(s, table):
-    """The signature function of `s`: sig(tup, k) is the rank-k
-    back-and-forth signature of `tup`, the pair (the atomic facts that
-    involve its last point, the set of rank-(k-1) signatures one move
-    further).  Two tuples whose prefixes have the same atomic type are
+    """The `_Side` of `s`, whose sig(tup, k) is the rank-k back-and-forth
+    signature of `tup`, the pair (the atomic facts that involve its last
+    point, in `_new_facts` order, the set of rank-(k-1) signatures one
+    move further).  Two tuples whose prefixes have the same atomic type are
     k-round equivalent iff their signatures are equal.
 
     Moves to an element already among the points are left out: Duplicator
@@ -305,11 +337,10 @@ def _signatures(s, table):
     memoised by the tuple asked for, and interned in `table`, so equal
     signatures are one object."""
     _check_relational(s)
-    rels = [(d.name, d.arity, s.relations[d.name])
-            for d in s.vocab.relations()]
-    elems = _ef_elements(s)
+    rels = _ef_relations(s)
+    elems = tuple(e for sort in s.vocab.sorts for e in s.domains[sort])
     twin = _twin_classes(s)
-    consts = _ef_points(s, ())
+    consts = tuple(s.constants[d.name] for d in s.vocab.constants())
     # the facts of the constants, those of their prefixes in turn
     facts = {(): tuple(f for j in range(len(consts) + 1)
                        for f in _new_facts(consts[:j], rels))}
@@ -341,38 +372,44 @@ def _signatures(s, table):
             sigs[key] = table.setdefault(t, t)
         return sigs[key]
 
-    return sig
+    return _Side(sig, consts, s.vocab.constant_terms(), elems,
+                 s.vocab.sorts[0] if s.vocab.sorts else None)
+
+
+def _check_rounds(rounds):
+    if rounds < 0:
+        raise ValueError(f"rounds must be >= 0, not {rounds}")
 
 
 def ef_signature(s, rounds):
     """The rank-`rounds` back-and-forth signature of the empty tuple; two
     finite structures are EF-equivalent at that many rounds iff their
-    signatures are equal.  Its parts are interned in a table local to the
-    call, so equal parts are one object (see `_signatures`).  Moves range
-    over the elements of every sort (see ROADMAP item 1)."""
-    return _signatures(s, {})((), rounds)
+    signatures are equal.  `rounds` must be >= 0.  Its parts are interned
+    in a table local to the call, so equal parts are one object (see
+    `_signatures`).  Moves range over the elements of every sort (see
+    ROADMAP item 1)."""
+    _check_rounds(rounds)
+    return _signatures(s, {}).sig((), rounds)
 
 
-def _atomic_separator(a, ta, b, tb, sigs):
-    """A literal true of ta in a and false of tb in b, or None: the first
-    fact of the newest points (the constants, for empty tuples) that holds
-    of one tuple and not of the other, one of ta's before one of tb's, each
-    in `_new_facts` order.  Only the newest points are compared, since a
-    pair of longer tuples is only reached from a parent pair with no atomic
-    separator, whose older points share every fact.  The facts are read
-    from the signatures `sigs` (by structure id), in which equal facts are
-    one object."""
-    fa, fb = sigs[id(a)](ta, 0)[0], sigs[id(b)](tb, 0)[0]
+def _atomic_separator(a, ta, b, tb):
+    """A literal true of ta on side a and false of tb on side b, or None:
+    the first fact of the newest points (the constants, for empty tuples)
+    that holds of one tuple and not of the other, one of ta's before one
+    of tb's, each in `_new_facts` order.  Only the newest points are
+    compared, since a pair of longer tuples is only reached from a parent
+    pair with no atomic separator, whose older points share every fact.
+    The facts are read from the signatures, in which equal facts are one
+    object."""
+    fa, fb = a.sig(ta, 0)[0], b.sig(tb, 0)[0]
     if fa is fb:
         return None
-    consts = a.vocab.constant_terms()
-    nconst = len(consts)
-    sort = a.vocab.sorts[0] if a.vocab.sorts else None
+    nconst = len(a.terms)
 
     def term(i):
         if i < nconst:
-            return consts[i]
-        return Var(f"v{i - nconst}", sort)
+            return a.terms[i]
+        return Var(f"v{i - nconst}", a.sort)
 
     def literal(fact):
         if fact[0] == "=":
@@ -388,24 +425,22 @@ def _atomic_separator(a, ta, b, tb, sigs):
     return None
 
 
-def _winning_move(a, ta, b, tb, r, sigs, memo):
+def _winning_move(a, ta, b, tb, r, memo):
     """Exists v_n. (a separator of ta+(x,) from each tb+(y,)) for Spoiler's
-    first move x in a that no y in b answers, or None.  A move to an
-    element already among the points wins iff ta and tb differ at one round
-    less."""
-    sig_a, sig_b = sigs[id(a)], sigs[id(b)]
-    pts = _ef_points(a, ta)
-    replies = sig_b(tb, r)[1]
-    x = Var(f"v{len(ta)}", a.vocab.sorts[0])
-    for xa in _ef_elements(a):
+    first move x on side a that no y on side b answers, or None.  A move to
+    an element already among the points wins iff ta and tb differ at one
+    round less."""
+    pts = a.consts + ta
+    replies = b.sig(tb, r)[1]
+    x = Var(f"v{len(ta)}", a.sort)
+    for xa in a.elems:
         if xa in pts:
-            if sig_a(ta, r - 1) is sig_b(tb, r - 1):
+            if a.sig(ta, r - 1) is b.sig(tb, r - 1):
                 continue
-        elif sig_a(ta + (xa,), r - 1) in replies:
+        elif a.sig(ta + (xa,), r - 1) in replies:
             continue
-        parts = [_distinguish(a, ta + (xa,), b, tb + (yb,), r - 1, sigs,
-                              memo)
-                 for yb in _ef_elements(b)]
+        parts = [_distinguish(a, ta + (xa,), b, tb + (yb,), r - 1, memo)
+                 for yb in b.elems]
         body = parts[0] if parts else Eq(x, x)
         for p in parts[1:]:
             body = And(body, p)
@@ -413,16 +448,16 @@ def _winning_move(a, ta, b, tb, r, sigs, memo):
     return None
 
 
-def _distinguish(a, ta, b, tb, r, sigs, memo):
-    """A formula (free vars v0..) true of ta in a, false of tb in b, for
-    tuples whose rank-r signatures in `sigs` (by structure id) differ."""
+def _distinguish(a, ta, b, tb, r, memo):
+    """A formula (free vars v0..) true of ta on side a, false of tb on side
+    b, for tuples whose rank-r signatures differ."""
     key = (id(a), ta, tb)
     if key not in memo:
-        res = _atomic_separator(a, ta, b, tb, sigs)
+        res = _atomic_separator(a, ta, b, tb)
         if res is None:
-            res = _winning_move(a, ta, b, tb, r, sigs, memo)
+            res = _winning_move(a, ta, b, tb, r, memo)
         if res is None:
-            res = Not(_winning_move(b, tb, a, ta, r, sigs, memo))
+            res = Not(_winning_move(b, tb, a, ta, r, memo))
         memo[key] = res
     return memo[key]
 
@@ -430,26 +465,31 @@ def _distinguish(a, ta, b, tb, r, sigs, memo):
 def ef_equivalent(a, b, rounds, want_formula=True):
     """('equivalent', None) or ('distinguished', separating sentence).
 
-    The signatures of both structures are interned in one table, so
-    comparing two is an identity test; each structure's signatures collapse
-    its twin classes (`_signatures`).  The separating sentence follows
-    Spoiler's winning strategy: at each position it takes the first move,
-    in a and then in b, whose signature no reply matches, and recurses
-    only into that move against each reply.  Moves and replies are the
-    elements themselves, twins included, and the memo of positions is
-    keyed by the real tuples, since which move wins first depends on them;
-    a position is first tested for an atomic separator of its newest
-    points.  A move to an element already among the points wins exactly
-    when the two tuples differ with a round less.  The game ignores sorts:
-    a move ranges over the elements of every sort, and variables are typed
-    at the first sort (ROADMAP item 1)."""
+    `a` and `b` must be finite structures over one relational vocabulary
+    (`check_common_vocabulary`, else EvalError), and `rounds` must be >= 0
+    (else ValueError).  The signatures of both structures are interned in
+    one table, so comparing two is an identity test; each structure's
+    signatures collapse its twin classes (`_signatures`).  The separating
+    sentence follows Spoiler's winning strategy: at each position it takes
+    the first move, in a and then in b, whose signature no reply matches,
+    and recurses only into that move against each reply.  Moves and
+    replies are the elements themselves, twins included, and the memo of
+    positions is keyed by the real tuples, since which move wins first
+    depends on them; a position is first tested for an atomic separator of
+    its newest points, the first fact in `_new_facts` order that tells
+    them apart.  A move to an element already among the points wins
+    exactly when the two tuples differ with a round less.  The game
+    ignores sorts: a move ranges over the elements of every sort, and
+    variables are typed at the first sort (ROADMAP item 1)."""
+    _check_rounds(rounds)
+    check_common_vocabulary(a, b, "ef_equivalent")
     table = {}
-    sigs = {id(a): _signatures(a, table), id(b): _signatures(b, table)}
-    if sigs[id(a)]((), rounds) is sigs[id(b)]((), rounds):
+    sa, sb = _signatures(a, table), _signatures(b, table)
+    if sa.sig((), rounds) is sb.sig((), rounds):
         return ("equivalent", None)
     if not want_formula:
         return ("distinguished", None)
-    f = _distinguish(a, (), b, (), rounds, sigs, {})
+    f = _distinguish(sa, (), sb, (), rounds, {})
     assert quantifier_rank(f) <= rounds
     return ("distinguished", f)
 

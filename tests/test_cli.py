@@ -179,6 +179,53 @@ def test_ef(capsys):
     assert code == 0
 
 
+# `omega ef` output written by the tree before the signatures read facts
+# through index readers; 4-vs-3 at 3 rounds repeats conjuncts (ROADMAP 15)
+EF_GOLDEN = [("chain3", "chain4", 1), ("chain3", "chain4", 3),
+             ("chain3", "chain4", 4), ("chain4", "chain3", 3)]
+
+
+@pytest.mark.parametrize("a,b,rounds", EF_GOLDEN)
+@pytest.mark.parametrize("machine", [False, True])
+def test_ef_golden(capsys, a, b, rounds, machine):
+    argv = ["--machine"] * machine + ["ef", A(f"{a}.struct"),
+                                      A(f"{b}.struct"), "--rounds",
+                                      str(rounds)]
+    code, out, err = run(capsys, *argv)
+    name = f"ef-{a}-{b}-r{rounds}.{'json' if machine else 'txt'}"
+    assert (out, err) == (golden(name), "")
+    assert code == (rounds > 2)
+
+
+def test_ef_over_different_vocabularies_exits_2(capsys, tmp_path):
+    paths = []
+    for name, decl, rel in (("a", "rel R : S S", "rel R = { (x y) }"),
+                            ("b", "rel P : S", "rel P = { (x) }")):
+        (tmp_path / f"{name}.voc").write_text(f"sort S\n{decl}\n")
+        path = tmp_path / f"{name}.struct"
+        path.write_text(f"structure {name} over {name}.voc\n"
+                        f"domain S {{ x y }}\n{rel}\n")
+        paths.append(str(path))
+    code, out, err = run(capsys, "ef", *paths)
+    assert (code, out) == (2, "")
+    assert err == (f"omega: {paths[0]} and {paths[1]} are over different "
+                   "vocabularies\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ef", A("chain3.struct"), A("chain4.struct"), "--rounds", "-1"],
+    ["type", "--structure", A("chain3.struct"), "--tuple", "b",
+     "--rank", "-1"],
+    ["atomic", "--structure", A("omega-succ.struct"), "--rank", "-2"],
+    ["ef", A("chain3.struct"), A("chain4.struct"), "--rounds", "three"],
+])
+def test_negative_bounds_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    flag, value = argv[-2:]
+    assert f"argument {flag}: expected an integer >= 0, not '{value}'" in err
+
+
 def test_scott(capsys):
     code, out, _ = run(capsys, "scott", A("chain3.struct"))
     assert code == 0

@@ -8,6 +8,7 @@ ones the results are compared with the reference."""
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,7 @@ from omegalogic.structures import (
     parse_structure,
 )
 from omegalogic.types_atomicity import (
-    _twin_classes, ef_equivalent, ef_signature,
+    _ef_relations, _new_facts, _twin_classes, ef_equivalent, ef_signature,
 )
 
 
@@ -29,6 +30,8 @@ ORDER = parse_vocabulary("sort S\nrel < : S S")
 SET = parse_vocabulary("sort S")
 MARKED = parse_vocabulary("sort S\nrel R : S S\nrel P : S\nconst c : S")
 TWO_SORTED = parse_vocabulary("sort A\nsort B\nrel P : A")
+TERNARY = parse_vocabulary(
+    "sort S\nrel T : S S S\nrel Z :\nconst c : S\nconst d : S")
 
 
 # -- the reference: whole-tree search over unshared signatures
@@ -156,6 +159,28 @@ def marked_digraph(rng, n, prefix):
                            constants={"c": rng.choice(dom)})
 
 
+def ternary(rng, n, prefix, density):
+    """A ternary relation of the given density, a 0-ary relation and two
+    constants, which may name the same element."""
+    dom = [f"{prefix}{i}" for i in range(n)]
+    return FiniteStructure(TERNARY, {"S": dom},
+                           {"T": {t for t in itertools.product(dom, repeat=3)
+                                  if rng.random() < density},
+                            "Z": {()} if rng.random() < 0.5 else set()},
+                           constants={"c": rng.choice(dom),
+                                      "d": rng.choice(dom)})
+
+
+def ternary_pairs():
+    """40 pairs over `TERNARY`: sparse relations on equal domains of one to
+    three elements, so that both verdicts occur."""
+    rng = random.Random(20261020)
+    for _ in range(40):
+        density, n = rng.choice((0.02, 0.1, 0.3)), rng.randint(1, 3)
+        yield (ternary(rng, n, "x", density), ternary(rng, n, "y", density),
+               rng.randint(1, 2))
+
+
 def chain(n, prefix="c"):
     dom = [f"{prefix}{i}" for i in range(n)]
     return FiniteStructure(ORDER, {"S": dom},
@@ -200,6 +225,7 @@ def differential_pairs():
                          (3, 4, 4), (3, 9, 4), (8, 9, 4), (2, 9, 3)):
         yield pure_set(m, "x"), pure_set(n, "y"), rounds
         yield pure_set(n, "x"), pure_set(m, "y"), rounds
+    yield from ternary_pairs()
 
 
 # -- tests
@@ -215,6 +241,56 @@ def test_matches_reference():
             continue
         assert print_formula(got[1]) == print_formula(want[1])
         check_separator(a, b, got[1], rounds)
+
+
+def test_ternary_pairs_reach_both_verdicts():
+    """The ternary pairs pin facts of arity 0 and 3 and of repeated points
+    (two constants naming one element) in the reference comparison."""
+    pairs = list(ternary_pairs())
+    verdicts = Counter(reference_ef(a, b, r)[0] for a, b, r in pairs)
+    assert min(verdicts["equivalent"], verdicts["distinguished"]) >= 5
+    assert any(s.constants["c"] == s.constants["d"]
+               for a, b, _ in pairs for s in (a, b))
+
+
+def reference_new_facts(pts, rels):
+    """The facts of the newest point as `_new_facts` defined them by index
+    products per relation and argument position."""
+    if not pts:
+        return tuple((name, ()) for name, arity, ext in rels
+                     if not arity and () in ext)
+    last = len(pts) - 1
+    older, every = range(last), range(last + 1)
+    facts = [("=", i, last) for i in older if pts[i] == pts[last]]
+    for name, arity, ext in rels:
+        for k in range(arity):
+            ranges = [older] * k + [(last,)] + [every] * (arity - k - 1)
+            for idx in itertools.product(*ranges):
+                if tuple(map(pts.__getitem__, idx)) in ext:
+                    facts.append((name, idx))
+    return tuple(facts)
+
+
+def test_new_facts_match_index_products():
+    """On random structures with relations of arity 0 to 3 and random point
+    tuples with repeats, `_new_facts` lists the facts of the index-product
+    definition in its order."""
+    rng = random.Random(21)
+    voc = parse_vocabulary("sort S\nrel Z :\nrel P : S\nrel R : S S\n"
+                           "rel T : S S S\nrel Y :")
+    for _ in range(60):
+        dom = [f"e{i}" for i in range(rng.randint(1, 3))]
+        s = FiniteStructure(voc, {"S": dom}, {
+            d.name: {t for t in itertools.product(dom, repeat=d.arity)
+                     if rng.random() < 0.4}
+            for d in voc.relations()})
+        raw = [(d.name, d.arity, s.relations[d.name])
+               for d in voc.relations()]
+        rels = _ef_relations(s)
+        for n in range(6):
+            pts = tuple(rng.choice(dom) for _ in range(n))
+            assert _new_facts(pts, rels) == reference_new_facts(pts, raw), \
+                (s.relations, pts)
 
 
 def test_signature_equality_matches_reference():
@@ -326,6 +402,26 @@ def test_functions_and_presentations_rejected():
     omega = parse_structure("structure omega\ngenerated by tau", nat)
     with pytest.raises(EvalError):
         ef_signature(omega, 1)
+
+
+def test_different_vocabularies_rejected():
+    """The sentence that told these apart named P, which `a` lacks, so
+    evaluating it in `a` raised KeyError."""
+    a = FiniteStructure(DIGRAPH, {"S": ["x", "y"]}, {"R": {("x", "y")}})
+    b = FiniteStructure(parse_vocabulary("sort S\nrel P : S"),
+                        {"S": ["x", "y"]}, {"P": {("x",)}})
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(EvalError, match="common vocabulary"):
+            ef_equivalent(x, y, 1)
+
+
+def test_negative_rounds_rejected():
+    s = chain(2)
+    with pytest.raises(ValueError):
+        ef_equivalent(s, s, -1)
+    with pytest.raises(ValueError):
+        ef_signature(s, -1)
+    assert ef_equivalent(s, chain(3), 0) == ("equivalent", None)
 
 
 def test_argument_order_costs_alike():
