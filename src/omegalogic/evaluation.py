@@ -14,7 +14,7 @@ from typing import Optional
 
 from .syntax import (
     Absurd, And, App, Atom, Const, Eq, Exists, Forall, Formula, Not, Or,
-    SchemaConj, SchemaDisj, Var, juncts,
+    SchemaConj, SchemaDisj, Var, juncts, term_is_ground,
 )
 
 
@@ -97,35 +97,51 @@ def _compiled(f, kind):
 class _Code:
     """A compiled formula: `fn(call, slots)` gives its truth value, with
     each variable in a slot of the list `slots`; `free` names the slots
-    that the caller's environment fills, normalized on a presentation."""
+    that the caller's environment fills, normalized on a presentation;
+    `memo` counts what a call on a presentation keeps once found
+    (`_Call.memo`), and is None on a finite structure."""
 
-    __slots__ = ("fn", "free", "width", "quantified")
+    __slots__ = ("fn", "free", "width", "quantified", "memo")
 
-    def __init__(self, fn, free, width, quantified):
+    def __init__(self, fn, free, width, quantified, memo):
         self.fn, self.free = fn, free
-        self.width, self.quantified = width, quantified
+        self.width, self.quantified, self.memo = width, quantified, memo
 
     def run(self, s, env, fuel, extra, fragment):
         slots = [None] * self.width
-        normal = self.free and s.kind == "term-generated"
+        normal = self.memo is not None  # a presentation
         for name, i in self.free:
             slots[i] = s.normalize(env[name]) if normal else env[name]
-        return self.fn(_Call(s, fuel, extra, fragment), slots)
+        return self.fn(_Call(s, fuel, extra, fragment, self.memo), slots)
 
 
 class _Call:
     """What one evaluation call shares: the structure, its bounds, and the
-    ranges and block placements worked out so far.  Nothing here outlives
-    the call, so no value depends on an earlier one."""
+    relation tests, ground elements, ranges and block placements worked
+    out so far.  Nothing here outlives the call, so no value depends on an
+    earlier one."""
 
-    __slots__ = ("s", "fuel", "extra", "fragment", "rels", "ranges",
+    __slots__ = ("s", "fuel", "extra", "fragment", "rels", "memo", "ranges",
                  "blocks")
 
-    def __init__(self, s, fuel, extra, fragment):
+    def __init__(self, s, fuel, extra, fragment, memo):
         self.s, self.fuel, self.extra, self.fragment = s, fuel, extra, fragment
-        self.rels = s.relations if s.kind == "finite" else None  # extents
+        if memo is None:  # a finite structure
+            self.rels = s.relations  # extents
+        else:
+            self.rels = None
+            # the relation tests and ground elements, each in the slot the
+            # plan gave it, kept once found: what raises is not kept, so it
+            # raises again at its next use
+            self.memo = [None] * memo
         self.ranges = {}
         self.blocks = {}
+
+    def test(self, k, rel):
+        """The test of `rel` on a presentation (`relation_test`), kept in
+        slot `k` of the memo."""
+        t = self.memo[k] = self.s.relation_test(rel)
+        return t
 
     def sort_range(self, sort):
         """The values a quantifier over `sort` takes, whether they are the
@@ -196,19 +212,23 @@ class _Compiler:
     """Compiles a formula into nested closures `fn(call, slots)` for
     structures of one kind (`_Code`).  Quantifier blocks and chains of
     `And`/`Or` are flattened by loops, so a long chain costs no recursion.
-    Elements are compared directly, a presentation's being normal forms;
-    finite structures read relation extents, presentations ask `holds`."""
+    Elements are compared directly, a presentation's being normal forms.
+    An atom applies its relation's test (`relation_test`) to the tuple of
+    its arguments: on a finite structure as `in` its extent, on a
+    presentation by calling its decider, fetched once per call.  On a
+    presentation a ground term is resolved once per call."""
 
     def __init__(self, kind):
         self.finite = kind == "finite"
         self.free = {}  # free variable name -> slot
         self.width = 0
         self.quantified = False
+        self.memo = {}  # relation name or ground term -> slot in `_Call.memo`
 
     def compile(self, f):
         fn = self.formula(f, {})
         return _Code(fn, tuple(self.free.items()), self.width,
-                     self.quantified)
+                     self.quantified, None if self.finite else len(self.memo))
 
     def new_slot(self):
         self.width += 1
@@ -223,9 +243,24 @@ class _Compiler:
         return i
 
     def term(self, t, scope):
+        """The value of `t`; on a presentation a ground term's is kept once
+        it is resolved, so one that raises raises at every use."""
         if isinstance(t, Var):
             i = self.slot(t.name, scope)
             return lambda c, e: e[i]
+        resolve = self.resolve(t, scope)
+        if self.finite or not term_is_ground(t):
+            return resolve
+        k = self.memo.setdefault(t, len(self.memo))
+
+        def ground(c, e):
+            v = c.memo[k]
+            if v is None:
+                v = c.memo[k] = resolve(c, e)
+            return v
+        return ground
+
+    def resolve(self, t, scope):
         if isinstance(t, App):
             func, args = t.func, [self.term(a, scope) for a in t.args]
             return lambda c, e: c.s.apply_fun(func, [a(c, e) for a in args])
@@ -244,8 +279,14 @@ class _Compiler:
             a, b = self.term(f.left, scope), self.term(f.right, scope)
             return lambda c, e: a(c, e) == b(c, e)
         if isinstance(f, Not):
-            body = self.formula(f.body, scope)
-            if self.finite and isinstance(f.body, (Atom, Eq)):
+            # a run of negations is one node: the body, or its negation
+            odd = False
+            while isinstance(f, Not):
+                f, odd = f.body, not odd
+            body = self.formula(f, scope)
+            if not odd:
+                return body
+            if self.finite and isinstance(f, (Atom, Eq)):
                 return lambda c, e: not body(c, e)  # never unknown
             return lambda c, e: None if (v := body(c, e)) is None else not v
         if isinstance(f, And):
@@ -261,22 +302,38 @@ class _Compiler:
         raise TypeError(f"not a formula: {f!r}")
 
     def atom(self, f, scope):
+        """The relation's test applied to the argument tuple, once the
+        arguments are resolved, as `holds` had them."""
         rel = f.rel
         if any(type(a) is not Var for a in f.args):
             args = [self.term(a, scope) for a in f.args]
-            if not self.finite:
-                return lambda c, e: c.s.holds(rel, [a(c, e) for a in args])
-            return lambda c, e: tuple([a(c, e) for a in args]) in c.rels[rel]
+            if self.finite:
+                return lambda c, e: (tuple([a(c, e) for a in args])
+                                     in c.rels[rel])
+            k = self.memo.setdefault(rel, len(self.memo))
+
+            def atom(c, e):
+                values = tuple([a(c, e) for a in args])
+                return (c.memo[k] or c.test(k, rel))(values)
+            return atom
         idx = [self.slot(a.name, scope) for a in f.args]
-        if not self.finite:
-            return lambda c, e: c.s.holds(rel, [e[i] for i in idx])
+        if self.finite:
+            if len(idx) == 1:
+                (i,) = idx
+                return lambda c, e: (e[i],) in c.rels[rel]
+            if len(idx) == 2:
+                i, j = idx
+                return lambda c, e: (e[i], e[j]) in c.rels[rel]
+            return lambda c, e: tuple([e[i] for i in idx]) in c.rels[rel]
+        k = self.memo.setdefault(rel, len(self.memo))
         if len(idx) == 1:
             (i,) = idx
-            return lambda c, e: (e[i],) in c.rels[rel]
+            return lambda c, e: (c.memo[k] or c.test(k, rel))((e[i],))
         if len(idx) == 2:
             i, j = idx
-            return lambda c, e: (e[i], e[j]) in c.rels[rel]
-        return lambda c, e: tuple([e[i] for i in idx]) in c.rels[rel]
+            return lambda c, e: (c.memo[k] or c.test(k, rel))((e[i], e[j]))
+        return lambda c, e: (c.memo[k] or c.test(k, rel))(
+            tuple([e[i] for i in idx]))
 
     def schema(self, f, scope):
         """A schema, run as a one-level block over its family."""

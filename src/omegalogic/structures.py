@@ -83,8 +83,15 @@ class FiniteStructure:
         """The sort of the domain element `e`, or None for a non-element."""
         return self._element_sort.get(e)
 
+    def relation_test(self, rel):
+        """The membership test of `rel`, which takes one tuple of elements:
+        its extent's `__contains__`."""
+        return self.relations[rel].__contains__
+
     def holds(self, rel, args):
-        return tuple(args) in self.relations[rel]
+        """Whether `rel` holds of the elements `args`, by the relation test
+        that `map_defect` and the evaluator share (`relation_test`)."""
+        return self.relation_test(rel)(tuple(args))
 
     def apply_fun(self, name, args):
         return self.functions[name][tuple(args)]
@@ -196,13 +203,19 @@ class TermGeneratedStructure:
         decl = self.vocab.symbols[name]
         return self.normalize(App(name, tuple(args), decl.result_sort))
 
-    def holds(self, rel, args):
-        """Whether `rel` holds of the elements `args`, normal forms, which
-        its decider receives as they are."""
+    def relation_test(self, rel):
+        """The membership test of `rel`, which takes one tuple of elements,
+        normal forms, as they are: its decider.  EvalError if `rel` has
+        none."""
         decider = self.rel_deciders.get(rel)
         if decider is None:
             raise EvalError(f"no decision rule for relation {rel!r}")
-        return decider(tuple(args))
+        return decider
+
+    def holds(self, rel, args):
+        """Whether `rel` holds of the elements `args`, by the relation test
+        that `map_defect` and the evaluator share (`relation_test`)."""
+        return self.relation_test(rel)(tuple(args))
 
     def enumerate_elements(self, limit, sort=None):
         """The first `limit` elements of `sort` (of every sort when None),
@@ -260,12 +273,28 @@ def _indices(t: Term):
 # the number of indices each builtin decider reads off a family member
 _DECIDER_INDICES = {"integer-lt": 1, "rational-lt": 2}
 
-BUILTIN_DECIDERS = {
-    "integer-lt": lambda args: _indices(args[0])[0] < _indices(args[1])[0],
-    "rational-lt": lambda args: (
-        (a := _indices(args[0]))[0] * (b := _indices(args[1]))[1]
-        < b[0] * a[1]),
-}
+# Each reads both members' indices in one step.  Anything but a pair of
+# family members goes on to the member-by-member form, which gives what it
+# always gave and raises what and where it always raised.
+def _integer_lt(args):
+    try:
+        a, b = args
+        return a.indices[0] < b.indices[0]
+    except (TypeError, ValueError, AttributeError):
+        return _indices(args[0])[0] < _indices(args[1])[0]
+
+
+def _rational_lt(args):
+    try:
+        a, b = args
+        a, b = a.indices, b.indices
+    except (TypeError, ValueError, AttributeError):
+        return ((a := _indices(args[0]))[0] * (b := _indices(args[1]))[1]
+                < b[0] * a[1])
+    return a[0] * b[1] < b[0] * a[1]
+
+
+BUILTIN_DECIDERS = {"integer-lt": _integer_lt, "rational-lt": _rational_lt}
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +562,9 @@ def map_defect(a, b, mapping):
     elsewhere than the constant of `b`, or ('rel', name, src) / ('fun',
     name, src) for a sort-respecting tuple `src` of mapped elements at
     which the relation's truth or the function's value (when it is mapped
-    too) is not carried over.  Relations are checked both ways; one that
-    `a` or `b` cannot decide raises EvalError."""
+    too) is not carried over.  Relations are checked both ways, by the
+    relation test that `holds` and the evaluator share (`relation_test`);
+    one that `a` or `b` cannot decide raises EvalError."""
     for c in a.vocab.constant_terms():
         src = a.element_of(c)
         if src in mapping and mapping[src] != b.element_of(c):
@@ -542,10 +572,15 @@ def map_defect(a, b, mapping):
     pools = {sort: [] for sort in a.vocab.sorts}
     for e in mapping:
         pools[a.sort_of(e)].append(e)
+    image = mapping.__getitem__
     for d in a.vocab.relations():
+        # each side's test is fetched at the first tuple, in the order the
+        # two are asked, so that one missing raises where it always did
+        in_a = in_b = None
         for src in itertools.product(*(pools[sort] for sort in d.arg_sorts)):
-            if a.holds(d.name, src) != b.holds(
-                    d.name, [mapping[x] for x in src]):
+            held = (in_a or (in_a := a.relation_test(d.name)))(src)
+            if held != (in_b or (in_b := b.relation_test(d.name)))(
+                    tuple(map(image, src))):
                 return ("rel", d.name, src)
     for d in a.vocab.functions():
         for src in itertools.product(*(pools[sort] for sort in d.arg_sorts)):

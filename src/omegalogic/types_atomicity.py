@@ -67,6 +67,12 @@ def _type_atoms(vocab, varnames):
     return atoms
 
 
+def _check_bound(value, name):
+    """ValueError unless the rank or round count `value` is >= 0."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, not {value}")
+
+
 _POOLS = weakref.WeakKeyDictionary()  # vocabulary -> {(arity, rank): pool}
 
 
@@ -74,7 +80,10 @@ def canonical_formulas(vocab, arity, rank):
     """The formula pool behind complete_type: literals over v0..v_{n-1} plus
     single-quantifier prefixes nested to the given rank, in shortlex order
     on the printed form.  Built once per vocabulary, arity and rank, so that
-    its nodes, and the plans compiled on them, are reused."""
+    its nodes, and the plans compiled on them, are reused.  `rank` must be
+    >= 0."""
+    _check_bound(rank, "rank")
+
     def pool(varnames, k):
         atoms = _type_atoms(vocab, varnames)
         out = list(atoms) + [Not(a) for a in atoms]
@@ -107,7 +116,9 @@ def holds_on_tuple(s, f, tup, fuel=8):
 
 
 def complete_type(s, tup, rank, fuel=8) -> TypeDescriptor:
-    """The rank-bounded complete type of the tuple over the empty set."""
+    """The rank-bounded complete type of the tuple over the empty set;
+    `rank` must be >= 0."""
+    _check_bound(rank, "rank")
     tup = tuple(tup)
     for e in tup:
         if s.sort_of(e) is None:
@@ -176,7 +187,8 @@ def is_atomic(s, rank, fuel=8, max_arity=1) -> AtomicityVerdict:
     Term-generated tau-presentations are atomic outright: every element is a
     constant term, so v0 = t isolates its type.  Presentations generated by
     an auxiliary family have unnamed elements from the base vocabulary's
-    point of view and stay undecided at the bound."""
+    point of view and stay undecided at the bound.  `rank` must be >= 0."""
+    _check_bound(rank, "rank")
     if s.kind == "term-generated":
         if s.generated_by == "tau":
             return AtomicityVerdict("atomic-at-rank", rank,
@@ -376,11 +388,6 @@ def _signatures(s, table):
                  s.vocab.sorts[0] if s.vocab.sorts else None)
 
 
-def _check_rounds(rounds):
-    if rounds < 0:
-        raise ValueError(f"rounds must be >= 0, not {rounds}")
-
-
 def ef_signature(s, rounds):
     """The rank-`rounds` back-and-forth signature of the empty tuple; two
     finite structures are EF-equivalent at that many rounds iff their
@@ -388,7 +395,7 @@ def ef_signature(s, rounds):
     in a table local to the call, so equal parts are one object (see
     `_signatures`).  Moves range over the elements of every sort (see
     ROADMAP item 1)."""
-    _check_rounds(rounds)
+    _check_bound(rounds, "rounds")
     return _signatures(s, {}).sig((), rounds)
 
 
@@ -481,7 +488,7 @@ def ef_equivalent(a, b, rounds, want_formula=True):
     exactly when the two tuples differ with a round less.  The game
     ignores sorts: a move ranges over the elements of every sort, and
     variables are typed at the first sort (ROADMAP item 1)."""
-    _check_rounds(rounds)
+    _check_bound(rounds, "rounds")
     check_common_vocabulary(a, b, "ef_equivalent")
     table = {}
     sa, sb = _signatures(a, table), _signatures(b, table)

@@ -197,6 +197,37 @@ def test_ef_golden(capsys, a, b, rounds, machine):
     assert code == (rounds > 2)
 
 
+# the presentation-side README commands, run from the repository root as
+# the README writes them, since the text names the files given; written by
+# the tree before presentation atoms called their deciders directly
+PRESENTATION_GOLDEN = {
+    "refute-omega-succ": ["refute", "--structure", "assets/omega-succ.struct",
+                          "--theory", "assets/q.thy", "--fresh", "d"],
+    "check-proof-omega-succ": [
+        "check-proof", "assets/omega-succ-refutation.prf", "--vocab",
+        "assets/nat-ext.voc", "--rules", "I_OMEGA,I_FORALL_E,eqI,negE",
+        "--assume-family", "tau"],
+    "generative-rationals": ["generative", "assets/rationals.struct",
+                             "--witness", "assets/q-shift.map"],
+    "applicability-dense-order": ["applicability", "--vocab",
+                                  "assets/dense-order.voc", "--schema",
+                                  "I_OMEGA"],
+    "atomic-omega-succ-r1": ["atomic", "--structure",
+                             "assets/omega-succ.struct", "--rank", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATION_GOLDEN))
+@pytest.mark.parametrize("machine", [False, True])
+def test_presentation_golden(capsys, monkeypatch, name, machine):
+    monkeypatch.chdir(os.path.join(ASSETS, ".."))
+    code, out, err = run(capsys, *["--machine"] * machine,
+                         *PRESENTATION_GOLDEN[name])
+    assert (out, err) == (golden(f"{name}.{'json' if machine else 'txt'}"),
+                          "")
+    assert code == 0
+
+
 def test_ef_over_different_vocabularies_exits_2(capsys, tmp_path):
     paths = []
     for name, decl, rel in (("a", "rel R : S S", "rel R = { (x y) }"),

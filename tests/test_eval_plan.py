@@ -198,6 +198,30 @@ PRESENTATIONS["plus"] = parse_structure(
     "rewrite p(x, S(y)) -> S(p(x, y))",
     parse_vocabulary("sort N\nconst 0 : N\nfun S : N -> N\n"
                      "fun p : N N -> N"))
+# the integers with a relation P that has no decider, so that an atom of
+# it raises where `holds` raises
+PRESENTATIONS["undecided"] = parse_structure(
+    "structure undecided\ngenerated by D\nrewrite 0 -> D_0\n"
+    "rel-decide < by integer-lt",
+    parse_vocabulary("sort Z\nrel < : Z Z\nrel P : Z\nconst 0 : Z\n"
+                     "family D : Z countable scheme integers"))
+
+
+def _numeral(t):
+    """The number that the numeral S(...S(0)...) names."""
+    n = 0
+    while isinstance(t, App):
+        n, t = n + 1, t.args[0]
+    return n
+
+
+# the numerals with relations decided by callables given to the library
+PRESENTATIONS["called"] = TermGeneratedStructure(
+    parse_vocabulary("sort N\nconst 0 : N\nfun S : N -> N\nrel E : N\n"
+                     "rel L : N N"),
+    rel_deciders={"E": lambda args: _numeral(args[0]) % 2 == 0,
+                  "L": lambda args: _numeral(args[0]) < _numeral(args[1])},
+    name="called")
 # a name the sentences use that `extra_names` maps to a term that is not
 # a normal form (0 rewrites to D_0)
 NAMED = {"integers": {Const("c", "Z"): Const("0", "Z")}}
@@ -240,6 +264,12 @@ LANGUAGES = {
                           ["tau", "D"]),
     "plus": Language(PRESENTATIONS["plus"].vocab, {"N": [Const("0", "N")]},
                      ["tau"]),
+    "undecided": Language(PRESENTATIONS["undecided"].vocab,
+                          {"Z": [Const("0", "Z")] + [
+                              FamilyMember("D", (i,), "Z") for i in (1, -1)]},
+                          ["tau", "D"]),
+    "called": Language(PRESENTATIONS["called"].vocab,
+                       {"N": [Const("0", "N")]}, ["tau"]),
     # no schemas: the reference's tau stream is not filtered by sort
     "mixed": Language(MIXED.vocab, {"N": [Const("0", "N")],
                                     "B": [Const("b", "B")]}, []),
@@ -385,6 +415,112 @@ def test_matches_reference_on_finite_blocks(seed, f):
 def test_matches_reference_on_presentations(data, name, fuel, fragment):
     f = data.draw(formulas(LANGUAGES[name], depth=2))
     _compare(PRESENTATIONS[name], f, fuel, fragment, NAMED.get(name, {}))
+
+
+@SETTINGS
+@given(data=st.data(), name=st.sampled_from(["undecided", "called"]),
+       fuel=st.sampled_from([1, 3, 8]), fragment=st.booleans())
+def test_matches_reference_on_undecided_and_called_relations(data, name,
+                                                              fuel, fragment):
+    # the two presentations whose relations are tested by a missing or a
+    # library-given decider, also drawn above among all of them
+    f = data.draw(formulas(LANGUAGES[name], depth=2))
+    _compare_exactly(PRESENTATIONS[name], f, fuel, fragment, {})
+
+
+def _exact_outcome(fn):
+    try:
+        return fn()
+    except Exception as e:  # the class and message are what must agree
+        return type(e), str(e)
+
+
+def _compare_exactly(s, f, fuel, fragment, extra):
+    want = _exact_outcome(
+        lambda: reference_eval(s, f, {}, fuel, extra, fragment))
+    got = _exact_outcome(
+        lambda: structures._eval(s, f, {}, fuel, extra, fragment))
+    assert got == want, (print_formula(f), fuel, fragment)
+    return got
+
+
+def test_an_atom_without_a_decider_raises_where_holds_does():
+    z = PRESENTATIONS["undecided"]
+    no_rule = (EvalError, "no decision rule for relation 'P'")
+    # the elements come as D_0, D_1, D[-1], ...; an earlier disjunct or a
+    # false conjunct settles a formula before P is asked.  Each row: text,
+    # fuel, value under the bounded and under the fragment semantics
+    for text, fuel, bounded, fragment in [
+            ("0 = 0 | P(0)", 1, True, True),
+            ("P(0) | 0 = 0", 1, no_rule, no_rule),
+            ("0 != 0 & P(D_1)", 1, False, False),
+            ("exists x:Z. (x = 0 | P(x))", 3, True, True),
+            ("exists x:Z. (x = D_1 | P(x))", 3, no_rule, no_rule),
+            ("forall x:Z. (x < D_1 | P(x))", 3, no_rule, no_rule),
+            ("forall x:Z. (x < D_2 | ~P(x))", 2, None, True),
+            ("exists x:Z. (D_1 < x & P(x))", 3, None, False)]:
+        f = parse_formula(text, z.vocab)
+        assert _compare_exactly(z, f, fuel, False, {}) == bounded, text
+        assert _compare_exactly(z, f, fuel, True, {}) == fragment, text
+
+
+def test_library_deciders_receive_normal_form_tuples():
+    s = PRESENTATIONS["called"]
+    for text, fuel, bounded, fragment in [
+            ("forall x:N. (E(x) | E(S(x)))", 6, None, True),
+            ("exists x:N. L(S(S(0)), x)", 4, True, True),
+            ("exists x:N. L(x, 0)", 4, None, False),
+            ("forall x:N. ~L(x, x)", 5, None, True),
+            ("E(S(S(0))) & ~E(S(0)) & L(0, S(0))", 1, True, True)]:
+        f = parse_formula(text, s.vocab)
+        assert _compare_exactly(s, f, fuel, False, {}) is bounded, text
+        assert _compare_exactly(s, f, fuel, True, {}) is fragment, text
+
+
+def test_atoms_with_ground_arguments_match_reference():
+    # 0 rewrites to D_0 and the name c is given the term 0, so each ground
+    # argument is normalized where it enters; it is resolved once a call
+    z = PRESENTATIONS["integers"]
+    extra = NAMED["integers"]
+    x, y, c = Var("x", "Z"), Var("y", "Z"), Const("c", "Z")
+    d1 = FamilyMember("D", (1,), "Z")
+    named = [  # c is no constant of the vocabulary, so these are built
+        Exists(x, Exists(y, And(And(Atom("<", (x, c)), Atom("<", (c, y))),
+                                Atom("<", (x, y))))),
+        And(And(Atom("<", (c, d1)), Not(Atom("<", (d1, c)))),
+            Eq(Const("0", "Z"), c))]
+    for f in [parse_formula(text, z.vocab) for text in [
+            "forall x:Z. (x < 0 | ~(x < 0))", "exists x:Z. x < 0",
+            "exists x:Z. (D[-1] < x & x < 0)",
+            "forall x:Z. (0 < x | x < D_1)"]] + named:
+        for fuel in (1, 3, 8):
+            for fragment in (False, True):
+                _compare_exactly(z, f, fuel, fragment, extra)
+    assert eval_sentence(z, parse_formula("exists x:Z. x < 0", z.vocab),
+                         3).value == "true"
+
+
+def test_a_ground_term_that_raises_raises_at_every_use():
+    # g is no function of the vocabulary, so resolving g(0) raises; a
+    # resolution that fails is not kept, and one never reached never raises
+    nat = PRESENTATIONS["omega-succ"]
+    x, zero = Var("x", "N"), Const("0", "N")
+    one, bad = App("S", (zero,), "N"), App("g", (zero,), "N")
+    for f, want in [(Exists(x, Or(Eq(x, zero), Eq(x, bad))), True),
+                    (Exists(x, Or(Eq(x, one), Eq(x, bad))), KeyError),
+                    (Forall(x, And(Not(Eq(x, one)), Eq(bad, bad))),
+                     KeyError),
+                    (Exists(x, And(Eq(x, one), Eq(bad, x))), KeyError)]:
+        got = _compare_exactly(nat, f, 4, True, {})
+        assert got == want or got[0] is want, print_formula(f)
+    # an atom's arguments are resolved before its test is fetched, so a
+    # bad argument raises before a missing decider does
+    z = PRESENTATIONS["undecided"]
+    zero = Const("0", "Z")
+    bad = App("g", (zero,), "Z")
+    for f, want in [(Atom("P", (bad,)), KeyError),
+                    (Or(Atom("P", (zero,)), Eq(bad, bad)), EvalError)]:
+        assert _compare_exactly(z, f, 1, False, {})[0] is want
 
 
 @SETTINGS
@@ -534,6 +670,27 @@ def test_scott_sentence_of_an_80_chain():
     small = scott_sentence_finite(_chain_structure(6))
     assert [eval_sentence(_chain_structure(n), small).value
             for n in (5, 6, 7)] == ["false", "true", "false"]
+
+
+def _negated(f, n):
+    for _ in range(n):
+        f = Not(f)
+    return f
+
+
+def test_deep_negation_runs_evaluate():
+    # a run of ~ compiles to one node, so its depth costs no recursion
+    chain = _presentation("chain3.struct")
+    f = parse_formula("forall x:S. (x = x)", chain.vocab)
+    for n in (3000, 3001, 10000, 10001):
+        assert eval_sentence(chain, _negated(f, n)).value == (
+            "false" if n % 2 else "true"), n
+    # and an unknown body stays unknown under any number of them
+    nat = PRESENTATIONS["omega-succ"]
+    f = parse_formula("forall x:N. (x = x)", nat.vocab)
+    for n in (0, 1, 3000, 3001, 10000, 10001):
+        assert eval_sentence(nat, _negated(f, n), fuel=3).value == \
+            "unknown", n
 
 
 def _reference_print(f):

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 
 import pytest
@@ -10,7 +11,8 @@ from omegalogic.syntax import (
 from omegalogic.structures import (
     BUILTIN_DECIDERS, EvalError, FiniteStructure, Valuation, _indices,
     all_finite_structures, embed_search, eval_sentence, is_isomorphic,
-    parse_structure, permissible, valuation_of_structure,
+    load_structure, map_defect, parse_structure, permissible,
+    valuation_of_structure,
 )
 from omegalogic.types_atomicity import scott_sentence_finite
 from omegalogic.cli import main
@@ -371,6 +373,20 @@ def test_rational_lt_raises_as_the_two_pass_form_did():
             _raised(two_pass, args), args
 
 
+def test_integer_lt_raises_as_the_member_by_member_form_did():
+    def by_member(args):  # the earlier form, one member at a time
+        return _indices(args[0])[0] < _indices(args[1])[0]
+
+    members = [FamilyMember("D", idx, "Z") for idx in [(), (1,), (-1,),
+                                                       (2, 5)]]
+    pool = members + [Const("0", "Z"), "D_1"]
+    inputs = [(), 7] + [(a,) for a in pool] + [
+        (a, b) for a in pool for b in pool] + [(members[1],) * 3]
+    for args in inputs:
+        assert _raised(BUILTIN_DECIDERS["integer-lt"], args) == \
+            _raised(by_member, args), args
+
+
 def test_ill_fitting_deciders_are_rejected_where_they_are_named():
     # each parsed before, then raised IndexError or, for integer-lt over
     # the rationals, compared numerators only (D[1,3] < D[1,2] was false)
@@ -450,6 +466,79 @@ def test_map_checks_agree_with_evaluation():
                 assert _embeds_by_eval(s, t, m)
             if s.size() == t.size():
                 assert (m is not None) == iso
+
+
+# -- `map_defect` against the form that asked `holds` of every tuple
+
+
+def reference_map_defect(a, b, mapping):
+    """`map_defect` as it was before the relation test was shared: `holds`
+    asked of both sides at every tuple."""
+    for c in a.vocab.constant_terms():
+        src = a.element_of(c)
+        if src in mapping and mapping[src] != b.element_of(c):
+            return ("const", c.name)
+    pools = {sort: [] for sort in a.vocab.sorts}
+    for e in mapping:
+        pools[a.sort_of(e)].append(e)
+    for d in a.vocab.relations():
+        for src in itertools.product(*(pools[sort] for sort in d.arg_sorts)):
+            if a.holds(d.name, src) != b.holds(
+                    d.name, [mapping[x] for x in src]):
+                return ("rel", d.name, src)
+    for d in a.vocab.functions():
+        for src in itertools.product(*(pools[sort] for sort in d.arg_sorts)):
+            fa = a.apply_fun(d.name, src)
+            if fa in mapping and mapping[fa] != b.apply_fun(
+                    d.name, [mapping[x] for x in src]):
+                return ("fun", d.name, src)
+    return None
+
+
+# the integers with a unary P, decided by a callable or by nothing
+P_INTEGERS = parse_vocabulary("sort Z\nrel < : Z Z\nrel P : Z\nconst 0 : Z\n"
+                              "family D : Z countable scheme integers")
+
+
+def _p_integers(decided):
+    s = parse_structure("structure z\ngenerated by D\nrewrite 0 -> D_0\n"
+                        "rel-decide < by integer-lt", P_INTEGERS)
+    if decided:
+        s.rel_deciders["P"] = lambda args: args[0].indices[0] % 2 == 0
+    return s
+
+
+def _random_partial_map(rng, a_elems, b_elems):
+    """A map from some of `a_elems` to `b_elems`, often not injective."""
+    chosen = rng.sample(a_elems, rng.randint(0, len(a_elems)))
+    return {e: rng.choice(b_elems) for e in chosen}
+
+
+def test_map_defect_matches_holds_reference():
+    rng = random.Random(2202)
+    assets = os.path.join(os.path.dirname(__file__), "..", "assets")
+    pres = [load_structure(os.path.join(assets, f"{name}.struct"))
+            for name in ("omega-succ", "integers", "rationals")]
+    pairs = [(p, p) for p in pres] + [
+        (_p_integers(x), _p_integers(y)) for x in (True, False)
+        for y in (True, False)]
+    finite = [s for n in (1, 2) for s in all_finite_structures(DIFF_VOCAB, n)]
+    seen = set()
+    for _ in range(400):
+        if rng.random() < 0.5:
+            a, b = rng.choice(pairs)
+            a_elems = a.enumerate_elements(rng.randint(1, 8))
+            b_elems = b.enumerate_elements(rng.randint(1, 8))
+        else:
+            a, b = rng.choice(finite), rng.choice(finite)
+            a_elems, b_elems = list(a.domains["S"]), list(b.domains["S"])
+        m = _random_partial_map(rng, a_elems, b_elems)
+        want = _raised(lambda m: reference_map_defect(a, b, m), m)
+        assert _raised(lambda m: map_defect(a, b, m), m) == want, (
+            a.name, b.name, m)
+        seen.add(want and want[0])
+    # every outcome came up: none, each kind of defect, a missing decider
+    assert seen == {None, "const", "rel", "fun", EvalError}, seen
 
 
 # -- the isomorphism search `is_isomorphic` replaced, as its oracle

@@ -12,7 +12,8 @@ from omegalogic.structures import (
     is_isomorphic, load_structure, parse_structure,
 )
 from omegalogic.types_atomicity import (
-    GenerativityVerdict, TypeDescriptor, complete_type, ef_equivalent,
+    GenerativityVerdict, TypeDescriptor, canonical_formulas, complete_type,
+    ef_equivalent,
     ef_signature, generativity, is_atomic, is_principal, parse_witness_map,
     scott_sentence_finite, verify_witness,
 )
@@ -73,6 +74,24 @@ def test_complete_type_empty_tuple_is_theory():
 def test_complete_type_rejects_foreign_element():
     with pytest.raises(EvalError):
         complete_type(chain(2), ("z",), rank=0)
+
+
+def test_negative_ranks_are_rejected():
+    # is_atomic answered atomic-at-rank with rank -2, and complete_type gave
+    # the rank-0 type labelled rank -1
+    assets = os.path.join(os.path.dirname(__file__), "..", "assets")
+    chain3 = load_structure(os.path.join(assets, "chain3.struct"))
+    omega = load_structure(os.path.join(assets, "omega-succ.struct"))
+    for call, rank in [(lambda: is_atomic(chain3, -2), -2),
+                       (lambda: is_atomic(omega, -1), -1),
+                       (lambda: complete_type(chain3, ["b"], -1), -1),
+                       (lambda: complete_type(chain3, ["z"], -1), -1),
+                       (lambda: canonical_formulas(chain3.vocab, 1, -3), -3)]:
+        with pytest.raises(ValueError) as e:
+            call()
+        assert str(e.value) == f"rank must be >= 0, not {rank}"
+    assert complete_type(chain3, ["b"], 0).rank == 0
+    assert is_atomic(chain3, 0).rank == 0
 
 
 def named_set(k, extra=0):
