@@ -274,8 +274,8 @@ def _indices(t: Term):
 _DECIDER_INDICES = {"integer-lt": 1, "rational-lt": 2}
 
 # Each reads both members' indices in one step.  Anything but a pair of
-# family members goes on to the member-by-member form, which gives what it
-# always gave and raises what and where it always raised.
+# family members goes on to the member-by-member form, whose reading order
+# fixes which error such an input raises.
 def _integer_lt(args):
     try:
         a, b = args
