@@ -40,6 +40,10 @@ def _tv(b, fuel=0):
                        fuel)
 
 
+_NO_FUEL = ("fuel must be positive for quantified sentences over a "
+            "term-generated presentation")
+
+
 def eval_sentence(s, f: Formula, fuel: int = 8, extra_names=None,
                   fragment=False) -> TruthAtFuel:
     """Three-valued truth of the sentence `f` in structure `s`.
@@ -65,13 +69,64 @@ def eval_sentence(s, f: Formula, fuel: int = 8, extra_names=None,
     every relation and constant the run names; otherwise every conjunct is
     checked once every block variable is bound (plain order). A false
     early conjunct rejects every extension of the bound values at once.
-    Verdicts and raised errors are those of plain order.
+    When that run says that k variables of one sort are pairwise distinct
+    and the sort has fewer than k values, the block is false without a
+    search, since every binding fails a `!=` of the run (on a finite
+    structure, or on a presentation without `fragment=True`, whose ranges
+    the exhaustiveness test has listed already).  Verdicts and raised
+    errors are those of plain order.
     """
     code = _compiled(f, s.kind)
     if s.kind == "term-generated" and fuel <= 0 and code.quantified:
-        raise EvalError("fuel must be positive for quantified sentences "
-                        "over a term-generated presentation")
+        raise EvalError(_NO_FUEL)
     return _tv(code.run(s, {}, fuel, extra_names or {}, fragment), fuel)
+
+
+class Sentences:
+    """Sentences read in turn on one structure, as `eval_sentences` reads
+    them: compiled together into one plan per kind of structure, on first
+    use, and kept here, so that a caller holding this object compiles
+    them once."""
+
+    __slots__ = ("formulas", "plans")
+
+    def __init__(self, formulas):
+        self.formulas = tuple(formulas)
+        self.plans = {}  # kind -> (width, memo, parts)
+
+    def plan(self, kind):
+        """One `_Compiler` pass over every sentence: the slot count and
+        memo size they share, and per sentence its closure, its free
+        variable names and whether it quantifies."""
+        p = self.plans.get(kind)
+        if p is None:
+            comp, parts = _Compiler(kind), []
+            for f in self.formulas:
+                comp.free, comp.quantified = {}, False
+                fn = comp.formula(f, {})
+                parts.append((fn, tuple(comp.free), comp.quantified))
+            p = self.plans[kind] = (comp.width, None if comp.finite
+                                    else len(comp.memo), tuple(parts))
+        return p
+
+
+def eval_sentences(s, fs: Sentences, fuel: int = 8, fragment=False):
+    """The truth of each sentence of `fs` in `s`, in order, as
+    `eval_sentence` gives it (errors too): a generator that evaluates a
+    sentence only when its value is asked for.  The sentences run one
+    plan (`Sentences.plan`) in one evaluation frame, so each quantified
+    sort and schema family is listed once for all of them, and on a
+    presentation a relation's decider and a ground term's element are
+    found once for all of them."""
+    width, memo, parts = fs.plan(s.kind)
+    c, slots = _Call(s, fuel, {}, fragment, memo), [None] * width
+    no_fuel = fuel <= 0 and memo is not None  # on a presentation
+    for fn, free, quantified in parts:
+        if free:  # as `_Code.run` reads a free variable from `{}`
+            raise KeyError(free[0])
+        if quantified and no_fuel:
+            raise EvalError(_NO_FUEL)
+        yield _tv(fn(c, slots), fuel)
 
 
 def _eval(s, f, env, fuel, extra, fragment=False):
@@ -216,7 +271,9 @@ class _Compiler:
     An atom applies its relation's test (`relation_test`) to the tuple of
     its arguments: on a finite structure as `in` its extent, on a
     presentation by calling its decider, fetched once per call.  On a
-    presentation a ground term is resolved once per call."""
+    presentation a ground term is resolved once per call.  A negated
+    equation, or a negated atom on a finite structure, is one test (`!=`,
+    `not in`)."""
 
     def __init__(self, kind):
         self.finite = kind == "finite"
@@ -270,24 +327,22 @@ class _Compiler:
         if isinstance(f, Absurd):
             return lambda c, e: False
         if isinstance(f, Atom):
-            return self.atom(f, scope)
+            return self.atom(f, scope, False)
         if isinstance(f, Eq):
-            if type(f.left) is Var and type(f.right) is Var:
-                i, j = self.slot(f.left.name, scope), self.slot(f.right.name,
-                                                                 scope)
-                return lambda c, e: e[i] == e[j]
-            a, b = self.term(f.left, scope), self.term(f.right, scope)
-            return lambda c, e: a(c, e) == b(c, e)
+            return self.equation(f, scope, False)
         if isinstance(f, Not):
             # a run of negations is one node: the body, or its negation
             odd = False
             while isinstance(f, Not):
                 f, odd = f.body, not odd
-            body = self.formula(f, scope)
             if not odd:
-                return body
-            if self.finite and isinstance(f, (Atom, Eq)):
-                return lambda c, e: not body(c, e)  # never unknown
+                return self.formula(f, scope)
+            # a literal that is never unknown is one negated test
+            if isinstance(f, Eq):
+                return self.equation(f, scope, True)
+            if self.finite and isinstance(f, Atom):
+                return self.atom(f, scope, True)
+            body = self.formula(f, scope)
             return lambda c, e: None if (v := body(c, e)) is None else not v
         if isinstance(f, And):
             return _conjunction([self.formula(g, scope)
@@ -301,22 +356,46 @@ class _Compiler:
             return self.schema(f, scope)
         raise TypeError(f"not a formula: {f!r}")
 
-    def atom(self, f, scope):
+    def equation(self, f, scope, negated):
+        """`f.left == f.right`, or with `negated` `!=`: elements are
+        compared directly."""
+        if type(f.left) is Var and type(f.right) is Var:
+            i, j = self.slot(f.left.name, scope), self.slot(f.right.name,
+                                                             scope)
+            if negated:
+                return lambda c, e: e[i] != e[j]
+            return lambda c, e: e[i] == e[j]
+        a, b = self.term(f.left, scope), self.term(f.right, scope)
+        if negated:
+            return lambda c, e: a(c, e) != b(c, e)
+        return lambda c, e: a(c, e) == b(c, e)
+
+    def atom(self, f, scope, negated):
         """The relation's test applied to the argument tuple, once the
-        arguments are resolved, as `holds` had them."""
+        arguments are resolved, as `holds` had them; with `negated` (on a
+        finite structure only) `not in` its extent."""
         rel = f.rel
         if any(type(a) is not Var for a in f.args):
-            args = [self.term(a, scope) for a in f.args]
+            values = _tuple_of([self.term(a, scope) for a in f.args])
+            if negated:
+                return lambda c, e: values(c, e) not in c.rels[rel]
             if self.finite:
-                return lambda c, e: (tuple([a(c, e) for a in args])
-                                     in c.rels[rel])
+                return lambda c, e: values(c, e) in c.rels[rel]
             k = self.memo.setdefault(rel, len(self.memo))
 
             def atom(c, e):
-                values = tuple([a(c, e) for a in args])
-                return (c.memo[k] or c.test(k, rel))(values)
+                args = values(c, e)  # before the test, as `holds` had them
+                return (c.memo[k] or c.test(k, rel))(args)
             return atom
         idx = [self.slot(a.name, scope) for a in f.args]
+        if negated:
+            if len(idx) == 1:
+                (i,) = idx
+                return lambda c, e: (e[i],) not in c.rels[rel]
+            if len(idx) == 2:
+                i, j = idx
+                return lambda c, e: (e[i], e[j]) not in c.rels[rel]
+            return lambda c, e: tuple([e[i] for i in idx]) not in c.rels[rel]
         if self.finite:
             if len(idx) == 1:
                 (i,) = idx
@@ -360,17 +439,32 @@ class _Compiler:
         parts = [self.formula(g, scope) for g in conjuncts]
         plain = [()] * (len(slots) - 1) + [tuple(parts)]
         level = self.loop(_Call.sort_range, sorts, slots, want)
-        early, names = (None, None)
+        early = None
         if want and len(slots) > 1 and len(parts) > 1:  # else not worth it
-            early, names = self.placement(conjuncts, parts, scope, slots)
+            early, names, holes = self.placement(conjuncts, parts, scope,
+                                                 slots, sorts)
         if early is None:
             return lambda c, e: level(c, e, 0, False, plain)
 
+        distinct = tuple(dict.fromkeys(sorts))
+
         def block(c, e):
+            # the checks, or () when the pigeonhole cut makes it false
             checks = c.blocks.get(block)
             if checks is None:
-                checks = c.blocks[block] = (
-                    early if c.exhaustive(sorts, names) else plain)
+                checks = plain
+                if c.exhaustive(distinct, names):
+                    checks = early
+                    # the cut reads a finite domain, or a presentation's
+                    # range that `exhaustive` has listed already
+                    listed = c.rels is not None or not c.fragment
+                    for sort, k in holes if listed else ():
+                        if len(c.sort_range(sort)[0]) < k:
+                            checks = ()
+                            break
+                c.blocks[block] = checks
+            if not checks:
+                return False
             return level(c, e, 0, False, checks)
         return block
 
@@ -418,14 +512,18 @@ class _Compiler:
             return not want
         return level
 
-    def placement(self, conjuncts, parts, scope, slots):
+    def placement(self, conjuncts, parts, scope, slots, sorts):
         """The checks at each level of an existential block when its
         leading run of conjuncts that cannot raise (`_early_check`) moves,
-        each to the level binding the last block variable it mentions, and
-        the relation and ground names that run uses; (None, None) when no
-        conjunct moves above the last level."""
+        each to the level binding the last block variable it mentions; the
+        relation and ground names that run uses; and its pigeonholes
+        (`_pigeonholes`), a pair (sort, k) per sort of which the run says
+        that k >= 2 block variables are pairwise distinct: when the sort
+        has fewer than k values, every binding fails one of those `!=`
+        before any later conjunct is read, so the block is false.  No
+        checks (None) when no conjunct moves above the last level."""
         level_of = {slot: i for i, slot in enumerate(slots)}
-        checks, names, moved = [[] for _ in slots], set(), 0
+        checks, names, moved, apart = [[] for _ in slots], set(), 0, set()
         for g, part in zip(conjuncts, parts):
             found = _early_check(g, scope, level_of, self.finite)
             if found is None:
@@ -433,10 +531,46 @@ class _Compiler:
             checks[found[0]].append(part)
             names |= found[1]
             moved += 1
+            if (type(g) is Not and type(g.body) is Eq
+                    and type(g.body.left) is Var
+                    and type(g.body.right) is Var):
+                pair = {level_of.get(scope.get(t.name))
+                        for t in (g.body.left, g.body.right)}
+                if None not in pair and len(pair) == 2:
+                    apart.add(frozenset(pair))
         checks[-1] += parts[moved:]
         if len(checks[-1]) == len(parts):
-            return None, None
-        return [tuple(here) for here in checks], names
+            return None, None, None
+        return ([tuple(here) for here in checks], names,
+                _pigeonholes(apart, sorts))
+
+
+def _tuple_of(args):
+    """The closure giving the tuple of the values of the closures `args`,
+    left to right."""
+    if len(args) == 1:
+        (a,) = args
+        return lambda c, e: (a(c, e),)
+    if len(args) == 2:
+        a, b = args
+        return lambda c, e: (a(c, e), b(c, e))
+    return lambda c, e: tuple([a(c, e) for a in args])
+
+
+def _pigeonholes(apart, sorts):
+    """(sort, k) per sort whose block levels include k >= 2 that are
+    pairwise in `apart`, a set of level pairs: a clique grown greedily in
+    level order, which for the distinctness run of a Scott sentence is
+    every variable of the sort."""
+    holes = []
+    for sort in dict.fromkeys(sorts):
+        clique = []
+        for i, s in enumerate(sorts):
+            if s == sort and all(frozenset((i, j)) in apart for j in clique):
+                clique.append(i)
+        if len(clique) > 1:
+            holes.append((sort, len(clique)))
+    return tuple(holes)
 
 
 def _early_check(g, scope, level_of, finite):
@@ -470,6 +604,19 @@ def _early_check(g, scope, level_of, finite):
 
 
 def _conjunction(parts):
+    if len(parts) == 2:  # the commonest chain, without the loop
+        a, b = parts
+
+        def conjunction2(c, e):
+            v = a(c, e)
+            if v is False:
+                return False
+            w = b(c, e)
+            if w is False:
+                return False
+            return True if v and w else None
+        return conjunction2
+
     def conjunction(c, e):
         unknown = False
         for p in parts:
@@ -483,6 +630,19 @@ def _conjunction(parts):
 
 
 def _disjunction(parts):
+    if len(parts) == 2:
+        a, b = parts
+
+        def disjunction2(c, e):
+            v = a(c, e)
+            if v is True:
+                return True
+            w = b(c, e)
+            if w is True:
+                return True
+            return False if v is False and w is False else None
+        return disjunction2
+
     def disjunction(c, e):
         unknown = False
         for p in parts:

@@ -8,6 +8,7 @@ them with tags, and soundness mode spot-checks them at bounded fuel.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -20,7 +21,8 @@ from .syntax import (
     parse_term, print_formula, print_term, read_lines, substitute,
     term_is_ground,
 )
-from .structures import TruthAtFuel, eval_sentence
+from .evaluation import Sentences, eval_sentences
+from .structures import TruthAtFuel
 
 
 SCHEMA_NAMES = (
@@ -55,6 +57,21 @@ class RuleInstanceQ:
         """The finite premises, the extra premises, then the family."""
         family = () if self.premise_family is None else (self.premise_family,)
         return self.premises + self.extra_premises + family
+
+    # What `check_instance_sound` keeps on the instance, made on first use:
+    # the premises then the conclusions as one `Sentences`, compiled once
+    # per kind of structure, with the number of premises; and its "sound"
+    # verdicts, one per (fuel, deciding fact).  Neither is a field, so
+    # neither enters equality.
+
+    @functools.cached_property
+    def _facts(self) -> tuple:
+        premises = self.all_premises
+        return Sentences(premises + self.conclusions), len(premises)
+
+    @functools.cached_property
+    def _verdicts(self) -> dict:
+        return {}
 
 
 def _is_base_constant_term(t: Term, vocab: Vocabulary) -> bool:
@@ -200,10 +217,9 @@ class SoundnessVerdict:
 
 
 def _target_eval(target, f, fuel):
-    if hasattr(target, "kind"):  # a structure
-        return eval_sentence(target, f, fuel, fragment=True)
-    # a valuation: look sentences up; spot-check schema families memberwise,
-    # in range order, stopping at the first false member
+    """The truth of `f` in the valuation `target`: sentences are looked up,
+    and schema families spot-checked memberwise, in range order, stopping
+    at the first false member."""
     if isinstance(f, SchemaConj):
         vocab, sort = target.vocab, f.hole.sort
         if f.family != "tau":
@@ -239,26 +255,53 @@ def check_instance_sound(target, inst: RuleInstanceQ,
     when every premise read true and every conclusion false; otherwise it
     is unknown.  Nothing is evaluated after the deciding premise or
     conclusion, so an error that a later one would raise does not surface,
-    as with `eval_sentence`, which stops at the first false conjunct."""
-    premises = inst.all_premises
+    as with `eval_sentence`, which stops at the first false conjunct.
+
+    On a structure the premises and then the conclusions are read through
+    one plan (`eval_sentences`), compiled once per instance and kind of
+    structure and kept on the instance, in one evaluation frame, so each
+    sort and premise family is listed once per check; each fact's value,
+    and the error it raises, are those of `eval_sentence` with
+    bounded-fragment semantics.  A valuation reads each fact by
+    `_target_eval`.  Each "sound" verdict is made once per instance, fuel
+    and deciding fact and shared, as verdicts are frozen."""
+    facts, n = inst._facts
+    if hasattr(target, "kind"):  # a structure
+        values = eval_sentences(target, facts, fuel, fragment=True)
+    else:
+        values = (_target_eval(target, f, fuel) for f in facts.formulas)
     all_as_unsound = True
-    for p in premises:
-        value = _target_eval(target, p, fuel).value
-        if value == "false":
-            return SoundnessVerdict("sound", fuel, (("premise false", p),))
-        all_as_unsound = all_as_unsound and value == "true"
-    for c in inst.conclusions:
-        value = _target_eval(target, c, fuel).value
-        if value == "true":
-            return SoundnessVerdict("sound", fuel)
-        all_as_unsound = all_as_unsound and value == "false"
+    for i, v in enumerate(values):
+        value = v.value
+        if i < n:
+            if value == "false":
+                return _sound(inst, fuel, i)
+            all_as_unsound = all_as_unsound and value == "true"
+        elif value == "true":
+            return _sound(inst, fuel, i)
+        else:
+            all_as_unsound = all_as_unsound and value == "false"
     if not all_as_unsound:
         return SoundnessVerdict("unknown", fuel)
+    premises = inst.all_premises
     facts = [("premise true", p) for p in premises]
     facts += [("conclusion false", c) for c in inst.conclusions]
     if not inst.conclusions:
         facts.append(("empty conclusion set is always false", None))
     return SoundnessVerdict("unsound", fuel, tuple(facts))
+
+
+def _sound(inst, fuel, i):
+    """The "sound" verdict decided by fact `i` of `inst._facts`: a false
+    premise, its fact, or a true conclusion, no fact; made once per
+    instance, fuel and fact."""
+    key = (fuel, i)
+    verdict = inst._verdicts.get(key)
+    if verdict is None:
+        sentences, n = inst._facts
+        facts = (("premise false", sentences.formulas[i]),) if i < n else ()
+        verdict = inst._verdicts[key] = SoundnessVerdict("sound", fuel, facts)
+    return verdict
 
 
 # ---------------------------------------------------------------------------

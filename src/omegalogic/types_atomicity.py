@@ -115,16 +115,39 @@ def holds_on_tuple(s, f, tup, fuel=8):
     return v
 
 
+def _truth_table(fuel):
+    """`holds_on_tuple` at `fuel` as `holds(probe, f, tup)`, evaluating
+    each (probe, formula, tuple) at most once: a truth value is kept, an
+    error is not, so what raises raises again at its next use.  The table
+    lives as long as the function, one classification's worth."""
+    table = {}
+
+    def holds(probe, f, tup):
+        key = (id(probe), f, tup)
+        v = table.get(key)
+        if v is None:
+            v = table[key] = holds_on_tuple(probe, f, tup, fuel)
+        return v
+    return holds
+
+
 def complete_type(s, tup, rank, fuel=8) -> TypeDescriptor:
     """The rank-bounded complete type of the tuple over the empty set;
     `rank` must be >= 0."""
+    return _complete_type(
+        s, tup, rank, lambda probe, f, t: holds_on_tuple(probe, f, t, fuel))
+
+
+def _complete_type(s, tup, rank, holds):
+    """`complete_type`, reading each formula's truth by `holds(s, f,
+    tup)`."""
     _check_bound(rank, "rank")
     tup = tuple(tup)
     for e in tup:
         if s.sort_of(e) is None:
             raise EvalError(f"{e!r} is not a domain element")
     sat = [f for f in canonical_formulas(s.vocab, len(tup), rank)
-           if holds_on_tuple(s, f, tup, fuel)]
+           if holds(s, f, tup)]
     return TypeDescriptor(len(tup), rank, tuple(sat), realizing=tup)
 
 
@@ -142,20 +165,30 @@ def is_principal(t: TypeDescriptor, probes, fuel=8,
 
     Principal if some member implies every other member on all probe tuples
     satisfying it; nonprincipal if every candidate generator is separated by
-    a probe tuple.  The verdict is relative to the probes and the bound."""
+    a probe tuple.  The verdict is relative to the probes and the bound.
+    Each (formula, probe tuple) pair is evaluated at most once
+    (`_truth_table`)."""
     if not probes:
         raise ValueError("is_principal needs at least one probe structure")
+    return _principal(t, probes, _truth_table(fuel), bound)
+
+
+def _principal(t, probes, holds, bound=12):
+    """`is_principal`, reading each formula's truth by `holds(probe, f,
+    tup)`: a member is tried as generator in order, each probe tuple that
+    satisfies it checked against the members in order, the first
+    unsatisfied one its counterexample; an error leaves the type
+    undecided."""
     evidence = []
     for g in t.formulas:
         counter = None
         for probe in probes:
             for tup in _probe_tuples(probe, t.arity, bound):
                 try:
-                    if not holds_on_tuple(probe, g, tup, fuel):
+                    if not holds(probe, g, tup):
                         continue
                     bad = next((m for m in t.formulas
-                                if not holds_on_tuple(probe, m, tup, fuel)),
-                               None)
+                                if not holds(probe, m, tup)), None)
                 except EvalError:
                     return replace(t, classification="undecided-at-rank")
                 if bad is not None:
@@ -187,7 +220,12 @@ def is_atomic(s, rank, fuel=8, max_arity=1) -> AtomicityVerdict:
     Term-generated tau-presentations are atomic outright: every element is a
     constant term, so v0 = t isolates its type.  Presentations generated by
     an auxiliary family have unnamed elements from the base vocabulary's
-    point of view and stay undecided at the bound.  `rank` must be >= 0."""
+    point of view and stay undecided at the bound.  `rank` must be >= 0.
+
+    One truth table (`_truth_table`) serves the whole call: the types
+    that `complete_type` computes fill it, and `is_principal`'s checks
+    read it, so each (pool formula, probe tuple) pair is evaluated at most
+    once, in the order the loops first reach it."""
     _check_bound(rank, "rank")
     if s.kind == "term-generated":
         if s.generated_by == "tau":
@@ -197,9 +235,10 @@ def is_atomic(s, rank, fuel=8, max_arity=1) -> AtomicityVerdict:
             "undecided", rank,
             reason="elements are not named by constant terms; "
                    "non-principal evidence accumulates at the rank bound")
+    holds = _truth_table(fuel)
     for arity in range(1, max_arity + 1):
         for tup in _probe_tuples(s, arity):
-            td = is_principal(complete_type(s, tup, rank, fuel), [s], fuel)
+            td = _principal(_complete_type(s, tup, rank, holds), [s], holds)
             if td.classification == "nonprincipal":
                 return AtomicityVerdict("not-atomic-at-rank", rank,
                                         evidence=td.evidence)

@@ -228,6 +228,35 @@ def test_presentation_golden(capsys, monkeypatch, name, machine):
     assert code == 0
 
 
+# the finite-side README commands, run from the repository root; written by
+# the tree before rule instances kept compiled plans and `is_atomic` kept
+# one truth table per call
+FINITE_GOLDEN = {
+    "type-chain3-b-r1": (["type", "--structure", "assets/chain3.struct",
+                          "--tuple", "b", "--rank", "1"], 0),
+    "scott-chain3": (["scott", "assets/chain3.struct"], 0),
+    "verify-omega-toy-good": (["verify-omega", "assets/morley/toy.thy",
+                               "assets/morley/toy-good.struct"], 0),
+    "atomic-chain3-r1": (["atomic", "--structure", "assets/chain3.struct",
+                          "--rank", "1"], 1),
+    "atomic-chain3-r2": (["atomic", "--structure", "assets/chain3.struct",
+                          "--rank", "2"], 1),
+    "atomic-chain2-r1": (["atomic", "--structure", "assets/chain2.struct",
+                          "--rank", "1"], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_GOLDEN))
+@pytest.mark.parametrize("machine", [False, True])
+def test_finite_golden(capsys, monkeypatch, name, machine):
+    monkeypatch.chdir(os.path.join(ASSETS, ".."))
+    argv, exit_code = FINITE_GOLDEN[name]
+    code, out, err = run(capsys, *["--machine"] * machine, *argv)
+    assert (out, err) == (golden(f"{name}.{'json' if machine else 'txt'}"),
+                          "")
+    assert code == exit_code
+
+
 def test_ef_over_different_vocabularies_exits_2(capsys, tmp_path):
     paths = []
     for name, decl, rel in (("a", "rel R : S S", "rel R = { (x y) }"),

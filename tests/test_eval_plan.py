@@ -6,7 +6,8 @@ integers (with a name whose value is not a normal form), rationals and
 addition presentations, under both semantics and at fuels 1, 3 and 8, and
 over a two-sorted one whose blocks mix a whole range with a cut-off one.
 Also: plan reuse and release, the sort of a `tau` schema's hole, large
-Scott sentences, and the iterative walks in `syntax`."""
+Scott sentences, the pigeonhole cut on distinct block variables, and the
+iterative walks in `syntax`."""
 
 import gc
 import os
@@ -670,6 +671,66 @@ def test_scott_sentence_of_an_80_chain():
     small = scott_sentence_finite(_chain_structure(6))
     assert [eval_sentence(_chain_structure(n), small).value
             for n in (5, 6, 7)] == ["false", "true", "false"]
+
+
+# -- the pigeonhole cut
+
+
+def test_scott_sentence_of_an_80_chain_on_a_79_chain():
+    # 80 pairwise distinct variables do not fit in 79 elements: the block
+    # is false without the search, which takes exponential time
+    f = scott_sentence_finite(_chain_structure(80))
+    t0 = time.perf_counter()
+    assert eval_sentence(_chain_structure(79), f).value == "false"
+    assert time.perf_counter() - t0 < 1.0
+    small = scott_sentence_finite(_chain_structure(6))
+    for n in (1, 2, 5):
+        chain = _chain_structure(n)
+        assert reference_eval(chain, small, {}, 8, {}) is False
+        assert eval_sentence(chain, small).value == "false"
+
+
+def test_a_pigeonhole_over_a_range_cut_short_stays_unknown():
+    nat = PRESENTATIONS["omega-succ"]
+    f = parse_formula("exists x:N. exists y:N. exists z:N. "
+                      "(x != y & x != z & y != z & S(x) != z)", nat.vocab)
+    for fuel, fragment, value in ((2, False, "unknown"),
+                                  (2, True, "false"),
+                                  (3, False, "true"),
+                                  (3, True, "true")):
+        assert eval_sentence(nat, f, fuel, fragment=fragment).value == value
+        assert reference_eval(nat, f, {}, fuel, {}, fragment) is {
+            "true": True, "false": False, "unknown": None}[value]
+    # a sort whose whole range is shorter than the fuel is exhaustive
+    f = parse_formula("exists x:B. exists y:B. exists z:N. "
+                      "(x != y & z = z & S(z) = S(0))", MIXED.vocab)
+    assert eval_sentence(MIXED, f, 8).value == "unknown"  # N is cut short
+    assert reference_eval(MIXED, f, {}, 8, {}) is None
+    f = parse_formula("exists x:B. exists y:B. exists z:B. "
+                      "(x != y & z = z & z = b)", MIXED.vocab)
+    assert eval_sentence(MIXED, f, 8).value == "false"
+    assert reference_eval(MIXED, f, {}, 8, {}) is False
+
+
+def test_pigeonholes_match_reference_on_random_blocks():
+    # blocks of 3 or 4 variables of S whose leading run says some of them
+    # are pairwise distinct, over domains of 1 to 3 elements
+    rng = random.Random(7)
+    for _ in range(300):
+        s = _finite_structure(rng)
+        xs = [Var(f"x{i}", "S") for i in range(rng.randint(3, 4))]
+        pairs = [(a, b) for i, a in enumerate(xs) for b in xs[i + 1:]]
+        body = [Not(Eq(a, b)) for a, b in pairs if rng.random() < 0.8]
+        body.append(rng.choice([Atom("R", (xs[0], xs[-1])),
+                                Atom("P", (xs[1],)), Eq(xs[0], xs[0])]))
+        f = body[0]
+        for g in body[1:]:
+            f = And(f, g)
+        for x in reversed(xs):
+            f = Exists(x, f)
+        want = {True: "true", False: "false"}[reference_eval(s, f, {}, 8,
+                                                             {})]
+        assert eval_sentence(s, f).value == want, print_formula(f)
 
 
 def _negated(f, n):

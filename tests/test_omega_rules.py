@@ -1,18 +1,19 @@
 import itertools
+import os
 import random
 
 import pytest
 
 from omegalogic.cli import main
-from omegalogic import cli, omega_rules
+from omegalogic import cli
 from omegalogic.syntax import (
     App, Atom, BOT, Const, ConstantFamily, Eq, FamilyMember, Forall, Not,
-    SchemaConj, Var, parse_formula, parse_vocabulary, print_formula,
-    print_term, substitute,
+    SchemaConj, Var, parse_formula, parse_term, parse_vocabulary,
+    print_formula, print_term, substitute,
 )
 from omegalogic.structures import (
     EvalError, TruthAtFuel, Valuation, all_finite_structures, eval_sentence,
-    parse_structure,
+    load_structure, parse_structure,
 )
 from omegalogic.omega_rules import (
     EXTRA_DERIVATION_RULES, SCHEMA_NAMES, SchemaError, SoundnessVerdict, Step,
@@ -21,6 +22,8 @@ from omegalogic.omega_rules import (
     print_derivation, refute_extension, refutation_vocabulary,
 )
 
+
+ASSETS = os.path.join(os.path.dirname(__file__), "..", "assets")
 
 NAT = parse_vocabulary("sort N\nconst 0 : N\nfun S : N -> N\nrel F : N")
 
@@ -417,9 +420,12 @@ def test_malformed_steps_are_invalid_not_errors():
 # -- soundness spot-checks stop at the deciding fact
 
 def _eager_target_eval(target, f, fuel):
-    """`_target_eval` with every member of a valuation's schema family
+    """`eval_sentence` with bounded-fragment semantics on a structure;
+    on a valuation `_target_eval`, with every member of a schema family
     evaluated before any is tested."""
-    if hasattr(target, "kind") or not isinstance(f, SchemaConj):
+    if hasattr(target, "kind"):
+        return eval_sentence(target, f, fuel, fragment=True)
+    if not isinstance(f, SchemaConj):
         return _target_eval(target, f, fuel)
     vocab, sort = target.vocab, f.hole.sort
     if f.family != "tau":
@@ -507,6 +513,43 @@ def _partial_valuation(rng, insts):
         if (v := rng.choice(choice)) is not None})
 
 
+# the two presentations of the assets, with the literals and parameters
+# their random rule bodies are built from, and the premise family
+PRESENTATIONS = [
+    ("omega-succ.struct", ["x = 0", "S(x) = S(S(0))", "S(x) != x",
+                           "exists y:N. S(y) = x", "forall y:N. y != S(x)"],
+     ["0", "S(S(0))"], "tau"),
+    ("integers.struct", ["x < 0", "0 < x", "x = 0", "exists y:Z. y < x",
+                         "forall y:Z. (y < x | x < y | x = y)"],
+     ["0", "D_2", "D_5"], "D"),
+]
+
+
+def _presentation_instances(rng, s, literals, params, family, n_bodies=6):
+    """I_OMEGA and S_OMEGA over `family`, and the forall-eliminations,
+    existsI and eqE at `params`, for random bodies over `literals`."""
+    sort = s.vocab.sorts[0]
+    x = Var("x", sort)
+    terms = [parse_term(t, s.vocab) for t in params]
+
+    def body(depth=2):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(literals)
+        op = rng.choice(["~", "&", "|"])
+        if op == "~":
+            return f"~({body(depth - 1)})"
+        return f"({body(depth - 1)} {op} {body(depth - 1)})"
+
+    for _ in range(n_bodies):
+        f = parse_formula(body(), s.vocab, bound=[("x", sort)])
+        for schema in ("I_OMEGA", "S_OMEGA"):
+            yield instantiate_schema(s.vocab, schema, f, x, family=family)
+        for schema in ("I_FORALL_E", "forallE", "existsI"):
+            for t in terms:
+                yield instantiate_schema(s.vocab, schema, f, x, (t,), "tau")
+        yield instantiate_schema(s.vocab, "eqE", f, x, terms[:2])
+
+
 @pytest.mark.parametrize("seed", (1, 2))
 def test_lazy_soundness_matches_the_eager_reference(seed):
     insts = list(_pq_instances(seed))
@@ -522,6 +565,38 @@ def test_lazy_soundness_matches_the_eager_reference(seed):
                 inst.schema, print_formula(inst.conclusions[0]))
             statuses.add(got.status)
     assert statuses == {"sound", "unsound", "unknown"}
+    # presentations, at fuels that cut their ranges short and that do not
+    statuses = set()
+    for name, literals, params, family in PRESENTATIONS:
+        s = load_structure(os.path.join(ASSETS, name))
+        for inst in _presentation_instances(rng, s, literals, params,
+                                            family):
+            for fuel in (1, 2, 4, 8):
+                got = check_instance_sound(s, inst, fuel)
+                assert got == _eager_sound(s, inst, fuel), (
+                    name, fuel, inst.schema,
+                    print_formula(inst.conclusions[0]))
+                statuses.add(got.status)
+    assert statuses == {"sound", "unsound"}  # the fragment always decides
+
+
+@pytest.mark.parametrize("name,literals,params,family", PRESENTATIONS)
+def test_no_fuel_on_a_presentation_raises_as_eval_sentence(
+        name, literals, params, family):
+    s = load_structure(os.path.join(ASSETS, name))
+    x = Var("x", s.vocab.sorts[0])
+    body = parse_formula(literals[0], s.vocab, bound=[("x", x.sort)])
+    inst = instantiate_schema(s.vocab, "I_OMEGA", body, x, family=family)
+    with pytest.raises(EvalError) as want:
+        eval_sentence(s, inst.premise_family, 0, fragment=True)
+    for fuel in (0, -1):
+        with pytest.raises(EvalError) as got:
+            check_instance_sound(s, inst, fuel)
+        assert str(got.value) == str(want.value)
+    # an unquantified premise is read at fuel 0 and can decide the check
+    t = parse_term(params[-1], s.vocab)
+    inst = instantiate_schema(s.vocab, "eqE", body, x, (t, t))
+    assert check_instance_sound(s, inst, 0) == _eager_sound(s, inst, 0)
 
 
 def test_an_error_after_the_deciding_premise_does_not_surface():
@@ -550,6 +625,18 @@ class _CountingValuation(Valuation):
         return super().value(sentence)
 
 
+class _ReadLog(dict):
+    """A relation map that records each relation name looked up."""
+
+    def __init__(self, relations, log):
+        super().__init__(relations)
+        self.log = log
+
+    def __getitem__(self, name):
+        self.log.append(name)
+        return super().__getitem__(name)
+
+
 def test_nothing_is_evaluated_after_the_deciding_fact(monkeypatch):
     x, a, b = Var("x", "S"), Const("a", "S"), Const("b", "S")
     px, pa, pb = Atom("P", (x,)), Atom("P", (a,)), Atom("P", (b,))
@@ -568,18 +655,29 @@ def test_nothing_is_evaluated_after_the_deciding_fact(monkeypatch):
     v = _CountingValuation(PQ_VOCAB, {Eq(a, b): False, pa: True, pb: True})
     assert check_instance_sound(v, inst).status == "sound"
     assert v.read == [Eq(a, b)]
-    # on a structure: one evaluation where a != b
-    calls = []
-
-    def counting(s, f, *args, **kw):
-        calls.append(f)
-        return eval_sentence(s, f, *args, **kw)
-
-    monkeypatch.setattr(omega_rules, "eval_sentence", counting)
+    # on a structure where a != b: only the equation's two constants are
+    # read, and neither P(a) nor the conclusion P(b) looks P up
     m = next(s for s in PQ_STRUCTURES
              if s.constants["a"] != s.constants["b"])
+    read = []
+
+    def element_of(t, extra=None):
+        read.append(t)
+        return type(m).element_of(m, t, extra)
+
+    monkeypatch.setattr(m, "element_of", element_of)
+    monkeypatch.setattr(m, "relations", _ReadLog(m.relations, read))
     assert check_instance_sound(m, inst).status == "sound"
-    assert calls == [Eq(a, b)]
+    assert read == [a, b]
+    # where a = b and P(a) holds, everything is read, premises first
+    m = next(s for s in PQ_STRUCTURES
+             if s.constants["a"] == s.constants["b"]
+             and (s.constants["a"],) in s.relations["P"])
+    read = []
+    monkeypatch.setattr(m, "element_of", element_of)
+    monkeypatch.setattr(m, "relations", _ReadLog(m.relations, read))
+    assert check_instance_sound(m, inst).status == "sound"
+    assert read == [a, b, a, "P", b, "P"]
 
 
 def test_equal_evaluations_share_one_truth_value():

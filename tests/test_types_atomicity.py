@@ -1,5 +1,7 @@
 import itertools
 import os
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +13,7 @@ from omegalogic.structures import (
     EvalError, FiniteStructure, all_finite_structures, eval_sentence,
     is_isomorphic, load_structure, parse_structure,
 )
+from omegalogic import types_atomicity as ta
 from omegalogic.types_atomicity import (
     GenerativityVerdict, TypeDescriptor, canonical_formulas, complete_type,
     ef_equivalent,
@@ -148,6 +151,122 @@ def test_omega_succ_atomic_via_constant_terms():
 def test_family_generated_presentation_undecided():
     verdict = is_atomic(integers(), rank=1)
     assert verdict.status == "undecided"
+
+
+# -- one truth table per classification, against the loops it replaced
+
+
+def _reference_principal(t, probes, fuel=8, bound=12):
+    """`is_principal` as it was before the truth table: every check
+    evaluates afresh."""
+    evidence = []
+    for g in t.formulas:
+        counter = None
+        for probe in probes:
+            for tup in ta._probe_tuples(probe, t.arity, bound):
+                try:
+                    if not ta.holds_on_tuple(probe, g, tup, fuel):
+                        continue
+                    bad = next((m for m in t.formulas
+                                if not ta.holds_on_tuple(probe, m, tup,
+                                                         fuel)), None)
+                except EvalError:
+                    return replace(t, classification="undecided-at-rank")
+                if bad is not None:
+                    counter = (probe.name, tup, print_formula(g),
+                               print_formula(bad))
+                    break
+            if counter:
+                break
+        if counter is None:
+            return replace(t, classification="principal", generator=g)
+        evidence.append(counter)
+    return replace(t, classification="nonprincipal", evidence=tuple(evidence))
+
+
+def _reference_atomic(s, rank, fuel=8, max_arity=1):
+    """`is_atomic` on a finite structure as it was before the truth
+    table."""
+    for arity in range(1, max_arity + 1):
+        for tup in ta._probe_tuples(s, arity):
+            td = _reference_principal(complete_type(s, tup, rank, fuel), [s],
+                                      fuel)
+            if td.classification == "nonprincipal":
+                return ta.AtomicityVerdict("not-atomic-at-rank", rank,
+                                           evidence=td.evidence)
+            if td.classification != "principal":
+                return ta.AtomicityVerdict("undecided", rank)
+    return ta.AtomicityVerdict("atomic-at-rank", rank,
+                               reason="all tested types principal")
+
+
+def _reads(monkeypatch):
+    """Record each (structure, formula, tuple) that `holds_on_tuple` is
+    asked for, an error included."""
+    log, holds = [], ta.holds_on_tuple
+
+    def recording(s, f, tup, fuel=8):
+        log.append((s.name, f, tup))
+        return holds(s, f, tup, fuel)
+    monkeypatch.setattr(ta, "holds_on_tuple", recording)
+    return log
+
+
+def _first_reads(log):
+    return list(dict.fromkeys(log))
+
+
+def random_digraph(rng, n):
+    dom = [f"d{i}" for i in range(n)]
+    edges = {(a, b) for a in dom for b in dom if rng.random() < 0.4}
+    return FiniteStructure(DIGRAPH, {"S": dom}, {"R": edges},
+                           name=f"digraph{n}")
+
+
+DIGRAPH = parse_vocabulary("sort S\nrel R : S S")
+ATOMICITY_CASES = ([(chain(n), rank) for n in range(1, 7) for rank in (0, 1, 2)]
+                   + [(random_digraph(random.Random(seed), n), rank)
+                      for seed in range(6) for n in (2, 3, 4)
+                      for rank in (1, 2)])
+
+
+@pytest.mark.parametrize("s,rank", ATOMICITY_CASES,
+                         ids=lambda x: getattr(x, "name", x))
+def test_one_truth_table_matches_the_reference(monkeypatch, s, rank):
+    log = _reads(monkeypatch)
+    want = _reference_atomic(s, rank)
+    first, log[:] = _first_reads(log), []
+    assert is_atomic(s, rank) == want
+    # each pair is evaluated once, in the order the reference first reads it
+    assert log == first
+    for tup in ta._probe_tuples(s, 1):
+        t = complete_type(s, tup, rank)
+        want = _reference_principal(t, [s])
+        log[:] = []
+        got = is_principal(t, [s])
+        assert (got.classification, got.generator, got.evidence) == (
+            want.classification, want.generator, want.evidence)
+        assert len(log) == len(set(log))
+
+
+def test_a_presentation_probe_short_of_fuel_stays_undecided_as_before(
+        monkeypatch):
+    s = integers()
+    formulas = tuple(parse_formula(text, s.vocab, bound=[("v0", "Z")])
+                     for text in ("0 < v0", "exists x1:Z. (v0 < x1)",
+                                  "exists x1:Z. (x1 < v0)", "~(v0 = 0)"))
+    t = TypeDescriptor(1, 1, formulas)
+    log = _reads(monkeypatch)
+    classes = set()
+    for fuel in range(1, 16):
+        log[:] = []
+        want = _reference_principal(t, [s], fuel)
+        first, log[:] = _first_reads(log), []
+        got = is_principal(t, [s], fuel)
+        assert got == want, fuel
+        assert log == first, fuel  # the same pairs, up to the same error
+        classes.add(got.classification)
+    assert classes == {"undecided-at-rank", "principal"}
 
 
 # ---------------------------------------------------------------------------
