@@ -60,9 +60,9 @@ class RuleInstanceQ:
 
     # What `check_instance_sound` keeps on the instance, made on first use:
     # the premises then the conclusions as one `Sentences`, compiled once
-    # per kind of structure, with the number of premises; and its "sound"
-    # verdicts, one per (fuel, deciding fact).  Neither is a field, so
-    # neither enters equality.
+    # per kind of structure, with the number of premises; and its
+    # verdicts, one per (fuel, outcome).  Neither is a field, so neither
+    # enters equality.
 
     @functools.cached_property
     def _facts(self) -> tuple:
@@ -263,8 +263,8 @@ def check_instance_sound(target, inst: RuleInstanceQ,
     sort and premise family is listed once per check; each fact's value,
     and the error it raises, are those of `eval_sentence` with
     bounded-fragment semantics.  A valuation reads each fact by
-    `_target_eval`.  Each "sound" verdict is made once per instance, fuel
-    and deciding fact and shared, as verdicts are frozen."""
+    `_target_eval`.  Each verdict is made once per instance, fuel and
+    outcome, and shared, as verdicts are frozen (`_verdict`)."""
     facts, n = inst._facts
     if hasattr(target, "kind"):  # a structure
         values = eval_sentences(target, facts, fuel, fragment=True)
@@ -275,32 +275,39 @@ def check_instance_sound(target, inst: RuleInstanceQ,
         value = v.value
         if i < n:
             if value == "false":
-                return _sound(inst, fuel, i)
+                return _verdict(inst, fuel, i)
             all_as_unsound = all_as_unsound and value == "true"
         elif value == "true":
-            return _sound(inst, fuel, i)
+            return _verdict(inst, fuel, i)
         else:
             all_as_unsound = all_as_unsound and value == "false"
-    if not all_as_unsound:
-        return SoundnessVerdict("unknown", fuel)
-    premises = inst.all_premises
-    facts = [("premise true", p) for p in premises]
-    facts += [("conclusion false", c) for c in inst.conclusions]
-    if not inst.conclusions:
-        facts.append(("empty conclusion set is always false", None))
-    return SoundnessVerdict("unsound", fuel, tuple(facts))
+    return _verdict(inst, fuel, "unsound" if all_as_unsound else "unknown")
 
 
-def _sound(inst, fuel, i):
-    """The "sound" verdict decided by fact `i` of `inst._facts`: a false
-    premise, its fact, or a true conclusion, no fact; made once per
-    instance, fuel and fact."""
-    key = (fuel, i)
+def _verdict(inst, fuel, outcome):
+    """The verdict of `inst` at `fuel` for `outcome`, made once per
+    instance, fuel and outcome: for the index of the deciding fact in
+    `inst._facts`, "sound", with the premise if it is a false premise and
+    no fact for a true conclusion; "unknown", with no fact; or "unsound",
+    with every premise and conclusion."""
+    key = (fuel, outcome)
     verdict = inst._verdicts.get(key)
     if verdict is None:
         sentences, n = inst._facts
-        facts = (("premise false", sentences.formulas[i]),) if i < n else ()
-        verdict = inst._verdicts[key] = SoundnessVerdict("sound", fuel, facts)
+        premises, conclusions = sentences.formulas[:n], sentences.formulas[n:]
+        if outcome == "unknown":
+            verdict = SoundnessVerdict("unknown", fuel)
+        elif outcome == "unsound":
+            facts = [("premise true", p) for p in premises]
+            facts += [("conclusion false", c) for c in conclusions]
+            if not conclusions:
+                facts.append(("empty conclusion set is always false", None))
+            verdict = SoundnessVerdict("unsound", fuel, tuple(facts))
+        else:
+            facts = ((("premise false", premises[outcome]),)
+                     if outcome < n else ())
+            verdict = SoundnessVerdict("sound", fuel, facts)
+        inst._verdicts[key] = verdict
     return verdict
 
 

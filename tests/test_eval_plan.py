@@ -615,6 +615,31 @@ def test_plan_is_reused_and_released():
     assert gone() is None and code.fn is not None
 
 
+def test_sentences_share_one_frame_and_read_lazily(monkeypatch):
+    # two sentences over N list N's range once, where two eval_sentence
+    # calls list it twice; nothing is read before it is asked for
+    nat = _presentation("omega-succ.struct")
+    listed = []
+    enumerate_elements = type(nat).enumerate_elements
+
+    def counting(self, limit, sort=None):
+        listed.append(sort)
+        return enumerate_elements(self, limit, sort)
+
+    monkeypatch.setattr(type(nat), "enumerate_elements", counting)
+    fs = evaluation.Sentences([parse_formula(text, nat.vocab) for text in (
+        "exists x:N. x = S(0)", "forall x:N. S(x) != x")])
+    values = evaluation.eval_sentences(nat, fs, 3, fragment=True)
+    assert listed == []
+    assert [v.value for v in values] == ["true", "true"]
+    assert listed == ["N"]
+    for f in fs.formulas:
+        eval_sentence(nat, f, 3, fragment=True)
+    assert listed == ["N", "N", "N"]
+    # a plan per kind, compiled once
+    assert fs.plan("term-generated") is fs.plan("term-generated")
+
+
 # -- the sort of a schema hole over tau
 
 
