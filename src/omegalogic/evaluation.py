@@ -111,14 +111,15 @@ class Sentences:
 
 
 def eval_sentences(s, fs: Sentences, fuel: int = 8, fragment=False):
-    """The truth of each sentence of `fs` in `s`, in order, as
-    `eval_sentence` gives it (errors too): a generator that evaluates a
-    sentence only when its value is asked for.  The sentences run one
-    plan (`Sentences.plan`) in one evaluation frame, so each quantified
-    sort and schema family is listed once for all of them, and on a
+    """The truth of each sentence of `fs` in `s`, in order: True, False or
+    None for unknown, the value of `eval_sentence`'s `TruthAtFuel` at
+    `fuel`, and the same errors.  A generator, it evaluates a sentence
+    only when its value is asked for.  The sentences run one plan
+    (`Sentences.plan`) in one evaluation frame, so each quantified sort
+    and schema family is listed once for all of them, and on a
     presentation a relation's decider and a ground term's element are
     found once for all of them."""
-    width, memo, parts = fs.plan(s.kind)
+    width, memo, parts = fs.plans.get(s.kind) or fs.plan(s.kind)
     c, slots = _Call(s, fuel, {}, fragment, memo), [None] * width
     no_fuel = fuel <= 0 and memo is not None  # on a presentation
     for fn, free, quantified in parts:
@@ -126,7 +127,7 @@ def eval_sentences(s, fs: Sentences, fuel: int = 8, fragment=False):
             raise KeyError(free[0])
         if quantified and no_fuel:
             raise EvalError(_NO_FUEL)
-        yield _tv(fn(c, slots), fuel)
+        yield fn(c, slots)
 
 
 def _eval(s, f, env, fuel, extra, fragment=False):

@@ -241,6 +241,10 @@ def _target_eval(target, f, fuel):
     return TruthAtFuel("true" if v else "false", fuel)
 
 
+# a valuation's `TruthAtFuel` values as the truth values of `eval_sentences`
+_TRUTH = {"true": True, "false": False, "unknown": None}
+
+
 def check_instance_sound(target, inst: RuleInstanceQ,
                          fuel: int = 8) -> SoundnessVerdict:
     """Spot-check one rule instance on `target`, a structure or a valuation.
@@ -269,18 +273,18 @@ def check_instance_sound(target, inst: RuleInstanceQ,
     if hasattr(target, "kind"):  # a structure
         values = eval_sentences(target, facts, fuel, fragment=True)
     else:
-        values = (_target_eval(target, f, fuel) for f in facts.formulas)
+        values = (_TRUTH[_target_eval(target, f, fuel).value]
+                  for f in facts.formulas)
     all_as_unsound = True
     for i, v in enumerate(values):
-        value = v.value
         if i < n:
-            if value == "false":
+            if v is False:
                 return _verdict(inst, fuel, i)
-            all_as_unsound = all_as_unsound and value == "true"
-        elif value == "true":
+            all_as_unsound = all_as_unsound and v is True
+        elif v is True:
             return _verdict(inst, fuel, i)
         else:
-            all_as_unsound = all_as_unsound and value == "false"
+            all_as_unsound = all_as_unsound and v is False
     return _verdict(inst, fuel, "unsound" if all_as_unsound else "unknown")
 
 

@@ -631,7 +631,7 @@ def test_sentences_share_one_frame_and_read_lazily(monkeypatch):
         "exists x:N. x = S(0)", "forall x:N. S(x) != x")])
     values = evaluation.eval_sentences(nat, fs, 3, fragment=True)
     assert listed == []
-    assert [v.value for v in values] == ["true", "true"]
+    assert list(values) == [True, True]
     assert listed == ["N"]
     for f in fs.formulas:
         eval_sentence(nat, f, 3, fragment=True)
