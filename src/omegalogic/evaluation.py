@@ -40,10 +40,6 @@ def _tv(b, fuel=0):
                        fuel)
 
 
-_NO_FUEL = ("fuel must be positive for quantified sentences over a "
-            "term-generated presentation")
-
-
 def eval_sentence(s, f: Formula, fuel: int = 8, extra_names=None,
                   fragment=False) -> TruthAtFuel:
     """Three-valued truth of the sentence `f` in structure `s`.
@@ -77,111 +73,119 @@ def eval_sentence(s, f: Formula, fuel: int = 8, extra_names=None,
     errors are those of plain order.
     """
     code = _compiled(f, s.kind)
-    if s.kind == "term-generated" and fuel <= 0 and code.quantified:
-        raise EvalError(_NO_FUEL)
-    return _tv(code.run(s, {}, fuel, extra_names or {}, fragment), fuel)
+    c = _Call(s, fuel, extra_names or {}, fragment, code)
+    return _tv(code.sentences[0](c, c.slots), fuel)
 
 
 class Sentences:
-    """Sentences read in turn on one structure, as `eval_sentences` reads
-    them: compiled together into one plan per kind of structure, on first
-    use, and kept here, so that a caller holding this object compiles
-    them once."""
+    """Sentences that `eval_sentences` reads in turn: they compile together
+    into one plan per kind of structure, on first use, kept here as a
+    formula node keeps its own."""
 
-    __slots__ = ("formulas", "plans")
+    __slots__ = ("formulas", "_plans")
 
     def __init__(self, formulas):
         self.formulas = tuple(formulas)
-        self.plans = {}  # kind -> (width, memo, parts)
-
-    def plan(self, kind):
-        """One `_Compiler` pass over every sentence: the slot count and
-        memo size they share, and per sentence its closure, its free
-        variable names and whether it quantifies."""
-        p = self.plans.get(kind)
-        if p is None:
-            comp, parts = _Compiler(kind), []
-            for f in self.formulas:
-                comp.free, comp.quantified = {}, False
-                fn = comp.formula(f, {})
-                parts.append((fn, tuple(comp.free), comp.quantified))
-            p = self.plans[kind] = (comp.width, None if comp.finite
-                                    else len(comp.memo), tuple(parts))
-        return p
+        self._plans = {}
 
 
 def eval_sentences(s, fs: Sentences, fuel: int = 8, fragment=False):
     """The truth of each sentence of `fs` in `s`, in order: True, False or
     None for unknown, the value of `eval_sentence`'s `TruthAtFuel` at
     `fuel`, and the same errors.  A generator, it evaluates a sentence
-    only when its value is asked for.  The sentences run one plan
-    (`Sentences.plan`) in one evaluation frame, so each quantified sort
-    and schema family is listed once for all of them, and on a
-    presentation a relation's decider and a ground term's element are
-    found once for all of them."""
-    width, memo, parts = fs.plans.get(s.kind) or fs.plan(s.kind)
-    c, slots = _Call(s, fuel, {}, fragment, memo), [None] * width
-    no_fuel = fuel <= 0 and memo is not None  # on a presentation
-    for fn, free, quantified in parts:
-        if free:  # as `_Code.run` reads a free variable from `{}`
-            raise KeyError(free[0])
-        if quantified and no_fuel:
-            raise EvalError(_NO_FUEL)
-        yield fn(c, slots)
+    only when its value is asked for.  The sentences run one plan in one
+    evaluation frame, so each quantified sort and schema family is listed
+    once for all of them, and on a presentation a relation's decider and a
+    ground term's element are found once for all of them."""
+    code = _compiled(fs, s.kind)
+    c = _Call(s, fuel, {}, fragment, code)
+    slots = c.slots
+    for read in code.sentences:
+        yield read(c, slots)
 
 
 def _eval(s, f, env, fuel, extra, fragment=False):
     """Truth of `f` in `s` (True, False or None for unknown) with its free
     variables read from `env`, a map from names to elements, which must
     bind every one of them; the rest as in `eval_sentence`."""
-    return _compiled(f, s.kind).run(s, env, fuel, extra, fragment)
+    code = _compiled(f, s.kind)
+    c = _Call(s, fuel, extra, fragment, code)
+    slots = c.slots
+    (free,) = code.free
+    if code.memo is None:
+        for name, i in free:
+            slots[i] = env[name]
+    else:  # a presentation's elements are normal forms
+        for name, i in free:
+            slots[i] = s.normalize(env[name])
+    return code.fns[0](c, slots)
 
 
-def _compiled(f, kind):
-    """The plan of `f` for structures of `kind`, compiled on first use and
-    kept on the node, which it holds no reference to."""
+def _compiled(owner, kind):
+    """The plan of `owner`, a formula or `Sentences`, for structures of
+    `kind`, compiled on first use and kept on the owner, which it holds no
+    reference to."""
     try:
-        return f._plans[kind]
-    except AttributeError:  # the node's first plan
-        object.__setattr__(f, "_plans", {})
+        return owner._plans[kind]
+    except AttributeError:  # a node's first plan
+        object.__setattr__(owner, "_plans", {})
     except KeyError:
         pass
-    code = f._plans[kind] = _Compiler(kind).compile(f)
+    formulas = (owner.formulas if type(owner) is Sentences else (owner,))
+    code = owner._plans[kind] = _Compiler(kind).compile(formulas)
     return code
 
 
 class _Code:
-    """A compiled formula: `fn(call, slots)` gives its truth value, with
-    each variable in a slot of the list `slots`; `free` names the slots
-    that the caller's environment fills, normalized on a presentation;
-    `memo` counts what a call on a presentation keeps once found
-    (`_Call.memo`), and is None on a finite structure."""
+    """Compiled formulas: per formula, the closure `fn(call, slots)` that
+    gives its truth value (`fns`), with each variable in a slot of the
+    list `slots`, and the (name, slot) pairs of the variables that the
+    caller's environment fills (`free`), normalized on a presentation;
+    `sentences` reads each formula as a sentence (`_sentence`).  The
+    formulas share `width` slots.  `memo` counts what a call on a
+    presentation keeps once found (`_Call.memo`), and is None on a finite
+    structure."""
 
-    __slots__ = ("fn", "free", "width", "quantified", "memo")
+    __slots__ = ("fns", "free", "sentences", "width", "memo")
 
-    def __init__(self, fn, free, width, quantified, memo):
-        self.fn, self.free = fn, free
-        self.width, self.quantified, self.memo = width, quantified, memo
+    def __init__(self, fns, free, sentences, width, memo):
+        self.fns, self.free, self.sentences = fns, free, sentences
+        self.width, self.memo = width, memo
 
-    def run(self, s, env, fuel, extra, fragment):
-        slots = [None] * self.width
-        normal = self.memo is not None  # a presentation
-        for name, i in self.free:
-            slots[i] = s.normalize(env[name]) if normal else env[name]
-        return self.fn(_Call(s, fuel, extra, fragment, self.memo), slots)
+
+def _sentence(fn, free, quantified, finite):
+    """The closure that reads the formula of `fn` as a sentence: a free
+    variable raises `KeyError`, as reading it from an empty environment,
+    and on a presentation a quantified sentence raises `EvalError` at fuel
+    <= 0, before anything else."""
+    if free:  # read from the empty environment of a sentence
+        name = free[0][0]
+        fn = lambda c, e: {}[name]
+    if quantified and not finite:
+        body = fn
+
+        def fn(c, e):
+            if c.fuel <= 0:
+                raise EvalError("fuel must be positive for quantified "
+                                "sentences over a term-generated "
+                                "presentation")
+            return body(c, e)
+    return fn
 
 
 class _Call:
-    """What one evaluation call shares: the structure, its bounds, and the
-    relation tests, ground elements, ranges and block placements worked
-    out so far.  Nothing here outlives the call, so no value depends on an
-    earlier one."""
+    """What one evaluation call of a plan (`_Code`) shares: the structure,
+    its bounds, the variable slots, and the relation tests, ground
+    elements, ranges and block placements worked out so far.  Nothing here
+    outlives the call, so no value depends on an earlier one."""
 
-    __slots__ = ("s", "fuel", "extra", "fragment", "rels", "memo", "ranges",
-                 "blocks")
+    __slots__ = ("s", "fuel", "extra", "fragment", "slots", "rels", "memo",
+                 "ranges", "blocks")
 
-    def __init__(self, s, fuel, extra, fragment, memo):
+    def __init__(self, s, fuel, extra, fragment, code):
         self.s, self.fuel, self.extra, self.fragment = s, fuel, extra, fragment
+        self.slots = [None] * code.width
+        memo = code.memo
         if memo is None:  # a finite structure
             self.rels = s.relations  # extents
         else:
@@ -278,15 +282,22 @@ class _Compiler:
 
     def __init__(self, kind):
         self.finite = kind == "finite"
-        self.free = {}  # free variable name -> slot
+        self.free = {}  # free variable name -> slot, per formula
         self.width = 0
-        self.quantified = False
+        self.quantified = False  # per formula
         self.memo = {}  # relation name or ground term -> slot in `_Call.memo`
 
-    def compile(self, f):
-        fn = self.formula(f, {})
-        return _Code(fn, tuple(self.free.items()), self.width,
-                     self.quantified, None if self.finite else len(self.memo))
+    def compile(self, formulas):
+        """One `_Code` for `formulas`, whose slots and memo they share."""
+        fns, free, sentences = [], [], []
+        for f in formulas:
+            self.free, self.quantified = {}, False
+            fns.append(self.formula(f, {}))
+            free.append(tuple(self.free.items()))
+            sentences.append(_sentence(fns[-1], free[-1], self.quantified,
+                                       self.finite))
+        return _Code(tuple(fns), tuple(free), tuple(sentences), self.width,
+                     None if self.finite else len(self.memo))
 
     def new_slot(self):
         self.width += 1
@@ -549,9 +560,6 @@ class _Compiler:
 def _tuple_of(args):
     """The closure giving the tuple of the values of the closures `args`,
     left to right."""
-    if len(args) == 1:
-        (a,) = args
-        return lambda c, e: (a(c, e),)
     if len(args) == 2:
         a, b = args
         return lambda c, e: (a(c, e), b(c, e))
@@ -605,19 +613,6 @@ def _early_check(g, scope, level_of, finite):
 
 
 def _conjunction(parts):
-    if len(parts) == 2:  # the commonest chain, without the loop
-        a, b = parts
-
-        def conjunction2(c, e):
-            v = a(c, e)
-            if v is False:
-                return False
-            w = b(c, e)
-            if w is False:
-                return False
-            return True if v and w else None
-        return conjunction2
-
     def conjunction(c, e):
         unknown = False
         for p in parts:
@@ -631,19 +626,6 @@ def _conjunction(parts):
 
 
 def _disjunction(parts):
-    if len(parts) == 2:
-        a, b = parts
-
-        def disjunction2(c, e):
-            v = a(c, e)
-            if v is True:
-                return True
-            w = b(c, e)
-            if w is True:
-                return True
-            return False if v is False and w is False else None
-        return disjunction2
-
     def disjunction(c, e):
         unknown = False
         for p in parts:

@@ -105,15 +105,10 @@ def canonical_formulas(vocab, arity, rank):
     return pools[arity, rank]
 
 
-@functools.cache
-def _variables(n):
-    """v0 .. v{n-1}, the free variables of a type over n-tuples."""
-    return tuple(f"v{i}" for i in range(n))
-
-
 def holds_on_tuple(s, f, tup, fuel=8):
     """Truth of f(v0..v_{n-1}) at the tuple; raises on insufficient fuel."""
-    v = _eval(s, f, dict(zip(_variables(len(tup)), tup)), fuel, {})
+    env = {f"v{i}": e for i, e in enumerate(tup)}
+    v = _eval(s, f, env, fuel, {})
     if v is None:
         raise EvalError(
             f"fuel {fuel} insufficient to decide {print_formula(f)}")

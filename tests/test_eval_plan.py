@@ -612,7 +612,7 @@ def test_plan_is_reused_and_released():
     gone = weakref.ref(f)
     del f
     gc.collect()
-    assert gone() is None and code.fn is not None
+    assert gone() is None and code.fns
 
 
 def test_sentences_share_one_frame_and_read_lazily(monkeypatch):
@@ -636,8 +636,31 @@ def test_sentences_share_one_frame_and_read_lazily(monkeypatch):
     for f in fs.formulas:
         eval_sentence(nat, f, 3, fragment=True)
     assert listed == ["N", "N", "N"]
-    # a plan per kind, compiled once
-    assert fs.plan("term-generated") is fs.plan("term-generated")
+    # a plan per kind, compiled once and kept on the sentences
+    code = fs._plans["term-generated"]
+    assert list(evaluation.eval_sentences(nat, fs, 3, fragment=True)) == [
+        True, True]
+    assert fs._plans == {"term-generated": code}
+
+
+def test_a_sentence_with_a_free_variable_raises_at_its_turn():
+    # as reading the variable from an empty environment; the sentences
+    # before it are read first, and on a presentation at fuel 0 a
+    # quantified one raises the fuel error before the free variable's
+    s = _finite_structure(random.Random(2))
+    x = Var("x", "S")
+    free = Exists(Var("y", "S"), Eq(x, Var("y", "S")))
+    assert _outcome(lambda: eval_sentence(s, free)) is KeyError
+    closed = parse_formula("exists y:S. y = y", FINITE)
+    values = evaluation.eval_sentences(s, evaluation.Sentences([closed,
+                                                                free]))
+    assert next(values) is True
+    assert _outcome(lambda: next(values)) is KeyError
+    nat = _presentation("omega-succ.struct")
+    n = Var("n", "N")
+    f = Exists(Var("m", "N"), Eq(n, Var("m", "N")))
+    for fuel, error in ((0, EvalError), (3, KeyError)):
+        assert _outcome(lambda: eval_sentence(nat, f, fuel)) is error
 
 
 # -- the sort of a schema hole over tau
