@@ -10,6 +10,7 @@ names too.
 import functools
 import itertools
 from dataclasses import dataclass
+from math import inf
 from typing import Optional
 
 from .syntax import (
@@ -65,12 +66,25 @@ def eval_sentence(s, f: Formula, fuel: int = 8, extra_names=None,
     every relation and constant the run names; otherwise every conjunct is
     checked once every block variable is bound (plain order). A false
     early conjunct rejects every extension of the bound values at once.
-    When that run says that k variables of one sort are pairwise distinct
-    and the sort has fewer than k values, the block is false without a
-    search, since every binding fails a `!=` of the run (on a finite
-    structure, or on a presentation without `fragment=True`, whose ranges
-    the exhaustiveness test has listed already).  Verdicts and raised
-    errors are those of plain order.
+    On that path three counts may make the block false without binding
+    anything, each read once per call (on a finite structure, or on a
+    presentation without `fragment=True`, whose ranges the exhaustiveness
+    test has listed already):
+    - the run says that k variables of one sort are pairwise distinct and
+      the sort has fewer than k values (pigeonhole);
+    - a closure `forall z:S. (z = x1 | ... | z = xk)` over block
+      variables of a sort of the block, directly after the run or after
+      other such closures, and S has more than k values;
+    - on a finite structure, the run makes n variables of sort S
+      pairwise distinct, |S| = n, and for some relation it holds one
+      literal for each of the n**k tuples of those variables, while the
+      relation's extent has another number of tuples inside S**k than
+      there are positive literals among them.
+    Each leaves every binding failing a conjunct of the run or such a
+    closure, which cannot raise.  So the Scott sentence of a structure
+    without functions is false at once on one with more elements of some
+    sort, and on one of the same size whose relation has other counts.
+    Verdicts and raised errors are those of plain order.
     """
     code = _compiled(f, s.kind)
     c = _Call(s, fuel, extra_names or {}, fragment, code)
@@ -251,7 +265,7 @@ class _Call:
         `names` early: every range is the whole sort and, on a finite
         structure, every sort exists and every name is interpreted."""
         if self.rels is not None:
-            return (all(sort in self.s.domains for sort in sorts)
+            return (all(map(self.s.domains.__contains__, sorts))
                     and all(map(self.interprets, names)))
         return self.fragment or all(self.sort_range(sort)[1]
                                     for sort in sorts)
@@ -438,7 +452,8 @@ class _Compiler:
     def block(self, f, scope):
         """A run of quantifiers of one kind, `Q x1 ... Q xn. body`, whose
         body's conjuncts the loop checks all at the last level in plain
-        order, or else at the levels of `placement`."""
+        order, or else at the levels of `placement`, where its static cuts
+        may make the block false before anything is bound."""
         self.quantified = True
         kind, sorts, slots = type(f), [], []
         while type(f) is kind:
@@ -452,26 +467,31 @@ class _Compiler:
         plain = [()] * (len(slots) - 1) + [tuple(parts)]
         level = self.loop(_Call.sort_range, sorts, slots, want)
         early = None
-        if want and len(slots) > 1 and len(parts) > 1:  # else not worth it
-            early, names, holes = self.placement(conjuncts, parts, scope,
-                                                 slots, sorts)
+        if want:
+            early, names, cuts = self.placement(conjuncts, parts, scope,
+                                                slots, sorts)
         if early is None:
             return lambda c, e: level(c, e, 0, False, plain)
 
         distinct = tuple(dict.fromkeys(sorts))
 
         def block(c, e):
-            # the checks, or () when the pigeonhole cut makes it false
+            # the checks, or () when a cut makes it false
             checks = c.blocks.get(block)
             if checks is None:
                 checks = plain
                 if c.exhaustive(distinct, names):
                     checks = early
-                    # the cut reads a finite domain, or a presentation's
+                    # the cuts read a finite domain, or a presentation's
                     # range that `exhaustive` has listed already
                     listed = c.rels is not None or not c.fragment
-                    for sort, k in holes if listed else ():
-                        if len(c.sort_range(sort)[0]) < k:
+                    for sort, apart, cover, diagrams in cuts if listed else ():
+                        values = c.sort_range(sort)[0]
+                        n = len(values)
+                        if (n < apart
+                                or n > cover and len(set(values)) > cover
+                                or n == apart and diagrams
+                                and _miscounted(c.rels, values, diagrams)):
                             checks = ()
                             break
                 c.blocks[block] = checks
@@ -528,14 +548,17 @@ class _Compiler:
         """The checks at each level of an existential block when its
         leading run of conjuncts that cannot raise (`_early_check`) moves,
         each to the level binding the last block variable it mentions; the
-        relation and ground names that run uses; and its pigeonholes
-        (`_pigeonholes`), a pair (sort, k) per sort of which the run says
-        that k >= 2 block variables are pairwise distinct: when the sort
-        has fewer than k values, every binding fails one of those `!=`
-        before any later conjunct is read, so the block is false.  No
-        checks (None) when no conjunct moves above the last level."""
+        relation and ground names that run uses; and the block's static
+        cuts (`_cuts`), read from that run and the closures
+        `forall z:S. (z = x1 | ... | z = xk)` over block variables that
+        directly follow it (`_cover`).  Each cut makes every binding fail
+        a conjunct of the run or one of those closures, none of which can
+        raise, so the block is false before plain order would read any
+        later conjunct.  No checks (None) when no conjunct moves above the
+        last level and there is no cut."""
         level_of = {slot: i for i, slot in enumerate(slots)}
-        checks, names, moved, apart = [[] for _ in slots], set(), 0, set()
+        checks, names, moved = [[] for _ in slots], set(), 0
+        apart, literals, covers = set(), [], {}
         for g, part in zip(conjuncts, parts):
             found = _early_check(g, scope, level_of, self.finite)
             if found is None:
@@ -543,18 +566,28 @@ class _Compiler:
             checks[found[0]].append(part)
             names |= found[1]
             moved += 1
-            if (type(g) is Not and type(g.body) is Eq
-                    and type(g.body.left) is Var
-                    and type(g.body.right) is Var):
-                pair = {level_of.get(scope.get(t.name))
-                        for t in (g.body.left, g.body.right)}
-                if None not in pair and len(pair) == 2:
+            positive = type(g) is not Not
+            if not positive:
+                g = g.body
+            if type(g) is Eq and not positive:
+                pair = _levels((g.left, g.right), scope, level_of)
+                if pair is not None and pair[0] != pair[1]:
                     apart.add(frozenset(pair))
+            elif type(g) is Atom:  # in the run on a finite structure only
+                args = _levels(g.args, scope, level_of)
+                if args:
+                    literals.append((g.rel, args, positive))
+        for g in conjuncts[moved:]:
+            cover = _cover(g, scope, level_of, sorts)
+            if cover is None:
+                break
+            sort, k = cover
+            covers[sort] = min(k, covers.get(sort, k))
         checks[-1] += parts[moved:]
-        if len(checks[-1]) == len(parts):
+        cuts = _cuts(sorts, apart, literals, covers)
+        if len(checks[-1]) == len(parts) and not cuts:
             return None, None, None
-        return ([tuple(here) for here in checks], names,
-                _pigeonholes(apart, sorts))
+        return [tuple(here) for here in checks], names, cuts
 
 
 def _tuple_of(args):
@@ -566,20 +599,91 @@ def _tuple_of(args):
     return lambda c, e: tuple([a(c, e) for a in args])
 
 
-def _pigeonholes(apart, sorts):
-    """(sort, k) per sort whose block levels include k >= 2 that are
-    pairwise in `apart`, a set of level pairs: a clique grown greedily in
-    level order, which for the distinctness run of a Scott sentence is
-    every variable of the sort."""
-    holes = []
+def _levels(terms, scope, level_of):
+    """The block levels of `terms` when each is a variable of the block,
+    else None."""
+    levels = tuple(level_of.get(scope.get(t.name)) if type(t) is Var
+                   else None for t in terms)
+    return None if None in levels else levels
+
+
+def _cover(g, scope, level_of, sorts):
+    """For a closure `forall z:S. (z = x1 | ... | z = xk)`, each `xi` a
+    block variable and S a sort of the block, the pair (S, k) with k the
+    number of distinct block levels named: when S has more than k values,
+    some z differs from every xi on every binding, so the closure is
+    false.  None for any other conjunct."""
+    if type(g) is not Forall or g.var.sort not in sorts:
+        return None
+    z, levels = g.var.name, set()
+    for d in juncts(g.body, Or):
+        if type(d) is not Eq or (type(d.left), type(d.right)) != (Var, Var):
+            return None
+        x = d.right if d.left.name == z else d.left
+        if x.name == z or z not in (d.left.name, d.right.name):
+            return None
+        level = level_of.get(scope.get(x.name))
+        if level is None:
+            return None
+        levels.add(level)
+    return g.var.sort, len(levels)
+
+
+def _cuts(sorts, apart, literals, covers):
+    """The static cuts of an existential block: one (sort, apart, cover,
+    diagrams) per sort that has one.  The block is false when the sort has
+    n values and
+    - n < apart (pigeonhole): the run says that `apart` variables of the
+      sort are pairwise distinct, a clique of `apart` (a set of level
+      pairs) grown greedily in level order, which for a Scott sentence is
+      every variable of the sort; every binding fails one of those `!=`;
+    - n > cover (closure), counting distinct values: a closure over the
+      sort names only `cover` block variables (`covers`), so on every
+      binding some value differs from all of them;
+    - n == apart and `_miscounted`: every binding that passes the run's
+      `!=` is then a bijection from the clique onto the sort, which
+      carries a relation's positive literals in the run onto the extent's
+      tuples inside the sort exactly when all its literals hold, so the
+      two counts must agree.
+    `literals` are the run's all-variable literals (rel, levels, positive);
+    `diagrams` holds (rel, k, positives), k >= 1, for each relation of
+    which they hold one literal, of one sign, for each of the apart**k
+    tuples of the clique's levels."""
+    cuts = []
     for sort in dict.fromkeys(sorts):
         clique = []
         for i, s in enumerate(sorts):
             if s == sort and all(frozenset((i, j)) in apart for j in clique):
                 clique.append(i)
-        if len(clique) > 1:
-            holes.append((sort, len(clique)))
-    return tuple(holes)
+        inside, found = set(clique), {}
+        for rel, levels, positive in literals:
+            if inside.issuperset(levels):
+                signs = found.setdefault((rel, len(levels)), (set(), set()))
+                signs[not positive].add(levels)
+        diagrams = tuple((rel, k, len(pos))
+                         for (rel, k), (pos, neg) in found.items()
+                         if not pos & neg
+                         and len(pos | neg) == len(clique) ** k)
+        cover = covers.get(sort, inf)
+        if len(clique) > 1 or diagrams or cover < inf:
+            cuts.append((sort, len(clique), cover, diagrams))
+    return tuple(cuts)
+
+
+def _miscounted(rels, values, diagrams):
+    """Whether some full diagram (rel, k, positives) of `_cuts` counts
+    another number of positive literals than `rel`'s extent, in `rels`,
+    has tuples inside `values`**k: only those, since an extent may name a
+    non-element or an element of another sort."""
+    inside = set(values)
+    for rel, k, positives in diagrams:
+        count = 0
+        for t in rels[rel]:
+            if len(t) == k and inside.issuperset(t):
+                count += 1
+        if count != positives:
+            return True
+    return False
 
 
 def _early_check(g, scope, level_of, finite):

@@ -27,6 +27,17 @@ def golden(name):
         return fh.read()
 
 
+def check_golden(capsys, monkeypatch, name, machine, argv, exit_code):
+    """`argv`, run from the repository root with `--machine` or not, prints
+    the golden file `name` (`.json` or `.txt`), nothing on standard error,
+    and exits with `exit_code`."""
+    monkeypatch.chdir(os.path.join(ASSETS, ".."))
+    code, out, err = run(capsys, *["--machine"] * machine, *argv)
+    assert (out, err) == (golden(f"{name}.{'json' if machine else 'txt'}"),
+                          "")
+    assert code == exit_code
+
+
 def test_prop_admissible_happy_path(capsys):
     code, out, _ = run(capsys, "prop-admissible", "--atoms", "p",
                        "--depth", "1", "--rules", "&I,&E1,&E2")
@@ -220,12 +231,8 @@ PRESENTATION_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(PRESENTATION_GOLDEN))
 @pytest.mark.parametrize("machine", [False, True])
 def test_presentation_golden(capsys, monkeypatch, name, machine):
-    monkeypatch.chdir(os.path.join(ASSETS, ".."))
-    code, out, err = run(capsys, *["--machine"] * machine,
-                         *PRESENTATION_GOLDEN[name])
-    assert (out, err) == (golden(f"{name}.{'json' if machine else 'txt'}"),
-                          "")
-    assert code == 0
+    check_golden(capsys, monkeypatch, name, machine, PRESENTATION_GOLDEN[name],
+                 0)
 
 
 # the finite-side README commands, run from the repository root; written by
@@ -249,12 +256,25 @@ FINITE_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(FINITE_GOLDEN))
 @pytest.mark.parametrize("machine", [False, True])
 def test_finite_golden(capsys, monkeypatch, name, machine):
-    monkeypatch.chdir(os.path.join(ASSETS, ".."))
-    argv, exit_code = FINITE_GOLDEN[name]
-    code, out, err = run(capsys, *["--machine"] * machine, *argv)
-    assert (out, err) == (golden(f"{name}.{'json' if machine else 'txt'}"),
-                          "")
-    assert code == exit_code
+    check_golden(capsys, monkeypatch, name, machine, *FINITE_GOLDEN[name])
+
+
+# the last README commands to be pinned, run from the repository root,
+# morley-code to standard output as README_COMMANDS runs it; written by
+# the tree before Scott checks counted
+PROP_MORLEY_GOLDEN = {
+    "prop-table-or": ["prop-table", "--connective", "|", "--atoms", "p,q",
+                      "--rules", "vI1,vI2,vE"],
+    "morley-code-z-order": ["morley-code", "assets/morley/z-order.chg"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROP_MORLEY_GOLDEN))
+@pytest.mark.parametrize("machine", [False, True])
+def test_prop_table_and_morley_code_golden(capsys, monkeypatch, name,
+                                           machine):
+    check_golden(capsys, monkeypatch, name, machine, PROP_MORLEY_GOLDEN[name],
+                 0)
 
 
 def test_ef_over_different_vocabularies_exits_2(capsys, tmp_path):

@@ -6,10 +6,12 @@ integers (with a name whose value is not a normal form), rationals and
 addition presentations, under both semantics and at fuels 1, 3 and 8, and
 over a two-sorted one whose blocks mix a whole range with a cut-off one.
 Also: plan reuse and release, the sort of a `tau` schema's hole, large
-Scott sentences, the pigeonhole cut on distinct block variables, and the
-iterative walks in `syntax`."""
+Scott sentences, the pigeonhole, closure and diagram-count cuts, Scott
+sentences against isomorphism on small digraphs, and the iterative walks
+in `syntax`."""
 
 import gc
+import itertools
 import os
 import random
 import time
@@ -328,6 +330,35 @@ def _chain(cls, parts):
 
 
 @st.composite
+def diagram_runs(draw, lang, block):
+    """The run of a Scott sentence over the variables of `block` of one
+    sort: they are pairwise distinct, and relations over that sort hold or
+    fail of each tuple of them, which the diagram-count cut reads."""
+    sort = draw(st.sampled_from(sorted({s for _, s in block})))
+    xs = [Var(n, s) for n, s in block if s == sort]
+    run = [Not(Eq(a, b)) for i, a in enumerate(xs) for b in xs[i + 1:]]
+    rels = [d for d in lang.vocab.relations() if set(d.arg_sorts) == {sort}]
+    for d in draw(st.lists(st.sampled_from(rels), max_size=2)) if rels else ():
+        for args in itertools.product(xs, repeat=len(d.arg_sorts)):
+            atom = Atom(d.name, args)
+            run.append(atom if draw(st.booleans()) else Not(atom))
+    return run
+
+
+@st.composite
+def closures(draw, lang, bound):
+    """`forall z:S. (z = x1 | ...)` over variables of sort S in `bound`, as
+    a Scott sentence closes its diagram, which the closure cut reads."""
+    sort = draw(st.sampled_from(sorted({s for _, s in bound})))
+    xs = [Var(n, s) for n, s in bound if s == sort]
+    z = Var(f"z{len(bound)}", sort)
+    picked = draw(st.lists(st.sampled_from(xs), min_size=1,
+                           max_size=len(xs) + 1))
+    return Forall(z, _chain(Or, [Eq(z, x) if draw(st.booleans())
+                                 else Eq(x, z) for x in picked]))
+
+
+@st.composite
 def formulas(draw, lang, scope=(), depth=3, quantifiers=3, quantified=False):
     """Sentences of `lang` with at most `quantifiers` nested binders; with
     `quantified`, a quantifier block or schema."""
@@ -348,12 +379,22 @@ def formulas(draw, lang, scope=(), depth=3, quantifiers=3, quantified=False):
         # a run of one quantifier over a conjunction, the shape of a Scott
         # sentence, whose conjuncts may be checked early
         cls = draw(st.sampled_from([Exists, Exists, Forall]))
+        # often a Scott sentence's shape, over sorts the structure has: a
+        # diagram run first, closures after it or after the literals
+        scott = cls is Exists and draw(st.booleans())
         # two binders, the fewest an early check needs, are drawn first
         n = 1 + draw(st.integers(1, quantifiers)) % quantifiers
         bound = list(scope) + [(f"x{len(scope) + i}", draw(st.sampled_from(
-            lang.inner_sorts if i else lang.sorts))) for i in range(n)]
+            lang.inner_sorts if i and not scott else lang.sorts)))
+            for i in range(n)]
         parts = [draw(literals(lang, bound))
-                 for _ in range(draw(st.integers(1, 4)))]
+                 for _ in range(draw(st.integers(1 - scott, 4)))]
+        if scott:
+            run = draw(diagram_runs(lang, bound[len(scope):]))
+            parts = run + parts
+            for _ in range(draw(st.integers(0 if parts else 1, 2))):
+                parts.insert(draw(st.sampled_from([len(run), len(parts)])),
+                             draw(closures(lang, bound)))
         # often a quantified conjunct, which a range the fuel cuts off
         # leaves unknown
         if quantifiers > n and draw(st.integers(0, 3)):
@@ -779,6 +820,96 @@ def test_pigeonholes_match_reference_on_random_blocks():
         want = {True: "true", False: "false"}[reference_eval(s, f, {}, 8,
                                                              {})]
         assert eval_sentence(s, f).value == want, print_formula(f)
+
+
+# -- the closure and diagram-count cuts
+
+
+class _CountingExtent(set):
+    """A relation extent that counts its membership tests: an atom's test
+    on a binding, which a cut that decides before binding never makes."""
+
+    tests = 0
+
+    def __contains__(self, t):
+        type(self).tests += 1
+        return set.__contains__(self, t)
+
+
+def _counting(s):
+    for rel in s.relations:
+        s.relations[rel] = _CountingExtent(s.relations[rel])
+    _CountingExtent.tests = 0
+    return s
+
+
+def test_scott_sentence_of_an_80_chain_on_an_81_chain():
+    # every binding of the 80 variables fails only at the closure, so the
+    # block is false before any variable is bound: no atom is tested
+    f = scott_sentence_finite(_chain_structure(80))
+    chain = _counting(_chain_structure(81))
+    t0 = time.perf_counter()
+    assert eval_sentence(chain, f).value == "false"
+    assert time.perf_counter() - t0 < 1.0
+    assert _CountingExtent.tests == 0
+    small = scott_sentence_finite(_chain_structure(3))
+    for n in (4, 5):
+        assert reference_eval(_chain_structure(n), small, {}, 8, {}) is False
+
+
+def test_scott_sentence_of_a_9_set_on_a_10_set():
+    # 10!/1! = 3.6 million embeddings of the 9-element pure set, each
+    # refuted only by the closure, before the closure cut
+    pure = parse_vocabulary("sort S")
+    f = scott_sentence_finite(FiniteStructure(pure, {"S": range(9)}))
+    t0 = time.perf_counter()
+    assert eval_sentence(FiniteStructure(pure, {"S": range(10)}),
+                         f).value == "false"
+    assert time.perf_counter() - t0 < 1.0
+    assert eval_sentence(FiniteStructure(pure, {"S": range(9)}),
+                         f).value == "true"
+
+
+DIGRAPH = parse_vocabulary("sort S\nrel R : S S")
+
+
+def test_diagram_count_cut_reads_only_tuples_inside_the_sort():
+    # FiniteStructure takes a tuple naming a non-element, which the
+    # sort's own count must leave out: the target is the source
+    source = FiniteStructure(DIGRAPH, {"S": ["a", "b"]}, {"R": {("a", "b")}})
+    target = FiniteStructure(DIGRAPH, {"S": ["a", "b"]},
+                             {"R": {("a", "b"), ("a", "zz")}})
+    f = scott_sentence_finite(source)
+    assert reference_eval(target, f, {}, 8, {}) is True
+    assert eval_sentence(target, f).value == "true"
+    # a 3-cycle against same-size digraphs: another edge count is refuted
+    # before any binding, the same count is searched
+    cycle = FiniteStructure(DIGRAPH, {"S": ["a", "b", "c"]},
+                            {"R": {("a", "b"), ("b", "c"), ("c", "a")}})
+    f = scott_sentence_finite(cycle)
+    for edges, value, tested in (({("a", "b")}, "false", False),
+                                 ({("a", "b"), ("b", "a"), ("c", "c")},
+                                  "false", True),
+                                 ({("b", "a"), ("c", "b"), ("a", "c")},
+                                  "true", True)):
+        target = _counting(FiniteStructure(DIGRAPH, {"S": ["a", "b", "c"]},
+                                           {"R": edges}))
+        assert eval_sentence(target, f).value == value
+        assert (_CountingExtent.tests > 0) is tested, edges
+
+
+def test_scott_sentences_of_digraphs_agree_with_isomorphism():
+    # all 2 + 16 + 512 digraphs of 1 to 3 elements as targets; as sources
+    # every 2-element one and a seeded sample of 3-element ones
+    targets = [s for n in (1, 2, 3)
+               for s in structures.all_finite_structures(DIGRAPH, n)]
+    assert len(targets) == 530
+    sources = (list(structures.all_finite_structures(DIGRAPH, 2))
+               + random.Random(24).sample(targets[18:], 6))
+    for source in sources:
+        f = scott_sentence_finite(source)
+        got = [eval_sentence(t, f).value == "true" for t in targets]
+        assert got == [structures.is_isomorphic(source, t) for t in targets]
 
 
 def _negated(f, n):
