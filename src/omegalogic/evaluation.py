@@ -467,7 +467,11 @@ class _Compiler:
         plain = [()] * (len(slots) - 1) + [tuple(parts)]
         level = self.loop(_Call.sort_range, sorts, slots, want)
         early = None
-        if want:
+        # on a finite structure a block of one variable or one conjunct,
+        # which moves nothing, may still have a cut; on a presentation,
+        # whose sentences are short and seldom close a diagram, placing it
+        # costs more compile time than its cuts save
+        if want and (self.finite or len(slots) > 1 and len(parts) > 1):
             early, names, cuts = self.placement(conjuncts, parts, scope,
                                                 slots, sorts)
         if early is None:
