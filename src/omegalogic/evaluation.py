@@ -82,8 +82,9 @@ def eval_sentence(s, f: Formula, fuel: int = 8, extra_names=None,
       there are positive literals among them.
     Each leaves every binding failing a conjunct of the run or such a
     closure, which cannot raise.  So the Scott sentence of a structure
-    without functions is false at once on one with more elements of some
-    sort, and on one of the same size whose relation has other counts.
+    without functions is false at once on one with more or fewer elements
+    of a sort it does not leave empty, and on one of the same size whose
+    relation has other counts.
     Verdicts and raised errors are those of plain order.
     """
     code = _compiled(f, s.kind)
@@ -579,7 +580,7 @@ class _Compiler:
                     apart.add(frozenset(pair))
             elif type(g) is Atom:  # in the run on a finite structure only
                 args = _levels(g.args, scope, level_of)
-                if args:
+                if args:  # not None, nor the () of a 0-ary atom
                     literals.append((g.rel, args, positive))
         for g in conjuncts[moved:]:
             cover = _cover(g, scope, level_of, sorts)

@@ -860,6 +860,7 @@ def test_scott_sentence_of_an_80_chain_on_an_81_chain():
     small = scott_sentence_finite(_chain_structure(3))
     for n in (4, 5):
         assert reference_eval(_chain_structure(n), small, {}, 8, {}) is False
+        assert eval_sentence(_chain_structure(n), small).value == "false"
     # and so for one or two variables, whose blocks move no conjunct
     for n in (1, 2):
         f = scott_sentence_finite(_chain_structure(n))
@@ -869,8 +870,9 @@ def test_scott_sentence_of_an_80_chain_on_an_81_chain():
 
 
 def test_scott_sentence_of_a_9_set_on_a_10_set():
-    # 10!/1! = 3.6 million embeddings of the 9-element pure set, each
-    # refuted only by the closure, before the closure cut
+    # the 9-element pure set has 10!/1! = 3.6 million embeddings into the
+    # 10-element one, which plain order enumerates, each refuted only by
+    # the closure
     pure = parse_vocabulary("sort S")
     f = scott_sentence_finite(FiniteStructure(pure, {"S": range(9)}))
     t0 = time.perf_counter()
