@@ -881,6 +881,12 @@ def test_scott_sentence_of_a_9_set_on_a_10_set():
     assert time.perf_counter() - t0 < 1.0
     assert eval_sentence(FiniteStructure(pure, {"S": range(9)}),
                          f).value == "true"
+    # the closure cut counts values: a domain listing one element twice
+    # has one value, as the reference reads it
+    f = scott_sentence_finite(FiniteStructure(pure, {"S": ["a"]}))
+    twice = FiniteStructure(pure, {"S": ["a", "a"]})
+    assert reference_eval(twice, f, {}, 8, {}) is True
+    assert eval_sentence(twice, f).value == "true"
 
 
 DIGRAPH = parse_vocabulary("sort S\nrel R : S S")
