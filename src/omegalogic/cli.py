@@ -212,10 +212,11 @@ def cmd_type(args):
     td = complete_type(s, tup, args.rank, fuel=args.fuel)
     lines = [f"rank-{args.rank} type of ({args.tuple}) in {s.name}: "
              f"{len(td.formulas)} formulas"]
-    lines += [f"  {print_formula(f)}" for f in td.formulas]
+    texts = [print_formula(f) for f in td.formulas]
+    lines += [f"  {text}" for text in texts]
     report = {"command": "type", "structure": s.name, "tuple": args.tuple,
               "bounds": {"rank": args.rank, "fuel": args.fuel},
-              "formulas": [print_formula(f) for f in td.formulas]}
+              "formulas": texts}
     _emit(args, report, lines)
     return 0
 
@@ -245,23 +246,22 @@ def cmd_ef(args):
         raise UsageError(f"{args.a} and {args.b} are over different "
                          "vocabularies")
     verdict, f = ef_equivalent(a, b, args.rounds)
+    text = print_formula(f) if f is not None else None
     lines = [f"{a.name} vs {b.name} at {args.rounds} rounds: {verdict}"]
-    if f is not None:
-        lines.append(f"  separating sentence: {print_formula(f)}")
+    if text is not None:
+        lines.append(f"  separating sentence: {text}")
     report = {"command": "ef", "a": a.name, "b": b.name,
               "bounds": {"rounds": args.rounds}, "verdict": verdict,
-              "separating": print_formula(f) if f is not None else None}
+              "separating": text}
     _emit(args, report, lines)
     return 0 if verdict == "equivalent" else 1
 
 
 def cmd_scott(args):
     s = _load_struct(args.structure)
-    f = scott_sentence_finite(s)
-    lines = [print_formula(f)]
-    report = {"command": "scott", "structure": s.name,
-              "sentence": print_formula(f)}
-    _emit(args, report, lines)
+    text = print_formula(scott_sentence_finite(s))
+    report = {"command": "scott", "structure": s.name, "sentence": text}
+    _emit(args, report, [text])
     return 0
 
 

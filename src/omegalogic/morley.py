@@ -110,7 +110,7 @@ def chang_bundle_load(text: str) -> ChangBundle:
                 raise BundleError(
                     f"type n={n}: index i={i} out of order (expected "
                     f"{len(got)})")
-            if any(print_formula(g) == print_formula(f) for g in got):
+            if f in got:
                 raise BundleError(
                     f"type n={n} i={i}: duplicate generating formula")
             got.append(f)

@@ -87,9 +87,9 @@ class SentenceUniverse:
             new += [Or(a, b) for a in prev for b in prev]
             seen = {f for layer in layers for f in layer}
             layers.append([f for f in new if f not in seen])
-        flat = {f for layer in layers for f in layer}
+        text = {f: print_formula(f) for layer in layers for f in layer}
         self.sentences = tuple(sorted(
-            flat, key=lambda f: (len(print_formula(f)), print_formula(f))))
+            text, key=lambda f: (len(text[f]), text[f])))
         self.index = {f: i for i, f in enumerate(self.sentences)}
         self._clauses = {}  # (frozenset of rules, depth) -> ClauseSet
 

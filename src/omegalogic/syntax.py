@@ -276,7 +276,7 @@ def _feeding_sorts(vocab, sort):
 def _shortlex(t, text):
     """The shortlex key of `print_term(t)`.  `text` keeps the printed
     terms: an application's is built from its arguments' kept ones, so a
-    deep term is printed without recursing through it."""
+    term of the stream costs one step, not one per node."""
     p = text.get(t)
     if p is None:
         if isinstance(t, App):
@@ -621,92 +621,80 @@ def constants_in(f: Formula):
 
 
 def print_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return t.name
-    if isinstance(t, FamilyMember):
-        if all(i >= 0 for i in t.indices):
-            return t.family + "".join(f"_{i}" for i in t.indices)
-        return t.family + "[" + ",".join(str(i) for i in t.indices) + "]"
-    if isinstance(t, App):
-        return f"{t.func}({', '.join(print_term(a) for a in t.args)})"
-    raise TypeError(f"not a term: {t!r}")
+    if not isinstance(t, Term):
+        raise TypeError(f"not a term: {t!r}")
+    return _print(t)
+
+
+def print_formula(f: Formula) -> str:
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    return _print(f)
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
 
-def print_formula(f: Formula) -> str:
-    if isinstance(f, Atom):
-        if not f.args:
-            return f.rel
-        if len(f.args) == 2 and not _IDENT_RE.match(f.rel):
-            return f"({print_term(f.args[0])} {f.rel} {print_term(f.args[1])})"
-        return f"{f.rel}({', '.join(print_term(a) for a in f.args)})"
-    if isinstance(f, Eq):
-        return f"({print_term(f.left)} = {print_term(f.right)})"
-    if isinstance(f, Absurd):
-        return "_|_"
-    if isinstance(f, Not):
-        if isinstance(f.body, Eq):
-            return f"({print_term(f.body.left)} != {print_term(f.body.right)})"
-        try:
-            return f"~{_wrap(f.body)}"
-        except RecursionError:
-            return _print_loop(f)
-    if isinstance(f, And):
-        try:
-            return f"({print_formula(f.left)} & {print_formula(f.right)})"
-        except RecursionError:
-            return _print_loop(f)
-    if isinstance(f, Or):
-        try:
-            return f"({print_formula(f.left)} | {print_formula(f.right)})"
-        except RecursionError:
-            return _print_loop(f)
-    if isinstance(f, Forall):
-        return f"forall {f.var.name}:{f.var.sort}. {print_formula(f.body)}"
-    if isinstance(f, Exists):
-        return f"exists {f.var.name}:{f.var.sort}. {print_formula(f.body)}"
-    if isinstance(f, SchemaConj):
-        return "/\\{ " + print_formula(f.body) + f" : {f.hole.name} in {f.family}" + " }"
-    if isinstance(f, SchemaDisj):
-        return "\\/{ " + print_formula(f.body) + f" : {f.hole.name} in {f.family}" + " }"
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _print_loop(f: Formula) -> str:
-    """`f`, a formula of ~, & and | too deep to print by recursion (a Scott
-    sentence is a conjunction thousands of nodes deep), printed by a loop
-    over those connectives; the text is the recursive printer's. Each other
-    node is printed by the recursive printer, so depth under a quantifier
-    stays an error."""
+def _print(node) -> str:
+    """The text of the term or formula `node`, by one loop over a stack of
+    nodes to print and text to put out, last first, so that no depth
+    recurses.  `~` puts parentheses around a quantifier or schema body;
+    every other node's text starts with its name, `(`, `~` or `_|_`."""
     out = []
-    todo = [f]  # nodes to print, and text to put out, last first
+    todo = [node]
+    put, pop = out.append, todo.pop
     while todo:
-        g = todo.pop()
-        if isinstance(g, str):
-            out.append(g)
-        elif isinstance(g, (And, Or)):
-            out.append("(")
-            todo += (")", g.right, " & " if isinstance(g, And) else " | ",
-                     g.left)
-        elif isinstance(g, Not) and isinstance(g.body, (Not, And, Or)):
-            out.append("~")  # the body's text starts with ~ or (: no wrap
+        g = pop()
+        k = type(g)
+        if k is str:
+            put(g)
+        elif k is Var or k is Const:
+            put(g.name)
+        elif k is And or k is Or:
+            put("(")
+            todo += (")", g.right, " & " if k is And else " | ", g.left)
+        elif k is Not:
+            b = g.body
+            if type(b) is Eq:
+                put("(")
+                todo += (")", b.right, " != ", b.left)
+            elif isinstance(b, (Forall, Exists, SchemaConj, SchemaDisj)):
+                put("~(")
+                todo += (")", b)
+            else:
+                put("~")
+                todo.append(b)
+        elif k is Eq:
+            put("(")
+            todo += (")", g.right, " = ", g.left)
+        elif k is Atom and not g.args:
+            put(g.rel)
+        elif k is Atom and len(g.args) == 2 and not _IDENT_RE.match(g.rel):
+            put("(")
+            todo += (")", g.args[1], f" {g.rel} ", g.args[0])
+        elif k is Atom or k is App:
+            put((g.rel if k is Atom else g.func) + "(")
+            todo.append(")")
+            for a in reversed(g.args[1:]):
+                todo += (a, ", ")
+            todo += g.args[:1]
+        elif k is Forall or k is Exists:
+            q = "forall" if k is Forall else "exists"
+            put(f"{q} {g.var.name}:{g.var.sort}. ")
             todo.append(g.body)
+        elif k is SchemaConj or k is SchemaDisj:
+            put("/\\{ " if k is SchemaConj else "\\/{ ")
+            todo += (f" : {g.hole.name} in {g.family} }}", g.body)
+        elif k is FamilyMember:
+            if all(i >= 0 for i in g.indices):
+                put(g.family + "".join(f"_{i}" for i in g.indices))
+            else:
+                put(f"{g.family}[{','.join(map(str, g.indices))}]")
+        elif k is Absurd:
+            put("_|_")
         else:
-            out.append(print_formula(g))
+            raise TypeError(f"not a term or formula: {g!r}")
     return "".join(out)
-
-
-def _wrap(f: Formula) -> str:
-    s = print_formula(f)
-    if isinstance(f, (Atom, Eq, Absurd, Not)) and not s.startswith("("):
-        return s if isinstance(f, (Atom, Absurd)) or s.startswith("~") else f"({s})"
-    if s.startswith("("):
-        return s
-    return f"({s})"
 
 
 # ---------------------------------------------------------------------------

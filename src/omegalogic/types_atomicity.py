@@ -19,10 +19,10 @@ from math import gcd
 from typing import Optional
 
 from .syntax import (
-    And, App, Atom, Const, Eq, Exists, FamilyMember, Forall, Formula, Not,
-    Or, SyntaxError_, Term, Var, applications, arg_tuples, free_variables,
-    parse_at, parse_formula, parse_term, print_formula, print_term,
-    quantifier_rank, read_lines, substitute,
+    BOT, And, App, Atom, Const, Eq, Exists, FamilyMember, Forall, Formula,
+    Not, Or, SyntaxError_, Term, Var, applications, arg_tuples,
+    free_variables, parse_at, parse_formula, parse_term, print_formula,
+    print_term, quantifier_rank, read_lines, substitute,
 )
 from .structures import (
     EvalError, _eval, check_common_vocabulary, map_defect,
@@ -571,16 +571,22 @@ def scott_sentence_finite(s) -> Formula:
             conjuncts.append(Eq(App(d.name, tuple(xs[e] for e in tup),
                                     d.result_sort),
                                 xs[s.apply_fun(d.name, list(tup))]))
+    # `forall z:S. (z != z)` for each empty sort S, put after the other
+    # closures, which the evaluator's closure cut reads right after the
+    # diagram
+    empty = []
     for sort in s.vocab.sorts:
-        if not s.domains[sort]:
-            continue
         z = Var("z", sort)
+        if not s.domains[sort]:
+            empty.append(Forall(z, Not(Eq(z, z))))
+            continue
         alts = [Eq(z, xs[e]) for e in s.domains[sort]]
         disj = alts[0]
         for alt in alts[1:]:
             disj = Or(disj, alt)
         conjuncts.append(Forall(z, disj))
-    body = conjuncts[0]
+    conjuncts += empty
+    body = conjuncts[0] if conjuncts else Not(BOT)  # no sort: true
     for c in conjuncts[1:]:
         body = And(body, c)
     for (e, _sort) in reversed(elems):

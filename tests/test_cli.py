@@ -312,6 +312,22 @@ def test_scott(capsys):
     assert out.startswith("exists x0:S.")
 
 
+def test_scott_nests_past_the_recursion_limit(capsys, tmp_path):
+    # 1,200 elements, three in each of 400 sorts: 1,200 nested `exists`
+    sorts = [f"S{i}" for i in range(400)]
+    (tmp_path / "many.voc").write_text("".join(f"sort {s}\n" for s in sorts))
+    f = tmp_path / "many.struct"
+    f.write_text("structure many over many.voc\n" + "".join(
+        f"domain {s} {{ a{s} b{s} c{s} }}\n" for s in sorts))
+    code, out, err = run(capsys, "scott", str(f))
+    assert (code, err) == (0, "")
+    assert out.startswith("exists x0:S0. exists x1:S0. exists x2:S0. "
+                          "exists x3:S1. ")
+    assert out.count("exists") == 1200
+    assert out.endswith(
+        "forall z:S399. (((z = x1197) | (z = x1198)) | (z = x1199)))\n")
+
+
 def test_generative(capsys):
     code, out, _ = run(capsys, "generative", A("rationals.struct"),
                        "--witness", A("q-shift.map"), "--bound", "14")

@@ -32,6 +32,7 @@ from omegalogic.structures import (
 )
 from omegalogic.types_atomicity import scott_sentence_finite
 
+from reference_print import reference_print
 from test_ground_terms import _shortlex, reference_tau
 
 
@@ -952,33 +953,12 @@ def test_deep_negation_runs_evaluate():
             "unknown", n
 
 
-def _reference_print(f):
-    # the recursive printer the iterative one replaced, for And and Or
-    if isinstance(f, And):
-        return f"({_reference_print(f.left)} & {_reference_print(f.right)})"
-    if isinstance(f, Or):
-        return f"({_reference_print(f.left)} | {_reference_print(f.right)})"
-    if isinstance(f, Not) and not isinstance(f.body, Eq):
-        inner = _reference_print(f.body)
-        if isinstance(f.body, (Atom, Absurd, Not)) or inner.startswith("("):
-            return "~" + inner
-        return f"~({inner})"
-    if isinstance(f, (Forall, Exists)):
-        q = "forall" if isinstance(f, Forall) else "exists"
-        return f"{q} {f.var.name}:{f.var.sort}. {_reference_print(f.body)}"
-    if isinstance(f, (SchemaConj, SchemaDisj)):
-        op = "/\\{ " if isinstance(f, SchemaConj) else "\\/{ "
-        return (op + _reference_print(f.body)
-                + f" : {f.hole.name} in {f.family} }}")
-    return print_formula(f)
-
-
 @settings(max_examples=200, deadline=None)
 @given(f=formulas(LANGUAGES["finite"]))
 def test_printing_is_unchanged(f):
-    assert print_formula(f) == _reference_print(f)
+    assert print_formula(f) == reference_print(f)
 
 
 def test_printing_a_20_chain_is_unchanged():
     f = scott_sentence_finite(_chain_structure(20))
-    assert print_formula(f) == _reference_print(f)
+    assert print_formula(f) == reference_print(f)

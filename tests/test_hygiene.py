@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses
 or another module's private name, no function of it takes a parameter it
-never reads, and only `syntax` splits a file into lines."""
+never reads, only `syntax` splits a file into lines, and none catches
+RecursionError."""
 
 import ast
 import pathlib
@@ -133,3 +134,28 @@ def test_the_check_sees_a_line_split():
                      "c = raw.split(',')\nd = raw.split()\n"
                      "e = '#'.join(a)\n")
     assert line_splits(tree) == {1, 2}
+
+
+def recursion_catches(tree):
+    """The line numbers of the `except` clauses that name RecursionError,
+    alone or in a tuple: a walk that recurses and falls back to another
+    when the stack gives out, where one walk by an explicit stack serves."""
+    return {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and any(isinstance(n, ast.Name) and n.id == "RecursionError"
+                    for n in ast.walk(node.type))}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_no_module_catches_recursion_error(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert recursion_catches(tree) == set()
+
+
+def test_the_check_sees_a_recursion_catch():
+    tree = ast.parse("try:\n    f()\nexcept RecursionError:\n    g()\n"
+                     "try:\n    f()\nexcept (ValueError, RecursionError):\n"
+                     "    g()\nexcept KeyError:\n    h()\n"
+                     "try:\n    f()\nexcept:\n    g()\n")
+    assert recursion_catches(tree) == {3, 7}

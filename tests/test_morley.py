@@ -44,6 +44,14 @@ def test_bundle_duplicate_generator():
         chang_bundle_load(text)
 
 
+def test_bundle_duplicate_written_otherwise():
+    # other spacing and extra parentheses parse to the same formula
+    text = ZORD + "type n=1 i=2 : ((0<v0)) &  (forall x:Z. (~(0 < x) | " \
+        "~(x < v0)))\n"
+    with pytest.raises(BundleError, match="n=1 i=2: duplicate"):
+        chang_bundle_load(text)
+
+
 def test_bundle_arity_mismatch():
     text = TOY + "type n=2 i=0 : P(v0)\n"
     with pytest.raises(BundleError, match="free variables"):

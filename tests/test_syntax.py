@@ -1,8 +1,7 @@
 import dataclasses
 import gc
 import random
-import sys
-import threading
+import time
 import weakref
 
 import pytest
@@ -15,8 +14,10 @@ from omegalogic.syntax import (
     FamilyMember, Forall, Not, Or, SchemaConj, SchemaDisj, SyntaxError_, Var,
     free_variables,
     is_sentence, parse_formula, parse_term, parse_vocabulary, print_formula,
-    print_vocabulary, quantifier_rank, substitute,
+    print_term, print_vocabulary, quantifier_rank, substitute,
 )
+
+from reference_print import reference_print
 
 
 NAT = parse_vocabulary("""
@@ -300,31 +301,42 @@ def test_deep_chains_print(kind, sign):
     assert print_formula(_chain(kind, depth)) == want
 
 
-def _print_under_limit(f, limit):
-    """print_formula(f) in a thread run under the recursion limit `limit`,
-    so that the printer falls back to its loop wherever it nests deeper."""
-    out = []
+def _timed_print(printer, node):
+    start = time.perf_counter()
+    text = printer(node)
+    assert time.perf_counter() - start < 1.0
+    return text
 
-    def work():
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(limit)
-        try:
-            out.append(print_formula(f))
-        finally:
-            sys.setrecursionlimit(old)
 
-    thread = threading.Thread(target=work)
-    thread.start()
-    thread.join()
-    return out[0]
+def test_deep_terms_and_binders_print():
+    """A deep numeral, deep quantifier nests and deep nests of a quantifier
+    over a conjunction print at once, at depths past any recursion limit."""
+    c = Const("0", "N")
+    t = c
+    for _ in range(5000):
+        t = App("S", (t,), "N")
+    assert _timed_print(print_term, t) == "S(" * 5000 + "0" + ")" * 5000
+    f = _PX
+    for _ in range(10_000):
+        f = Forall(_X, f)
+    assert _timed_print(print_formula, f) == "forall x:N. " * 10_000 + "P(x)"
+    for depth in (500, 10_000):
+        f = _PX
+        for _ in range(depth):
+            f = Exists(_X, And(f, _PX))
+        assert _timed_print(print_formula, f) == (
+            "exists x:N. (" * depth + "P(x)" + " & P(x))" * depth)
 
 
 def test_printing_by_loop_gives_the_recursive_text():
-    """Mixed formulas 120 connectives deep over leaves of every kind print
-    the same with the recursion limit at 40 as without it."""
+    """Mixed formulas 120 connectives deep over leaves of every kind, under
+    ~ too, print as the recursive reference printer prints them."""
     c = Const("0", "N")
+    d = FamilyMember("D", (2, -1), "N")
     leaves = [Atom("p"), Absurd(), Eq(c, c), Not(Eq(c, c)), _PX,
-              Forall(_X, _PX), Exists(_X, Not(_PX)), Atom("<", (c, _X))]
+              Forall(_X, _PX), Exists(_X, Not(_PX)), Atom("<", (c, _X)),
+              Atom("R", (App("S", (d,), "N"), FamilyMember("D", (3,), "N"))),
+              SchemaConj(_X, _PX, "D"), SchemaDisj(_X, Not(_PX), "D")]
     rng = random.Random(8)
 
     def formula(depth):
@@ -339,7 +351,14 @@ def test_printing_by_loop_gives_the_recursive_text():
 
     for _ in range(100):
         f = formula(120)
-        assert _print_under_limit(f, 40) == print_formula(f)
+        assert print_formula(f) == reference_print(f)
+
+
+def test_printers_reject_the_other_kind():
+    with pytest.raises(TypeError, match="not a term"):
+        print_term(_PX)
+    with pytest.raises(TypeError, match="not a formula"):
+        print_formula(_X)
 
 
 # --- property tests --------------------------------------------------------

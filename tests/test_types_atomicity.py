@@ -359,6 +359,44 @@ def test_scott_exact_on_isomorphism_class():
             assert eval_sentence(t, f).value == "false"
 
 
+def _two_sorted(voc, n_s, n_t):
+    """Every structure over `voc` (unary P on S, Q on T) with n_s elements
+    of S and n_t of T."""
+    s_dom = [f"a{i}" for i in range(n_s)]
+    t_dom = [f"b{i}" for i in range(n_t)]
+    for p_ext in itertools.product((False, True), repeat=n_s):
+        for q_ext in itertools.product((False, True), repeat=n_t):
+            yield FiniteStructure(
+                voc, {"S": s_dom, "T": t_dom},
+                {"P": {(e,) for e, b in zip(s_dom, p_ext) if b},
+                 "Q": {(e,) for e, b in zip(t_dom, q_ext) if b}})
+
+
+def test_scott_sentence_keeps_an_empty_sort_empty():
+    voc = parse_vocabulary("sort S\nsort T\nrel P : S\nrel Q : T")
+    every = [m for n_s in range(3) for n_t in range(3)
+             for m in _two_sorted(voc, n_s, n_t)]
+    assert len(every) == 49
+    sources = [m for m in every if not all(m.domains.values())]
+    assert len(sources) == 13  # the all-empty one among them
+    for source in sources:
+        f = scott_sentence_finite(source)
+        got = [eval_sentence(t, f).value == "true" for t in every]
+        assert got == [is_isomorphic(source, t) for t in every], \
+            print_formula(f)
+    one = next(_two_sorted(voc, 1, 0))
+    assert print_formula(scott_sentence_finite(one)) == (
+        "exists x0:S. ((~P(x0) & forall z:S. (z = x0)) & "
+        "forall z:T. (z != z))")
+
+
+def test_scott_sentence_over_no_sort_is_true():
+    s = FiniteStructure(parse_vocabulary(""), {})
+    f = scott_sentence_finite(s)
+    assert print_formula(f) == "~_|_"
+    assert eval_sentence(s, f).value == "true"
+
+
 # ---------------------------------------------------------------------------
 # Generativity
 
