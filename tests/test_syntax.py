@@ -311,8 +311,7 @@ def _timed_print(printer, node):
 def test_deep_terms_and_binders_print():
     """A deep numeral, deep quantifier nests and deep nests of a quantifier
     over a conjunction print at once, at depths past any recursion limit."""
-    c = Const("0", "N")
-    t = c
+    t = Const("0", "N")
     for _ in range(5000):
         t = App("S", (t,), "N")
     assert _timed_print(print_term, t) == "S(" * 5000 + "0" + ")" * 5000
