@@ -8,7 +8,6 @@ names too.
 """
 
 import functools
-import itertools
 from dataclasses import dataclass
 from math import inf
 from typing import Optional
@@ -239,7 +238,7 @@ class _Call:
         naming the next one raised (raised only where the loop reaches it).
         Over 'tau' they are the values of the vocabulary's `tau_stream`:
         all of them on a finite structure, the first `fuel` on a
-        presentation."""
+        presentation, as it keeps them (`tau_elements`)."""
         r = self.ranges.get(key)
         if r is None:
             s, (family, sort) = self.s, key
@@ -249,9 +248,7 @@ class _Call:
                 r = self.ranges[key] = (s.closed_elements(sort), True, None)
                 return r
             else:
-                names, exhaustive = itertools.islice(
-                    s.vocab.tau_stream(sort, s.element_of),
-                    max(self.fuel, 0)), False
+                names, exhaustive = s.tau_elements(self.fuel, sort), False
             values, error = [], None
             try:
                 for t in names:

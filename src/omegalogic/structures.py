@@ -148,6 +148,9 @@ class TermGeneratedStructure:
         self.rewrites = tuple(rewrites)  # (lhs Term with Vars, rhs Term)
         self.rel_deciders = dict(rel_deciders or {})
         self._normal = {}  # term -> its normal form, normal forms included
+        # (generators, sort) -> the elements listed so far and the stream
+        # that lists more: 'tau' or the family, as for `tau_elements`
+        self._listed = {}
 
     def normalize(self, t: Term) -> Term:
         """The normal form of `t`, rewriting innermost first: the arguments
@@ -223,17 +226,47 @@ class TermGeneratedStructure:
         fewer.
 
         The order is that of the generators: a family's members in index
-        order, or for 'tau' the vocabulary's `tau_stream`."""
-        if self.generated_by == "tau":
-            values = self.vocab.tau_stream(sort, self.element_of)
-        else:
-            fam = self.vocab.family(self.generated_by)
-            if sort not in (None, fam.sort):
-                return []  # a family generates elements of its own sort only
-            seen = set()  # each element once
-            values = (n for n in map(self.normalize, fam.terms())
-                      if not (n in seen or seen.add(n)))
-        return list(itertools.islice(values, max(limit, 0)))
+        order, or for 'tau' the vocabulary's `tau_stream`.  The elements
+        listed are kept for the life of the presentation, and each call
+        returns a fresh list."""
+        return self._prefix(self.generated_by, sort, limit)
+
+    def tau_elements(self, limit, sort=None):
+        """The first `limit` values of the vocabulary's `tau_stream` here,
+        normal forms: what a schema over 'tau' ranges over at fuel
+        `limit`.  Kept as `enumerate_elements` keeps its elements, in the
+        same listing when the presentation is generated by tau."""
+        return self._prefix("tau", sort, limit)
+
+    def _prefix(self, generators, sort, limit):
+        """The first `limit` elements that `generators` ('tau' or a family
+        name) list, as a fresh list.  The kept listing grows only when
+        `limit` goes past it; a stream that raises is not kept, so the
+        next call raises again."""
+        key = (generators, sort)
+        entry = self._listed.get(key)
+        if entry is None:
+            entry = self._listed[key] = ([], self._stream(generators, sort))
+        values, stream = entry
+        limit = max(limit, 0)
+        if len(values) < limit:
+            try:
+                values.extend(itertools.islice(stream, limit - len(values)))
+            except BaseException:
+                del self._listed[key]
+                raise
+        return values[:limit]
+
+    def _stream(self, generators, sort):
+        """The elements of `sort` that `generators` list, each once."""
+        if generators == "tau":
+            return self.vocab.tau_stream(sort, self.element_of)
+        fam = self.vocab.family(generators)
+        if sort not in (None, fam.sort):
+            return iter(())  # a family lists elements of its own sort only
+        seen = set()  # each element once
+        return (n for n in map(self.normalize, fam.terms())
+                if not (n in seen or seen.add(n)))
 
     def element_of(self, t: Term, extra=None):
         """The element `t` names: the normal form of `t` or of `extra[t]`."""

@@ -187,7 +187,10 @@ class Vocabulary:
         `element_of`: a normal form or an element); by default it is `t`
         itself.  A value that is no term enters later layers as the first
         term naming it.  Only the sorts feeding `sort` are built, so the
-        stream ends once no layer adds a value."""
+        stream ends once no layer adds a value.
+
+        A layer holds only the applications with an argument new in the
+        last one, as a semi-naive join: the others were in a layer before."""
         start = self._tau_starts.get(sort)
         if start is None:  # the functions feeding `sort`, its first layer
             sorts = _feeding_sorts(self, sort)
@@ -197,25 +200,35 @@ class Vocabulary:
                        key=lambda c: (len(c.name), c.name)))
         funs, layer = start
         named, found, text = {}, set(), {}  # `text`: see `_shortlex`
+        pools = {}  # sort -> the terms of `named` of that sort, in order
         while layer:
-            new = len(named)
+            old = {s: len(p) for s, p in pools.items()}
             for t in layer:
                 v = t if name is None else name(t, named)
                 if v not in found:
                     found.add(v)
-                    named[v if isinstance(v, Term) else t] = v
+                    key = v if isinstance(v, Term) else t
+                    named[key] = v
+                    pools.setdefault(key.sort, []).append(key)
                     if sort is None or t.sort == sort:
                         yield v
             # with no function there is no next layer, and building it
             # empty doubles the cost of a function-free range
             if not funs:
                 break
-            # an application whose arguments were all found before the last
-            # layer was in that layer already
-            fresh = set(itertools.islice(named, new, None))
-            layer = sorted((a for a in applications(funs, list(named))
-                            if not fresh.isdisjoint(a.args)),
-                           key=lambda a: _shortlex(a, text))
+            # each tuple with a new argument once: at its first new
+            # position i, old arguments before i and any after it
+            layer = []
+            for d in funs:
+                for i in range(d.arity):
+                    args = []
+                    for j, s in enumerate(d.arg_sorts):
+                        p, k = pools.get(s, []), old.get(s, 0)
+                        args.append(p[:k] if j < i else p[k:] if j == i
+                                    else p)
+                    layer += [App(d.name, a, d.result_sort)
+                              for a in itertools.product(*args)]
+            layer.sort(key=lambda a: _shortlex(a, text))
 
     def relations(self):
         return [d for d in self.symbols.values() if d.kind == "rel"]

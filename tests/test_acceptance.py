@@ -19,7 +19,7 @@ from omegalogic.structures import (
     load_structure, parse_structure,
 )
 from omegalogic.syntax import (
-    And, Atom, Const, Forall, Var, parse_formula, parse_vocabulary,
+    And, Atom, Const, Forall, Var, parse_vocabulary,
 )
 from omegalogic.types_atomicity import (
     ef_signature, generativity, parse_witness_map, scott_sentence_finite,

@@ -15,13 +15,13 @@ import pytest
 
 from omegalogic.cli import main
 from omegalogic.syntax import (
-    App, Atom, Const, SchemaConj, SyntaxError_, Var, parse_formula,
-    parse_term,
+    App, Atom, Const, ConstantFamily, SchemaConj, SyntaxError_, Term, Var,
+    Vocabulary, _feeding_sorts, applications, parse_formula, parse_term,
     parse_vocabulary, print_term,
 )
 from omegalogic.structures import (
-    FiniteStructure, Valuation, _instantiate, _match, eval_sentence,
-    parse_structure,
+    FiniteStructure, TermGeneratedStructure, Valuation, _instantiate, _match,
+    eval_sentence, parse_structure,
 )
 from omegalogic.omega_rules import (
     _target_eval, check_instance_sound, instantiate_schema,
@@ -40,13 +40,16 @@ def _voc(name):
 
 
 def _shortlex(t):
-    return (len(print_term(t)), print_term(t))
+    p = print_term(t)
+    return len(p), p
 
 
 def reference_tau(s, limit, sort=None):
     """Constants first, then every function applied to every tuple of the
     elements seen so far, one layer at a time, each layer in shortlex
     order; stops at the `limit`-th element of `sort`."""
+    if limit <= 0:
+        return []
     seen, seen_set, out = [], set(), []
     frontier = sorted((Const(d.name, d.result_sort)
                        for d in s.vocab.constants()), key=_shortlex)
@@ -138,6 +141,32 @@ def test_stream_matches_reference(name):
         for limit in range(1, 41):
             assert s.enumerate_elements(limit, sort) == \
                 reference(s, limit, sort), (sort, limit)
+
+
+@pytest.mark.parametrize("name", sorted(presentations()))
+def test_kept_listing_matches_reference(name):
+    """One presentation asked for shorter and longer prefixes in turn
+    answers each as the reference does, and a caller that changes the list
+    it got changes nothing that is kept."""
+    s = presentations()[name]
+    for sort in (None,) + s.vocab.sorts:
+        for limit in (5, 3, 40, 0, 12, 1):
+            assert s.enumerate_elements(limit, sort) == \
+                reference(s, limit, sort), (sort, limit)
+        got = s.enumerate_elements(12, sort)
+        got.append(Const("0", "N"))
+        got[:3] = []
+        assert s.enumerate_elements(12, sort) == reference(s, 12, sort)
+
+
+def test_a_stream_that_raises_is_not_kept():
+    """Naming the first member raises; the next call raises the same
+    error, where a kept dead stream would answer with an empty list."""
+    fam = ConstantFamily("D", "Z", scheme="bogus")
+    s = TermGeneratedStructure(Vocabulary(["Z"], [], [fam]), "D")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown enumeration scheme"):
+            s.enumerate_elements(3)
 
 
 def test_merged_members_do_not_truncate_the_family():
@@ -275,6 +304,60 @@ def test_tau_on_long_chains():
     s = parse_structure("structure d\ngenerated by tau\nrewrite D(x) -> x",
                         voc)
     assert s.enumerate_elements(1200) == terms
+
+
+# -- the semi-naive layers, against the layer built from every value found
+
+
+def reference_tau_stream(vocab, sort=None, name=None):
+    """`Vocabulary.tau_stream` with each layer built by applying every
+    function to every value found so far, keeping the applications with an
+    argument new in the last layer."""
+    sorts = _feeding_sorts(vocab, sort)
+    funs = [d for d in vocab.functions() if d.result_sort in sorts]
+    layer = sorted((c for c in vocab.constant_terms() if c.sort in sorts),
+                   key=lambda c: (len(c.name), c.name))
+    named, found = {}, set()
+    while layer:
+        new = len(named)
+        for t in layer:
+            v = t if name is None else name(t, named)
+            if v not in found:
+                found.add(v)
+                named[v if isinstance(v, Term) else t] = v
+                if sort is None or t.sort == sort:
+                    yield v
+        if not funs:
+            break
+        fresh = set(itertools.islice(named, new, None))
+        layer = sorted((a for a in applications(funs, list(named))
+                        if not fresh.isdisjoint(a.args)), key=_shortlex)
+
+
+SEMI_NAIVE = {
+    "unary": ("sort N\nconst 0 : N\nconst 1 : N\nfun S : N -> N\n",
+              "rewrite S(1) -> S(S(0))"),
+    "binary": ("sort N\nconst a : N\nconst b : N\nfun f : N N -> N\n",
+               "rewrite f(x, x) -> x"),
+    "unary-and-binary": ("sort N\nconst 0 : N\nfun S : N -> N\n"
+                         "fun p : N N -> N\n", "rewrite p(0, x) -> x"),
+    "cross-sort": ("sort A\nsort B\nconst a : A\nconst b : B\n"
+                   "fun g : A B -> B\nfun h : B A -> A\n",
+                   "rewrite g(x, g(x, y)) -> g(x, y)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEMI_NAIVE))
+def test_semi_naive_layers_match_the_full_join(name):
+    voc_text, rewrite = SEMI_NAIVE[name]
+    voc = parse_vocabulary(voc_text)
+    s = parse_structure(f"structure s\ngenerated by tau\n{rewrite}\n", voc)
+    for sort in (None,) + voc.sorts:
+        for namer in (None, s.element_of):
+            got = list(itertools.islice(voc.tau_stream(sort, namer), 300))
+            want = list(itertools.islice(
+                reference_tau_stream(voc, sort, namer), 300))
+            assert got == want, (sort, namer)
 
 
 # -- the family listing of valuation targets

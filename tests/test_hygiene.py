@@ -1,7 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses
-or another module's private name, no function of it takes a parameter it
-never reads, only `syntax` splits a file into lines, and none catches
-RecursionError."""
+"""Source hygiene: no module of the package or of its tests imports a name
+it never uses; no module of the package imports another module's private
+name, no function of it takes a parameter it never reads, only `syntax`
+splits a file into lines, and none catches RecursionError."""
 
 import ast
 import pathlib
@@ -9,6 +9,7 @@ import pathlib
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "omegalogic"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 # the evaluator's names that `structures` imports for its callers
 REEXPORTED = {"structures": {"EvalError", "TruthAtFuel", "_eval",
@@ -41,8 +42,9 @@ def unused_imports(tree):
     return imported - used
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda p: p.stem)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.stem if p.parent == PACKAGE else f"tests/{p.stem}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert unused_imports(tree) - REEXPORTED.get(path.stem, set()) == set()

@@ -1,7 +1,7 @@
 import pytest
 
 from omegalogic.morley import (
-    BundleError, chang_bundle_load, load_theory, morley_code, parse_theory,
+    BundleError, chang_bundle_load, morley_code, parse_theory,
     verify_omega_model,
 )
 from omegalogic.structures import EvalError, FiniteStructure

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from omegalogic.syntax import (
-    Absurd, And, App, Atom, Const, ConstantFamily, Eq, FamilyMember, Not, Or,
+    Absurd, And, App, Atom, Const, Eq, FamilyMember, Not, Or,
     SyntaxError_, parse_formula, parse_vocabulary,
 )
 from omegalogic.structures import (

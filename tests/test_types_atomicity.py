@@ -15,7 +15,7 @@ from omegalogic.structures import (
 )
 from omegalogic import types_atomicity as ta
 from omegalogic.types_atomicity import (
-    GenerativityVerdict, TypeDescriptor, canonical_formulas, complete_type,
+    TypeDescriptor, canonical_formulas, complete_type,
     ef_equivalent,
     ef_signature, generativity, is_atomic, is_principal, parse_witness_map,
     scott_sentence_finite, verify_witness,
