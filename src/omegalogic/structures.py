@@ -586,7 +586,7 @@ def _forced_embedding(a, b, bound):
     return mapping
 
 
-def map_defect(a, b, mapping):
+def map_defect(a, b, mapping, new=None):
     """The first atomic fact that the partial map `mapping` from `a` into
     `b` breaks, or None: the one structure-map check, which embedding and
     isomorphism search and the generativity witness check share.
@@ -597,52 +597,93 @@ def map_defect(a, b, mapping):
     which the relation's truth or the function's value (when it is mapped
     too) is not carried over.  Relations are checked both ways, by the
     relation test that `holds` and the evaluator share (`relation_test`);
-    one that `a` or `b` cannot decide raises EvalError."""
+    one that `a` or `b` cannot decide raises EvalError.
+
+    With `new`, a key of `mapping`, only the facts that the map gains from
+    it are checked: the constants that name it, the tuples that hold it,
+    and the function values at the other tuples that land on it.  So when
+    `mapping` without `new` breaks nothing, the answer is None exactly
+    when it is None for the whole map."""
     for c in a.vocab.constant_terms():
         src = a.element_of(c)
-        if src in mapping and mapping[src] != b.element_of(c):
+        if (src in mapping if new is None else src == new) and \
+                mapping[src] != b.element_of(c):
             return ("const", c.name)
     pools = {sort: [] for sort in a.vocab.sorts}
     for e in mapping:
         pools[a.sort_of(e)].append(e)
+    if new is not None:
+        nsort = a.sort_of(new)
+        olds = pools[nsort][:]
+        olds.remove(new)
     image = mapping.__getitem__
     for d in a.vocab.relations():
+        sorts = d.arg_sorts
+        if new is None:
+            spans = (map(pools.__getitem__, sorts),)
+        else:
+            # the tuples that hold `new`, each once: by the first position
+            # i that holds it, so that before i its sort takes the others
+            spans = []
+            for i, x in enumerate(sorts):
+                if x == nsort:
+                    span = list(map(pools.__getitem__, sorts))
+                    span[i] = (new,)
+                    for j in range(i):
+                        if sorts[j] == nsort:
+                            span[j] = olds
+                    spans.append(span)
         # each side's test is fetched at the first tuple, in the order the
         # two are asked, so that one missing raises where it always did
         in_a = in_b = None
-        for src in itertools.product(*(pools[sort] for sort in d.arg_sorts)):
-            held = (in_a or (in_a := a.relation_test(d.name)))(src)
-            if held != (in_b or (in_b := b.relation_test(d.name)))(
-                    tuple(map(image, src))):
-                return ("rel", d.name, src)
+        for span in spans:
+            for src in itertools.product(*span):
+                held = (in_a or (in_a := a.relation_test(d.name)))(src)
+                if held != (in_b or (in_b := b.relation_test(d.name)))(
+                        tuple(map(image, src))):
+                    return ("rel", d.name, src)
     for d in a.vocab.functions():
-        for src in itertools.product(*(pools[sort] for sort in d.arg_sorts)):
+        # with `new`, the tuples that hold it or whose value it is
+        for src in itertools.product(*map(pools.__getitem__, d.arg_sorts)):
             fa = a.apply_fun(d.name, src)
-            if fa in mapping and mapping[fa] != b.apply_fun(
-                    d.name, [mapping[x] for x in src]):
+            if fa in mapping and (new is None or fa == new or new in src) \
+                    and mapping[fa] != b.apply_fun(
+                        d.name, [mapping[x] for x in src]):
                 return ("fun", d.name, src)
     return None
 
 
 def _backtrack_embedding(a, b):
-    elems = [e for s in a.vocab.sorts for e in a.domains[s]]
-
-    def extend(i, mapping, used):
-        if i == len(elems):
-            return dict(mapping)
-        e = elems[i]
-        for cand in b.domains[a.sort_of(e)]:
-            if cand in used:
-                continue
-            mapping[e] = cand
-            if map_defect(a, b, mapping) is None:
-                res = extend(i + 1, mapping, used | {cand})
-                if res is not None:
-                    return res
-            del mapping[e]
-        return None
-
-    return extend(0, {}, set())
+    """The first injective map from finite `a` into `b` that breaks no
+    atomic fact, or None.  The elements of `a`, sort by sort, are mapped
+    in turn, each to the first candidate of its sort in `b`'s domain order
+    that is unused and breaks nothing with those mapped before it
+    (`map_defect` with `new`); when none is left, the search backs up to
+    the element before and its next candidate.  Each element's remaining
+    candidates are kept as an iterator on an explicit stack, so no size of
+    `a` runs out of recursion."""
+    plan = [(e, b.domains[s]) for s in a.vocab.sorts for e in a.domains[s]]
+    mapping, used, stack = {}, set(), []
+    i = 0  # the element being mapped; those before it are mapped
+    while i < len(plan):
+        e, targets = plan[i]
+        if i == len(stack):
+            stack.append(iter(targets))
+        for cand in stack[i]:
+            if cand not in used:
+                mapping[e] = cand
+                if map_defect(a, b, mapping, e) is None:
+                    used.add(cand)
+                    i += 1
+                    break
+                del mapping[e]
+        else:  # no candidate left: back up to the element before
+            stack.pop()
+            i -= 1
+            if i < 0:
+                return None
+            used.remove(mapping.pop(plan[i][0]))
+    return dict(mapping)
 
 
 # ---------------------------------------------------------------------------

@@ -345,25 +345,57 @@ def _twin_classes(s):
     return {e: tuple(cls) for cls in classes for e in cls}
 
 
-def _canonical(tup, twin):
+def _canonical(tup, head, twin):
     """The tuple an automorphism carries `tup` to by sending each new point
-    to the first member of its twin class not used before it."""
-    image, out = {}, []
-    for x in tup:
-        if x not in image:
-            image[x] = next(y for y in twin[x] if y not in out)
-        out.append(image[x])
-    return tuple(out)
+    to the first member of its twin class not used before it, given
+    `head`, that tuple for all but the last point of `tup`."""
+    x = tup[-1]
+    i = tup.index(x)
+    if i < len(head):
+        return head + (head[i],)
+    return head + (next(y for y in twin[x] if y not in head),)
+
+
+class _Table:
+    """The signature ids of one call, shared by the structures it compares,
+    and the memos of its separating sentence.
+
+    Equal fact tuples are one object (`facts`), so a signature is keyed by
+    `(id(facts), replies)`, `replies` being the frozenset of the ids of the
+    signatures one move further, or None at rank 0.  `ids` numbers these
+    keys from 0 as first met, and `nodes[i]` is signature i as `(facts,
+    replies)`.  Ids are compared by `==` and mean nothing outside the call.
+    `positions`, `literals` and `bodies` hold `_distinguish`'s sentence per
+    position, `_atomic_separator`'s literal per pair of fact tuples and
+    `_winning_move`'s body per variable and parts.  Every `id()` in a key
+    is that of an object alive as long as the table: a fact tuple it
+    interns, a part its memoised body holds, or one of the call's sides."""
+
+    def __init__(self):
+        self.facts, self.ids, self.nodes = {}, {}, []
+        self.positions, self.literals, self.bodies = {}, {}, {}
+
+    def intern(self, facts, replies):
+        """The id of the signature (facts, replies), `facts` interned."""
+        key = (id(facts), replies)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.nodes)
+            self.nodes.append((facts, replies))
+        return i
 
 
 @dataclass(frozen=True)
 class _Side:
     """One structure's part in the EF game, built once per structure by
-    `_signatures`: the signature function `sig`, the elements of the
-    constants (the points ahead of every tuple), the constants as terms,
-    the elements of every sort, and the sort variables are typed at."""
+    `_signatures`: the signature function `sig`, the facts accessor `fact`,
+    the call's `_Table`, the elements of the constants (the points ahead of
+    every tuple), the constants as terms, the elements of every sort, and
+    the sort variables are typed at."""
 
     sig: object
+    fact: object
+    table: _Table
     consts: tuple
     terms: tuple
     elems: tuple
@@ -371,31 +403,42 @@ class _Side:
 
 
 def _signatures(s, table):
-    """The `_Side` of `s`, whose sig(tup, k) is the rank-k back-and-forth
-    signature of `tup`, the pair (the atomic facts that involve its last
-    point, in `_new_facts` order, the set of rank-(k-1) signatures one
-    move further).  Two tuples whose prefixes have the same atomic type are
-    k-round equivalent iff their signatures are equal.
+    """The `_Side` of `s`, whose sig(tup, k) is the id in `table` of the
+    rank-k back-and-forth signature of `tup`: the pair (the atomic facts
+    that involve its last point, in `_new_facts` order, the set of ids of
+    the rank-(k-1) signatures one move further), or (facts, None) at rank
+    0.  Two tuples whose prefixes have the same atomic type are k-round
+    equivalent iff their ids are equal.  fact(tup) is that first part, the
+    fact tuple interned in `table`, read without a signature.
 
     Moves to an element already among the points are left out: Duplicator
     answers one with the matching point, which leaves the position as it
     was with a round less, so it tells apart no tuples that the other moves
     do not.  Tuples an automorphism swapping twins (`_twin_classes`) maps
-    onto each other have one signature: a tuple missing from the memo takes
-    that of its canonical tuple (`_canonical`), and the moves take one
-    element of each twin class, the first not among the points.  So only
-    canonical tuples are ever built.  Signatures are computed on demand,
-    memoised by the tuple asked for, and interned in `table`, so equal
-    signatures are one object."""
+    onto each other have one signature and one fact tuple: a tuple missing
+    from a memo takes those of its canonical tuple (`_canonical`, found
+    once per tuple), and the moves take one element of each twin class, the
+    first not among the points, so the tuples they build are canonical.
+    Facts are worked out once per canonical tuple, and signatures on
+    demand, memoised by the tuple asked for and the rank."""
     _check_relational(s)
     rels = _ef_relations(s)
     elems = tuple(e for sort in s.vocab.sorts for e in s.domains[sort])
     twin = _twin_classes(s)
     consts = tuple(s.constants[d.name] for d in s.vocab.constants())
+    interned = table.facts
     # the facts of the constants, those of their prefixes in turn
-    facts = {(): tuple(f for j in range(len(consts) + 1)
-                       for f in _new_facts(consts[:j], rels))}
-    sigs = {}
+    first = tuple(f for j in range(len(consts) + 1)
+                  for f in _new_facts(consts[:j], rels))
+    facts = {(): interned.setdefault(first, first)}  # tuple -> its facts
+    canon = {(): ()}  # tuple -> its canonical tuple
+    sigs = {}  # (tuple, rank) -> signature id
+
+    def canonical(tup):
+        c = canon.get(tup)
+        if c is None:
+            c = canon[tup] = _canonical(tup, canonical(tup[:-1]), twin)
+        return c
 
     def movers(pts):
         if twin is None:
@@ -407,35 +450,56 @@ def _signatures(s, table):
                 taken.update(twin[x])
         return out
 
+    def fact(tup):
+        f = facts.get(tup)
+        if f is None:
+            if twin is not None and (c := canonical(tup)) != tup:
+                f = fact(c)
+            else:
+                f = _new_facts(consts + tup, rels)
+                f = interned.setdefault(f, f)
+            facts[tup] = f
+        return f
+
     def sig(tup, k):
         key = (tup, k)
-        if key not in sigs:
-            if twin is not None and (canon := _canonical(tup, twin)) != tup:
-                sigs[key] = sig(canon, k)
-                return sigs[key]
-            pts = consts + tup
-            if tup not in facts:
-                f = _new_facts(pts, rels)
-                facts[tup] = table.setdefault(f, f)
-            moves = None if k == 0 else frozenset(
-                sig(tup + (x,), k - 1) for x in movers(pts))
-            t = (facts[tup], moves)
-            sigs[key] = table.setdefault(t, t)
-        return sigs[key]
+        i = sigs.get(key)
+        if i is None:
+            if twin is not None and (c := canonical(tup)) != tup:
+                i = sig(c, k)
+            else:
+                replies = None if k == 0 else frozenset([
+                    sig(tup + (x,), k - 1) for x in movers(consts + tup)])
+                i = table.intern(fact(tup), replies)
+            sigs[key] = i
+        return i
 
-    return _Side(sig, consts, s.vocab.constant_terms(), elems,
+    return _Side(sig, fact, table, consts, s.vocab.constant_terms(), elems,
                  s.vocab.sorts[0] if s.vocab.sorts else None)
 
 
 def ef_signature(s, rounds):
-    """The rank-`rounds` back-and-forth signature of the empty tuple; two
-    finite structures are EF-equivalent at that many rounds iff their
-    signatures are equal.  `rounds` must be >= 0.  Its parts are interned
-    in a table local to the call, so equal parts are one object (see
-    `_signatures`).  Moves range over the elements of every sort (see
-    ROADMAP item 1)."""
+    """The rank-`rounds` back-and-forth signature of the empty tuple, as a
+    value: (facts, None) at rank 0, else (facts, the frozenset of the
+    signatures one move further).  Two finite structures are EF-equivalent
+    at that many rounds iff their signatures are equal, across calls too.
+    `rounds` must be >= 0.  It is the root id of `_signatures` expanded,
+    each id once, so equal parts are one object; `ef_equivalent` compares
+    the ids and expands nothing.  Moves range over the elements of every
+    sort (see ROADMAP item 1)."""
     _check_bound(rounds, "rounds")
-    return _signatures(s, {}).sig((), rounds)
+    table = _Table()
+    root = _signatures(s, table).sig((), rounds)
+    values = {}  # id -> its value
+
+    def value(i):
+        v = values.get(i)
+        if v is None:
+            facts, replies = table.nodes[i]
+            v = values[i] = (facts, None if replies is None
+                             else frozenset(map(value, replies)))
+        return v
+    return value(root)
 
 
 def _atomic_separator(a, ta, b, tb):
@@ -445,11 +509,16 @@ def _atomic_separator(a, ta, b, tb):
     of tb's, each in `_new_facts` order.  Only the newest points are
     compared, since a pair of longer tuples is only reached from a parent
     pair with no atomic separator, whose older points share every fact.
-    The facts are read from the signatures, in which equal facts are one
-    object."""
-    fa, fb = a.sig(ta, 0)[0], b.sig(tb, 0)[0]
+    The facts are read by the sides' `fact`, interned in their shared
+    table, so equal facts are one object, and the literal is memoised per
+    pair of fact tuples in `literals`."""
+    fa, fb = a.fact(ta), b.fact(tb)
     if fa is fb:
         return None
+    key = (id(fa), id(fb))
+    lit = a.table.literals.get(key)
+    if lit is not None:
+        return lit
     nconst = len(a.terms)
 
     def term(i):
@@ -462,50 +531,57 @@ def _atomic_separator(a, ta, b, tb):
             return Eq(term(fact[1]), term(fact[2]))
         return Atom(fact[0], tuple(term(i) for i in fact[1]))
 
-    for fact in fa:
-        if fact not in fb:
-            return literal(fact)
-    for fact in fb:
-        if fact not in fa:
-            return Not(literal(fact))
-    return None
+    lit = next((literal(f) for f in fa if f not in fb), None)
+    if lit is None:
+        lit = next((Not(literal(f)) for f in fb if f not in fa), None)
+    a.table.literals[key] = lit
+    return lit
 
 
-def _winning_move(a, ta, b, tb, r, memo):
+def _winning_move(a, ta, b, tb, r):
     """Exists v_n. (a separator of ta+(x,) from each tb+(y,)) for Spoiler's
     first move x on side a that no y on side b answers, or None.  A move to
     an element already among the points wins iff ta and tb differ at one
-    round less."""
+    round less.  The body is memoised in `bodies` per variable and the
+    identities of its parts, so equal conjunctions are built once."""
     pts = a.consts + ta
-    replies = b.sig(tb, r)[1]
-    x = Var(f"v{len(ta)}", a.sort)
+    replies = a.table.nodes[b.sig(tb, r)][1]
     for xa in a.elems:
         if xa in pts:
-            if a.sig(ta, r - 1) is b.sig(tb, r - 1):
+            if a.sig(ta, r - 1) == b.sig(tb, r - 1):
                 continue
         elif a.sig(ta + (xa,), r - 1) in replies:
             continue
-        parts = [_distinguish(a, ta + (xa,), b, tb + (yb,), r - 1, memo)
+        parts = [_distinguish(a, ta + (xa,), b, tb + (yb,), r - 1)
                  for yb in b.elems]
-        body = parts[0] if parts else Eq(x, x)
-        for p in parts[1:]:
-            body = And(body, p)
-        return Exists(x, body)
+        bodies = a.table.bodies
+        key = (len(ta), tuple(map(id, parts)))
+        move = bodies.get(key)
+        if move is None:
+            x = Var(f"v{len(ta)}", a.sort)
+            body = parts[0] if parts else Eq(x, x)
+            for p in parts[1:]:
+                body = And(body, p)
+            move = bodies[key] = Exists(x, body)
+        return move
     return None
 
 
-def _distinguish(a, ta, b, tb, r, memo):
+def _distinguish(a, ta, b, tb, r):
     """A formula (free vars v0..) true of ta on side a, false of tb on side
-    b, for tuples whose rank-r signatures differ."""
+    b, for tuples whose rank-r signatures differ, memoised in `positions`
+    by the side and the real tuples."""
+    memo = a.table.positions
     key = (id(a), ta, tb)
-    if key not in memo:
+    res = memo.get(key)
+    if res is None:
         res = _atomic_separator(a, ta, b, tb)
         if res is None:
-            res = _winning_move(a, ta, b, tb, r, memo)
+            res = _winning_move(a, ta, b, tb, r)
         if res is None:
-            res = Not(_winning_move(b, tb, a, ta, r, memo))
+            res = Not(_winning_move(b, tb, a, ta, r))
         memo[key] = res
-    return memo[key]
+    return res
 
 
 def ef_equivalent(a, b, rounds, want_formula=True):
@@ -513,8 +589,8 @@ def ef_equivalent(a, b, rounds, want_formula=True):
 
     `a` and `b` must be finite structures over one relational vocabulary
     (`check_common_vocabulary`, else EvalError), and `rounds` must be >= 0
-    (else ValueError).  The signatures of both structures are interned in
-    one table, so comparing two is an identity test; each structure's
+    (else ValueError).  The signatures of both structures get ids in one
+    `_Table`, so comparing two is comparing two integers; each structure's
     signatures collapse its twin classes (`_signatures`).  The separating
     sentence follows Spoiler's winning strategy: at each position it takes
     the first move, in a and then in b, whose signature no reply matches,
@@ -524,18 +600,20 @@ def ef_equivalent(a, b, rounds, want_formula=True):
     depends on them; a position is first tested for an atomic separator of
     its newest points, the first fact in `_new_facts` order that tells
     them apart.  A move to an element already among the points wins
-    exactly when the two tuples differ with a round less.  The game
-    ignores sorts: a move ranges over the elements of every sort, and
-    variables are typed at the first sort (ROADMAP item 1)."""
+    exactly when the two tuples differ with a round less.  Literals and
+    move bodies are memoised in the table, so positions that differ only
+    in twins share their sentence's nodes without building them again.
+    The game ignores sorts: a move ranges over the elements of every sort,
+    and variables are typed at the first sort (ROADMAP item 1)."""
     _check_bound(rounds, "rounds")
     check_common_vocabulary(a, b, "ef_equivalent")
-    table = {}
+    table = _Table()
     sa, sb = _signatures(a, table), _signatures(b, table)
-    if sa.sig((), rounds) is sb.sig((), rounds):
+    if sa.sig((), rounds) == sb.sig((), rounds):
         return ("equivalent", None)
     if not want_formula:
         return ("distinguished", None)
-    f = _distinguish(sa, (), sb, (), rounds, {})
+    f = _distinguish(sa, (), sb, (), rounds)
     assert quantifier_rank(f) <= rounds
     return ("distinguished", f)
 

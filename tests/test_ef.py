@@ -5,6 +5,8 @@ Like that reference, the game ignores sorts (ROADMAP item 1), so sentences
 are checked by evaluation on single-sorted vocabularies only; on two-sorted
 ones the results are compared with the reference."""
 
+import functools
+import gc
 import itertools
 import random
 import time
@@ -20,6 +22,7 @@ from omegalogic.structures import (
     EvalError, FiniteStructure, all_finite_structures, eval_sentence,
     parse_structure,
 )
+from omegalogic import types_atomicity
 from omegalogic.types_atomicity import (
     _ef_relations, _new_facts, _twin_classes, ef_equivalent, ef_signature,
 )
@@ -228,19 +231,93 @@ def differential_pairs():
     yield from ternary_pairs()
 
 
+def printed(result):
+    """An `ef_equivalent` answer with its sentence printed."""
+    verdict, f = result
+    return verdict, None if f is None else print_formula(f)
+
+
+@functools.cache
+def reference_answers():
+    """`reference_ef` of each of `differential_pairs()`, printed."""
+    return tuple(printed(reference_ef(a, b, rounds))
+                 for a, b, rounds in differential_pairs())
+
+
 # -- tests
 
 
 def test_matches_reference():
-    for a, b, rounds in differential_pairs():
-        want = reference_ef(a, b, rounds)
+    for (a, b, rounds), want in zip(differential_pairs(),
+                                    reference_answers()):
         got = ef_equivalent(a, b, rounds)
-        assert got[0] == want[0], (a.relations, b.relations, rounds)
-        if got[1] is None:
-            assert want[1] is None
-            continue
-        assert print_formula(got[1]) == print_formula(want[1])
-        check_separator(a, b, got[1], rounds)
+        assert printed(got) == want, (a.relations, b.relations, rounds)
+        if got[1] is not None:
+            check_separator(a, b, got[1], rounds)
+
+
+def test_memos_stay_within_one_call():
+    """The signature ids and the sentence memos are keyed by `id()` of
+    objects that live as long as one call.  Run in two shuffled orders,
+    with the garbage of each call collected before the next (so that its
+    addresses can be handed out again), every answer still prints as the
+    reference's."""
+    pairs = list(differential_pairs())
+    want = reference_answers()
+    gc.freeze()  # collect only what the calls below leave behind
+    try:
+        for seed in (1, 2):
+            order = list(range(len(pairs)))
+            random.Random(seed).shuffle(order)
+            for i in order:
+                gc.collect()
+                assert printed(ef_equivalent(*pairs[i])) == want[i], i
+    finally:
+        gc.unfreeze()
+
+
+def reference_canonical(tup, twin):
+    """Each new point of `tup` sent to the first member of its twin class
+    not used before it."""
+    image, out = {}, []
+    for x in tup:
+        if x not in image:
+            image[x] = next(y for y in twin[x] if y not in out)
+        out.append(image[x])
+    return tuple(out)
+
+
+def test_facts_worked_out_once_per_canonical_tuple(monkeypatch):
+    """In one `ef_equivalent` call, `_new_facts` runs at most once per
+    structure and point tuple, and past the constants' own prefixes only
+    at canonical tuples."""
+    class Tagged(list):
+        structure = None
+
+    def tagged_relations(s):
+        rels = Tagged(_ef_relations(s))
+        rels.structure = s
+        return rels
+
+    def counted_new_facts(pts, rels):
+        calls[id(rels.structure), pts] += 1
+        s = rels.structure
+        consts = tuple(s.constants[d.name] for d in s.vocab.constants())
+        if len(pts) > len(consts):
+            tup = pts[len(consts):]
+            twin = _twin_classes(s)
+            assert twin is None or reference_canonical(tup, twin) == tup
+        return _new_facts(pts, rels)
+
+    monkeypatch.setattr(types_atomicity, "_ef_relations", tagged_relations)
+    monkeypatch.setattr(types_atomicity, "_new_facts", counted_new_facts)
+    seen = 0
+    for a, b, rounds in differential_pairs():
+        calls = Counter()
+        ef_equivalent(a, b, rounds)
+        assert max(calls.values()) == 1, (a.relations, b.relations, rounds)
+        seen += len(calls)
+    assert seen > 1000
 
 
 def test_ternary_pairs_reach_both_verdicts():

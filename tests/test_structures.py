@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -539,6 +540,136 @@ def test_map_defect_matches_holds_reference():
         seen.add(want and want[0])
     # every outcome came up: none, each kind of defect, a missing decider
     assert seen == {None, "const", "rel", "fun", EvalError}, seen
+
+
+# -- the embedding search as it was: recursive, each step checked whole
+
+
+def reference_embedding(a, b):
+    """The first embedding of `a` into `b`, each element in turn mapped to
+    the first unused candidate for which the whole partial map passes
+    `map_defect`, recursing once per element."""
+    elems = [e for s in a.vocab.sorts for e in a.domains[s]]
+
+    def extend(i, mapping, used):
+        if i == len(elems):
+            return dict(mapping)
+        e = elems[i]
+        for cand in b.domains[a.sort_of(e)]:
+            if cand in used:
+                continue
+            mapping[e] = cand
+            if map_defect(a, b, mapping) is None:
+                res = extend(i + 1, mapping, used | {cand})
+                if res is not None:
+                    return res
+            del mapping[e]
+        return None
+
+    return extend(0, {}, set())
+
+
+# two sorts, a relation that takes A twice and a function across the sorts
+CROSS_VOCAB = parse_vocabulary(
+    "sort A\nsort B\nrel T : A B A\nfun g : A -> B\nconst k : B")
+
+
+def _cross(rng, n_a, n_b):
+    dom = {"A": [f"a{i}" for i in range(n_a)],
+           "B": [f"b{i}" for i in range(n_b)]}
+    return FiniteStructure(
+        CROSS_VOCAB, dom,
+        {"T": {t for t in itertools.product(dom["A"], dom["B"], dom["A"])
+               if rng.random() < 0.3}},
+        {"g": {x: rng.choice(dom["B"]) for x in dom["A"]}},
+        {"k": rng.choice(dom["B"])})
+
+
+def _relabelled(rng, s):
+    """`s` with each sort's elements permuted."""
+    m = {}
+    for sort, es in s.domains.items():
+        m.update(zip(es, rng.sample(es, len(es))))
+    return FiniteStructure(
+        s.vocab, s.domains,
+        {r: {tuple(map(m.get, t)) for t in ext}
+         for r, ext in s.relations.items()},
+        {f: {tuple(map(m.get, k)): m[v] for k, v in table.items()}
+         for f, table in s.functions.items()},
+        {c: m[e] for c, e in s.constants.items()})
+
+
+def test_searches_match_the_whole_map_reference():
+    """`embed_search` returns the map of the reference search, entry for
+    entry in the same order, and `is_isomorphic` answers as it does, on
+    every structure of size <= 3 over P, f and c against a relabelled copy
+    and three drawn structures, and on two-sorted ones.  Sources with
+    f(e_i) = e_j for i < j put a function value at older elements on the
+    element mapped next."""
+    rng = random.Random(2027)
+    small = [s for n in (1, 2, 3) for s in all_finite_structures(DIFF_VOCAB, n)]
+    pairs = [(s, t) for s in small
+             for t in [_relabelled(rng, s)] + rng.sample(small, 3)]
+    cross = [_cross(rng, rng.randint(1, 3), rng.randint(1, 2))
+             for _ in range(150)]
+    pairs += [(s, t) for s in cross
+              for t in (_relabelled(rng, s), rng.choice(cross))]
+    forward = found = 0
+    for a, b in pairs:
+        want = reference_embedding(a, b)
+        got = embed_search(a, b)
+        assert (got and list(got.items())) == (want and list(want.items())), (
+            a.relations, a.functions, b.relations, b.functions)
+        same_size = all(len(a.domains[x]) == len(b.domains[x])
+                        for x in a.vocab.sorts)
+        assert is_isomorphic(a, b) == (same_size and want is not None)
+        found += want is not None
+        forward += any(int(v[1]) > int(k[0][1])
+                       for k, v in a.functions.get("f", {}).items())
+    assert found > 800 and forward > 1000, (found, forward)
+
+
+def test_new_element_check_matches_the_whole_map():
+    """On random partial maps that break nothing before their last entry,
+    `map_defect` with that entry as `new` finds a defect exactly when the
+    whole-map check does; the one through a function value at an older
+    element is among them."""
+    rng = random.Random(64)
+    small = [s for n in (1, 2, 3) for s in all_finite_structures(DIFF_VOCAB, n)]
+    draws = (lambda: rng.choice(small),
+             lambda: _cross(rng, rng.randint(1, 3), 2))
+    kinds = Counter()
+    for _ in range(3000):
+        draw = rng.choice(draws)
+        a, b, m = draw(), draw(), {}
+        for e in rng.sample([e for x in a.vocab.sorts for e in a.domains[x]],
+                            k=a.size()):
+            m[e] = rng.choice(b.domains[a.sort_of(e)])
+            whole = map_defect(a, b, m)
+            assert (map_defect(a, b, m, e) is None) == (whole is None), (
+                a.relations, a.functions, m)
+            if whole is not None:
+                kinds[whole[0]] += 1
+                break
+    assert min(kinds.values()) > 50 and set(kinds) == {"const", "rel", "fun"}
+    # f(e0) = e1, mapped in that order: only the value at e0 is broken
+    a = FiniteStructure(DIFF_VOCAB, {"S": ["e0", "e1"]}, {"P": set()},
+                        {"f": {"e0": "e1", "e1": "e1"}}, {"c": "e0"})
+    b = FiniteStructure(DIFF_VOCAB, {"S": ["x0", "x1"]}, {"P": set()},
+                        {"f": {"x0": "x0", "x1": "x1"}}, {"c": "x0"})
+    assert map_defect(a, b, {"e0": "x0"}) is None
+    assert map_defect(a, b, {"e0": "x0", "e1": "x1"}, "e1") == (
+        "fun", "f", ("e0",))
+
+
+def test_large_pure_sets_need_no_recursion():
+    """The search keeps its place on an explicit stack, so a 2,000-element
+    pure set is searched without running out of recursion."""
+    voc = parse_vocabulary("sort S")
+    a = FiniteStructure(voc, {"S": [f"x{i}" for i in range(2000)]})
+    b = FiniteStructure(voc, {"S": [f"y{i}" for i in range(2000)]})
+    assert is_isomorphic(a, b)
+    assert embed_search(a, b) == {f"x{i}": f"y{i}" for i in range(2000)}
 
 
 # -- the isomorphism search `is_isomorphic` replaced, as its oracle
