@@ -264,7 +264,7 @@ def test_memos_stay_within_one_call():
     reference's."""
     pairs = list(differential_pairs())
     want = reference_answers()
-    gc.freeze()  # collect only what the calls below leave behind
+    gc.freeze()  # each collection then skips the objects made before it
     try:
         for seed in (1, 2):
             order = list(range(len(pairs)))
