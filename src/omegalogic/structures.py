@@ -599,56 +599,49 @@ def map_defect(a, b, mapping, new=None):
     relation test that `holds` and the evaluator share (`relation_test`);
     one that `a` or `b` cannot decide raises EvalError.
 
-    With `new`, a key of `mapping`, only the facts that the map gains from
-    it are checked: the constants that name it, the tuples that hold it,
-    and the function values at the other tuples that land on it.  So when
-    `mapping` without `new` breaks nothing, the answer is None exactly
-    when it is None for the whole map."""
+    With `new`, a key of `mapping`, a relation is asked only at the tuples
+    that hold `new`; constants and function values are checked as for the
+    whole map.  So when `mapping` without `new` breaks nothing, the answer
+    is the one for the whole map.  A 0-ary relation holds no element, so
+    with `new` it is never asked: the check of the empty map decides it."""
     for c in a.vocab.constant_terms():
         src = a.element_of(c)
-        if (src in mapping if new is None else src == new) and \
-                mapping[src] != b.element_of(c):
+        if src in mapping and mapping[src] != b.element_of(c):
             return ("const", c.name)
     pools = {sort: [] for sort in a.vocab.sorts}
     for e in mapping:
         pools[a.sort_of(e)].append(e)
     if new is not None:
         nsort = a.sort_of(new)
-        olds = pools[nsort][:]
-        olds.remove(new)
-    image = mapping.__getitem__
-    for d in a.vocab.relations():
-        sorts = d.arg_sorts
-        if new is None:
-            spans = (map(pools.__getitem__, sorts),)
-        else:
+        olds = [e for e in pools[nsort] if e != new]
+
+        def holding(sorts):
             # the tuples that hold `new`, each once: by the first position
             # i that holds it, so that before i its sort takes the others
-            spans = []
             for i, x in enumerate(sorts):
                 if x == nsort:
-                    span = list(map(pools.__getitem__, sorts))
+                    span = [pools[sort] for sort in sorts]
                     span[i] = (new,)
                     for j in range(i):
                         if sorts[j] == nsort:
                             span[j] = olds
-                    spans.append(span)
+                    yield from itertools.product(*span)
+    image = mapping.__getitem__
+    for d in a.vocab.relations():
         # each side's test is fetched at the first tuple, in the order the
         # two are asked, so that one missing raises where it always did
         in_a = in_b = None
-        for span in spans:
-            for src in itertools.product(*span):
-                held = (in_a or (in_a := a.relation_test(d.name)))(src)
-                if held != (in_b or (in_b := b.relation_test(d.name)))(
-                        tuple(map(image, src))):
-                    return ("rel", d.name, src)
+        for src in (itertools.product(*(pools[sort] for sort in d.arg_sorts))
+                    if new is None else holding(d.arg_sorts)):
+            held = (in_a or (in_a := a.relation_test(d.name)))(src)
+            if held != (in_b or (in_b := b.relation_test(d.name)))(
+                    tuple(map(image, src))):
+                return ("rel", d.name, src)
     for d in a.vocab.functions():
-        # with `new`, the tuples that hold it or whose value it is
-        for src in itertools.product(*map(pools.__getitem__, d.arg_sorts)):
+        for src in itertools.product(*(pools[sort] for sort in d.arg_sorts)):
             fa = a.apply_fun(d.name, src)
-            if fa in mapping and (new is None or fa == new or new in src) \
-                    and mapping[fa] != b.apply_fun(
-                        d.name, [mapping[x] for x in src]):
+            if fa in mapping and mapping[fa] != b.apply_fun(
+                    d.name, [mapping[x] for x in src]):
                 return ("fun", d.name, src)
     return None
 
@@ -661,7 +654,10 @@ def _backtrack_embedding(a, b):
     (`map_defect` with `new`); when none is left, the search backs up to
     the element before and its next candidate.  Each element's remaining
     candidates are kept as an iterator on an explicit stack, so no size of
-    `a` runs out of recursion."""
+    `a` runs out of recursion.  The empty map is checked first, since no
+    step asks a 0-ary relation."""
+    if map_defect(a, b, {}) is not None:
+        return None
     plan = [(e, b.domains[s]) for s in a.vocab.sorts for e in a.domains[s]]
     mapping, used, stack = {}, set(), []
     i = 0  # the element being mapped; those before it are mapped

@@ -569,9 +569,10 @@ def reference_embedding(a, b):
     return extend(0, {}, set())
 
 
-# two sorts, a relation that takes A twice and a function across the sorts
+# two sorts, a relation that takes A twice, a 0-ary relation and a
+# function across the sorts
 CROSS_VOCAB = parse_vocabulary(
-    "sort A\nsort B\nrel T : A B A\nfun g : A -> B\nconst k : B")
+    "sort A\nsort B\nrel T : A B A\nrel Z :\nfun g : A -> B\nconst k : B")
 
 
 def _cross(rng, n_a, n_b):
@@ -580,7 +581,8 @@ def _cross(rng, n_a, n_b):
     return FiniteStructure(
         CROSS_VOCAB, dom,
         {"T": {t for t in itertools.product(dom["A"], dom["B"], dom["A"])
-               if rng.random() < 0.3}},
+               if rng.random() < 0.3},
+         "Z": {()} if rng.random() < 0.8 else set()},
         {"g": {x: rng.choice(dom["B"]) for x in dom["A"]}},
         {"k": rng.choice(dom["B"])})
 
@@ -642,6 +644,9 @@ def test_new_element_check_matches_the_whole_map():
     for _ in range(3000):
         draw = rng.choice(draws)
         a, b, m = draw(), draw(), {}
+        if map_defect(a, b, m) is not None:  # a 0-ary relation
+            kinds["empty"] += 1
+            continue
         for e in rng.sample([e for x in a.vocab.sorts for e in a.domains[x]],
                             k=a.size()):
             m[e] = rng.choice(b.domains[a.sort_of(e)])
@@ -651,7 +656,8 @@ def test_new_element_check_matches_the_whole_map():
             if whole is not None:
                 kinds[whole[0]] += 1
                 break
-    assert min(kinds.values()) > 50 and set(kinds) == {"const", "rel", "fun"}
+    assert min(kinds.values()) > 50, kinds
+    assert set(kinds) == {"empty", "const", "rel", "fun"}
     # f(e0) = e1, mapped in that order: only the value at e0 is broken
     a = FiniteStructure(DIFF_VOCAB, {"S": ["e0", "e1"]}, {"P": set()},
                         {"f": {"e0": "e1", "e1": "e1"}}, {"c": "e0"})
@@ -660,6 +666,23 @@ def test_new_element_check_matches_the_whole_map():
     assert map_defect(a, b, {"e0": "x0"}) is None
     assert map_defect(a, b, {"e0": "x0", "e1": "x1"}, "e1") == (
         "fun", "f", ("e0",))
+
+
+def test_searches_check_0_ary_relations():
+    """No step of the search asks a 0-ary relation, since none holds the
+    element mapped, so the search checks the empty map first: two
+    structures that differ only there, with one element each or none, have
+    no embedding either way."""
+    voc = parse_vocabulary("sort S\nrel Z :")
+    for n in (1, 0):
+        a = FiniteStructure(voc, {"S": [f"x{i}" for i in range(n)]},
+                            {"Z": {()}})
+        b = FiniteStructure(voc, {"S": [f"y{i}" for i in range(n)]},
+                            {"Z": set()})
+        assert embed_search(a, b) is None and embed_search(b, a) is None
+        assert not is_isomorphic(a, b) and not is_isomorphic(b, a)
+        assert is_isomorphic(a, a) and embed_search(b, b) == {
+            f"y{i}": f"y{i}" for i in range(n)}
 
 
 def test_large_pure_sets_need_no_recursion():
