@@ -603,7 +603,7 @@ def map_defect(a, b, mapping, new=None):
     that hold `new`; constants and function values are checked as for the
     whole map.  So when `mapping` without `new` breaks nothing, the answer
     is the one for the whole map.  A 0-ary relation holds no element, so
-    with `new` it is never asked: the check of the empty map decides it."""
+    with `new` it is never asked; the whole-map check asks it."""
     for c in a.vocab.constant_terms():
         src = a.element_of(c)
         if src in mapping and mapping[src] != b.element_of(c):
@@ -654,11 +654,11 @@ def _backtrack_embedding(a, b):
     (`map_defect` with `new`); when none is left, the search backs up to
     the element before and its next candidate.  Each element's remaining
     candidates are kept as an iterator on an explicit stack, so no size of
-    `a` runs out of recursion.  The empty map is checked first, since no
-    step asks a 0-ary relation."""
-    if map_defect(a, b, {}) is not None:
-        return None
+    `a` runs out of recursion.  The first element is checked with the whole
+    map, since only that asks the 0-ary relations."""
     plan = [(e, b.domains[s]) for s in a.vocab.sorts for e in a.domains[s]]
+    if not plan:
+        return {} if map_defect(a, b, {}) is None else None
     mapping, used, stack = {}, set(), []
     i = 0  # the element being mapped; those before it are mapped
     while i < len(plan):
@@ -668,7 +668,7 @@ def _backtrack_embedding(a, b):
         for cand in stack[i]:
             if cand not in used:
                 mapping[e] = cand
-                if map_defect(a, b, mapping, e) is None:
+                if map_defect(a, b, mapping, e if i else None) is None:
                     used.add(cand)
                     i += 1
                     break

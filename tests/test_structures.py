@@ -669,10 +669,10 @@ def test_new_element_check_matches_the_whole_map():
 
 
 def test_searches_check_0_ary_relations():
-    """No step of the search asks a 0-ary relation, since none holds the
-    element mapped, so the search checks the empty map first: two
-    structures that differ only there, with one element each or none, have
-    no embedding either way."""
+    """A step checked by its new element asks no 0-ary relation, so the
+    search checks its first step, or an empty source, with the whole map:
+    two structures that differ only there, with one element each or none,
+    have no embedding either way."""
     voc = parse_vocabulary("sort S\nrel Z :")
     for n in (1, 0):
         a = FiniteStructure(voc, {"S": [f"x{i}" for i in range(n)]},
