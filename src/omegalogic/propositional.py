@@ -15,20 +15,31 @@ A compile does each piece of its work once. The prover's formula space is
 a membership test over the universe's subformula closure, which decides the
 excluded-middle and negation scaffolding around it by node identity without
 building it; the universe makes it at its first compile and keeps it for
-the others. The prover works out the forward closure of each assumption set
-once, and the vE clauses ask each distinct disjunct, not each disjunction,
-which sentences it proves.
+the others, together with the classical cut's masks below, which no rule
+set changes. The prover works out the forward closure of each assumption
+set once, and the vE clauses ask each distinct disjunct, not each
+disjunction, which sentences it proves.
 
 Most of the prover's goals are underivable, and it cuts those that some
 classical atom assignment refutes (a true closure, a false goal) before
 searching: every rule is classically sound, so the cut changes no answer.
 This is the diagram filter of Gelernter's geometry machine (1959), with a
-truth table in place of the diagram.
+truth table in place of the diagram. The compile asks the prover only the
+goals the cut leaves open (`Prover.open_goals`): for theorems, the
+sentences true under every assignment; for negI, the bodies true under
+none; for vE, the sentences true wherever the disjunct is.
 
 Most admissibility clauses have two literals, and the solver keeps each as
 a pair of implications that propagation follows directly; a decision whose
-false literal no clause reads skips propagation altogether. A truth-table
-query that a model found earlier answers costs two integer ANDs.
+false literal no clause reads skips propagation altogether, and a
+first-model search decides only the variables some clause mentions, since
+the first model sets every other one False. A truth-table query (at most
+three literals) reaches the solver only when two exact shortcuts fail:
+a query whose negation contains a whole clause falsifies it, found by at
+most seven lookups in the set of clauses (unit propagation's first step);
+and a model that any table over the same clause set found earlier, kept
+as a bitmask on the loaded solver, answers a query it meets with two
+integer ANDs.
 """
 
 from __future__ import annotations
@@ -231,12 +242,29 @@ class _Space:
     closure of a seed, ⋏ added, widened with excluded-middle scaffolding
     `f | ~f` for each f in the closure, and one and two negations of the
     closure and of that scaffolding. Hash-consed nodes make the test one of
-    identity, so no scaffolding node is built to answer it."""
+    identity, so no scaffolding node is built to answer it.
 
-    __slots__ = ("closure",)
+    The space also keeps the classical cut's masks (see `Prover`): which
+    atom assignments make each formula true depends on no rule set, so
+    every prover over the space shares them. The first CUT_ATOMS atoms of
+    the closure in printed order get a bit each; the others are false in
+    every assignment tried, so each is still a real one."""
+
+    __slots__ = ("closure", "masks", "true")
 
     def __init__(self, closure):
         self.closure = closure  # a frozenset, subformula closed, ⋏ in it
+        # every atom of the space is in the closure it widens
+        atoms = sorted((g for g in closure
+                        if not isinstance(g, (Not, And, Or, Absurd))),
+                       key=print_formula)[:CUT_ATOMS]
+        width = 1 << len(atoms)  # assignment j makes atom i true iff bit i
+        self.true = (1 << width) - 1  # the mask of every assignment
+        self.masks = {}  # formula -> the assignments that make it true
+        for i, atom in enumerate(atoms):
+            period = 1 << (i + 1)
+            half = ((1 << (1 << i)) - 1) << (1 << i)
+            self.masks[atom] = half * (self.true // ((1 << period) - 1))
 
     def widened(self, f):
         """Is f in the closure or the scaffolding `g | ~g` over it? The
@@ -256,6 +284,32 @@ class _Space:
             return False
         f = f.body
         return self.widened(f) or isinstance(f, Not) and self.widened(f.body)
+
+    def mask(self, f):
+        """The assignments that make f true, found without recursion."""
+        masks = self.masks
+        m = masks.get(f)
+        if m is not None:
+            return m
+        todo, new = [f], []  # new: the parts without a mask, wholes first
+        while todo:
+            g = todo.pop()
+            if g not in masks:
+                new.append(g)
+                if isinstance(g, Not):
+                    todo.append(g.body)
+                elif isinstance(g, (And, Or)):
+                    todo += (g.left, g.right)
+        for g in reversed(new):
+            if isinstance(g, Not):
+                masks[g] = self.true ^ masks[g.body]
+            elif isinstance(g, And):
+                masks[g] = masks[g.left] & masks[g.right]
+            elif isinstance(g, Or):
+                masks[g] = masks[g.left] | masks[g.right]
+            else:
+                masks[g] = 0  # ⋏, and an atom without a bit: false
+        return masks[f]
 
 
 def _search_space(seed):
@@ -288,58 +342,22 @@ class Prover:
     of the closure, and vE_MC in `proves_set`) is classically sound, so such
     a goal is underivable at every depth. A model is an atom assignment,
     any node that is not `~`, `&`, `|` or ⋏ counting as an atom: each
-    formula has the bitmask of the assignments that make it true, and each
-    closure the AND of its members' masks. A new rule must be classically
+    formula has the bitmask of the assignments that make it true, kept on
+    the space, and each closure the AND of its members' masks, kept on the
+    prover, since the closure depends on the rules. `open_goals` lets a
+    caller skip the goals the cut refutes. A new rule must be classically
     sound, which `test_every_rule_instance_is_classically_sound` checks,
     or the cut would lose its proofs."""
 
     def __init__(self, rules, space):
         self.rules = frozenset(_check_rules(rules))
-        self.space = space  # a `_search_space`
+        self.space = space  # a `_search_space`, which keeps the masks
+        self.mask = space.mask
         # goal -> ~~goal when the space holds it, else False; filled lazily
         self.double = {}
         self.memo = {}
         self.closures = {}  # assumption set -> its closure
         self.models = {}  # closure -> the assignments making it all true
-        # the first CUT_ATOMS atoms of the space get a bit each; the others
-        # are false in every assignment tried, so each is still a real one.
-        # Every atom of the space is in the closure it widens
-        atoms = sorted((g for g in space.closure
-                        if not isinstance(g, (Not, And, Or, Absurd))),
-                       key=print_formula)[:CUT_ATOMS]
-        width = 1 << len(atoms)  # assignment j makes atom i true iff bit i
-        self.true = (1 << width) - 1  # the mask of every assignment
-        self.masks = {}  # formula -> the assignments that make it true
-        for i, atom in enumerate(atoms):
-            period = 1 << (i + 1)
-            half = ((1 << (1 << i)) - 1) << (1 << i)
-            self.masks[atom] = half * (self.true // ((1 << period) - 1))
-
-    def _mask(self, f):
-        """The assignments that make f true, found without recursion."""
-        masks = self.masks
-        m = masks.get(f)
-        if m is not None:
-            return m
-        todo, new = [f], []  # new: the parts without a mask, wholes first
-        while todo:
-            g = todo.pop()
-            if g not in masks:
-                new.append(g)
-                if isinstance(g, Not):
-                    todo.append(g.body)
-                elif isinstance(g, (And, Or)):
-                    todo += (g.left, g.right)
-        for g in reversed(new):
-            if isinstance(g, Not):
-                masks[g] = self.true ^ masks[g.body]
-            elif isinstance(g, And):
-                masks[g] = masks[g.left] & masks[g.right]
-            elif isinstance(g, Or):
-                masks[g] = masks[g.left] | masks[g.right]
-            else:
-                masks[g] = 0  # ⋏, and an atom without a bit: false
-        return masks[f]
 
     def _closure0(self, gamma):
         """Cheap forward closure under the elimination rules."""
@@ -368,9 +386,9 @@ class Prover:
                         changed = True
         done = self.closures[gamma] = frozenset(cl)
         if done not in self.models:
-            m = self.true
+            m = self.space.true
             for f in done:
-                m &= self._mask(f)
+                m &= self.mask(f)
             self.models[done] = m
         return done
 
@@ -378,11 +396,19 @@ class Prover:
         cl = self._closure0(gamma)
         return self._prove(cl, goal, depth)
 
+    def open_goals(self, gamma: frozenset, goals):
+        """The goals the cut leaves to search from gamma, in order: those
+        true in every model of gamma's closure. `proves` answers False for
+        every other goal at every depth, so a caller may skip asking it."""
+        models = self.models[self._closure0(gamma)]
+        mask = self.mask
+        return [g for g in goals if not models & ~mask(g)]
+
     def _prove(self, cl, goal, depth):
         key = (cl, goal, depth)
         if key in self.memo:
             return self.memo[key]
-        if self.models[cl] & ~self._mask(goal):
+        if self.models[cl] & ~self.mask(goal):
             result = False  # a model of cl falsifies the goal
         else:
             result = self._prove_inner(cl, goal, depth)
@@ -477,13 +503,31 @@ def derivable(rules, premises, conclusions, depth_bound: int) -> Derivability:
 
 class ClauseSet(tuple):
     """An immutable, sorted tuple of clauses (tuples of signed 1-based
-    variables) that keeps the solver `dpll` loads with it."""
+    variables) that keeps the solver `dpll` loads with it, for one number
+    of variables at a time, and the set of its clauses for `falsified`."""
 
     def solver(self, nvars):
         solver = self.__dict__.get("_solver")
         if solver is None or solver.nvars != nvars:
             solver = self._solver = _Solver(self, nvars)
         return solver
+
+    @cached_property
+    def _members(self):
+        return frozenset(tuple(sorted(set(clause))) for clause in self)
+
+    def falsified(self, lits):
+        """Does some clause have only literals whose negations are among
+        `lits`, so that no model meets them all? This is unit propagation's
+        first step, asked as one lookup per nonempty subset of the negated
+        literals: 2^len(lits) - 1 of them, so meant for a few literals."""
+        negated = sorted({-lit for lit in lits})
+        members = self._members
+        for size in range(1, len(negated) + 1):
+            for sub in itertools.combinations(negated, size):
+                if sub in members:
+                    return True
+        return False
 
 
 def admissibility_clauses(rules, u: SentenceUniverse, depth: int):
@@ -493,9 +537,9 @@ def admissibility_clauses(rules, u: SentenceUniverse, depth: int):
     Compiled once per set of rules and depth; the universe keeps the result,
     so rule order and repetition do not matter. Within a compile the prover
     asks each distinct vE disjunct about every sentence once and caches each
-    closure, over a search space the universe builds once for all its
-    compiles; every derivability question still goes through
-    `Prover.proves`."""
+    closure, over a search space (with the cut's masks) the universe builds
+    once for all its compiles. A question the cut answers is not asked;
+    every other one goes through `Prover.proves`."""
     rules = _check_rules(rules)
     key = (frozenset(rules), depth)
     clauses = u._clauses.get(key)
@@ -527,19 +571,22 @@ def _compile_clauses(rules, u: SentenceUniverse, depth: int):
                 for a in (f.left, f.right):
                     if a not in follows:
                         gamma = frozenset((a,))
-                        follows[a] = {c for c in u.sentences
-                                      if prover.proves(gamma, c, depth)}
+                        follows[a] = {
+                            c for c in prover.open_goals(gamma, u.sentences)
+                            if prover.proves(gamma, c, depth)}
                 for c in follows[f.left] & follows[f.right]:
                     add([-idx[f], idx[c]])
 
     if "negI" in rules:
         for f in u.sentences:
-            if isinstance(f, Not) and prover.proves(
-                    frozenset([f.body]), BOT, depth):
-                add([idx[f]])
+            if isinstance(f, Not):
+                gamma = frozenset((f.body,))
+                if prover.open_goals(gamma, (BOT,)) and \
+                        prover.proves(gamma, BOT, depth):
+                    add([idx[f]])
 
     # theorems of the bounded calculus must be true
-    for s in u.sentences:
+    for s in prover.open_goals(empty, u.sentences):
         if prover.proves(empty, s, depth):
             add([idx[s]])
 
@@ -575,10 +622,18 @@ class _Solver:
     they are. A decision whose false literal has no implication and no watch
     propagates nothing, and skips propagation. Unit clauses and what they
     imply stay assigned at the root between calls (Eén and Sörensson 2003,
-    "An Extensible SAT-solver")."""
+    "An Extensible SAT-solver").
+
+    A first-model search decides only the variables some clause mentions
+    (`live`): the others constrain nothing, so the lexicographically first
+    model sets each one the assumptions leave open False. The solver also
+    keeps, as bitmasks, the models `determined_truth_table` has found
+    (`found`); they are models of this clause set over these variables, so
+    every table over it may read them."""
 
     def __init__(self, clauses, nvars):
         self.nvars = nvars
+        self.found = []  # models found by truth tables, as `_model_mask`s
         # value[lit] is the truth of a signed literal, None while unassigned:
         # slot v holds +v and, by negative indexing, slot -v holds -v
         self.value = [None] * (2 * nvars + 1)
@@ -588,7 +643,9 @@ class _Solver:
         self.head = 0  # trail[:head] has been propagated
         self.ok = True  # False once the root level is contradictory
         units = []
-        self._check_range(set().union(*clauses))
+        lits = set().union(*clauses)
+        self._check_range(lits)
+        self.live = sorted({abs(lit) for lit in lits})  # mentioned variables
         for clause in clauses:
             if len(clause) != 2 or clause[0] in (clause[1], -clause[1]):
                 members = set(clause)
@@ -685,14 +742,18 @@ class _Solver:
 
     def solve(self, assumptions, limit):
         """The models under the assumptions, in lexicographic order, at most
-        `limit` of them; the solver is back at its root state afterwards."""
+        `limit` of them; the solver is back at its root state afterwards.
+        With `limit == 1` only the live variables are decided."""
         self._check_range(assumptions)
         models = []
         if not self.ok:
             return models
         value, trail, nvars = self.value, self.trail, self.nvars
         implied, watches = self.implied, self.watches
-        decisions = []  # (trail length before, variable, on its True branch)
+        sparse = limit == 1
+        order = self.live if sparse else range(1, nvars + 1)  # to decide
+        size = len(order)
+        decisions = []  # (trail length before, place in order, True branch)
         try:
             for lit in assumptions:
                 if value[lit] is None:
@@ -706,23 +767,26 @@ class _Solver:
                         decisions.pop()
                     if not decisions:
                         return models
-                    mark, var, _ = decisions.pop()
+                    mark, place, _ = decisions.pop()
                     self._undo(mark)
-                    decisions.append((mark, var, True))
-                    lit = var
+                    decisions.append((mark, place, True))
+                    lit = order[place]
                 else:
-                    # every variable below the last decision is assigned
-                    var = decisions[-1][1] + 1 if decisions else 1
-                    while var <= nvars and value[var] is not None:
-                        var += 1
-                    if var > nvars:
-                        models.append(tuple(value[1:nvars + 1]))
+                    # every variable before the last decision is assigned
+                    place = decisions[-1][1] + 1 if decisions else 0
+                    while place < size and value[order[place]] is not None:
+                        place += 1
+                    if place == size:
+                        model = value[1:nvars + 1]
+                        if sparse:  # an undecided variable is False
+                            model = [b is True for b in model]
+                        models.append(tuple(model))
                         if limit is not None and len(models) >= limit:
                             return models
                         conflict = True  # backtrack to the next model
                         continue
-                    decisions.append((len(trail), var, False))
-                    lit = -var
+                    decisions.append((len(trail), place, False))
+                    lit = -order[place]
                 value[lit] = True
                 value[-lit] = False
                 trail.append(lit)
@@ -742,8 +806,11 @@ def dpll(clauses, nvars, assumptions=(), limit=None):
 
     The search is iterative: propagate with two watched literals, branch on
     the lowest unassigned variable (False first), and backtrack
-    chronologically. A `ClauseSet` keeps its loaded solver, so repeated calls
-    on it skip the load; any other clause list is loaded afresh."""
+    chronologically; with `limit=1` it branches only on the variables some
+    clause mentions and sets the others False, which gives the same first
+    model. A `ClauseSet` keeps its loaded solver, so repeated calls on it
+    with the same `nvars` skip the load; any other clause list is loaded
+    afresh."""
     if isinstance(clauses, ClauseSet):
         solver = clauses.solver(nvars)
     else:
@@ -836,14 +903,19 @@ def determined_truth_table(connective, rules, u: SentenceUniverse,
 
     A row is forced when some instance realizes it with the compound on one
     side and none with the compound on the other. Each side needs one model
-    of the clauses under the row's assumptions; a side already seen for the
-    row is not asked again, and a model found earlier that meets a query's
-    assumptions answers it without a solve. Found models are kept as
-    bitmasks, and so is each query, as the variables it needs true and
-    those it needs false."""
+    of the clauses under the row's assumptions, at most three literals; a
+    side already seen for the row is not asked again. Two shortcuts answer
+    most queries without a solve, and neither can change an answer:
+    a query that falsifies a clause outright (`ClauseSet.falsified`) has no
+    model, and a model found earlier that meets a query's assumptions is
+    one. Found models are kept as bitmasks on the clause set's loaded
+    solver, so every table over the same clauses and universe shares them,
+    and each query is two bitmasks, the variables it needs true and those
+    it needs false."""
     rules = _check_rules(rules)
     clauses = admissibility_clauses(rules, u, depth)
     n = len(u)
+    found = clauses.solver(n).found
     idx = {f: i + 1 for f, i in u.index.items()}
     kind = {"&": And, "|": Or, "~": Not}[connective]
     instances = []  # (the compound's variable, its parts' variables)
@@ -851,21 +923,22 @@ def determined_truth_table(connective, rules, u: SentenceUniverse,
         if isinstance(f, kind):
             parts = (f.left, f.right) if connective in "&|" else (f.body,)
             instances.append((idx[f], [idx[p] for p in parts]))
-    models = []  # every model found in this call, as a bitmask
 
     def realizable(assume):
+        if clauses.falsified(assume):
+            return False
         true = false = 0
         for lit in assume:
             if lit > 0:
                 true |= 1 << (n - lit)
             else:
                 false |= 1 << (n + lit)
-        for m in models:
+        for m in found:
             if m & true == true and not m & false:
                 return True
-        found = dpll(clauses, n, assume, limit=1)
-        models.extend(_model_mask(m) for m in found)
-        return bool(found)
+        models = dpll(clauses, n, assume, limit=1)
+        found.extend(_model_mask(m) for m in models)
+        return bool(models)
 
     rows = _ROWS2 if connective in "&|" else ((True,), (False,))
     table = {}

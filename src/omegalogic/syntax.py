@@ -139,6 +139,7 @@ class Vocabulary:
         self.symbols = {}
         self.families = {}
         self._constant_terms = None  # the constants as terms, once built
+        self._relations = self._functions = None  # `relations()`, `functions()`
         self._tau_starts = {}  # sort or None -> `tau_stream`'s start
         for decl in symbols:
             self._add_symbol(decl)
@@ -154,7 +155,7 @@ class Vocabulary:
         if decl.result_sort is not None and decl.result_sort not in self.sorts:
             raise SyntaxError_(f"unknown sort {decl.result_sort!r} in {decl.name!r}")
         self.symbols[decl.name] = decl
-        self._constant_terms = None
+        self._constant_terms = self._relations = self._functions = None
         self._tau_starts.clear()
 
     def _add_family(self, fam):
@@ -230,11 +231,21 @@ class Vocabulary:
                               for a in itertools.product(*args)]
             layer.sort(key=lambda a: _shortlex(a, text))
 
-    def relations(self):
-        return [d for d in self.symbols.values() if d.kind == "rel"]
+    def relations(self) -> tuple:
+        """The relation symbols in declaration order, built once."""
+        if self._relations is None:
+            self._relations = tuple(
+                d for d in self.symbols.values() if d.kind == "rel")
+        return self._relations
 
-    def functions(self):
-        return [d for d in self.symbols.values() if d.kind == "fun" and d.arity > 0]
+    def functions(self) -> tuple:
+        """The function symbols of arity > 0 in declaration order, built
+        once."""
+        if self._functions is None:
+            self._functions = tuple(
+                d for d in self.symbols.values()
+                if d.kind == "fun" and d.arity > 0)
+        return self._functions
 
     def family(self, name):
         if name not in self.families:

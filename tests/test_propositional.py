@@ -1,8 +1,10 @@
 import itertools
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from omegalogic import propositional
 from omegalogic.syntax import (
@@ -580,7 +582,11 @@ def reference_closure(rules, gamma):
 
 
 class UncutProver(propositional.Prover):
-    """The prover without the classical cut: the memo, then the search."""
+    """The prover without the classical cut: the memo, then the search, and
+    a compile with it asks every goal."""
+
+    def open_goals(self, gamma, goals):
+        return list(goals)
 
     def _prove(self, cl, goal, depth):
         key = (cl, goal, depth)
@@ -811,3 +817,170 @@ def test_every_rule_instance_is_classically_sound():
             for inst in instances:
                 assert rule_sound(v, inst, holds), (inst, v)
     assert seen == set(propositional.RULE_CATALOGUE)
+
+
+# ---------------------------------------------------------------------------
+# State that tables and compiles share: found models on the loaded solver,
+# the cut's masks on the universe's space, and the sparse first-model search
+
+
+def test_shared_state_matches_fresh_universes():
+    """On one universe, every bench table and the enumerations in a shuffled
+    order, each against the reference run on a fresh universe: what the
+    universe and its clause sets keep from earlier calls changes no
+    answer."""
+    rng = random.Random(2801)
+    for atoms in (["p"], ["p", "q", "r"]):
+        u = sentence_universe(atoms, 1)
+        calls = [(rules, c) for rules in BENCH_RULE_SETS for c in "&|~"]
+        calls += [(rules, None) for rules in BENCH_RULE_SETS
+                  if len(atoms) == 1 or rules == FULL]
+        rng.shuffle(calls)
+        for rules, connective in calls:
+            fresh = sentence_universe(atoms, 1)
+            if connective is None:
+                assert admissible_valuations(rules, u) == \
+                    admissible_valuations(rules, fresh), (atoms, rules)
+            else:
+                assert determined_truth_table(connective, rules, u) == \
+                    reference_table(connective, rules, fresh), \
+                    (atoms, rules, connective)
+
+
+def test_first_model_with_unmentioned_variables_matches_brute_force():
+    """`limit=1` decides only the variables some clause mentions. Random
+    CNFs over part of the variables, with root units and with assumptions
+    on the variables no clause mentions, on a fresh load and a kept one."""
+    rng = random.Random(2802)
+    for case in range(300):
+        nvars = 1 + case % 9
+        mentioned = rng.sample(range(1, nvars + 1), rng.randint(0, nvars))
+        clauses = [tuple(rng.choice((-1, 1)) * rng.choice(mentioned)
+                         for _ in range(rng.choice((1, 2, 2, 3))))
+                   for _ in range(rng.randint(0, 2 * len(mentioned)))] \
+            if mentioned else []
+        loaded = ClauseSet(sorted(set(clauses)))
+        for _ in range(3):
+            assume = _random_assumptions(rng, nvars)
+            free = [v for v in range(1, nvars + 1) if v not in mentioned]
+            if free and rng.random() < 0.7:
+                assume.append(rng.choice((-1, 1)) * rng.choice(free))
+            want = brute_models(clauses, nvars, assume, 1)
+            assert dpll(clauses, nvars, assume, 1) == want, \
+                (clauses, nvars, assume)
+            assert dpll(loaded, nvars, assume, 1) == want, \
+                (clauses, nvars, assume)
+
+
+def test_one_clause_set_at_two_variable_counts():
+    """A clause set keeps its loaded solver, and the models tables found
+    with it, for one variable count; asking it at another count and back
+    gives the answers of brute force and of the reference table."""
+    rng = random.Random(2803)
+    for case in range(200):
+        nvars = 1 + case % 6
+        clauses = _random_cnf(rng, nvars)
+        loaded = ClauseSet(sorted(set(clauses)))
+        for k in range(6):
+            n = nvars + 2 * (k % 2)
+            limit = rng.choice((None, 1, 2))
+            assume = _random_assumptions(rng, n)
+            assert dpll(loaded, n, assume, limit) == \
+                brute_models(clauses, n, assume, limit), \
+                (clauses, n, assume, limit)
+    u = sentence_universe(["p", "q"], 1)
+    clauses = admissibility_clauses(FULL, u, 6)
+    for connective in "&|~":
+        fresh = sentence_universe(["p", "q"], 1)
+        want = reference_table(connective, FULL, fresh)
+        assert determined_truth_table(connective, FULL, u) == want
+        assert len(dpll(clauses, len(u) + 1, limit=3)) == 3
+        assert determined_truth_table(connective, FULL, u) == want
+
+
+def test_clause_lookup_matches_the_definition():
+    """`ClauseSet.falsified` against its definition: some clause all of
+    whose literals the query negates."""
+    rng = random.Random(2806)
+    for case in range(300):
+        nvars = 1 + case % 8
+        clauses = [cl for cl in _random_cnf(rng, nvars) if cl]
+        loaded = ClauseSet(sorted(set(clauses)))
+        for _ in range(5):
+            lits = [_random_literal(rng, nvars)
+                    for _ in range(rng.randint(0, 3))]
+            negated = {-lit for lit in lits}
+            assert loaded.falsified(lits) == any(
+                set(cl) <= negated for cl in clauses), (clauses, lits)
+
+
+# ---------------------------------------------------------------------------
+# Bound laws: what holds at a proof depth holds at every larger one
+
+
+def _sentences():
+    return st.recursive(
+        st.sampled_from([P, Q, Atom("r"), BOT]),
+        lambda sub: st.one_of(st.builds(Not, sub), st.builds(And, sub, sub),
+                              st.builds(Or, sub, sub)),
+        max_leaves=6)
+
+
+_RULE_SETS = st.lists(st.sampled_from(propositional.RULE_CATALOGUE),
+                      unique=True)
+
+
+@seed(2804)
+@settings(max_examples=150, deadline=None, database=None)
+@given(rules=_RULE_SETS, premises=st.lists(_sentences(), max_size=3),
+       conclusions=st.lists(_sentences(), max_size=3),
+       depth=st.integers(0, 5))
+def test_derivable_at_a_depth_stays_derivable_deeper(rules, premises,
+                                                     conclusions, depth):
+    if derivable(rules, premises, conclusions, depth).decided:
+        assert derivable(rules, premises, conclusions, depth + 1).decided
+
+
+@seed(2805)
+@settings(max_examples=150, deadline=None, database=None)
+@given(rules=_RULE_SETS, gamma=st.lists(_sentences(), max_size=3),
+       goals=st.lists(_sentences(), min_size=1, max_size=3),
+       depth=st.integers(0, 5))
+def test_proofs_survive_a_deeper_bound(rules, gamma, goals, depth):
+    """`proves` and `proves_set`, on one prover and on fresh ones."""
+    space = propositional._search_space(gamma + goals)
+    gamma = frozenset(gamma)
+    kept = propositional.Prover(rules, space)
+    for ask in (lambda p, d: p.proves(gamma, goals[0], d),
+                lambda p, d: p.proves_set(gamma, goals, d)):
+        if ask(propositional.Prover(rules, space), depth):
+            assert ask(propositional.Prover(rules, space), depth + 1)
+        if ask(kept, depth):
+            assert ask(kept, depth + 1)
+
+
+@seed(2807)
+@settings(max_examples=60, deadline=None, database=None)
+@given(rules=_RULE_SETS, atoms=st.integers(1, 2), depth=st.integers(0, 5))
+def test_admissible_valuations_shrink_as_the_proof_depth_grows(rules, atoms,
+                                                               depth):
+    """The clauses only grow with the depth. Enumerations are capped at
+    4,096 valuations, every one on one atom: past the cap on two atoms the
+    law still says that the deeper set fits whenever the shallower does,
+    and that each deeper valuation is admissible at the shallower depth."""
+    u = sentence_universe(["p", "q"][:atoms], 1)
+
+    def valuations(d):
+        try:
+            return {tuple(v[s] for s in u.sentences)
+                    for v in admissible_valuations(rules, u, d)}
+        except GuardError:
+            return None
+
+    with mock.patch.object(propositional, "MAX_VALUATIONS", 4096):
+        shallower, deeper = valuations(depth), valuations(depth + 1)
+    if shallower is not None:
+        assert deeper is not None and deeper <= shallower
+    elif deeper is not None:
+        assert all(is_admissible(dict(zip(u.sentences, bits)), rules, u,
+                                 depth) for bits in deeper)
